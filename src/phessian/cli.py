@@ -7,6 +7,8 @@ reports except for the wall_time_s field.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 import time
@@ -20,6 +22,7 @@ from .errors import (
     ConstructionError,
     NonconvergenceError,
     SearchFailureError,
+    VerificationError,
 )
 from .solver import (
     AlexandrovProblem,
@@ -76,32 +79,53 @@ def _emit(report, output):
         sys.stdout.write(text)
 
 
-def _usage(message):
-    print(message, file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """Bad command-line input; the subcommand exits 2 without a report."""
 
 
-def _finish(name, config, results, violation, output, t0):
-    report = {
-        "subcommand": name,
-        "config": _jsonable(config),
-        "seed": config.get("seed"),
-        "results": _jsonable(results),
-        "violation": _jsonable(violation),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _emit(report, output)
-    return 1 if violation is not None else 0
+def _subcommand(name, **fixed):
+    """Turn a body into a subcommand that writes the report and returns
+    the exit status.
+
+    The report's config is every parsed option plus the fixed constants;
+    the body reads all of them from one namespace and returns (results,
+    violation).
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(args):
+            t0 = time.perf_counter()
+            config = {k: v for k, v in vars(args).items()
+                      if k not in ("func", "subcommand", "output")}
+            config.setdefault("seed", None)
+            config.update(fixed)
+            try:
+                results, violation = body(argparse.Namespace(**config))
+            except _UsageError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            report = {
+                "subcommand": name,
+                "config": _jsonable(config),
+                "seed": config.get("seed"),
+                "results": _jsonable(results),
+                "violation": _jsonable(violation),
+                "wall_time_s": time.perf_counter() - t0,
+            }
+            _emit(report, args.output)
+            return 1 if violation is not None else 0
+
+        return run
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+@_subcommand("identities", tol=1e-10)
 def cmd_identities(args):
-    t0 = time.perf_counter()
-    config = {
-        "n": args.n, "trials": args.trials, "seed": args.seed, "tol": 1e-10
-    }
     results = {}
     violation = None
     for n in _parse_range(args.n):
@@ -119,23 +143,19 @@ def cmd_identities(args):
                     worst_name = name
                     worst_case = mu[i] if len(vals) == len(mu) else mu[0]
             results[f"n{n}_p{p}"] = {"max_residual": worst, "identity": worst_name}
-            if worst > 1e-10 and violation is None:
+            if worst > args.tol and violation is None:
                 violation = {
                     "n": n, "p": p, "identity": worst_name,
                     "mu": worst_case, "residual": worst,
                 }
-    return _finish("identities", config, results, violation, args.output, t0)
+    return results, violation
 
 
 RATIO_KEYS = ("ratio_minor_constant", "ratio_mu1_constant")
 
 
+@_subcommand("cone", tol=1e-10)
 def cmd_cone(args):
-    t0 = time.perf_counter()
-    config = {
-        "n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
-        "tol": 1e-10,
-    }
     spec = ConeSpec(args.n, args.p)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     samples = np.sort(sample_admissible(args.n, args.p, args.trials, rng), axis=1)
@@ -147,7 +167,7 @@ def cmd_cone(args):
         mac = maclaurin_report(mu, spec)
         m = min(mac.values())
         mac_worst = min(mac_worst, m)
-        if m < -1e-10 and violation is None:
+        if m < -args.tol and violation is None:
             violation = {"kind": "maclaurin", "mu": mu, "slack": m}
         if args.p >= 2:
             tech = tech_ineq_report(mu, spec)
@@ -163,19 +183,15 @@ def cmd_cone(args):
         "technical_min_slacks": dict(sorted(strict_worst.items())),
         "empirical_constants": ratios if args.p >= 2 else {},
     }
-    return _finish("cone", config, results, violation, args.output, t0)
+    return results, violation
 
 
+@_subcommand("spectral-derivs", fd_step=1e-5, tol=1e-6)
 def cmd_spectral_derivs(args):
-    t0 = time.perf_counter()
-    config = {
-        "n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
-        "fd_step": 1e-5, "tol": 1e-6,
-    }
     rng = np.random.default_rng([args.seed, args.n, args.p])
     worst = 0.0
     worst_mu = None
-    eps = 1e-5
+    eps = args.fd_step
     for _ in range(args.trials):
         gaps = 0.5 + rng.uniform(0.0, 1.0, args.n)
         mu = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
@@ -196,30 +212,25 @@ def cmd_spectral_derivs(args):
         if err > worst:
             worst, worst_mu = err, mu
     violation = None
-    if worst > 1e-6:
+    if worst > args.tol:
         violation = {"mu": worst_mu, "max_error": worst}
     results = {"max_gradient_error": worst}
-    return _finish("spectral-derivs", config, results, violation, args.output, t0)
+    return results, violation
 
 
+@_subcommand("concavity-fuzz", tol=-1e-9)
 def cmd_concavity_fuzz(args):
-    t0 = time.perf_counter()
-    config = {
-        "mode": args.mode, "n": args.n, "p": args.p, "tau": args.tau,
-        "eps": args.eps, "a": args.a, "mu_n_min": args.mu_n_min,
-        "trials": args.trials, "seed": args.seed, "tol": -1e-9,
-    }
     rng = np.random.default_rng([args.seed, args.n])
     if args.mode == "large_mu1":
         if args.a is None:
-            return _usage("concavity-fuzz: --a is required for mode large_mu1")
+            raise _UsageError("concavity-fuzz: --a is required for mode large_mu1")
         mus, ws = sample_hypothesis_points(
             args.n, args.tau, args.eps, args.a, args.trials, rng
         )
         guaranteed = True
     else:
         if args.mode == "small_mu1" and args.p is None:
-            return _usage("concavity-fuzz: --p is required for mode small_mu1")
+            raise _UsageError("concavity-fuzz: --p is required for mode small_mu1")
         r = args.n - 1 if args.mode == "theorem" else args.p
         mus = np.sort(sample_admissible(args.n, r, args.trials, rng), axis=1)
         if args.mu_n_min is not None:
@@ -240,19 +251,15 @@ def cmd_concavity_fuzz(args):
         "trials": int(len(res)),
     }
     violation = None
-    if guaranteed and res[i] < -1e-9:
+    if guaranteed and res[i] < args.tol:
         violation = {"mu": mus[i], "w_re": ws[i].real, "w_im": ws[i].imag,
                      "residual": float(res[i])}
-    return _finish("concavity-fuzz", config, results, violation, args.output, t0)
+    return results, violation
 
 
+@_subcommand("find-m")
 def cmd_find_m(args):
-    t0 = time.perf_counter()
     band = _parse_band(args.sigma)
-    config = {
-        "n": args.n, "p": args.p, "tau": args.tau, "eps": args.eps,
-        "sigma": args.sigma, "trials": args.trials, "seed": args.seed,
-    }
     try:
         out = find_threshold(
             args.n, args.p, args.tau, args.eps, band, args.trials, args.seed
@@ -260,22 +267,17 @@ def cmd_find_m(args):
     except SearchFailureError as exc:
         violation = {"kind": "search_failure", "detail": str(exc),
                      "counterexample": getattr(exc, "counterexample", None)}
-        return _finish("find-m", config, {}, violation, args.output, t0)
+        return {}, violation
     results = {
         "M_hat": out.M_hat,
         "trials": out.trials,
         "worst_residual": out.worst_residual,
     }
-    return _finish("find-m", config, results, violation=None,
-                   output=args.output, t0=t0)
+    return results, None
 
 
+@_subcommand("subsolution")
 def cmd_subsolution(args):
-    t0 = time.perf_counter()
-    config = {
-        "n": args.n, "p": args.p, "alpha": args.alpha, "phi": args.phi,
-        "radius": args.radius, "resolution": args.resolution, "seed": None,
-    }
 
     def u(pts):
         return 0.5 * (np.sum(pts**2, axis=-1) - args.radius**2)
@@ -293,7 +295,7 @@ def cmd_subsolution(args):
     except ConstructionError as exc:
         violation = {"kind": "construction_failure", "detail": str(exc),
                      "node": getattr(exc, "node", None)}
-        return _finish("subsolution", config, {}, violation, args.output, t0)
+        return {}, violation
     results = {
         "A": out.A, "B": out.B, "eps1": out.eps1, "eps2": out.eps2,
         "worst_slack": out.worst_slack,
@@ -301,15 +303,11 @@ def cmd_subsolution(args):
     violation = None
     if out.worst_slack < 0:
         violation = {"kind": "subsolution_slack", "worst_slack": out.worst_slack}
-    return _finish("subsolution", config, results, violation, args.output, t0)
+    return results, violation
 
 
+@_subcommand("key-lemma", tol=-1e-9)
 def cmd_key_lemma(args):
-    t0 = time.perf_counter()
-    config = {
-        "n": args.n, "p": args.p, "trials": args.trials, "seed": args.seed,
-        "R": args.R, "directions": args.directions, "tol": -1e-9,
-    }
     rng = np.random.default_rng([args.seed, args.n, args.p])
     verified = 0
     undetermined = 0
@@ -333,7 +331,7 @@ def cmd_key_lemma(args):
             continue
         verified += 1
         worst = min(worst, lhs - rhs)
-        if lhs - rhs < -1e-9 and violation is None:
+        if lhs - rhs < args.tol and violation is None:
             violation = {"mu": mu, "nu": nu, "delta": cfg.delta, "a": cfg.a,
                          "lhs": lhs, "rhs": rhs}
     results = {
@@ -341,7 +339,7 @@ def cmd_key_lemma(args):
         "hypothesis_undetermined": undetermined,
         "min_slack": None if verified == 0 else float(worst),
     }
-    return _finish("key-lemma", config, results, violation, args.output, t0)
+    return results, violation
 
 
 def _smooth_perturbation(grid, rng, scale):
@@ -355,15 +353,10 @@ def _smooth_perturbation(grid, rng, scale):
     return scale * f / np.max(np.abs(f))
 
 
+@_subcommand("solve")
 def cmd_solve(args):
-    t0 = time.perf_counter()
-    config = {
-        "problem": args.problem, "initial": args.initial,
-        "manufactured": args.manufactured, "p": args.p, "tol": args.tol,
-        "perturb": args.perturb, "seed": args.seed, "solution": args.solution,
-    }
     if args.manufactured and args.problem:
-        return _usage("solve: --manufactured and --problem are mutually exclusive")
+        raise _UsageError("solve: --manufactured and --problem are mutually exclusive")
     if args.manufactured:
         spec, grid, ustar = manufactured_problem(args.manufactured, p=args.p)
         rng = np.random.default_rng(args.seed)
@@ -373,44 +366,37 @@ def cmd_solve(args):
         u0 = GridFn(grid, ustar.values + bump)
     elif args.problem:
         if not args.initial:
-            return _usage("solve: --initial grid CSV required with --problem")
-        spec = load_problem_json(args.problem)
-        u0 = load_grid_csv(args.initial)
+            raise _UsageError("solve: --initial grid CSV required with --problem")
+        try:
+            spec = load_problem_json(args.problem)
+            u0 = load_grid_csv(args.initial)
+        except ValueError as exc:
+            raise _UsageError(f"solve: {exc}") from None
     else:
-        return _usage("solve: either --manufactured or --problem is required")
+        raise _UsageError("solve: either --manufactured or --problem is required")
 
     try:
         sol, trace = newton_solve(spec, u0, tol=args.tol)
     except (NonconvergenceError, AdmissibilityError) as exc:
         violation = {"kind": type(exc).__name__, "detail": str(exc),
                      "trace": getattr(exc, "trace", None)}
-        return _finish("solve", config, {}, violation, args.output, t0)
+        return {}, violation
 
-    rep = monitors(sol, spec)
     res = residual_field(sol, spec).values
     results = {
         "iterations": len(trace),
         "trace": trace,
-        "monitors": {
-            "osc_u": rep.osc_u, "max_grad": rep.max_grad,
-            "max_hess": rep.max_hess, "max_lambda_n": rep.max_lambda_n,
-            "min_lambda_1": rep.min_lambda_1,
-        },
+        "monitors": dataclasses.asdict(monitors(sol, spec)),
         "final_residual": float(np.max(np.abs(res - np.mean(res)))),
         "raw_residual": float(np.max(np.abs(res))),
     }
     if args.solution:
         save_grid_csv(args.solution, sol)
-    return _finish("solve", config, results, violation=None,
-                   output=args.output, t0=t0)
+    return results, None
 
 
+@_subcommand("alexandrov")
 def cmd_alexandrov(args):
-    t0 = time.perf_counter()
-    config = {
-        "case": args.case, "d": args.d, "eps": args.eps,
-        "resolution": args.resolution, "seed": None,
-    }
     if args.case == "quadratic":
         w = lambda pts: np.sum(pts**2, axis=-1)  # noqa: E731
     elif args.case == "quartic":
@@ -423,41 +409,28 @@ def cmd_alexandrov(args):
     )
     try:
         lhs, rhs, contact = alexandrov_check(prob)
-    except AssertionError as exc:
-        violation = {"kind": "measure_bound", "detail": str(exc)}
-        return _finish("alexandrov", config, {}, violation, args.output, t0)
+    except VerificationError as exc:
+        violation = {"kind": "measure_bound", "detail": str((exc.lhs, exc.rhs))}
+        return {}, violation
     results = {
         "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
         "contact_nodes": int(contact.sum()),
     }
-    return _finish("alexandrov", config, results, violation=None,
-                   output=args.output, t0=t0)
+    return results, None
 
 
+@_subcommand("pseudo-check")
 def cmd_pseudo_check(args):
-    t0 = time.perf_counter()
-    config = {
-        "size": args.size, "p": args.p, "delta1": args.delta1, "M1": args.M1,
-        "delta2": args.delta2, "M2": args.M2, "seed": None,
-    }
     spec, grid, ustar = manufactured_problem(args.size, p=args.p)
     cfg = PseudoCheckConfig(
         delta1=args.delta1, M1=args.M1, delta2=args.delta2, M2=args.M2,
         ubar=ustar,
     )
-    rep = pseudo_check(ustar, cfg, spec)
-    results = {
-        "worst_sub_slack": rep.worst_sub_slack,
-        "sub_violations": rep.sub_violations,
-        "worst_super_slack": rep.worst_super_slack,
-        "super_violations": rep.super_violations,
-        "super_nodes": rep.super_nodes,
-        "note": rep.note,
-    }
+    results = dataclasses.asdict(pseudo_check(ustar, cfg, spec))
     violation = None
-    if rep.sub_violations or rep.super_violations:
+    if results["sub_violations"] or results["super_violations"]:
         violation = {"kind": "pseudo_condition", "report": results}
-    return _finish("pseudo-check", config, results, violation, args.output, t0)
+    return results, violation
 
 
 # ---------------------------------------------------------------------------

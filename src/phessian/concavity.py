@@ -25,7 +25,7 @@ import numpy as np
 
 from .cone import ConeSpec, classify, classify_batch
 from .errors import AdmissibilityError, SearchFailureError
-from .symfun import _as_values, sigma, sigma_trunc
+from .symfun import _as_values, sigma, sigma_minors, sigma_pair_minors
 
 VIOLATION_TOL = -1e-10
 
@@ -115,16 +115,8 @@ def _evaluate_batch(mu, w, r, c, weight, tau, eps):
     Returns (lhs, rhs) as complex arrays; the imaginary parts are
     roundoff from the Hermitian forms and should be negligible.
     """
-    n = mu.shape[-1]
-    minors = np.stack(
-        [sigma_trunc(r - 1, mu, [j]) for j in range(1, n + 1)], axis=-1
-    )
-    S = np.zeros(mu.shape[:-1] + (n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            pair = sigma_trunc(r - 2, mu, [j + 1, k + 1])
-            S[..., j, k] = pair
-            S[..., k, j] = pair
+    minors = sigma_minors(r - 1, mu)
+    S = sigma_pair_minors(r - 2, mu)
     wc = np.conj(w)
     cross = np.einsum("...jk,...j,...k->...", S, w, wc)
     lhs = -cross - (1.0 - tau) / mu[..., -1] * minors[..., -1] * np.abs(

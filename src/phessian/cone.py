@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 
-from .symfun import _as_values, sigma, sigma_all, sigma_trunc
+from .symfun import _as_values, sigma, sigma_all, sigma_minors
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -141,7 +141,7 @@ def tech_ineq_report(mu, spec):
 
     sigs = sigma_all(mu)
     sp, spm1 = sigs[p], sigs[p - 1]
-    minors = np.array([sigma_trunc(p - 1, mu, [j]) for j in range(1, n + 1)])
+    minors = sigma_minors(p - 1, mu)
 
     out = {}
     out["partial_sum"] = float(np.sum(mu[: n - p + 1]))

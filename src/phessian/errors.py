@@ -47,3 +47,12 @@ class SearchFailureError(RuntimeError):
     def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
+
+
+class VerificationError(ArithmeticError):
+    """A checked identity or inequality failed; both sides are attached."""
+
+    def __init__(self, message, lhs=None, rhs=None):
+        super().__init__(message)
+        self.lhs = lhs
+        self.rhs = rhs

@@ -27,9 +27,9 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .cone import ConeSpec, classify_batch
-from .errors import AdmissibilityError, NonconvergenceError
+from .errors import AdmissibilityError, NonconvergenceError, VerificationError
 from .spectral import jacobi_eigh
-from .symfun import sigma, sigma_trunc
+from .symfun import sigma, sigma_root_grad
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,36 @@ def periodic_hess(f, h):
             H[i, j] = cross
             H[j, i] = cross
     return H
+
+
+def box_grad_hess(f, h):
+    """Gradient and Hessian of a field on a non-periodic box: repeated
+    np.gradient, central inside and second-order one-sided at the edges.
+    Returns (grad (n,)+shape, hess (n,n)+shape), hess symmetrized."""
+    n = f.ndim
+    grads = np.gradient(f, h, edge_order=2)
+    if n == 1:
+        grads = [grads]
+    hess = np.empty((n, n) + f.shape)
+    for i in range(n):
+        gi = np.gradient(grads[i], h, edge_order=2)
+        if n == 1:
+            gi = [gi]
+        for j in range(n):
+            hess[i, j] = gi[j]
+    return np.stack(grads), 0.5 * (hess + np.swapaxes(hess, 0, 1))
+
+
+def ball_grid(radius, resolution, n):
+    """Uniform grid on the box [-radius, radius]^n around the origin.
+
+    Returns (points (N, n) in row-major node order, their distances to the
+    origin, spacing h).
+    """
+    axis = np.linspace(-radius, radius, resolution)
+    mesh = np.meshgrid(*([axis] * n), indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    return pts, np.linalg.norm(pts, axis=-1), axis[1] - axis[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +247,10 @@ def _hessian_argument(u_vals, grid, spec):
     return du, B, A_t, A_alpha
 
 
-def _lambda_field(B, d):
-    flat = B.reshape(-1, d, d)
-    return jacobi_eigh(flat)
+def _lambda_field(u_vals, grid, spec):
+    """du and the nodewise eigenvalues (N, d) of A(du, u) + D^2 u."""
+    du, B, _, _ = _hessian_argument(u_vals, grid, spec)
+    return du, jacobi_eigh(B.reshape(-1, grid.d, grid.d))
 
 
 def admissible(u, spec):
@@ -229,19 +260,14 @@ def admissible(u, spec):
     eigenvalue vector; None when ok.
     """
     grid = u.grid
-    _, B, _, _ = _hessian_argument(u.values, grid, spec)
-    lam = _lambda_field(B, grid.d)
-    codes = classify_batch(lam, ConeSpec(grid.d, spec.p))
-    if np.all(codes == 2):
-        return True, None
-    bad = int(np.argmax(codes != 2))
-    return False, {
-        "node": np.unravel_index(bad, grid.sizes),
-        "lam": lam[bad],
-    }
+    try:
+        _require_admissible(spec, _lambda_field(u.values, grid, spec)[1], grid)
+    except AdmissibilityError as exc:
+        return False, {"node": exc.node, "lam": exc.lam}
+    return True, None
 
 
-def _require_admissible(u, spec, lam, grid):
+def _require_admissible(spec, lam, grid):
     codes = classify_batch(lam, ConeSpec(grid.d, spec.p))
     if np.all(codes == 2):
         return
@@ -257,9 +283,8 @@ def _require_admissible(u, spec, lam, grid):
 def residual_field(u, spec):
     """Nodewise sigma_p^{1/p}(lam(A + D^2 u)) - phi(du, u)."""
     grid = u.grid
-    du, B, _, _ = _hessian_argument(u.values, grid, spec)
-    lam = _lambda_field(B, grid.d)
-    _require_admissible(u, spec, lam, grid)
+    du, lam = _lambda_field(u.values, grid, spec)
+    _require_admissible(spec, lam, grid)
     lhs = sigma(spec.p, lam) ** (1.0 / spec.p)
     phi, _, _ = _rhs_phi(spec, u.values, du)
     return GridFn(grid, (lhs - phi.ravel()).reshape(grid.sizes))
@@ -279,19 +304,15 @@ def _linearization_data(u, spec):
     du, B, A_t, A_alpha = _hessian_argument(u.values, grid, spec)
     flat = B.reshape(-1, d, d)
     lam, Q = jacobi_eigh(flat, vectors=True)
-    _require_admissible(u, spec, lam, grid)
+    _require_admissible(spec, lam, grid)
 
-    sp = sigma(p, lam)
-    minors = np.stack(
-        [sigma_trunc(p - 1, lam, [j]) for j in range(1, d + 1)], axis=-1
-    )
-    gdiag = (1.0 / p) * sp[:, None] ** (1.0 / p - 1.0) * minors
+    f, gdiag = sigma_root_grad(p, lam)
     F = np.einsum("njk,nk,nlk->njl", Q, gdiag, Q).reshape(
         grid.sizes + (d, d)
     )
 
     phi, phi_t, phi_alpha = _rhs_phi(spec, u.values, du)
-    res = (sp ** (1.0 / p)).reshape(grid.sizes) - phi
+    res = f.reshape(grid.sizes) - phi
 
     trace_F = np.einsum("...jj->...", F)
     G = np.zeros((d,) + grid.sizes)
@@ -406,11 +427,8 @@ class MonitorReport:
 
 def monitors(u, spec):
     grid = u.grid
-    h = grid.h
-    du = periodic_grad(u.values, h)
-    d2u = periodic_hess(u.values, h)
-    _, B, _, _ = _hessian_argument(u.values, grid, spec)
-    lam = _lambda_field(B, grid.d)
+    du, lam = _lambda_field(u.values, grid, spec)
+    d2u = periodic_hess(u.values, grid.h)
     return MonitorReport(
         osc_u=float(np.max(u.values) - np.min(u.values)),
         max_grad=float(np.max(np.sqrt(np.sum(du**2, axis=0)))),
@@ -452,8 +470,7 @@ def auxiliary_field(u, ubar, spec, aux, kind):
     du = periodic_grad(u.values, h)
     grad_sq = np.sum(du**2, axis=0)
     if kind == "second_order":
-        _, B, _, _ = _hessian_argument(u.values, grid, spec)
-        lam_n = _lambda_field(B, grid.d)[:, -1].reshape(grid.sizes)
+        lam_n = _lambda_field(u.values, grid, spec)[1][:, -1].reshape(grid.sizes)
         if np.any(lam_n <= -1.0):
             bad = np.unravel_index(int(np.argmax(lam_n <= -1.0)), grid.sizes)
             raise ValueError(
@@ -516,22 +533,18 @@ def pseudo_check(u, cfg, spec):
     grid = u.grid
     d = grid.d
     h = grid.h
-    _, F, _, _, lam = _linearization_data(u, spec)
-    du_all = periodic_grad(u.values, h)
+    _, F, _, _, _ = _linearization_data(u, spec)
     _, _, _, A_alpha = _hessian_argument(u.values, grid, spec)
 
     diff = cfg.ubar.values - u.values
     ddiff = periodic_grad(diff, h)
     d2diff = periodic_hess(diff, h)
 
+    trace_F = np.einsum("...jj->...", F)
     lhs = np.einsum("...jk,jk...->...", F, d2diff)
     if A_alpha is not None:
-        trace_F = np.einsum("...jj->...", F)
-        lhs += trace_F * np.einsum(
-            "...m,m...->...", A_alpha, ddiff
-        )
+        lhs += trace_F * np.einsum("...m,m...->...", A_alpha, ddiff)
     lam1_F = jacobi_eigh(F.reshape(-1, d, d))[:, 0].reshape(grid.sizes)
-    trace_F = np.einsum("...jj->...", F)
     rhs = cfg.delta1 * trace_F - cfg.M1 * lam1_F - cfg.M1
     sub_slack = lhs - rhs
 
@@ -581,18 +594,14 @@ def alexandrov_check(prob, quad_tol=0.02):
 
     The contact set is computed nodewise: |Dw| < eps/d (strict) plus the
     brute-force global supporting-plane test against every ball node.
-    Returns (lhs, rhs, contact_mask over the grid); lhs <= rhs*(1 +
-    quad_tol) is asserted.
+    Returns (lhs, rhs, contact_mask over the grid); raises
+    VerificationError unless lhs <= rhs*(1 + quad_tol).
     """
     center = np.asarray(prob.center, dtype=float)
     n = len(center)
-    res = prob.resolution
-    axis = np.linspace(-prob.d, prob.d, res)
-    h = axis[1] - axis[0]
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1) + center
-    dist = np.linalg.norm(pts - center, axis=-1)
-    shape = (res,) * n
+    offsets, dist, h = ball_grid(prob.d, prob.resolution, n)
+    pts = offsets + center
+    shape = (prob.resolution,) * n
 
     wv = prob.w(pts).reshape(shape)
     ring = (dist >= prob.d - h) & (dist <= prob.d + 1e-12)
@@ -603,8 +612,8 @@ def alexandrov_check(prob, quad_tol=0.02):
             f"eps must lie in (0, {eps_max:.6g}], got {prob.eps}"
         )
 
-    dw = np.stack(np.gradient(wv, h, edge_order=2)).reshape(n, -1).T
-    hess = periodic_hess_box(wv, h)
+    grad, hess = box_grad_hess(wv, h)
+    dw = grad.reshape(n, -1).T
 
     in_ball = dist < prob.d
     grad_norm = np.linalg.norm(dw, axis=-1)
@@ -627,24 +636,14 @@ def alexandrov_check(prob, quad_tol=0.02):
     )
     rhs = float(np.sum(np.maximum(dets, 0.0)) * h**n)
     lhs = float(unit_ball_volume(n) * prob.eps**n / prob.d**n)
-    assert lhs <= rhs * (1.0 + quad_tol) + 1e-12, (lhs, rhs)
+    if not lhs <= rhs * (1.0 + quad_tol) + 1e-12:
+        raise VerificationError(
+            f"contact-set bound fails: omega_n eps^n / d^n = {lhs!r} exceeds "
+            f"the contact-set integral {rhs!r} by more than {quad_tol:g}",
+            lhs=lhs,
+            rhs=rhs,
+        )
     return lhs, rhs, contact.reshape(shape)
-
-
-def periodic_hess_box(f, h):
-    """Second differences on a non-periodic box via repeated np.gradient."""
-    n = f.ndim
-    grads = np.gradient(f, h, edge_order=2)
-    if n == 1:
-        grads = [grads]
-    H = np.empty((n, n) + f.shape)
-    for i in range(n):
-        gi = np.gradient(grads[i], h, edge_order=2)
-        if n == 1:
-            gi = [gi]
-        for j in range(n):
-            H[i, j] = gi[j]
-    return 0.5 * (H + np.swapaxes(H, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -665,15 +664,26 @@ def save_grid_csv(path, fn):
 
 
 def load_grid_csv(path):
+    """Read a grid function written by save_grid_csv; ValueError unless the
+    header is `d,sizes...,h...` with one period h_i*size_i on every axis
+    and prod(sizes) numeric values follow, one per line."""
     with open(path) as fh:
         head = fh.readline().strip().split(",")
-        d = int(head[0])
-        sizes = tuple(int(s) for s in head[1 : 1 + d])
-        h0 = float(head[1 + d])
-        values = np.array([float(line) for line in fh])
-    period = h0 * sizes[0]
-    grid = TorusGrid(sizes, period=period)
-    return GridFn(grid, values.reshape(sizes))
+        try:
+            d = int(head[0])
+            sizes = tuple(int(x) for x in head[1 : 1 + d])
+            hs = [float(x) for x in head[1 + d :]]
+            values = np.loadtxt(fh, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if d < 1 or len(hs) != d:
+        raise ValueError(f"{path}: header must be d,sizes...,h... (1+2d fields)")
+    period = hs[0] * sizes[0]
+    if not all(abs(h * s - period) <= 1e-9 * period for h, s in zip(hs, sizes)):
+        raise ValueError(f"{path}: spacings {hs} and sizes {sizes} differ in period")
+    if values.ndim != 1 or values.size != np.prod(sizes):
+        raise ValueError(f"{path}: expected {np.prod(sizes)} values, got {values.size}")
+    return GridFn(TorusGrid(sizes, period=period), values.reshape(sizes))
 
 
 def equation_to_dict(spec):

@@ -3,9 +3,9 @@
 The eigenvalue map lam(A, B) takes a positive definite symmetric A and a
 symmetric B to the spectrum of A*B, computed by congruence: with the
 Cholesky factorization A = P^T P the spectrum of A*B equals that of the
-symmetric matrix P B P^T, which a cyclic Jacobi sweep diagonalizes.  The
-Jacobi solver is written batched (any leading shape) because the grid
-solver calls it on every node at once.
+symmetric matrix P B P^T, which LAPACK's symmetric eigensolver
+diagonalizes.  Both steps are batched (any leading shape) because the grid
+solver calls them on every node at once.
 
 On top of the map sit the closed-form first and second derivatives of
 lam_q and of sigma_p(lam) at (A, B) = (I, D) with D diagonal, the Weyl
@@ -20,40 +20,20 @@ import numpy as np
 
 from .cone import BOUNDARY, ConeSpec, INTERIOR, classify
 from .errors import AdmissibilityError, DegenerateSpectrumError
-from .symfun import sigma, sigma_trunc
+from .symfun import sigma, sigma_minors, sigma_pair_minors, sigma_root_grad
 
 
-def _check_symmetric(M, name="matrix"):
+def _check_symmetric(M):
+    """M as a float array, symmetrized; ValueError unless square and
+    symmetric to 1e-13 relative."""
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"{name} must be square, got shape {M.shape}")
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
     skew = np.max(np.abs(M - np.swapaxes(M, -1, -2)))
     if skew > 1e-13 * scale:
-        raise ValueError(f"{name} not symmetric: asymmetry {skew:.3e}")
+        raise ValueError(f"matrix not symmetric: asymmetry {skew:.3e}")
     return 0.5 * (M + np.swapaxes(M, -1, -2))
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Dense symmetric matrix; symmetry enforced to 1e-13 relative."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "entries", _check_symmetric(self.entries, "entries")
-        )
-
-    @property
-    def n(self):
-        return self.entries.shape[-1]
-
-
-def _as_matrix(M):
-    if isinstance(M, SymMatrix):
-        return M.entries
-    return _check_symmetric(M)
 
 
 @dataclass(frozen=True)
@@ -64,8 +44,8 @@ class Pencil:
     B: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A)
-        B = _as_matrix(self.B)
+        A = _check_symmetric(self.A)
+        B = _check_symmetric(self.B)
         if A.shape != B.shape:
             raise ValueError("A and B must have the same shape")
         object.__setattr__(self, "A", A)
@@ -81,86 +61,28 @@ def _cholesky_spd(A):
         raise ValueError("matrix is not positive definite") from exc
 
 
-def jacobi_eigh(M, vectors=False, tol_scale=1e-13, max_sweeps=50):
-    """Batched cyclic Jacobi diagonalization of symmetric matrices.
+def jacobi_eigh(M, vectors=False):
+    """Eigenvalues of a (batch of) symmetric matrices, sorted ascending,
+    and, when requested, the matching orthonormal eigenvector columns.
 
-    Fixed pivot order (row-cyclic), off-diagonal convergence at
-    tol_scale * Frobenius norm per matrix, early exit once every matrix in
-    the batch has converged.  Returns eigenvalues sorted ascending and,
-    when requested, the matching orthonormal eigenvector columns.
+    LAPACK's symmetric solver (syevd via numpy) reads the lower triangle.
     """
-    A = np.array(M, dtype=float)
-    n = A.shape[-1]
-    batch = A.shape[:-2]
-    tol = tol_scale * np.maximum(np.sqrt(np.sum(A * A, axis=(-2, -1))), 1e-300)
-    V = np.broadcast_to(np.eye(n), A.shape).copy() if vectors else None
-
-    def offnorm(A):
-        off = A.copy()
-        idx = np.arange(n)
-        off[..., idx, idx] = 0.0
-        return np.sqrt(np.sum(off * off, axis=(-2, -1)))
-
-    for _ in range(max_sweeps):
-        if np.all(offnorm(A) <= tol):
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aij = A[..., i, j]
-                active = np.abs(aij) > 1e-300
-                if not np.any(active):
-                    continue
-                aii = A[..., i, i]
-                ajj = A[..., j, j]
-                theta = np.where(
-                    active, (ajj - aii) / np.where(active, 2 * aij, 1.0), 0.0
-                )
-                sgn = np.where(theta >= 0, 1.0, -1.0)
-                t = sgn / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t = np.where(active, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/columns i and j
-                rowi = A[..., i, :].copy()
-                rowj = A[..., j, :].copy()
-                A[..., i, :] = c[..., None] * rowi - s[..., None] * rowj
-                A[..., j, :] = s[..., None] * rowi + c[..., None] * rowj
-                coli = A[..., :, i].copy()
-                colj = A[..., :, j].copy()
-                A[..., :, i] = c[..., None] * coli - s[..., None] * colj
-                A[..., :, j] = s[..., None] * coli + c[..., None] * colj
-                if vectors:
-                    vi = V[..., :, i].copy()
-                    vj = V[..., :, j].copy()
-                    V[..., :, i] = c[..., None] * vi - s[..., None] * vj
-                    V[..., :, j] = s[..., None] * vi + c[..., None] * vj
-
-    idx = np.arange(n)
-    w = A[..., idx, idx]
-    order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
+    M = np.asarray(M, dtype=float)
     if vectors:
-        V = np.take_along_axis(V, order[..., None, :], axis=-1)
+        w, V = np.linalg.eigh(M)
         return w, V
-    return w
+    return np.linalg.eigvalsh(M)
 
 
 def eigs(pencil):
     """Eigenvalues of the pencil, ascending: spectrum of A*B via the
-    congruence P B P^T with A = P^T P."""
+    congruence P B P^T with A = P^T P.  Takes a Pencil or an (A, B) pair;
+    A and B may be batches of matrices of one shape."""
     if not isinstance(pencil, Pencil):
         pencil = Pencil(*pencil)
     L = _cholesky_spd(pencil.A)
     P = np.swapaxes(L, -1, -2)
     M = P @ pencil.B @ np.swapaxes(P, -1, -2)
-    return jacobi_eigh(M)
-
-
-def eigs_batch(A, B):
-    """Batched pencil eigenvalues without per-call validation (solver path)."""
-    L = _cholesky_spd(A)
-    P = np.swapaxes(L, -1, -2)
-    M = P @ B @ np.swapaxes(P, -1, -2)
     return jacobi_eigh(M)
 
 
@@ -171,9 +93,9 @@ def weyl_check(A, B, C, q):
 
     Returns (lower_slack, upper_slack), both >= 0 up to roundoff.
     """
-    A = _as_matrix(A)
-    B = _as_matrix(B)
-    C = _as_matrix(C)
+    A = _check_symmetric(A)
+    B = _check_symmetric(B)
+    C = _check_symmetric(C)
     n = A.shape[-1]
     if not 1 <= q <= n:
         raise ValueError(f"need 1 <= q <= n, got q={q}")
@@ -221,10 +143,8 @@ def spectral_derivs(p, D, gap_tol=1e-6, skip_degenerate=False):
     order = np.argsort(mu, kind="stable")
     # lam_q is the q-th smallest; at a diagonal matrix it sits in slot
     # order[q-1] of the diagonal
-    for q in range(n):
-        s = order[q]
-        grad_lambda[q, s, s] = 1.0
-        grad_lambda_A[q, s, s] = mu[s]
+    grad_lambda[np.arange(n), order, order] = 1.0
+    grad_lambda_A[np.arange(n), order, order] = mu[order]
 
     hess_lambda = np.zeros((n, n, n, n, n))
     for q in range(n):
@@ -250,21 +170,16 @@ def spectral_derivs(p, D, gap_tol=1e-6, skip_degenerate=False):
             hess_lambda[q, k, s, k, s] = val   # k=m=q, j=l != k
             hess_lambda[q, k, s, s, k] = val   # k=l=q, j=m != k
 
-    grad_sigma = np.zeros((n, n))
-    grad_sigma_A = np.zeros((n, n))
-    for j in range(n):
-        minor = sigma_trunc(p - 1, mu, [j + 1])
-        grad_sigma[j, j] = minor
-        grad_sigma_A[j, j] = mu[j] * minor
+    minors = sigma_minors(p - 1, mu)
+    grad_sigma = np.diag(minors)
+    grad_sigma_A = np.diag(mu * minors)
 
+    j, l = np.nonzero(~np.eye(n, dtype=bool))
+    pair = sigma_pair_minors(p - 2, mu)[j, l]
     hess_sigma = np.zeros((n, n, n, n))
-    for j in range(n):
-        for l in range(n):
-            if l != j:
-                pair = sigma_trunc(p - 2, mu, [j + 1, l + 1])
-                hess_sigma[j, j, l, l] = pair          # doubled diagonal
-                hess_sigma[j, l, j, l] = -0.5 * pair   # (j=l', k=m')
-                hess_sigma[j, l, l, j] = -0.5 * pair   # transposed pair
+    hess_sigma[j, j, l, l] = pair          # doubled diagonal
+    hess_sigma[j, l, j, l] = -0.5 * pair   # (j=l', k=m')
+    hess_sigma[j, l, l, j] = -0.5 * pair   # transposed pair
     return SpectralDerivs(
         grad_lambda, grad_lambda_A, hess_lambda,
         grad_sigma, grad_sigma_A, hess_sigma,
@@ -280,13 +195,6 @@ class LinearizationField:
     trace_F: float
 
 
-def _diag_linearization(p, mu):
-    """The diagonal-frame factor (1/p) sigma_p^{1/p-1} diag(sigma_{p-1}(mu|j))."""
-    sp = sigma(p, mu)
-    minors = np.array([sigma_trunc(p - 1, mu, [j]) for j in range(1, len(mu) + 1)])
-    return (1.0 / p) * sp ** (1.0 / p - 1.0) * minors
-
-
 def linearization(p, g_inv, B):
     """F^{jk} = d sigma_p^{1/p}(lam(g_inv, .)) / d b_jk at B.
 
@@ -295,8 +203,8 @@ def linearization(p, g_inv, B):
     S = Q^T P: F = S^T G S.  Requires lam in the open cone; positive
     definiteness of F is asserted before returning.
     """
-    g_inv = _as_matrix(g_inv)
-    B = _as_matrix(B)
+    g_inv = _check_symmetric(g_inv)
+    B = _check_symmetric(B)
     n = g_inv.shape[-1]
     L = _cholesky_spd(g_inv)
     P = L.T
@@ -306,7 +214,7 @@ def linearization(p, g_inv, B):
             f"lam(g_inv, B) = {mu} is not in the open cone (n={n}, p={p})",
             lam=mu,
         )
-    G = _diag_linearization(p, mu)
+    _, G = sigma_root_grad(p, mu)
     S = Q.T @ P
     F = S.T @ (G[:, None] * S)
     F = 0.5 * (F + F.T)
@@ -320,7 +228,7 @@ def schur_horn_check(B, p):
 
     Returns (diag_in_closure, sigma_gap).
     """
-    B = _as_matrix(B)
+    B = _check_symmetric(B)
     n = B.shape[-1]
     spec = ConeSpec(n, p)
     lam = eigs(Pencil(np.eye(n), B))
@@ -346,9 +254,9 @@ def midpoint_concavity_check(A, B1, B2, p, t):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0,1], got {t}")
-    A = _as_matrix(A)
-    B1 = _as_matrix(B1)
-    B2 = _as_matrix(B2)
+    A = _check_symmetric(A)
+    B1 = _check_symmetric(B1)
+    B2 = _check_symmetric(B2)
     n = A.shape[-1]
     spec = ConeSpec(n, p)
 

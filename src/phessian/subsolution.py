@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeSpec, INTERIOR, classify, classify_batch
-from .errors import AdmissibilityError, ConstructionError
+from .errors import AdmissibilityError, ConstructionError, VerificationError
+from .solver import ball_grid, box_grad_hess
 from .spectral import jacobi_eigh
-from .symfun import _as_values, sigma, sigma_trunc
+from .symfun import _as_values, sigma, sigma_minors, sigma_root_grad
 
 
 def rank_one_sigma(mu, B, nu, p):
@@ -43,18 +44,20 @@ def rank_one_sigma(mu, B, nu, p):
             sigma_p(mu) + B sum_j nu_j^2 sigma_{p-1}(mu|j).
 
     The left side goes through the eigensolver, the right side through
-    sigma-minors; agreement within 1e-9 (relative past unit size) is
-    asserted before returning (lhs, rhs).
+    sigma-minors; returns (lhs, rhs) once they agree within 1e-9 (relative
+    past unit size) and raises VerificationError otherwise.
     """
     mu = _as_values(mu)
     nu = np.asarray(nu, dtype=float)
-    n = len(mu)
     M = np.diag(mu) + B * np.outer(nu, nu)
     lhs = sigma(p, jacobi_eigh(M))
-    rhs = sigma(p, mu) + B * sum(
-        nu[j] ** 2 * sigma_trunc(p - 1, mu, [j + 1]) for j in range(n)
-    )
-    assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs)), (lhs, rhs)
+    rhs = sigma(p, mu) + B * float(np.sum(nu**2 * sigma_minors(p - 1, mu)))
+    if not abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs)):
+        raise VerificationError(
+            f"rank-one update identity fails: {lhs!r} != {rhs!r}",
+            lhs=lhs,
+            rhs=rhs,
+        )
     return float(lhs), float(rhs)
 
 
@@ -96,32 +99,17 @@ class SubsolutionResult:
     worst_slack: float
 
 
-def _grid_hessian(f, h):
-    """Central-difference gradient and Hessian of a grid field (one-sided
-    at the box edge).  Returns (grad (n,)+shape, hess (n,n)+shape)."""
-    grads = np.gradient(f, h, edge_order=2)
-    if f.ndim == 1:
-        grads = [grads]
-    n = f.ndim
-    hess = np.empty((n, n) + f.shape)
-    for i in range(n):
-        gi = np.gradient(grads[i], h, edge_order=2)
-        if n == 1:
-            gi = [gi]
-        for j in range(n):
-            hess[i, j] = gi[j]
-    hess = 0.5 * (hess + np.swapaxes(hess, 0, 1))
-    return np.stack(grads), hess
-
-
-def _ball_grid(problem):
-    r, res, n = problem.radius, problem.resolution, problem.n
-    axis = np.linspace(-r, r, res)
-    h = axis[1] - axis[0]
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    dist = np.linalg.norm(pts, axis=-1)
-    return pts, dist, h
+def _require_cone(hess, mask, p, message, closed=False):
+    """Eigenvalues of the Hessian field (n,n)+shape at the masked nodes;
+    ConstructionError naming the first node whose eigenvalues leave the
+    open cone (the closed cone when closed)."""
+    n = hess.shape[0]
+    lam = jacobi_eigh(np.moveaxis(hess.reshape(n, n, -1), -1, 0)[mask])
+    codes = classify_batch(lam, ConeSpec(n, p))
+    bad = codes == 0 if closed else codes != 2
+    if np.any(bad):
+        raise ConstructionError(message, node=int(np.flatnonzero(mask)[np.argmax(bad)]))
+    return lam
 
 
 def construct(problem):
@@ -134,7 +122,7 @@ def construct(problem):
     the target differential inequality over the trusted nodes.
     """
     n, p, alpha = problem.n, problem.p, problem.alpha
-    pts, dist, h = _ball_grid(problem)
+    pts, dist, h = ball_grid(problem.radius, problem.resolution, n)
     shape = (problem.resolution,) * n
     in_ball = dist <= problem.radius + 1e-12
     trusted = dist <= problem.radius - 2 * h
@@ -142,32 +130,22 @@ def construct(problem):
     u = problem.u(pts).reshape(shape)
     psi = problem.psi(pts).reshape(shape)
 
-    du, d2u = _grid_hessian(u, h)
-    dpsi, d2psi = _grid_hessian(psi, h)
+    du, d2u = box_grad_hess(u, h)
+    dpsi, d2psi = box_grad_hess(psi, h)
 
-    flat_hess_u = np.moveaxis(d2u.reshape(n, n, -1), -1, 0)
-    lam_u = jacobi_eigh(flat_hess_u[in_ball])
-    codes = classify_batch(lam_u, ConeSpec(n, p))
-    if np.any(codes != 2):
-        node = int(np.flatnonzero(in_ball)[np.argmax(codes != 2)])
-        raise ConstructionError(
-            "defining function u is not admissible at a grid node",
-            node=node,
-        )
+    lam_u = _require_cone(
+        d2u, in_ball, p, "defining function u is not admissible at a grid node"
+    )
     if np.any(u.ravel()[in_ball & (dist < problem.radius - h)] >= 0):
         raise ConstructionError("u must be negative inside the ball")
 
     eps1 = float(np.min(sigma(p, lam_u)))
     eps2 = float(np.min(sigma(p - 1, lam_u[:, : n - 1]))) if n > 1 else 1.0
 
-    flat_hess_psi = np.moveaxis(d2psi.reshape(n, n, -1), -1, 0)
-    lam_psi = jacobi_eigh(flat_hess_psi[in_ball])
-    psi_codes = classify_batch(lam_psi, ConeSpec(n, p))
-    if np.any(psi_codes == 0):
-        node = int(np.flatnonzero(in_ball)[np.argmax(psi_codes == 0)])
-        raise ConstructionError(
-            "extension psi leaves the closed cone at a grid node", node=node
-        )
+    _require_cone(
+        d2psi, in_ball, p,
+        "extension psi leaves the closed cone at a grid node", closed=True,
+    )
 
     psi_flat = psi.ravel()[in_ball]
     dpsi_norm = np.linalg.norm(dpsi.reshape(n, -1), axis=0)[in_ball]
@@ -190,15 +168,10 @@ def construct(problem):
         ) ** (1.0 / (1.0 - alpha))
 
     v = psi + A * (np.exp(B * u) - 1.0)
-    dv, d2v = _grid_hessian(v, h)
-    flat_hess_v = np.moveaxis(d2v.reshape(n, n, -1), -1, 0)
-    lam_v = jacobi_eigh(flat_hess_v[trusted])
-    v_codes = classify_batch(lam_v, ConeSpec(n, p))
-    if np.any(v_codes != 2):
-        node = int(np.flatnonzero(trusted)[np.argmax(v_codes != 2)])
-        raise ConstructionError(
-            "constructed v loses admissibility at a grid node", node=node
-        )
+    dv, d2v = box_grad_hess(v, h)
+    lam_v = _require_cone(
+        d2v, trusted, p, "constructed v loses admissibility at a grid node"
+    )
 
     v_flat = v.ravel()[trusted]
     dv_norm = np.linalg.norm(dv.reshape(n, -1), axis=0)[trusted]
@@ -219,15 +192,6 @@ class KeyLemmaConfig:
     a: float
     mu: np.ndarray
     nu: np.ndarray
-
-
-def _f_grad(p, nu):
-    """Gradient of f = sigma_p^{1/p} at nu (in the open cone)."""
-    sp = sigma(p, nu)
-    minors = np.array(
-        [sigma_trunc(p - 1, nu, [j]) for j in range(1, len(nu) + 1)]
-    )
-    return (1.0 / p) * sp ** (1.0 / p - 1.0) * minors
 
 
 def _level_set_hypothesis(n, p, delta, R, a, mu, directions=10**4, seed=0):
@@ -280,8 +244,7 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
         raise ValueError("delta, R, a must be positive")
     if classify(nu, ConeSpec(cfg.n, cfg.p)).region != INTERIOR:
         raise AdmissibilityError(f"nu = {nu} is not in the open cone", lam=nu)
-    grad = _f_grad(cfg.p, nu)
-    f_nu = sigma(cfg.p, nu) ** (1.0 / cfg.p)
+    f_nu, grad = sigma_root_grad(cfg.p, nu)
     shift = np.linalg.norm(mu - cfg.delta * np.ones(cfg.n))
     lhs = float(np.dot(grad, mu - nu))
     rhs = float(
@@ -312,10 +275,9 @@ def matrix_form_sides(p, delta, R, a, C, D):
     nu, Q = jacobi_eigh(D, vectors=True)
     if classify(nu, ConeSpec(n, p)).region != INTERIOR:
         raise AdmissibilityError(f"lam(D) = {nu} not in the open cone", lam=nu)
-    grad = _f_grad(p, nu)
+    f_nu, grad = sigma_root_grad(p, nu)
     F = Q @ np.diag(grad) @ Q.T
     lam_C = jacobi_eigh(C)
-    f_nu = sigma(p, nu) ** (1.0 / p)
     lhs = float(np.sum(F * (C - D)))
     rhs = float(
         delta * np.trace(F)

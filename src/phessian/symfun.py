@@ -21,20 +21,25 @@ def _as_values(mu):
     return mu
 
 
+def _prefix(mu, top):
+    """sigma_0(mu), ..., sigma_top(mu) by the prefix recurrence, shape
+    batch + (top+1,)."""
+    e = np.zeros(mu.shape[:-1] + (top + 1,))
+    e[..., 0] = 1.0
+    for k in range(mu.shape[-1]):
+        x = mu[..., k]
+        for j in range(min(k + 1, top), 0, -1):
+            e[..., j] += x * e[..., j - 1]
+    return e
+
+
 def sigma_all(mu):
     """All values sigma_0(mu), ..., sigma_n(mu) in one prefix-recurrence pass.
 
     Returns an array of shape batch + (n+1,).
     """
     mu = _as_values(mu)
-    n = mu.shape[-1]
-    e = np.zeros(mu.shape[:-1] + (n + 1,))
-    e[..., 0] = 1.0
-    for k in range(n):
-        x = mu[..., k]
-        for j in range(min(k + 1, n), 0, -1):
-            e[..., j] += x * e[..., j - 1]
-    return e
+    return _prefix(mu, mu.shape[-1])
 
 
 def sigma(p, mu):
@@ -48,13 +53,7 @@ def sigma(p, mu):
     elif p < 0 or p > n:
         out = np.zeros(batch)
     else:
-        e = np.zeros(batch + (p + 1,))
-        e[..., 0] = 1.0
-        for k in range(n):
-            x = mu[..., k]
-            for j in range(min(k + 1, p), 0, -1):
-                e[..., j] += x * e[..., j - 1]
-        out = e[..., p]
+        out = _prefix(mu, p)[..., p]
     return float(out) if out.ndim == 0 else out
 
 
@@ -82,6 +81,45 @@ def sigma_trunc(p, mu, J):
     for j in J:
         masked[..., j - 1] = 0.0
     return sigma(p, masked)
+
+
+def sigma_minors(p, mu):
+    """Every sigma_p(mu|j), j = 1..n, along the last axis (batched).
+
+    Row j of a broadcast copy has entry j zeroed; one sigma call over the
+    rows gives all n minors.
+    """
+    mu = _as_values(mu)
+    n = mu.shape[-1]
+    masked = np.repeat(mu[..., None, :], n, axis=-2)
+    idx = np.arange(n)
+    masked[..., idx, idx] = 0.0
+    return np.ascontiguousarray(sigma(p, masked))
+
+
+def sigma_pair_minors(p, mu):
+    """sigma_p(mu|jk) for every index pair as a batch + (n, n) array,
+    zero on the diagonal (repeated index)."""
+    mu = _as_values(mu)
+    n = mu.shape[-1]
+    masked = np.broadcast_to(mu[..., None, None, :], mu.shape[:-1] + (n, n, n)).copy()
+    idx = np.arange(n)
+    masked[..., idx, :, idx] = 0.0
+    masked[..., :, idx, idx] = 0.0
+    out = np.ascontiguousarray(sigma(p, masked))
+    out[..., idx, idx] = 0.0
+    return out
+
+
+def sigma_root_grad(p, mu):
+    """(f, grad f) for f = sigma_p^{1/p} at mu in the open cone (batched):
+
+        df/dmu_j = (1/p) sigma_p^{1/p-1} sigma_{p-1}(mu|j).
+    """
+    sp = sigma(p, mu)
+    scale = sp[..., None] if np.ndim(sp) else sp
+    grad = (1.0 / p) * scale ** (1.0 / p - 1.0) * sigma_minors(p - 1, mu)
+    return sp ** (1.0 / p), grad
 
 
 def _residual(lhs, rhs):
@@ -117,12 +155,12 @@ def identity_residuals(p, mu, expansion_indices=None):
     sp = sigma(p, mu)
     out = {}
 
+    minors = sigma_minors(p, mu)
+    lower = sigma_minors(p - 1, mu)
     for j in range(1, n + 1):
-        lhs = sp
-        rhs = mu[..., j - 1] * sigma_trunc(p - 1, mu, [j]) + sigma_trunc(p, mu, [j])
-        out[f"recurrence_j{j}"] = _residual(lhs, rhs)
+        rhs = mu[..., j - 1] * lower[..., j - 1] + minors[..., j - 1]
+        out[f"recurrence_j{j}"] = _residual(sp, rhs)
 
-    minors = np.stack([sigma_trunc(p, mu, [k]) for k in range(1, n + 1)], axis=-1)
     out["minor_sum"] = _residual(minors.sum(axis=-1), (n - p) * sp)
     out["weighted_minor_sum"] = _residual(
         (mu * minors).sum(axis=-1), (p + 1) * sigma(p + 1, mu)
@@ -151,12 +189,11 @@ def identity_residuals(p, mu, expansion_indices=None):
         rhs = rhs + prod * sigma_trunc(p - q, mu, idx[: q + 1])
     out["expansion"] = _residual(sp, rhs)
 
+    pairs = sigma_pair_minors(p - 2, mu)
     for j1 in range(1, n + 1):
         for j2 in range(j1 + 1, n + 1):
-            lhs = sigma_trunc(p - 1, mu, [j1]) - sigma_trunc(p - 1, mu, [j2])
-            rhs = (mu[..., j2 - 1] - mu[..., j1 - 1]) * sigma_trunc(
-                p - 2, mu, [j1, j2]
-            )
+            lhs = lower[..., j1 - 1] - lower[..., j2 - 1]
+            rhs = (mu[..., j2 - 1] - mu[..., j1 - 1]) * pairs[..., j1 - 1, j2 - 1]
             out[f"minor_difference_{j1}_{j2}"] = _residual(lhs, rhs)
 
     if single:

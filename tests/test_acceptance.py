@@ -31,7 +31,7 @@ from phessian.solver import (
     residual_field,
 )
 from phessian.spectral import (
-    eigs_batch,
+    eigs,
     jacobi_eigh,
     midpoint_concavity_check,
     schur_horn_check,
@@ -120,9 +120,9 @@ def test_02_inequality_suite():
     B = B + np.swapaxes(B, 1, 2)
     C = rng.normal(size=(trials, n, n))
     C = C + np.swapaxes(C, 1, 2)
-    lam_B = eigs_batch(A, B)
-    lam_C = eigs_batch(A, C)
-    lam_BC = eigs_batch(A, B + C)
+    lam_B = eigs((A, B))
+    lam_C = eigs((A, C))
+    lam_BC = eigs((A, B + C))
     lower = lam_BC[:, q - 1] - lam_B[:, q - 1] - lam_C[:, 0]
     upper = lam_B[:, q - 1] + lam_C[:, -1] - lam_BC[:, q - 1]
     assert np.min(lower) >= -1e-10 and np.min(upper) >= -1e-10
@@ -238,7 +238,7 @@ def test_03_derivative_formulas():
 
         # first derivatives in A (pencil side)
         Astack = np.concatenate([np.eye(n) + h * Es, np.eye(n) - h * Es])
-        lamA = eigs_batch(Astack, np.broadcast_to(D, Astack.shape))
+        lamA = eigs((Astack, np.broadcast_to(D, Astack.shape)))
         fd_lA = (lamA[:ndir] - lamA[ndir:]) / (2 * h)
         an_lA = np.einsum("ajk,qjk->aq", Es, d.grad_lambda_A)
         assert np.max(np.abs(fd_lA - an_lA)) <= 1e-6

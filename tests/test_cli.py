@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phessian.cli import main
-from phessian.solver import load_grid_csv
+from phessian.solver import load_grid_csv, manufactured_problem, save_problem_json
 
 
 def run(tmp_path, name, *argv):
@@ -118,6 +118,17 @@ def test_solve_manufactured(tmp_path):
 
 def test_solve_requires_a_problem(tmp_path, capsys):
     assert main(["solve"]) == 2
+
+
+def test_solve_rejects_malformed_initial_csv(tmp_path, capsys):
+    spec, _, _ = manufactured_problem(16)
+    problem = os.path.join(tmp_path, "problem.json")
+    save_problem_json(problem, spec)
+    bad = os.path.join(tmp_path, "bad.csv")
+    with open(bad, "w") as fh:
+        fh.write("2,16,16,0.39269908169872414,0.39269908169872414\n1.0\n")
+    assert main(["solve", "--problem", problem, "--initial", bad]) == 2
+    assert "expected 256 values" in capsys.readouterr().err
 
 
 def test_alexandrov(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the periodic grid solver, monitors, and measure estimates."""
 
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -278,6 +280,31 @@ class TestAlexandrov:
         with pytest.raises(ValueError, match="eps"):
             alexandrov_check(prob)
 
+    def test_failed_bound_raises_under_optimize(self):
+        # the bound check must survive python -O, which strips asserts
+        script = (
+            "import numpy as np\n"
+            "from phessian.errors import VerificationError\n"
+            "from phessian.solver import AlexandrovProblem, alexandrov_check\n"
+            "prob = AlexandrovProblem(center=(0.0, 0.0), d=1.0, resolution=33,\n"
+            "    w=lambda pts: np.sum(pts**2, axis=-1), eps=0.5)\n"
+            "try:\n"
+            "    alexandrov_check(prob, quad_tol=-0.5)\n"
+            "except VerificationError as exc:\n"
+            "    print('raised', exc.lhs > exc.rhs * 0.5)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised True"
+
     def test_unit_ball_volume(self):
         assert unit_ball_volume(2) == pytest.approx(np.pi)
         assert unit_ball_volume(3) == pytest.approx(4.0 * np.pi / 3.0)
@@ -375,3 +402,38 @@ class TestSerialization:
         assert np.allclose(np.asarray(back.rhs[1]), np.asarray(spec.rhs[1]))
         res = residual_field(ustar, back)
         assert np.max(np.abs(res.values)) < 1e-2
+
+    def _write(self, td, text):
+        path = os.path.join(td, "bad.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return path
+
+    def test_grid_csv_rejects_spacing_mismatch(self):
+        values = "\n".join(["0.0"] * 128) + "\n"
+        with tempfile.TemporaryDirectory() as td:
+            path = self._write(td, "2,8,16,0.5,0.5\n" + values)
+            with pytest.raises(ValueError, match="period"):
+                load_grid_csv(path)
+
+    def test_grid_csv_rejects_short_file(self):
+        values = "\n".join(["0.0"] * 63) + "\n"
+        with tempfile.TemporaryDirectory() as td:
+            path = self._write(td, "2,8,8,0.5,0.5\n" + values)
+            with pytest.raises(ValueError, match="expected 64 values"):
+                load_grid_csv(path)
+
+    def test_grid_csv_rejects_non_numeric_row(self):
+        rows = ["0.0"] * 64
+        rows[10] = "abc"
+        with tempfile.TemporaryDirectory() as td:
+            path = self._write(td, "2,8,8,0.5,0.5\n" + "\n".join(rows) + "\n")
+            with pytest.raises(ValueError, match="abc"):
+                load_grid_csv(path)
+
+    def test_grid_csv_rejects_bad_header(self):
+        values = "\n".join(["0.0"] * 64) + "\n"
+        with tempfile.TemporaryDirectory() as td:
+            path = self._write(td, "2,8,8,0.5\n" + values)
+            with pytest.raises(ValueError, match="header"):
+                load_grid_csv(path)

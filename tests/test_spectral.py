@@ -112,6 +112,24 @@ class TestJacobi(unittest.TestCase):
         w = jacobi_eigh(np.zeros((3, 3)))
         np.testing.assert_array_equal(w, np.zeros(3))
 
+    def test_sigma_of_spectrum_matches_principal_minors(self):
+        # sigma_k(lam(M)) is the sum of the k x k principal minors of M,
+        # evaluated here by determinants without any eigensolve
+        from itertools import combinations
+
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            M = rand_sym(rng, n, 3.0)
+            lam = jacobi_eigh(M)
+            for k in range(1, n + 1):
+                minors = sum(
+                    np.linalg.det(M[np.ix_(c, c)])
+                    for c in combinations(range(n), k)
+                )
+                got = sigma(k, lam)
+                assert abs(got - minors) <= 1e-10 * max(1.0, abs(minors)), (n, k)
+
 
 class TestWeyl(unittest.TestCase):
     def test_hand_case(self):

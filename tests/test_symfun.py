@@ -10,6 +10,9 @@ from phessian.symfun import (
     sigma,
     sigma_all,
     sigma_brute,
+    sigma_minors,
+    sigma_pair_minors,
+    sigma_root_grad,
     sigma_trunc,
 )
 
@@ -128,3 +131,69 @@ def test_expansion_with_partial_index_list():
 def test_expansion_rejects_repeats():
     with pytest.raises(ValueError, match="distinct"):
         identity_residuals(2, [1.0, 2.0, 3.0], expansion_indices=[1, 1])
+
+
+def _brute_scale(p, mu):
+    return max(1.0, sigma_brute(p, np.abs(mu)))
+
+
+def test_sigma_minors_against_brute_force():
+    # oracle: subset enumeration over the vector with entry j deleted
+    rng = np.random.default_rng(20)
+    for n in range(1, 8):
+        mus = rng.uniform(-4, 4, (5, n))
+        for p in range(-1, n + 2):
+            batch = sigma_minors(p, mus)
+            assert batch.shape == (5, n)
+            for b, mu in enumerate(mus):
+                single = sigma_minors(p, mu)
+                assert single.shape == (n,)
+                for j in range(n):
+                    rest = np.delete(mu, j)
+                    want = sigma_brute(p, rest) if len(rest) else float(p == 0)
+                    tol = 1e-13 * _brute_scale(p, rest)
+                    assert abs(single[j] - want) <= tol, (n, p, j)
+                    assert abs(batch[b, j] - want) <= tol, (n, p, j)
+
+
+def test_sigma_pair_minors_against_brute_force():
+    # oracle: subset enumeration over the vector with entries j, k deleted
+    rng = np.random.default_rng(21)
+    for n in range(1, 8):
+        mus = rng.uniform(-4, 4, (3, 2, n))
+        for p in range(-1, n + 1):
+            batch = sigma_pair_minors(p, mus)
+            assert batch.shape == (3, 2, n, n)
+            for idx in np.ndindex(3, 2):
+                mu = mus[idx]
+                single = sigma_pair_minors(p, mu)
+                for j in range(n):
+                    for k in range(n):
+                        if j == k:
+                            want = 0.0
+                        else:
+                            rest = np.delete(mu, [j, k])
+                            want = (sigma_brute(p, rest) if len(rest)
+                                    else float(p == 0))
+                        tol = 1e-13 * _brute_scale(p, mu)
+                        assert abs(single[j, k] - want) <= tol, (n, p, j, k)
+                        assert abs(batch[idx][j, k] - want) <= tol
+
+
+def test_sigma_root_grad_against_finite_differences():
+    rng = np.random.default_rng(22)
+    h = 1e-6
+    for n in range(2, 6):
+        for p in range(1, n + 1):
+            mu = rng.uniform(0.5, 3.0, (4, n))
+            f, grad = sigma_root_grad(p, mu)
+            np.testing.assert_allclose(f, sigma(p, mu) ** (1.0 / p), rtol=1e-15)
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = h
+                fd = (sigma(p, mu + e) ** (1.0 / p)
+                      - sigma(p, mu - e) ** (1.0 / p)) / (2 * h)
+                np.testing.assert_allclose(grad[:, j], fd, rtol=1e-7, atol=1e-9)
+            f1, g1 = sigma_root_grad(p, mu[0])
+            assert isinstance(f1, float)
+            np.testing.assert_allclose(g1, grad[0], rtol=1e-14)
