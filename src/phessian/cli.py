@@ -36,6 +36,7 @@ from .solver import (
     newton_solve,
     pseudo_check,
     residual_field,
+    residual_norm,
     save_grid_csv,
 )
 from .spectral import jacobi_eigh, spectral_derivs
@@ -314,12 +315,8 @@ def cmd_key_lemma(args):
     worst = np.inf
     violation = None
     for i in range(args.trials):
+        # positive, so inside every cone
         nu = rng.uniform(0.2, 3.0, args.n)
-        if sigma(args.p, nu) <= 0 or np.any(
-            [sigma(q, nu) <= 0 for q in range(1, args.p)]
-        ):
-            undetermined += 1
-            continue
         mu = rng.uniform(-1.0, 4.0, args.n)
         cfg = KeyLemmaConfig(
             n=args.n, p=args.p, delta=rng.uniform(0.1, 1.0), R=args.R,
@@ -387,7 +384,7 @@ def cmd_solve(args):
         "iterations": len(trace),
         "trace": trace,
         "monitors": dataclasses.asdict(monitors(sol, spec)),
-        "final_residual": float(np.max(np.abs(res - np.mean(res)))),
+        "final_residual": residual_norm(res, spec),
         "raw_residual": float(np.max(np.abs(res))),
     }
     if args.solution:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, classify, classify_batch
-from .errors import AdmissibilityError, SearchFailureError
+from .cone import ConeSpec, classify, classify_batch, cone_distance, require_cone
+from .errors import SearchFailureError
 from .symfun import _as_values, sigma, sigma_minors, sigma_pair_minors
 
 VIOLATION_TOL = -1e-10
@@ -148,10 +148,7 @@ def evaluate(inst):
     if inst.eps <= 0:
         raise ValueError("eps must be positive")
     r, c, weight = _mode_params(inst, n)
-    if classify(mu, ConeSpec(n, r)).region != "interior":
-        raise AdmissibilityError(
-            f"mu = {mu} is not in the open cone of order {r}", lam=mu
-        )
+    require_cone(mu, ConeSpec(n, r))
     w = _as_cvec(inst.w, n)
     lhs, rhs = _evaluate_batch(
         mu[None, :], w[None, :], r, c, weight, inst.tau, inst.eps
@@ -190,20 +187,6 @@ def hypothesis_check(inst):
     return bool(mu[0] <= -bound)
 
 
-def _cone_distance_batch(mu, spec, iters=60):
-    """Vectorized diagonal shift into the open cone for a batch of vectors."""
-    hi = spec.n * np.max(np.abs(mu), axis=-1) + 1.0
-    lo = np.zeros_like(hi)
-    inside = classify_batch(mu, spec) == 2
-    hi = np.where(inside, 0.0, hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        ok = classify_batch(mu + mid[..., None], spec) == 2
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return hi
-
-
 def _draw_trials(n, p, sigma_band, trials, seed):
     """Per-trial randomness, independent of the candidate threshold M.
 
@@ -227,14 +210,14 @@ def _draw_trials(n, p, sigma_band, trials, seed):
         # shift each (n-1)-entry shape into the open cone of order p-1 so
         # appending a large positive top entry keeps the full vector
         # admissible
-        shift = _cone_distance_batch(shapes, ConeSpec(n - 1, p - 1))
+        shift = cone_distance(shapes, ConeSpec(n - 1, p - 1))
         shapes = shapes + (shift + 0.05)[:, None]
     else:
         shapes = np.abs(shapes) + 0.05
     return shapes, targets, tops, w
 
 
-def _solve_scale(shapes, targets, mu_n, p, iters=80):
+def _solve_scale(shapes, targets, mu_n, p):
     """Batched bisection for t > 0 with
 
         sigma_p(t*shape, mu_n) = t^p sigma_p(shape)
@@ -253,7 +236,7 @@ def _solve_scale(shapes, targets, mu_n, p, iters=80):
             break
         hi = np.where(bad, 2 * hi, hi)
     lo = np.zeros_like(hi)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         ok = f(mid) >= 0
         hi = np.where(ok, mid, hi)
@@ -338,8 +321,7 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
         mu = np.sort(mu, axis=-1)
         ok = classify_batch(mu, ConeSpec(n, n - 1)) == 2
         bound = np.full(m, np.inf)
-        s = sigma(n - 1, mu)
-        ok &= s > 0
+        s = sigma(n - 1, mu)  # > 0 where ok: interior of Gamma_{n-1}
         bound[ok] = (2.0 * s[ok] / (a - beta)) ** (1.0 / (n - 1))
         ok &= mu[:, 0] <= -bound
         good = mu[ok]

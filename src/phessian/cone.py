@@ -1,17 +1,24 @@
-"""Garding cone geometry: membership, projection along the diagonal, and the
-classical inequality families (Newton-Maclaurin, Maclaurin, and the technical
-inequalities for sorted admissible vectors)."""
+"""Garding cone geometry: membership, the diagonal shift into the cone, and
+the classical inequality families (Newton-Maclaurin, Maclaurin, and the
+technical inequalities for sorted admissible vectors).
+
+One classifier decides every region test, so classify, classify_batch,
+require_cone, cone_distance and sample_admissible agree verdict for verdict.
+"""
 
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
+from .errors import AdmissibilityError
 from .symfun import _as_values, sigma, sigma_all, sigma_minors
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
+ZERO_BAND = 1e-12
+DISTANCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -32,66 +39,71 @@ class ConeVerdict:
     sigma_values: tuple  # sigma_1(mu), ..., sigma_p(mu)
 
 
-def _zero_bands(mu, p, zero_band):
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    return np.array([zero_band * max(1.0, scale**q) for q in range(1, p + 1)])
-
-
-def classify(mu, spec, zero_band=1e-12):
-    """Locate mu relative to the cone: interior, boundary, or outside.
-
-    Sign tests use a zero band scaling like ||mu||_inf^q so the verdict is
-    consistent with the cone's scale invariance.
-    """
-    mu = _as_values(mu)
-    if mu.ndim != 1 or len(mu) != spec.n:
-        raise ValueError(f"expected a vector of length {spec.n}")
-    sigs = sigma_all(mu)[1 : spec.p + 1]
-    tau = _zero_bands(mu, spec.p, zero_band)
-    if np.all(sigs > tau):
-        region = INTERIOR
-    elif abs(sigs[-1]) <= tau[-1] and np.all(sigs >= -tau):
-        region = BOUNDARY
-    else:
-        region = OUTSIDE
-    return ConeVerdict(region, tuple(float(s) for s in sigs))
-
-
-def classify_batch(mu, spec, zero_band=1e-12):
-    """Vectorized region codes for a batch of vectors.
-
-    Returns an integer array: 2 interior, 1 boundary, 0 outside.  The zero
-    band scales per vector.
-    """
-    mu = _as_values(mu)
-    sigs = sigma_all(mu)[..., 1 : spec.p + 1]
+def _regions(mu, p):
+    """Region codes (2 interior, 1 boundary, 0 outside) and sigma_1..sigma_p,
+    batched.  |sigma_q| <= ZERO_BAND * max(1, ||mu||_inf^q) counts as zero,
+    so verdicts respect the cone's scale invariance."""
+    sigs = sigma_all(mu)[..., 1 : p + 1]
     scale = np.maximum(1.0, np.max(np.abs(mu), axis=-1))
-    q = np.arange(1, spec.p + 1)
-    tau = zero_band * np.maximum(1.0, scale[..., None] ** q)
+    tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))
     interior = np.all(sigs > tau, axis=-1)
     boundary = (np.abs(sigs[..., -1]) <= tau[..., -1]) & np.all(
         sigs >= -tau, axis=-1
     )
-    return np.where(interior, 2, np.where(boundary, 1, 0))
+    return np.where(interior, 2, np.where(boundary, 1, 0)), sigs
 
 
-def cone_distance(mu, spec, tol=1e-10):
+def classify(mu, spec):
+    """Locate mu relative to the cone: interior, boundary, or outside."""
+    mu = _as_values(mu)
+    if mu.ndim != 1 or len(mu) != spec.n:
+        raise ValueError(f"expected a vector of length {spec.n}")
+    code, sigs = _regions(mu, spec.p)
+    region = (OUTSIDE, BOUNDARY, INTERIOR)[int(code)]
+    return ConeVerdict(region, tuple(float(s) for s in sigs))
+
+
+def classify_batch(mu, spec):
+    """Vectorized region codes for a batch of vectors.
+
+    Returns an integer array: 2 interior, 1 boundary, 0 outside, the same
+    verdicts as classify.
+    """
+    return _regions(_as_values(mu), spec.p)[0]
+
+
+def require_cone(mu, spec, name="mu", closed=False):
+    """Raise AdmissibilityError unless mu lies in the open cone (the closed
+    cone when closed)."""
+    region = classify(mu, spec).region
+    if region == OUTSIDE or (region == BOUNDARY and not closed):
+        kind = "closed" if closed else "open"
+        raise AdmissibilityError(
+            f"{name} = {mu} is not in the {kind} cone of order {spec.p}", lam=mu
+        )
+
+
+def cone_distance(mu, spec):
     """Infimum t* >= 0 with mu + t*1_n in the cone for every t > t*.
 
-    Bisection on t against classify; already-admissible vectors return 0.
+    Batched like sigma.  Each row bisects against classify_batch until its
+    bracket is DISTANCE_TOL wide; vectors in the closed cone return 0.  The
+    exact largest root of sigma_p(mu + t1) is no substitute: the zero band
+    moves the classified interior up to ~1e-6 further along the ray.
     """
     mu = _as_values(mu)
-    if classify(mu, spec).region != OUTSIDE:
-        return 0.0
-    lo, hi = 0.0, spec.n * float(np.max(np.abs(mu))) + 1.0
-    ones = np.ones(spec.n)
-    while hi - lo > tol:
+    outside = classify_batch(mu, spec) == 0
+    lo = np.zeros(mu.shape[:-1])
+    hi = np.where(outside, spec.n * np.max(np.abs(mu), axis=-1) + 1.0, 0.0)
+    while True:
         mid = 0.5 * (lo + hi)
-        if classify(mu + mid * ones, spec).region == INTERIOR:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        # past t ~ 1e6 adjacent floats are more than DISTANCE_TOL apart
+        active = (hi - lo > DISTANCE_TOL) & (lo < mid) & (mid < hi)
+        if not np.any(active):
+            return float(hi) if hi.ndim == 0 else hi
+        ok = classify_batch(mu + mid[..., None], spec) == 2
+        hi = np.where(active & ok, mid, hi)
+        lo = np.where(active & ~ok, mid, lo)
 
 
 def maclaurin_report(mu, spec):
@@ -107,8 +119,7 @@ def maclaurin_report(mu, spec):
     """
     mu = _as_values(mu)
     n, p = spec.n, spec.p
-    if classify(mu, spec).region != INTERIOR:
-        raise ValueError("mu must lie in the open cone")
+    require_cone(mu, spec)
     sigs = sigma_all(mu)
     norm = np.array([sigs[q] / comb(n, q) for q in range(min(n, p + 1) + 1)])
     out = {}
@@ -136,8 +147,7 @@ def tech_ineq_report(mu, spec):
         raise ValueError("technical inequalities need p >= 2")
     if np.any(np.diff(mu) < 0):
         raise ValueError("mu must be sorted ascending")
-    if classify(mu, spec).region != INTERIOR:
-        raise ValueError("mu must lie in the open cone")
+    require_cone(mu, spec)
 
     sigs = sigma_all(mu)
     sp, spm1 = sigs[p], sigs[p - 1]
@@ -180,10 +190,9 @@ def sample_admissible(n, p, count, rng, low=-1.0, high=10.0):
     out = np.empty((count, n))
     k = 0
     while k < count:
-        mu = rng.uniform(low, high, n)
-        t = cone_distance(mu, spec)
-        mu = mu + (t + 0.1) * np.ones(n)
-        if classify(mu, spec).region == INTERIOR:
-            out[k] = mu
-            k += 1
+        mu = rng.uniform(low, high, (count - k, n))
+        mu = mu + (cone_distance(mu, spec) + 0.1)[:, None]
+        good = mu[classify_batch(mu, spec) == 2]
+        out[k : k + len(good)] = good
+        k += len(good)
     return out

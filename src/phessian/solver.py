@@ -9,8 +9,8 @@ central differences).  The module owns:
 * a small catalog of coefficient fields A(alpha, t) and right-hand sides
   phi(alpha, t) with their analytic alpha/t derivatives,
 * nodewise residual and admissibility maps,
-* a damped Newton iteration with cone-preserving line search, zero-mean
-  gauge, and matrix-free Krylov linear solves,
+* a damped Newton iteration with cone-preserving line search, a zero-mean
+  gauge for u-independent equations, and matrix-free Krylov linear solves,
 * diagnostic monitors and the auxiliary functions whose maxima the
   a-priori-estimate proofs track,
 * pseudo-subsolution / pseudo-supersolution pointwise checkers,
@@ -225,7 +225,7 @@ def _rhs_phi(spec, u, du):
         r = np.sqrt(np.sum(du**2, axis=0))
         s = r ** (2 * spec.p - 1)
         phi = base * np.exp(c * u) * (np.sin(s) + 2.0)
-        phi_t = c * phi
+        phi_t = c * phi if c != 0 else None
         expo = 2 * spec.p - 3
         with np.errstate(divide="ignore", invalid="ignore"):
             radial = np.where(r > 0, r ** expo, 0.0)
@@ -244,13 +244,13 @@ def _hessian_argument(u_vals, grid, spec):
     d2u = periodic_hess(u_vals, h)
     A, A_t, A_alpha = _coefficient_A(spec, u_vals, du)
     B = A + np.moveaxis(d2u, (0, 1), (-2, -1))
-    return du, B, A_t, A_alpha
+    return du, d2u, B, A_t, A_alpha
 
 
 def _lambda_field(u_vals, grid, spec):
-    """du and the nodewise eigenvalues (N, d) of A(du, u) + D^2 u."""
-    du, B, _, _ = _hessian_argument(u_vals, grid, spec)
-    return du, jacobi_eigh(B.reshape(-1, grid.d, grid.d))
+    """du, D^2 u and the nodewise eigenvalues (N, d) of A(du, u) + D^2 u."""
+    du, d2u, B, _, _ = _hessian_argument(u_vals, grid, spec)
+    return du, d2u, jacobi_eigh(B.reshape(-1, grid.d, grid.d))
 
 
 def admissible(u, spec):
@@ -261,7 +261,7 @@ def admissible(u, spec):
     """
     grid = u.grid
     try:
-        _require_admissible(spec, _lambda_field(u.values, grid, spec)[1], grid)
+        _require_admissible(spec, _lambda_field(u.values, grid, spec)[2], grid)
     except AdmissibilityError as exc:
         return False, {"node": exc.node, "lam": exc.lam}
     return True, None
@@ -283,7 +283,7 @@ def _require_admissible(spec, lam, grid):
 def residual_field(u, spec):
     """Nodewise sigma_p^{1/p}(lam(A + D^2 u)) - phi(du, u)."""
     grid = u.grid
-    du, lam = _lambda_field(u.values, grid, spec)
+    du, _, lam = _lambda_field(u.values, grid, spec)
     _require_admissible(spec, lam, grid)
     lhs = sigma(spec.p, lam) ** (1.0 / spec.p)
     phi, _, _ = _rhs_phi(spec, u.values, du)
@@ -294,14 +294,14 @@ def _linearization_data(u, spec):
     """Everything Newton needs at the current iterate.
 
     Returns (residual values, F field shape+(d,d), G field (d,)+shape,
-    H field shape) where the Jacobian action on a perturbation s is
+    H field shape, A_alpha) where the Jacobian action on s is
 
         J s = sum_jk F^{jk} d2s_jk + sum_m G_m ds_m + H s.
     """
     grid = u.grid
     d = grid.d
     p = spec.p
-    du, B, A_t, A_alpha = _hessian_argument(u.values, grid, spec)
+    du, _, B, A_t, A_alpha = _hessian_argument(u.values, grid, spec)
     flat = B.reshape(-1, d, d)
     lam, Q = jacobi_eigh(flat, vectors=True)
     _require_admissible(spec, lam, grid)
@@ -326,7 +326,7 @@ def _linearization_data(u, spec):
         G -= np.moveaxis(phi_alpha, -1, 0)
     if phi_t is not None:
         H -= phi_t
-    return res, F, G, H, lam
+    return res, F, G, H, A_alpha
 
 
 def _apply_jacobian(s, F, G, H, h):
@@ -338,47 +338,52 @@ def _apply_jacobian(s, F, G, H, h):
     return out
 
 
-def _gauge_norm(res):
-    """Sup norm of the zero-mean part of the residual.
+def _gauge(spec, shape):
+    """Newton's projection: onto zero mean when neither A nor phi depends
+    on u (no t-derivative in the catalog), as the periodic problem is then
+    invariant under adding constants; the identity otherwise."""
+    u, du = np.zeros(shape), np.zeros((len(shape),) + shape)
+    if _coefficient_A(spec, u, du)[1] is None and _rhs_phi(spec, u, du)[1] is None:
+        return lambda f: f - np.mean(f)
+    return lambda f: f
 
-    The periodic problem is invariant under adding constants whenever the
-    coefficients are t-independent, so the mean of the residual is a
-    compatibility defect (discretization error of the data) that no
-    zero-mean update can remove; Newton drives the projected part to
-    zero.
-    """
-    return float(np.max(np.abs(res - np.mean(res))))
+
+def residual_norm(res, spec):
+    """Sup norm of the residual under newton_solve's gauge, the norm it
+    drives below tol.  Under the zero-mean gauge the mean is a compatibility
+    defect (discretization error of the data) that no update can remove."""
+    return float(np.max(np.abs(_gauge(spec, res.shape)(res))))
 
 
 def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
-    """Damped Newton with zero-mean gauge and admissibility-preserving
-    line search.  Returns (solution GridFn, trace); the trace records the
-    gauge-projected and raw residual norms plus the accepted step length
-    of every iteration.
+    """Damped Newton with admissibility-preserving line search, under the
+    zero-mean gauge when the equation does not depend on u (see _gauge).
+    Returns (solution GridFn, trace); the trace records residual_norm, the
+    raw residual norm and the accepted step length of every iteration.
+    NonconvergenceError carries the trace when the line search stalls or
+    max_iters iterations leave residual_norm above tol.
     """
     grid = u0.grid
     h = grid.h
     nnodes = int(np.prod(grid.sizes))
-    u = u0.values - np.mean(u0.values)
+    project = _gauge(spec, grid.sizes)
+    u = project(u0.values)
     trace = []
 
     res, F, G, H, _ = _linearization_data(GridFn(grid, u), spec)
-    rnorm = _gauge_norm(res)
+    rnorm = residual_norm(res, spec)
     for it in range(max_iters):
         if rnorm <= tol:
             break
 
         def matvec(x):
-            s = x.reshape(grid.sizes)
-            s = s - np.mean(s)
-            out = _apply_jacobian(s, F, G, H, h)
-            return (out - np.mean(out)).ravel()
+            out = _apply_jacobian(project(x.reshape(grid.sizes)), F, G, H, h)
+            return project(out).ravel()
 
         op = LinearOperator((nnodes, nnodes), matvec=matvec)
-        b = -(res - np.mean(res)).ravel()
+        b = -project(res).ravel()
         step_dir, _ = lgmres(op, b, rtol=krylov_rtol, atol=0.0, maxiter=2000)
-        s = step_dir.reshape(grid.sizes)
-        s = s - np.mean(s)
+        s = project(step_dir.reshape(grid.sizes))
 
         step = 1.0
         while True:
@@ -390,7 +395,7 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
             except AdmissibilityError:
                 new_res = None
             if new_res is not None:
-                new_norm = _gauge_norm(new_res)
+                new_norm = residual_norm(new_res, spec)
                 if new_norm <= (1.0 - 1e-4 * step) * rnorm:
                     break
             step *= 0.5
@@ -410,6 +415,11 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
             }
         )
 
+    if rnorm > tol:
+        raise NonconvergenceError(
+            f"residual {rnorm:.3e} > tol {tol:.3e} after {max_iters} iterations",
+            trace=trace,
+        )
     return GridFn(grid, u), trace
 
 
@@ -427,8 +437,7 @@ class MonitorReport:
 
 def monitors(u, spec):
     grid = u.grid
-    du, lam = _lambda_field(u.values, grid, spec)
-    d2u = periodic_hess(u.values, grid.h)
+    du, d2u, lam = _lambda_field(u.values, grid, spec)
     return MonitorReport(
         osc_u=float(np.max(u.values) - np.min(u.values)),
         max_grad=float(np.max(np.sqrt(np.sum(du**2, axis=0)))),
@@ -470,7 +479,7 @@ def auxiliary_field(u, ubar, spec, aux, kind):
     du = periodic_grad(u.values, h)
     grad_sq = np.sum(du**2, axis=0)
     if kind == "second_order":
-        lam_n = _lambda_field(u.values, grid, spec)[1][:, -1].reshape(grid.sizes)
+        lam_n = _lambda_field(u.values, grid, spec)[2][:, -1].reshape(grid.sizes)
         if np.any(lam_n <= -1.0):
             bad = np.unravel_index(int(np.argmax(lam_n <= -1.0)), grid.sizes)
             raise ValueError(
@@ -533,8 +542,7 @@ def pseudo_check(u, cfg, spec):
     grid = u.grid
     d = grid.d
     h = grid.h
-    _, F, _, _, _ = _linearization_data(u, spec)
-    _, _, _, A_alpha = _hessian_argument(u.values, grid, spec)
+    _, F, _, _, A_alpha = _linearization_data(u, spec)
 
     diff = cfg.ubar.values - u.values
     ddiff = periodic_grad(diff, h)

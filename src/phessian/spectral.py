@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import BOUNDARY, ConeSpec, INTERIOR, classify
-from .errors import AdmissibilityError, DegenerateSpectrumError
+from .cone import OUTSIDE, ConeSpec, classify, require_cone
+from .errors import DegenerateSpectrumError
 from .symfun import sigma, sigma_minors, sigma_pair_minors, sigma_root_grad
 
 
@@ -209,11 +209,7 @@ def linearization(p, g_inv, B):
     L = _cholesky_spd(g_inv)
     P = L.T
     mu, Q = jacobi_eigh(P @ B @ P.T, vectors=True)
-    if classify(mu, ConeSpec(n, p)).region != INTERIOR:
-        raise AdmissibilityError(
-            f"lam(g_inv, B) = {mu} is not in the open cone (n={n}, p={p})",
-            lam=mu,
-        )
+    require_cone(mu, ConeSpec(n, p), "lam(g_inv, B)")
     _, G = sigma_root_grad(p, mu)
     S = Q.T @ P
     F = S.T @ (G[:, None] * S)
@@ -232,13 +228,9 @@ def schur_horn_check(B, p):
     n = B.shape[-1]
     spec = ConeSpec(n, p)
     lam = eigs(Pencil(np.eye(n), B))
-    region = classify(lam, spec).region
-    if region not in (INTERIOR, BOUNDARY):
-        raise AdmissibilityError(
-            f"lam(I, B) = {lam} is outside the closed cone", lam=lam
-        )
+    require_cone(lam, spec, "lam(I, B)", closed=True)
     d = np.diagonal(B)
-    diag_in = classify(d, spec).region in (INTERIOR, BOUNDARY)
+    diag_in = classify(d, spec).region != OUTSIDE
     gap = sigma(p, d) - sigma(p, lam)
     return bool(diag_in), float(gap)
 
@@ -262,10 +254,7 @@ def midpoint_concavity_check(A, B1, B2, p, t):
 
     def root(Bx):
         lam = eigs(Pencil(A, Bx))
-        if classify(lam, spec).region not in (INTERIOR, BOUNDARY):
-            raise AdmissibilityError(
-                f"lam = {lam} is outside the closed cone", lam=lam
-            )
+        require_cone(lam, spec, "lam", closed=True)
         return max(sigma(p, lam), 0.0) ** (1.0 / p)
 
     v1 = root(B1)

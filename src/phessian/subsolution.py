@@ -22,19 +22,25 @@ The key-lemma checker evaluates the concave-function inequality
                                      min_j df_j + a - f(nu)
 
 for f = sigma_p^{1/p}, with the level-set/ball hypothesis decided by
-randomized ray sampling (a semi-decision: sampling can only certify
-"holds on all sampled rays").
+the closed-form crossing of the level set on randomized rays (a
+semi-decision: sampling can only certify "holds on all sampled rays").
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, INTERIOR, classify, classify_batch
-from .errors import AdmissibilityError, ConstructionError, VerificationError
+from .cone import ConeSpec, classify_batch, require_cone
+from .errors import ConstructionError, VerificationError
 from .solver import ball_grid, box_grad_hess
 from .spectral import jacobi_eigh
-from .symfun import _as_values, sigma, sigma_minors, sigma_root_grad
+from .symfun import (
+    _as_values,
+    sigma,
+    sigma_minors,
+    sigma_ray_coeffs,
+    sigma_root_grad,
+)
 
 
 def rank_one_sigma(mu, B, nu, p):
@@ -194,69 +200,63 @@ class KeyLemmaConfig:
     nu: np.ndarray
 
 
-def _level_set_hypothesis(n, p, delta, R, a, mu, directions=10**4, seed=0):
-    """Sample rays from mu - delta*1 into the positive orthant, locate the
-    crossing of the level set {sigma_p^{1/p} = a}, and test whether every
-    crossing stays inside the ball of radius R.  False means 'undetermined
-    or failed', never a certified violation of the lemma.
+def _level_crossing(base, xi, p, a):
+    """Largest t with sigma_p(base + t xi) = a^p per ray (rows xi > 0, a > 0).
+
+    sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
+    only real roots, is increasing and convex past the largest, and meets
+    a^p there once.  Newton from Fujiwara's root bound decreases onto that
+    crossing; a row stops when its step no longer decreases t.  Values come
+    from the moved vector, since the monomial form cancels far from t = 0.
     """
-    rng = np.random.default_rng(seed)
-    base = mu - delta * np.ones(n)
-    xi = rng.uniform(0.0, 1.0, (directions, n)) + 1e-3
-    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-    spec = ConeSpec(n, p)
-
-    def fvals(t):
-        pts = base[None, :] + t[:, None] * xi
-        inside = classify_batch(pts, spec) == 2
-        s = np.where(inside, sigma(p, pts), 0.0)
-        return np.where(inside, np.maximum(s, 0.0) ** (1.0 / p), -np.inf)
-
-    # bracket: find hi with f >= a on every ray (f -> +inf along the ray)
-    hi = np.full(directions, 1.0)
-    for _ in range(200):
-        bad = fvals(hi) < a
-        if not np.any(bad):
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-    else:
-        return False
-    lo = np.zeros(directions)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        above = fvals(mid) >= a
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    crossings = base[None, :] + hi[:, None] * xi
-    return bool(np.all(np.linalg.norm(crossings, axis=-1) < R))
+    target = a**p
+    c = sigma_ray_coeffs(p, base, xi)
+    c[..., 0] -= target
+    k = np.arange(1, p + 1)
+    bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
+    bounds[..., -1] *= 0.5 ** (1.0 / p)
+    t = 2.0 * np.max(bounds, axis=-1)
+    slope = c[..., 1:] * k
+    while True:
+        g = sigma(p, base + t[..., None] * xi) - target
+        dg = slope[..., -1]
+        for j in range(p - 2, -1, -1):
+            dg = dg * t + slope[..., j]
+        step = t - g / dg
+        down = step < t
+        if not np.any(down):
+            return t
+        t = np.where(down, step, t)
 
 
 def key_lemma_check(cfg, directions=10**4, seed=0):
     """(lhs, rhs, hypothesis_ok) of the key lemma at cfg with f = sigma_p^{1/p}.
 
-    lhs >= rhs is guaranteed by the lemma whenever hypothesis_ok; a False
-    hypothesis_ok only means the sampling failed to certify the level-set
-    hypothesis.
+    hypothesis_ok iff, on random rays from mu - delta*1 into the positive
+    orthant, every crossing of the level set {sigma_p^{1/p} = a} (t clamped
+    at 0) lies in the ball of radius R; it certifies the sampled rays only.
+    lhs >= rhs is guaranteed by the lemma whenever the hypothesis holds.
     """
     mu = _as_values(cfg.mu)
     nu = _as_values(cfg.nu)
     if cfg.delta <= 0 or cfg.R <= 0 or cfg.a <= 0:
         raise ValueError("delta, R, a must be positive")
-    if classify(nu, ConeSpec(cfg.n, cfg.p)).region != INTERIOR:
-        raise AdmissibilityError(f"nu = {nu} is not in the open cone", lam=nu)
+    require_cone(nu, ConeSpec(cfg.n, cfg.p), "nu")
     f_nu, grad = sigma_root_grad(cfg.p, nu)
-    shift = np.linalg.norm(mu - cfg.delta * np.ones(cfg.n))
+    base = mu - cfg.delta * np.ones(cfg.n)
     lhs = float(np.dot(grad, mu - nu))
     rhs = float(
         cfg.delta * np.sum(grad)
-        - (cfg.R + shift) * np.min(grad)
+        - (cfg.R + np.linalg.norm(base)) * np.min(grad)
         + cfg.a
         - f_nu
     )
-    ok = _level_set_hypothesis(
-        cfg.n, cfg.p, cfg.delta, cfg.R, cfg.a, mu, directions, seed
-    )
-    return lhs, rhs, ok
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.0, 1.0, (directions, cfg.n)) + 1e-3
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    t = np.maximum(_level_crossing(base, xi, cfg.p, cfg.a), 0.0)
+    crossings = base + t[:, None] * xi
+    return lhs, rhs, bool(np.all(np.linalg.norm(crossings, axis=-1) < cfg.R))
 
 
 def matrix_form_sides(p, delta, R, a, C, D):
@@ -273,8 +273,7 @@ def matrix_form_sides(p, delta, R, a, C, D):
     D = np.asarray(D, dtype=float)
     n = D.shape[-1]
     nu, Q = jacobi_eigh(D, vectors=True)
-    if classify(nu, ConeSpec(n, p)).region != INTERIOR:
-        raise AdmissibilityError(f"lam(D) = {nu} not in the open cone", lam=nu)
+    require_cone(nu, ConeSpec(n, p), "lam(D)")
     f_nu, grad = sigma_root_grad(p, nu)
     F = Q @ np.diag(grad) @ Q.T
     lam_C = jacobi_eigh(C)

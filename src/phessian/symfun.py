@@ -111,6 +111,21 @@ def sigma_pair_minors(p, mu):
     return out
 
 
+def sigma_ray_coeffs(p, base, xi):
+    """Coefficients c_0..c_p (ascending, batch + (p+1,)) of t -> sigma_p(base
+    + t xi), p >= 0: the prefix recurrence with polynomial entries, O(n p^2)
+    per ray.  base and xi broadcast against each other."""
+    base, xi = np.broadcast_arrays(_as_values(base), _as_values(xi))
+    e = np.zeros(base.shape[:-1] + (p + 1, p + 1))  # e[..., j, k]: t^k of sigma_j
+    e[..., 0, 0] = 1.0
+    for k in range(base.shape[-1]):
+        b, x = base[..., k, None], xi[..., k, None]
+        for j in range(min(k + 1, p), 0, -1):
+            e[..., j, 1:] += x * e[..., j - 1, :-1]
+            e[..., j, :] += b * e[..., j - 1, :]
+    return e[..., p, :]
+
+
 def sigma_root_grad(p, mu):
     """(f, grad f) for f = sigma_p^{1/p} at mu in the open cone (batched):
 

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from phessian.cli import main
-from phessian.solver import load_grid_csv, manufactured_problem, save_problem_json
+from phessian.solver import (
+    EquationSpec,
+    GridFn,
+    TorusGrid,
+    load_grid_csv,
+    manufactured_problem,
+    save_grid_csv,
+    save_problem_json,
+)
 
 
 def run(tmp_path, name, *argv):
@@ -114,6 +122,27 @@ def test_solve_manufactured(tmp_path):
     assert rep["results"]["final_residual"] <= 1e-9
     sol = load_grid_csv(sol_path)
     assert sol.grid.sizes == (32, 32)
+
+
+def test_solve_u_dependent_problem_reports_raw_residual(tmp_path):
+    # phi = 0.3 e^{u/2} (sin|du|^3 + 2) depends on u, so the solve is clean
+    # only once the raw residual is below tol, at u = 2 ln(1/0.6)
+    problem = os.path.join(tmp_path, "problem.json")
+    save_problem_json(problem, EquationSpec(
+        p=2, A_field=("conformal", 1.0), rhs=("paper_example", 0.3, 0.5)))
+    grid = TorusGrid((16, 16))
+    initial = os.path.join(tmp_path, "u0.csv")
+    save_grid_csv(initial, GridFn(grid, np.zeros(grid.sizes)))
+    sol_path = os.path.join(tmp_path, "sol.csv")
+    status, rep = run(
+        tmp_path, "solve.json", "solve", "--problem", problem,
+        "--initial", initial, "--solution", sol_path,
+    )
+    assert status == 0
+    assert rep["results"]["final_residual"] <= 1e-9
+    assert rep["results"]["raw_residual"] <= 1e-9
+    sol = load_grid_csv(sol_path)
+    assert np.max(np.abs(sol.values - 2.0 * np.log(1.0 / 0.6))) <= 1e-9
 
 
 def test_solve_requires_a_problem(tmp_path, capsys):

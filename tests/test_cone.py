@@ -164,3 +164,48 @@ def test_classify_batch_matches_scalar():
     names = {2: "interior", 1: "boundary", 0: "outside"}
     for mu, c in zip(mus, codes):
         assert classify(mu, spec).region == names[int(c)]
+
+
+def _outside_draws(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 8))
+        p = int(rng.integers(1, n + 1))
+        mu = rng.uniform(-5, 5, n)
+        spec = ConeSpec(n, p)
+        if classify(mu, spec).region == "outside":
+            yield mu, spec
+
+
+def test_cone_distance_is_minimal():
+    # a shift 1e-6 short of cone_distance leaves mu outside the open cone
+    checked = 0
+    for mu, spec in _outside_draws(41, 300):
+        t = cone_distance(mu, spec)
+        assert t > 0
+        assert classify(mu + (t - 1e-6), spec).region != "interior"
+        checked += 1
+    assert checked > 100
+
+
+def test_cone_distance_batch_matches_rows():
+    rng = np.random.default_rng(43)
+    for n, p in [(2, 1), (3, 2), (4, 3), (5, 5), (7, 4)]:
+        spec = ConeSpec(n, p)
+        mus = rng.uniform(-5, 5, (3, 20, n))
+        mus[0, :5] = np.abs(mus[0, :5])  # some rows already inside
+        t = cone_distance(mus, spec)
+        assert t.shape == (3, 20)
+        for idx in np.ndindex(3, 20):
+            assert t[idx] == cone_distance(mus[idx], spec)
+
+
+def test_cone_distance_far_outside_terminates():
+    # at t ~ 1e6 and beyond adjacent floats are more than the bisection
+    # tolerance apart; the search must still stop at an interior shift
+    spec = ConeSpec(3, 2)
+    mu = np.array([-1e7, 1.0, 1.0])
+    t = cone_distance(mu, spec)
+    assert classify(mu + t, spec).region == "interior"
+    # sigma_2(mu + t) = (1 + t)(3t + 1 - 2e7)
+    assert t == pytest.approx((2e7 - 1.0) / 3.0, rel=1e-9)

@@ -8,7 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from phessian.errors import AdmissibilityError
+from phessian.errors import AdmissibilityError, NonconvergenceError
 from phessian.solver import (
     AlexandrovProblem,
     AuxiliarySpec,
@@ -159,9 +159,33 @@ class TestNewton:
         u0 = GridFn(
             grid, ustar.values + smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
         )
-        _, trace = newton_solve(spec, u0, tol=1e-14, max_iters=1)
+        # running out of iterations is a failure that carries the trace
+        with pytest.raises(NonconvergenceError) as exc:
+            newton_solve(spec, u0, tol=1e-14, max_iters=1)
+        trace = exc.value.trace
         assert len(trace) == 1
         assert set(trace[0]) == {"iter", "residual", "raw_residual", "step"}
+
+    @pytest.mark.parametrize(
+        "A_field, rhs, start, exact",
+        [
+            # sigma_2^{1/2}(1, 1) = 1 = 0.3 e^{u/2} * 2
+            (("conformal", 1.0), ("paper_example", 0.3, 0.5), 0.0,
+             2.0 * np.log(1.0 / 0.6)),
+            # sigma_2^{1/2}((1 - e^u)(1, 1)) = 1 - e^u = 0.2
+            (("paper_example", 0.1), ("constant", 0.2), -0.5, np.log(0.8)),
+        ],
+    )
+    def test_u_dependent_equation_reaches_exact_constant(self, A_field, rhs, start, exact):
+        # the equation is not invariant under adding constants, so Newton
+        # must drive the raw residual to zero, without a zero-mean gauge
+        grid = TorusGrid((32, 32))
+        spec = EquationSpec(p=2, A_field=A_field, rhs=rhs)
+        sol, trace = newton_solve(spec, GridFn(grid, np.full(grid.sizes, start)))
+        assert 0 < len(trace) <= 8
+        assert trace[-1]["raw_residual"] <= 1e-9
+        assert np.max(np.abs(sol.values - exact)) <= 1e-9
+        assert np.max(np.abs(residual_field(sol, spec).values)) <= 1e-9
 
 
 class TestMonitors:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phessian.cone import ConeSpec, classify
 from phessian.errors import AdmissibilityError, ConstructionError
 from phessian.subsolution import (
     BallProblem,
@@ -12,7 +13,8 @@ from phessian.subsolution import (
     matrix_form_sides,
     rank_one_sigma,
 )
-from phessian.symfun import sigma
+from phessian.subsolution import _level_crossing
+from phessian.symfun import sigma, sigma_brute
 
 
 def ball_u(pts):
@@ -202,3 +204,29 @@ def test_matrix_form_conjugation_invariant_rhs():
     )
     assert lhs2 == pytest.approx(lhs1, abs=1e-9)
     assert rhs2 == pytest.approx(rhs1, abs=1e-9)
+
+
+def test_level_crossing_against_brute_force():
+    # at each crossing t*, subset enumeration gives sigma_p = a^p, a step
+    # 1e-6 back along the ray is below the level set, and the crossing lies
+    # in the open cone (the branch past the largest root of sigma_p)
+    rng = np.random.default_rng(61)
+    for _ in range(80):
+        n = int(rng.integers(1, 8))
+        p = int(rng.integers(1, n + 1))
+        base = rng.uniform(-1.0, 4.0, n) - rng.uniform(0.1, 1.0)
+        a = rng.uniform(0.5, 2.0)
+        xi = rng.uniform(0.0, 1.0, (20, n)) + 1e-3
+        xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+        t = _level_crossing(base, xi, p, a)
+        target = a**p
+        for ti, x in zip(t, xi):
+            # rel 1e-9, unless one ulp of t moves sigma_p further: a ray
+            # with tiny xi_j crosses where base_j + t xi_j nearly cancels
+            ulp = np.spacing(ti)
+            spread = abs(sigma_brute(p, base + (ti + ulp) * x)
+                         - sigma_brute(p, base + (ti - ulp) * x))
+            err = abs(sigma_brute(p, base + ti * x) - target)
+            assert err <= max(1e-9 * target, spread)
+            assert sigma_brute(p, base + (ti - 1e-6) * x) < target
+            assert classify(base + ti * x, ConeSpec(n, p)).region == "interior"

@@ -12,6 +12,7 @@ from phessian.symfun import (
     sigma_brute,
     sigma_minors,
     sigma_pair_minors,
+    sigma_ray_coeffs,
     sigma_root_grad,
     sigma_trunc,
 )
@@ -197,3 +198,23 @@ def test_sigma_root_grad_against_finite_differences():
             f1, g1 = sigma_root_grad(p, mu[0])
             assert isinstance(f1, float)
             np.testing.assert_allclose(g1, grad[0], rtol=1e-14)
+
+
+def test_sigma_ray_coeffs_match_brute_force():
+    # the coefficients of t -> sigma_p(base + t xi), evaluated at random t,
+    # against subset enumeration of the moved vector
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        p = int(rng.integers(0, n + 2))
+        base = rng.uniform(-3.0, 3.0, (4, n))
+        xi = rng.uniform(-2.0, 2.0, (4, n))
+        coeffs = sigma_ray_coeffs(p, base, xi)
+        assert coeffs.shape == (4, p + 1)
+        for b, x, c in zip(base, xi, coeffs):
+            single = sigma_ray_coeffs(p, b, x)
+            assert np.array_equal(single, c)
+            for t in rng.uniform(-2.0, 2.0, 3):
+                want = sigma_brute(p, b + t * x)
+                got = np.polynomial.polynomial.polyval(t, c)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
