@@ -311,7 +311,7 @@ def cmd_subsolution(args):
 def cmd_key_lemma(args):
     rng = np.random.default_rng([args.seed, args.n, args.p])
     verified = 0
-    undetermined = 0
+    failed = 0
     worst = np.inf
     violation = None
     for i in range(args.trials):
@@ -324,7 +324,7 @@ def cmd_key_lemma(args):
         )
         lhs, rhs, ok = key_lemma_check(cfg, directions=args.directions, seed=i)
         if not ok:
-            undetermined += 1
+            failed += 1
             continue
         verified += 1
         worst = min(worst, lhs - rhs)
@@ -333,7 +333,7 @@ def cmd_key_lemma(args):
                          "lhs": lhs, "rhs": rhs}
     results = {
         "verified": verified,
-        "hypothesis_undetermined": undetermined,
+        "hypothesis_failed": failed,
         "min_slack": None if verified == 0 else float(worst),
     }
     return results, violation

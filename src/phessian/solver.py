@@ -10,7 +10,8 @@ central differences).  The module owns:
   phi(alpha, t) with their analytic alpha/t derivatives,
 * nodewise residual and admissibility maps,
 * a damped Newton iteration with cone-preserving line search, a zero-mean
-  gauge for u-independent equations, and matrix-free Krylov linear solves,
+  gauge for u-independent equations, and matrix-free Krylov linear solves
+  preconditioned by the Fourier symbol of the frozen-coefficient Jacobian,
 * diagnostic monitors and the auxiliary functions whose maxima the
   a-priori-estimate proofs track,
 * pseudo-subsolution / pseudo-supersolution pointwise checkers,
@@ -338,6 +339,46 @@ def _apply_jacobian(s, F, G, H, h):
     return out
 
 
+def _fourier_preconditioner(F, G, H, h):
+    """Inverse of the Jacobian with F, G, H frozen at their node means.
+
+    On the periodic grid the stencils of _apply_jacobian act on the Fourier
+    mode with angles theta by multiplication with the symbol
+
+        - sum_j F_jj 4 sin^2(theta_j/2)/h_j^2
+        - sum_{j != k} F_jk sin(theta_j) sin(theta_k)/(h_j h_k)
+        + i sum_j G_j sin(theta_j)/h_j + H,
+
+    so this is the exact inverse for constant coefficients.  Its real part
+    is negative off the zero mode for SPD F and H <= 0.  A mode with a zero
+    symbol (the constant under the zero-mean gauge, where H = 0) spans the
+    kernel and is dropped.  Returns a LinearOperator on raveled fields.
+    """
+    shape = H.shape
+    d = len(shape)
+    axes = tuple(range(d))
+    Fbar = F.reshape(-1, d, d).mean(axis=0)
+    Gbar = G.reshape(d, -1).mean(axis=1)
+    freqs = [np.fft.fftfreq(n) for n in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
+    theta = np.meshgrid(*(2.0 * pi * f for f in freqs), indexing="ij", sparse=True)
+    half = [2.0 * np.sin(t / 2.0) / hj for t, hj in zip(theta, h)]
+    odd = [np.sin(t) / hj for t, hj in zip(theta, h)]
+    symbol = complex(H.mean())
+    for j in range(d):
+        symbol = symbol - Fbar[j, j] * half[j] ** 2 + 1j * Gbar[j] * odd[j]
+        for k in range(d):
+            if k != j:
+                symbol = symbol - Fbar[j, k] * odd[j] * odd[k]
+    inverse = np.zeros_like(symbol)
+    np.divide(1.0, symbol, out=inverse, where=symbol != 0)
+
+    def apply(r):
+        rhat = np.fft.rfftn(r.reshape(shape), axes=axes)
+        return np.fft.irfftn(rhat * inverse, s=shape, axes=axes).ravel()
+
+    return LinearOperator((H.size, H.size), matvec=apply)
+
+
 def _gauge(spec, shape):
     """Newton's projection: onto zero mean when neither A nor phi depends
     on u (no t-derivative in the catalog), as the periodic problem is then
@@ -358,9 +399,15 @@ def residual_norm(res, spec):
 def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
-    Returns (solution GridFn, trace); the trace records residual_norm, the
-    raw residual norm and the accepted step length of every iteration.
-    NonconvergenceError carries the trace when the line search stalls or
+    Each linear solve is lgmres preconditioned by the Fourier inverse of
+    the frozen-coefficient Jacobian (_fourier_preconditioner); lgmres stops
+    on the unpreconditioned residual.
+
+    Returns (solution GridFn, trace); the trace records, for every
+    iteration, residual_norm, the raw residual norm, the accepted step
+    length, the Jacobian matvecs of its linear solve (krylov_iters) and the
+    halvings of its line search (backtracks).  NonconvergenceError carries
+    the trace so far when a linear solve or the line search fails, or when
     max_iters iterations leave residual_norm above tol.
     """
     grid = u0.grid
@@ -376,16 +423,30 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
         if rnorm <= tol:
             break
 
+        matvecs = 0
+
         def matvec(x):
+            nonlocal matvecs
+            matvecs += 1
             out = _apply_jacobian(project(x.reshape(grid.sizes)), F, G, H, h)
             return project(out).ravel()
 
         op = LinearOperator((nnodes, nnodes), matvec=matvec)
         b = -project(res).ravel()
-        step_dir, _ = lgmres(op, b, rtol=krylov_rtol, atol=0.0, maxiter=2000)
+        step_dir, info = lgmres(
+            op, b, rtol=krylov_rtol, atol=0.0, maxiter=2000,
+            M=_fourier_preconditioner(F, G, H, h),
+        )
+        if info != 0:
+            raise NonconvergenceError(
+                f"lgmres returned info {info} after {matvecs} matvecs "
+                f"at Newton iteration {it}",
+                trace=trace,
+            )
         s = project(step_dir.reshape(grid.sizes))
 
         step = 1.0
+        backtracks = 0
         while True:
             cand = u + step * s
             try:
@@ -399,6 +460,7 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
                 if new_norm <= (1.0 - 1e-4 * step) * rnorm:
                     break
             step *= 0.5
+            backtracks += 1
             if step < 1e-12:
                 raise NonconvergenceError(
                     "line search stalled", trace=trace
@@ -412,6 +474,8 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
                 "residual": rnorm,
                 "raw_residual": float(np.max(np.abs(res))),
                 "step": step,
+                "krylov_iters": matvecs,
+                "backtracks": backtracks,
             }
         )
 
@@ -475,11 +539,9 @@ def auxiliary_field(u, ubar, spec, aux, kind):
     kind="first_order":  log(1 + |du|^2) + zeta(u).
     """
     grid = u.grid
-    h = grid.h
-    du = periodic_grad(u.values, h)
-    grad_sq = np.sum(du**2, axis=0)
     if kind == "second_order":
-        lam_n = _lambda_field(u.values, grid, spec)[2][:, -1].reshape(grid.sizes)
+        du, _, lam = _lambda_field(u.values, grid, spec)
+        lam_n = lam[:, -1].reshape(grid.sizes)
         if np.any(lam_n <= -1.0):
             bad = np.unravel_index(int(np.argmax(lam_n <= -1.0)), grid.sizes)
             raise ValueError(
@@ -487,10 +549,11 @@ def auxiliary_field(u, ubar, spec, aux, kind):
             )
         phi = (
             np.log1p(lam_n)
-            + _aux_eval(aux.eta, grad_sq)
+            + _aux_eval(aux.eta, np.sum(du**2, axis=0))
             + _aux_eval(aux.zeta, ubar.values - u.values)
         )
     elif kind == "first_order":
+        grad_sq = np.sum(periodic_grad(u.values, grid.h) ** 2, axis=0)
         phi = np.log1p(grad_sq) + _aux_eval(aux.zeta, u.values)
     else:
         raise ValueError(f"unknown auxiliary kind {kind!r}")

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from phessian import solver
 from phessian.cli import main
 from phessian.solver import (
     EquationSpec,
@@ -108,6 +109,7 @@ def test_key_lemma(tmp_path):
     )
     assert status == 0
     assert rep["results"]["verified"] > 0
+    assert rep["results"]["verified"] + rep["results"]["hypothesis_failed"] == 30
     assert rep["results"]["min_slack"] >= -1e-9
 
 
@@ -120,8 +122,24 @@ def test_solve_manufactured(tmp_path):
     assert status == 0
     assert 0 < rep["results"]["iterations"] <= 12
     assert rep["results"]["final_residual"] <= 1e-9
+    for rec in rep["results"]["trace"]:
+        assert 0 < rec["krylov_iters"] <= 40
+        assert rec["backtracks"] == 0
     sol = load_grid_csv(sol_path)
     assert sol.grid.sizes == (32, 32)
+
+
+def test_solve_krylov_failure_exits_1(tmp_path, monkeypatch):
+    real = solver.lgmres
+    monkeypatch.setattr(
+        solver, "lgmres",
+        lambda *args, **kwargs: real(*args, **{**kwargs, "maxiter": 1, "inner_m": 1}),
+    )
+    status, rep = run(tmp_path, "solve.json", "solve", "--manufactured", "16")
+    assert status == 1
+    assert rep["violation"]["kind"] == "NonconvergenceError"
+    assert "lgmres" in rep["violation"]["detail"]
+    assert rep["violation"]["trace"] == []
 
 
 def test_solve_u_dependent_problem_reports_raw_residual(tmp_path):

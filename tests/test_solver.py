@@ -8,6 +8,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from phessian import solver
 from phessian.errors import AdmissibilityError, NonconvergenceError
 from phessian.solver import (
     AlexandrovProblem,
@@ -16,6 +17,8 @@ from phessian.solver import (
     GridFn,
     PseudoCheckConfig,
     TorusGrid,
+    _apply_jacobian,
+    _fourier_preconditioner,
     admissible,
     alexandrov_check,
     auxiliary_field,
@@ -164,7 +167,46 @@ class TestNewton:
             newton_solve(spec, u0, tol=1e-14, max_iters=1)
         trace = exc.value.trace
         assert len(trace) == 1
-        assert set(trace[0]) == {"iter", "residual", "raw_residual", "step"}
+        assert set(trace[0]) == {
+            "iter", "residual", "raw_residual", "step", "krylov_iters", "backtracks",
+        }
+
+    def test_krylov_failure_raises_with_trace(self, monkeypatch):
+        # the second linear solve gets one outer cycle of one inner step,
+        # far short of krylov_rtol; its status must not be discarded
+        real = solver.lgmres
+        calls = []
+
+        def starved(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                kwargs.update(maxiter=1, inner_m=1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "lgmres", starved)
+        spec, grid, ustar = manufactured_problem(32, p=2)
+        rng = np.random.default_rng(7)
+        u0 = GridFn(
+            grid, ustar.values + smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+        )
+        with pytest.raises(NonconvergenceError, match="lgmres") as exc:
+            newton_solve(spec, u0, tol=1e-12)
+        assert len(calls) == 2
+        assert [rec["iter"] for rec in exc.value.trace] == [0]
+
+    def test_krylov_iterations_are_mesh_independent(self):
+        # with the Fourier preconditioner the matvecs per Newton step stay
+        # flat as h halves twice (unpreconditioned lgmres needs about 240 at
+        # 64^2 and 860 at 256^2)
+        worst = {}
+        for size in (64, 256):
+            spec, grid, ustar = manufactured_problem(size, p=2)
+            rng = np.random.default_rng(8)
+            bump = smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+            _, trace = newton_solve(spec, GridFn(grid, ustar.values + bump), tol=1e-12)
+            assert all(rec["backtracks"] == 0 for rec in trace)
+            worst[size] = max(rec["krylov_iters"] for rec in trace)
+        assert 0 < worst[256] <= min(2 * worst[64], 40)
 
     @pytest.mark.parametrize(
         "A_field, rhs, start, exact",
@@ -186,6 +228,30 @@ class TestNewton:
         assert trace[-1]["raw_residual"] <= 1e-9
         assert np.max(np.abs(sol.values - exact)) <= 1e-9
         assert np.max(np.abs(residual_field(sol, spec).values)) <= 1e-9
+
+
+class TestFourierPreconditioner:
+    """The preconditioner inverts the stencil Jacobian exactly when F, G and
+    H are constant; _apply_jacobian (plain np.roll stencils) is the oracle."""
+
+    @pytest.mark.parametrize("sizes", [(16, 20), (8, 10, 9)])
+    @pytest.mark.parametrize("gauge", [True, False])
+    def test_inverts_constant_coefficient_jacobian(self, sizes, gauge):
+        grid = TorusGrid(sizes)
+        d = grid.d
+        rng = np.random.default_rng(len(sizes) + 10 * gauge)
+        X = rng.normal(size=(d, d))
+        Fc = X @ X.T + 0.5 * np.eye(d)
+        assert np.min(np.abs(Fc[np.triu_indices(d, 1)])) > 1e-2
+        F = np.broadcast_to(Fc, sizes + (d, d))
+        G = rng.normal(size=d).reshape((d,) + (1,) * d) * np.ones((d,) + sizes)
+        # zero-mean gauge: H = 0 and the constant mode is J's kernel
+        H = np.zeros(sizes) if gauge else np.full(sizes, -rng.uniform(0.5, 2.0))
+        r = rng.normal(size=sizes)
+        x = _fourier_preconditioner(F, G, H, grid.h).matvec(r.ravel())
+        back = _apply_jacobian(x.reshape(sizes), F, G, H, grid.h)
+        want = r - np.mean(r) if gauge else r
+        assert np.max(np.abs(back - want)) <= 1e-10
 
 
 class TestMonitors:
