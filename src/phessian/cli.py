@@ -222,12 +222,17 @@ def cmd_spectral_derivs(args):
 @_subcommand("concavity-fuzz", tol=-1e-9)
 def cmd_concavity_fuzz(args):
     rng = np.random.default_rng([args.seed, args.n])
+    if args.trials < 1:
+        raise _UsageError("concavity-fuzz: --trials must be at least 1")
     if args.mode == "large_mu1":
         if args.a is None:
             raise _UsageError("concavity-fuzz: --a is required for mode large_mu1")
-        mus, ws = sample_hypothesis_points(
-            args.n, args.tau, args.eps, args.a, args.trials, rng
-        )
+        try:
+            mus, ws = sample_hypothesis_points(
+                args.n, args.tau, args.eps, args.a, args.trials, rng
+            )
+        except ValueError as exc:
+            raise _UsageError(f"concavity-fuzz: {exc}") from None
         guaranteed = True
     else:
         if args.mode == "small_mu1" and args.p is None:
@@ -273,6 +278,7 @@ def cmd_find_m(args):
         "M_hat": out.M_hat,
         "trials": out.trials,
         "worst_residual": out.worst_residual,
+        "history": out.history,
     }
     return results, None
 

@@ -81,6 +81,7 @@ class ThresholdResult:
     trials: int
     worst_residual: float
     seed: int
+    history: tuple  # (M, worst residual) of every evaluated M, in call order
 
 
 def _mode_params(inst, n):
@@ -252,7 +253,8 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     shape for the first n-1 entries), plus a random unit complex w, and
     evaluates the order-p inequality with constant (p+1)^2.  M is bisected
     over [eps, 1e6] for the smallest value with no residual below
-    -1e-10.  Deterministic for a fixed seed.
+    -1e-10; every evaluated (M, worst residual) is kept in the result's
+    history.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -268,6 +270,7 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     shapes, targets, tops, w = _draw_trials(n, p, sigma_band, trials, seed)
     c = float((p + 1) ** 2)
     weight = 1.0 - tau
+    history = []
 
     def worst_at(M):
         mu_n = M * (1.0 + 0.5 * tops)
@@ -278,6 +281,7 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         lhs, rhs = _evaluate_batch(mu, w, p, c, weight, tau, eps)
         res = np.where(ok, (lhs - rhs).real, np.inf)
         i = int(np.argmin(res))
+        history.append((M, float(res[i])))
         return float(res[i]), (mu[i], w[i])
 
     lo, hi = float(eps), 1e6
@@ -290,7 +294,7 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         )
     worst_lo, _ = worst_at(lo)
     if worst_lo >= VIOLATION_TOL:
-        return ThresholdResult(lo, trials, worst_lo, seed)
+        return ThresholdResult(lo, trials, worst_lo, seed, tuple(history))
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         worst_mid, _ = worst_at(mid)
@@ -298,27 +302,60 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
             hi, worst_hi = mid, worst_mid
         else:
             lo = mid
-    return ThresholdResult(hi, trials, worst_hi, seed)
+    return ThresholdResult(hi, trials, worst_hi, seed, tuple(history))
+
+
+def _hypothesis_root(P, e, c, k):
+    """Positive root x* of g(x) = x^k + (2e/c) x - 2P/c per row (P, e, c > 0).
+
+    g is increasing and convex on x > 0 and positive at both P/e and
+    (2P/c)^{1/k}, so Newton from the smaller of the two decreases onto x*;
+    a row stops when its step no longer decreases x.
+    """
+    lin, const = 2.0 * e / c, 2.0 * P / c
+    x = np.minimum(P / e, const ** (1.0 / k))
+    while True:
+        step = x - (x**k + lin * x - const) / (k * x ** (k - 1) + lin)
+        down = step < x
+        if not np.any(down):
+            return x
+        x = np.where(down, step, x)
 
 
 def sample_hypothesis_points(n, tau, eps, a, count, rng):
     """Random (mu, w) pairs satisfying the large_mu1 hypotheses.
 
-    mu_n is drawn above its bound, the middle entries above it in
-    magnitude-moderate positions, and mu_1 pushed below its (sigma-
-    dependent) ceiling by rejection.
+    mu_n is drawn above its bound and the middle entries in [0.1, 1] mu_n.
+    With mu' = (mid, mu_n), x = -mu_1, P = sigma_{n-1}(mu') and
+    e = sigma_{n-2}(mu'), sigma_{n-1}(mu) = P - x e is affine in x: mu lies
+    in Gamma_{n-1} iff x < P/e, and mu_1 <= -bound iff x >= x*, the root of
+    x^{n-1} + (2e/c) x - 2P/c with c = a - beta.  x is drawn uniformly on
+    [x*, P/e), so every candidate is a hypothesis point; the cone-and-bound
+    test stays as the final filter.
     """
+    _mode_params(
+        ConcavityInstance(mu=None, w=None, tau=tau, eps=eps,
+                          mode="large_mu1", a=a),
+        n,
+    )
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    if count < 1:
+        raise ValueError("count must be at least 1")
     beta = (1.0 - tau) / (1.0 + tau)
     mus = np.empty((count, n))
     ws = np.empty((count, n), dtype=complex)
     k = 0
+    empty_rounds = 0
     while k < count:
         m = count - k
         mu_n = eps * (a + beta) / (a - beta) * (1.0 + rng.uniform(0, 2, m))
         mid = rng.uniform(0.1, 1.0, (m, n - 2)) * mu_n[:, None]
-        mu1 = -rng.uniform(0.0, 0.99, m) * np.min(mid, axis=-1)
-        mu = np.concatenate([mu1[:, None], mid, mu_n[:, None]], axis=-1)
-        mu = np.sort(mu, axis=-1)
+        pos = np.concatenate([mid, mu_n[:, None]], axis=-1)
+        P, e = sigma(n - 1, pos), sigma(n - 2, pos)
+        lo = _hypothesis_root(P, e, a - beta, n - 1)
+        x = lo + rng.uniform(0.0, 1.0, m) * (P / e - lo)
+        mu = np.sort(np.concatenate([-x[:, None], pos], axis=-1), axis=-1)
         ok = classify_batch(mu, ConeSpec(n, n - 1)) == 2
         bound = np.full(m, np.inf)
         s = sigma(n - 1, mu)  # > 0 where ok: interior of Gamma_{n-1}
@@ -326,6 +363,14 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
         ok &= mu[:, 0] <= -bound
         good = mu[ok]
         take = len(good)
+        empty_rounds = 0 if take else empty_rounds + 1
+        if empty_rounds == 100:
+            # [x*, P/e) lies inside the classifier's zero band (a - beta
+            # tiny): no draw can pass the filter
+            raise ValueError(
+                f"no hypothesis point passed the cone-and-bound test in 100 "
+                f"rounds at n={n}, tau={tau}, eps={eps}, a={a}"
+            )
         if take:
             mus[k : k + take] = good
             z = rng.normal(size=(take, n)) + 1j * rng.normal(size=(take, n))

@@ -463,7 +463,11 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
             backtracks += 1
             if step < 1e-12:
                 raise NonconvergenceError(
-                    "line search stalled", trace=trace
+                    f"line search stalled at Newton iteration {it}: "
+                    f"{backtracks} halvings did not reduce the residual "
+                    f"{rnorm:.3e} (tol {tol:.3e}); a tol below the "
+                    f"stencils' rounding floor is out of reach",
+                    trace=trace,
                 )
         u = cand
         res, F, G, H = new_res, new_F, new_G, new_H

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,24 @@ def run(tmp_path, name, *argv):
     status = main(list(argv) + ["--output", out])
     with open(out) as fh:
         return status, json.load(fh)
+
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+
+def run_subprocess(tmp_path, *argv):
+    """main(argv) in a fresh interpreter with a timeout, so a hang fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = os.path.join(tmp_path, "report.json")
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from phessian.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv, "--output", out],
+        env=env, capture_output=True, text=True, timeout=60,
+    ), out
 
 
 def strip_walltime(report):
@@ -73,6 +93,23 @@ def test_concavity_fuzz_guaranteed_mode(tmp_path):
     assert rep["results"]["min_residual"] >= -1e-9
 
 
+@pytest.mark.parametrize("extra", [
+    ("--n", "3", "--a", "0.5"),              # a <= beta = 1
+    ("--n", "3", "--a", "1.5", "--eps", "-1"),
+    ("--n", "2", "--a", "0.5"),
+    ("--n", "3", "--a", "1.5", "--tau", "2"),
+    ("--n", "3", "--a", "1.5", "--trials", "0"),
+])
+def test_concavity_fuzz_bad_large_mode_input_is_usage_error(tmp_path, extra):
+    proc, out = run_subprocess(
+        tmp_path, "concavity-fuzz", "--mode", "large_mu1", *extra
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("concavity-fuzz: ")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
 def test_concavity_fuzz_exploratory_mode_never_fails(tmp_path):
     status, rep = run(
         tmp_path, "cfe.json", "concavity-fuzz", "--mode", "theorem",
@@ -90,6 +127,9 @@ def test_find_m(tmp_path):
     assert status == 0
     assert np.isfinite(rep["results"]["M_hat"])
     assert rep["results"]["worst_residual"] >= -1e-10
+    history = rep["results"]["history"]
+    assert [M for M, _ in history] == [1e6, 1.0]
+    assert history[-1] == [rep["results"]["M_hat"], rep["results"]["worst_residual"]]
 
 
 def test_subsolution(tmp_path):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import phessian.concavity as concavity
 from phessian.concavity import (
+    VIOLATION_TOL,
     ConcavityInstance,
     CVec,
     evaluate,
@@ -12,8 +14,9 @@ from phessian.concavity import (
     residual_batch,
     sample_hypothesis_points,
 )
+from phessian.cone import ZERO_BAND
 from phessian.errors import AdmissibilityError
-from phessian.symfun import sigma, sigma_trunc
+from phessian.symfun import sigma, sigma_brute, sigma_trunc
 
 
 def brute_sides(mu, w, r, c, weight, tau, eps):
@@ -157,7 +160,7 @@ def test_hypothesis_check_examples():
 
 def test_large_mode_random_sweep():
     rng = np.random.default_rng(3)
-    for n in (3, 4):
+    for n in (3, 4, 6, 7):
         for tau, a_frac in [(0.0, 1.0 / 3.0), (0.25, 2.0 / 3.0), (0.5, 0.5)]:
             beta = (1 - tau) / (1 + tau)
             a = beta + a_frac * (n - 1 - beta)
@@ -173,12 +176,115 @@ def test_large_mode_random_sweep():
             assert res.min() >= -1e-9, (n, tau, a, res.min())
 
 
+def test_sampled_interval_is_the_hypothesis_slice():
+    # on the slice of fixed positive entries mu' = (mid, mu_n), the sampler
+    # draws x = -mu_1 from [x*, P/e); hypothesis_check must flip exactly at
+    # both ends (the top end moves in by the classifier's zero band)
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(3, 8))
+        tau = float(rng.choice([0.0, 0.25, 0.5]))
+        beta = (1 - tau) / (1 + tau)
+        a = beta + rng.uniform(0.2, 1.0) * (n - 1 - beta)
+        mu_n = (a + beta) / (a - beta) * (1 + rng.uniform(0, 2))
+        pos = np.append(np.sort(rng.uniform(0.1, 1.0, n - 2) * mu_n), mu_n)
+        P, e = sigma_brute(n - 1, pos), sigma_brute(n - 2, pos)
+        lo = concavity._hypothesis_root(
+            np.array([P]), np.array([e]), a - beta, n - 1
+        )[0]
+        hi = P / e
+        d = 1e-6 * (hi - lo)
+        band = ZERO_BAND * mu_n ** (n - 1) / e
+
+        def holds(x):
+            return hypothesis_check(ConcavityInstance(
+                mu=np.append(-x, pos), w=None, tau=tau, eps=1.0,
+                mode="large_mu1", a=a,
+            ))
+
+        assert not holds(lo - d), (n, tau, a)
+        assert holds(lo + d), (n, tau, a)
+        assert holds(hi - d - band), (n, tau, a)
+        assert not holds(hi + d), (n, tau, a)
+
+
+def test_large_mode_sampler_keeps_almost_every_candidate(monkeypatch):
+    rows = []
+    real = concavity.classify_batch
+
+    def counting(mu, spec):
+        rows.append(len(mu))
+        return real(mu, spec)
+
+    monkeypatch.setattr(concavity, "classify_batch", counting)
+    mus, _ = sample_hypothesis_points(5, 0.0, 1.0, 2.5, 1000,
+                                      np.random.default_rng(0))
+    assert len(mus) == 1000
+    assert sum(rows) <= 1050
+
+
+@pytest.mark.parametrize("n, tau, eps, a, count", [
+    (2, 0.0, 1.0, 1.0, 10),     # n < 3
+    (3, 2.0, 1.0, 1.5, 10),     # tau outside [0, 1]
+    (3, 0.0, 1.0, 0.5, 10),     # a <= beta
+    (3, 0.0, -1.0, 1.5, 10),    # eps <= 0
+    (3, 0.0, np.inf, 1.5, 10),
+    (3, 0.0, 1.0, 1.5, 0),      # no points asked for
+])
+def test_large_mode_sampler_validates_before_drawing(n, tau, eps, a, count):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        sample_hypothesis_points(n, tau, eps, a, count, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_large_mode_sampler_raises_on_empty_interval():
+    # a - beta = 1e-12 squeezes [x*, P/e) into the classifier's zero band
+    with pytest.raises(ValueError, match="100 rounds"):
+        sample_hypothesis_points(3, 0.0, 1.0, 1.0 + 1e-12, 10,
+                                 np.random.default_rng(0))
+
+
+def check_history(out):
+    assert 2 <= len(out.history) <= 42
+    assert out.history[0][0] == 1e6
+    accepted = [M for M, worst in out.history if worst >= VIOLATION_TOL]
+    assert accepted[-1] == out.M_hat
+    assert dict(out.history)[out.M_hat] == out.worst_residual
+
+
+def test_find_threshold_history_without_bisection():
+    # the inequality already holds at M = eps: two evaluations, no bisection
+    out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
+    check_history(out)
+    assert [M for M, _ in out.history] == [1e6, 1.0]
+
+
+def test_find_threshold_history_records_every_bisection_step(monkeypatch):
+    # a synthetic inequality that fails exactly while the largest entry
+    # mu_n sits below 37 forces all 40 bisection steps
+    def fake(mu, w, r, c, weight, tau, eps):
+        return mu[..., -1] - 37.0 + 0j, np.zeros(len(mu), dtype=complex)
+
+    monkeypatch.setattr(concavity, "_evaluate_batch", fake)
+    out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 50, seed=3)
+    check_history(out)
+    assert len(out.history) == 42
+    lo, hi = 1.0, 1e6
+    for M, worst in out.history[2:]:
+        assert M == 0.5 * (lo + hi)
+        lo, hi = (lo, M) if worst >= VIOLATION_TOL else (M, hi)
+    assert hi == out.M_hat and 24.0 < out.M_hat <= 37.0
+
+
 def test_find_threshold_finite_and_deterministic():
     out1 = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
     out2 = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
     assert np.isfinite(out1.M_hat)
     assert out1.M_hat == out2.M_hat
     assert out1.worst_residual == out2.worst_residual
+    assert out1.history == out2.history
     assert out1.worst_residual >= -1e-10
 
 

@@ -171,6 +171,18 @@ class TestNewton:
             "iter", "residual", "raw_residual", "step", "krylov_iters", "backtracks",
         }
 
+    def test_line_search_stall_names_residual_and_tol(self):
+        # 1e-16 lies below the 32^2 stencils' rounding floor (~1e-15)
+        spec, grid, _ = manufactured_problem(32, p=2)
+        with pytest.raises(NonconvergenceError, match="line search stalled") as exc:
+            newton_solve(spec, GridFn(grid, np.zeros(grid.sizes)), tol=1e-16)
+        trace = exc.value.trace
+        assert trace and trace[-1]["residual"] > 1e-16
+        msg = str(exc.value)
+        assert f"residual {trace[-1]['residual']:.3e}" in msg
+        assert "tol 1.000e-16" in msg
+        assert "40 halvings" in msg
+
     def test_krylov_failure_raises_with_trace(self, monkeypatch):
         # the second linear solve gets one outer cycle of one inner step,
         # far short of krylov_rtol; its status must not be discarded
