@@ -15,7 +15,12 @@ import time
 
 import numpy as np
 
-from .concavity import find_threshold, residual_batch, sample_hypothesis_points
+from .concavity import (
+    find_threshold,
+    residual_batch,
+    sample_hypothesis_points,
+    validate_mode,
+)
 from .cone import ConeSpec, maclaurin_report, sample_admissible, tech_ineq_report
 from .errors import (
     AdmissibilityError,
@@ -237,7 +242,10 @@ def cmd_concavity_fuzz(args):
     else:
         if args.mode == "small_mu1" and args.p is None:
             raise _UsageError("concavity-fuzz: --p is required for mode small_mu1")
-        r = args.n - 1 if args.mode == "theorem" else args.p
+        try:
+            r = validate_mode(args.n, args.mode, args.tau, args.eps, a=args.a, p=args.p)
+        except ValueError as exc:
+            raise _UsageError(f"concavity-fuzz: {exc}") from None
         mus = np.sort(sample_admissible(args.n, r, args.trials, rng), axis=1)
         if args.mu_n_min is not None:
             mus[:, -1] += args.mu_n_min
@@ -320,6 +328,7 @@ def cmd_key_lemma(args):
     failed = 0
     worst = np.inf
     violation = None
+    first_failure = None
     for i in range(args.trials):
         # positive, so inside every cone
         nu = rng.uniform(0.2, 3.0, args.n)
@@ -328,9 +337,14 @@ def cmd_key_lemma(args):
             n=args.n, p=args.p, delta=rng.uniform(0.1, 1.0), R=args.R,
             a=rng.uniform(0.5, 2.0), mu=mu, nu=nu,
         )
-        lhs, rhs, ok = key_lemma_check(cfg, directions=args.directions, seed=i)
+        lhs, rhs, ok, escape = key_lemma_check(
+            cfg, directions=args.directions, seed=i
+        )
         if not ok:
             failed += 1
+            if first_failure is None:
+                first_failure = {"case": i, "direction": escape[0],
+                                 "norm": escape[1]}
             continue
         verified += 1
         worst = min(worst, lhs - rhs)
@@ -340,6 +354,7 @@ def cmd_key_lemma(args):
     results = {
         "verified": verified,
         "hypothesis_failed": failed,
+        "first_failure": first_failure,
         "min_slack": None if verified == 0 else float(worst),
     }
     return results, violation

@@ -104,10 +104,23 @@ def _mode_params(inst, n):
             raise ValueError("small_mu1 mode needs tau in (0, 1/2]")
         return inst.p, float((inst.p + 1) ** 2), 1.0 - inst.tau
     if inst.mode == "theorem":
+        if n < 2:
+            raise ValueError("theorem mode needs n >= 2")
         if not 0.0 < inst.tau <= 0.5:
             raise ValueError("theorem mode needs tau in (0, 1/2]")
         return n - 1, float(n**2), 1.0 - inst.tau
     raise ValueError(f"unknown mode {inst.mode!r}")
+
+
+def validate_mode(n, mode, tau, eps, a=None, p=None):
+    """Order r of the mode's inequality at dimension n after checking
+    every parameter (n, tau, a and p against the mode's ranges; eps
+    positive and finite); ValueError names the first bad one."""
+    inst = ConcavityInstance(mu=None, w=None, tau=tau, eps=eps, mode=mode, a=a, p=p)
+    r, _, _ = _mode_params(inst, n)
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
+    return r
 
 
 def _evaluate_batch(mu, w, r, c, weight, tau, eps):
@@ -333,13 +346,7 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
     [x*, P/e), so every candidate is a hypothesis point; the cone-and-bound
     test stays as the final filter.
     """
-    _mode_params(
-        ConcavityInstance(mu=None, w=None, tau=tau, eps=eps,
-                          mode="large_mu1", a=a),
-        n,
-    )
-    if not 0.0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
+    validate_mode(n, "large_mu1", tau, eps, a=a)
     if count < 1:
         raise ValueError("count must be at least 1")
     beta = (1.0 - tau) / (1.0 + tau)

@@ -39,18 +39,24 @@ class ConeVerdict:
     sigma_values: tuple  # sigma_1(mu), ..., sigma_p(mu)
 
 
-def _regions(mu, p):
-    """Region codes (2 interior, 1 boundary, 0 outside) and sigma_1..sigma_p,
-    batched.  |sigma_q| <= ZERO_BAND * max(1, ||mu||_inf^q) counts as zero,
-    so verdicts respect the cone's scale invariance."""
-    sigs = sigma_all(mu)[..., 1 : p + 1]
-    scale = np.maximum(1.0, np.max(np.abs(mu), axis=-1))
-    tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))
+def _region_codes(sigs, tau):
+    """Region codes (2 interior, 1 boundary, 0 outside) from sigma_1..sigma_p
+    and their zero bands tau: |sigma_q| <= tau_q counts as zero."""
     interior = np.all(sigs > tau, axis=-1)
     boundary = (np.abs(sigs[..., -1]) <= tau[..., -1]) & np.all(
         sigs >= -tau, axis=-1
     )
-    return np.where(interior, 2, np.where(boundary, 1, 0)), sigs
+    return np.where(interior, 2, np.where(boundary, 1, 0))
+
+
+def _regions(mu, p):
+    """Region codes and sigma_1..sigma_p, batched.  |sigma_q| <= ZERO_BAND *
+    max(1, ||mu||_inf^q) counts as zero, so verdicts respect the cone's
+    scale invariance."""
+    sigs = sigma_all(mu)[..., 1 : p + 1]
+    scale = np.maximum(1.0, np.max(np.abs(mu), axis=-1))
+    tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))
+    return _region_codes(sigs, tau), sigs
 
 
 def classify(mu, spec):

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from math import gamma, pi
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lgmres
 
 from .cone import ConeSpec, classify_batch
 from .errors import AdmissibilityError, NonconvergenceError, VerificationError
-from .spectral import jacobi_eigh
-from .symfun import sigma, sigma_root_grad
+from .spectral import classify_matrices, jacobi_eigh, newton_tensor
+from .symfun import sigma
 
 
 # ---------------------------------------------------------------------------
@@ -112,22 +111,24 @@ def periodic_hess(f, h):
     return H
 
 
-def box_grad_hess(f, h):
+def box_grad_hess(f, h, mask=None):
     """Gradient and Hessian of a field on a non-periodic box: repeated
-    np.gradient, central inside and second-order one-sided at the edges.
-    Returns (grad (n,)+shape, hess (n,n)+shape), hess symmetrized."""
+    np.gradient, central inside and second-order one-sided at the edges,
+    each mixed partial d_j(d_i f), j >= i, taken once.  Returns (grad
+    (n,)+shape, Hessian matrices (m, n, n) at the m nodes selected by the
+    flat boolean mask, every node in row-major order when mask is None)."""
     n = f.ndim
     grads = np.gradient(f, h, edge_order=2)
     if n == 1:
         grads = [grads]
-    hess = np.empty((n, n) + f.shape)
+    nodes = slice(None) if mask is None else mask
+    hess = np.empty((f.size if mask is None else np.count_nonzero(mask), n, n))
     for i in range(n):
-        gi = np.gradient(grads[i], h, edge_order=2)
-        if n == 1:
-            gi = [gi]
-        for j in range(n):
-            hess[i, j] = gi[j]
-    return np.stack(grads), 0.5 * (hess + np.swapaxes(hess, 0, 1))
+        for j in range(i, n):
+            hij = np.gradient(grads[i], h, axis=j, edge_order=2).ravel()[nodes]
+            hess[:, i, j] = hij
+            hess[:, j, i] = hij
+    return np.stack(grads), hess
 
 
 def ball_grid(radius, resolution, n):
@@ -262,31 +263,34 @@ def admissible(u, spec):
     """
     grid = u.grid
     try:
-        _require_admissible(spec, _lambda_field(u.values, grid, spec)[2], grid)
+        _admissible_sigmas(_hessian_argument(u.values, grid, spec)[2], spec, grid)
     except AdmissibilityError as exc:
         return False, {"node": exc.node, "lam": exc.lam}
     return True, None
 
 
-def _require_admissible(spec, lam, grid):
-    codes = classify_batch(lam, ConeSpec(grid.d, spec.p))
+def _admissible_sigmas(B, spec, grid):
+    """The nodewise matrices (N, d, d) of the field B and their
+    matrix_sigmas (N, d+1); AdmissibilityError, with the eigenvalues of
+    the first node whose lam(B) is not interior, unless all are."""
+    flat = B.reshape(-1, grid.d, grid.d)
+    codes, sigmas = classify_matrices(flat, ConeSpec(grid.d, spec.p))
     if np.all(codes == 2):
-        return
+        return flat, sigmas
     bad = int(np.argmax(codes != 2))
     node = np.unravel_index(bad, grid.sizes)
+    lam = jacobi_eigh(flat[bad])
     raise AdmissibilityError(
-        f"inadmissible eigenvalues {lam[bad]} at node {node}",
-        node=node,
-        lam=lam[bad],
+        f"inadmissible eigenvalues {lam} at node {node}", node=node, lam=lam
     )
 
 
 def residual_field(u, spec):
     """Nodewise sigma_p^{1/p}(lam(A + D^2 u)) - phi(du, u)."""
     grid = u.grid
-    du, _, lam = _lambda_field(u.values, grid, spec)
-    _require_admissible(spec, lam, grid)
-    lhs = sigma(spec.p, lam) ** (1.0 / spec.p)
+    du, _, B, _, _ = _hessian_argument(u.values, grid, spec)
+    _, sigmas = _admissible_sigmas(B, spec, grid)
+    lhs = sigmas[:, spec.p] ** (1.0 / spec.p)
     phi, _, _ = _rhs_phi(spec, u.values, du)
     return GridFn(grid, (lhs - phi.ravel()).reshape(grid.sizes))
 
@@ -295,25 +299,27 @@ def _linearization_data(u, spec):
     """Everything Newton needs at the current iterate.
 
     Returns (residual values, F field shape+(d,d), G field (d,)+shape,
-    H field shape, A_alpha) where the Jacobian action on s is
+    H field shape, A_alpha, admissibility margin min sigma_p) where the
+    Jacobian action on s is
 
         J s = sum_jk F^{jk} d2s_jk + sum_m G_m ds_m + H s.
+
+    F = (1/p) sigma_p^{1/p-1} T_{p-1}(B), with T the Newton tensor of the
+    operator argument B = A + D^2 u: no eigenvectors.
     """
     grid = u.grid
     d = grid.d
     p = spec.p
     du, _, B, A_t, A_alpha = _hessian_argument(u.values, grid, spec)
-    flat = B.reshape(-1, d, d)
-    lam, Q = jacobi_eigh(flat, vectors=True)
-    _require_admissible(spec, lam, grid)
-
-    f, gdiag = sigma_root_grad(p, lam)
-    F = np.einsum("njk,nk,nlk->njl", Q, gdiag, Q).reshape(
-        grid.sizes + (d, d)
+    flat, sigmas = _admissible_sigmas(B, spec, grid)
+    sp = sigmas[:, p]
+    F = ((1.0 / p) * sp ** (1.0 / p - 1.0))[:, None, None] * newton_tensor(
+        flat, sigmas, p - 1
     )
+    F = F.reshape(grid.sizes + (d, d))
 
     phi, phi_t, phi_alpha = _rhs_phi(spec, u.values, du)
-    res = f.reshape(grid.sizes) - phi
+    res = (sp ** (1.0 / p)).reshape(grid.sizes) - phi
 
     trace_F = np.einsum("...jj->...", F)
     G = np.zeros((d,) + grid.sizes)
@@ -327,7 +333,7 @@ def _linearization_data(u, spec):
         G -= np.moveaxis(phi_alpha, -1, 0)
     if phi_t is not None:
         H -= phi_t
-    return res, F, G, H, A_alpha
+    return res, F, G, H, A_alpha, float(np.min(sp))
 
 
 def _apply_jacobian(s, F, G, H, h):
@@ -354,6 +360,8 @@ def _fourier_preconditioner(F, G, H, h):
     symbol (the constant under the zero-mean gauge, where H = 0) spans the
     kernel and is dropped.  Returns a LinearOperator on raveled fields.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     shape = H.shape
     d = len(shape)
     axes = tuple(range(d))
@@ -396,6 +404,14 @@ def residual_norm(res, spec):
     return float(np.max(np.abs(_gauge(spec, res.shape)(res))))
 
 
+def lgmres(A, b, **kwargs):
+    """scipy.sparse.linalg.lgmres, imported on first use: the subcommands
+    that never solve a linear system skip loading scipy.sparse.linalg."""
+    from scipy.sparse.linalg import lgmres as scipy_lgmres
+
+    return scipy_lgmres(A, b, **kwargs)
+
+
 def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
@@ -405,11 +421,16 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
 
     Returns (solution GridFn, trace); the trace records, for every
     iteration, residual_norm, the raw residual norm, the accepted step
-    length, the Jacobian matvecs of its linear solve (krylov_iters) and the
-    halvings of its line search (backtracks).  NonconvergenceError carries
+    length, the Jacobian matvecs of its linear solve (krylov_iters), the
+    true relative residual |b - J s|/|b| of that solve (linear_residual,
+    one matvec more), the halvings of its line search (backtracks) and the
+    smallest sigma_p over the nodes of the new iterate
+    (admissibility_margin).  NonconvergenceError carries
     the trace so far when a linear solve or the line search fails, or when
     max_iters iterations leave residual_norm above tol.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     grid = u0.grid
     h = grid.h
     nnodes = int(np.prod(grid.sizes))
@@ -417,7 +438,7 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
     u = project(u0.values)
     trace = []
 
-    res, F, G, H, _ = _linearization_data(GridFn(grid, u), spec)
+    res, F, G, H, _, _ = _linearization_data(GridFn(grid, u), spec)
     rnorm = residual_norm(res, spec)
     for it in range(max_iters):
         if rnorm <= tol:
@@ -444,13 +465,17 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
                 trace=trace,
             )
         s = project(step_dir.reshape(grid.sizes))
+        linear_residual = float(
+            np.linalg.norm(b - project(_apply_jacobian(s, F, G, H, h)).ravel())
+            / np.linalg.norm(b)
+        )
 
         step = 1.0
         backtracks = 0
         while True:
             cand = u + step * s
             try:
-                new_res, new_F, new_G, new_H, _ = _linearization_data(
+                new_res, new_F, new_G, new_H, _, margin = _linearization_data(
                     GridFn(grid, cand), spec
                 )
             except AdmissibilityError:
@@ -479,7 +504,9 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
                 "raw_residual": float(np.max(np.abs(res))),
                 "step": step,
                 "krylov_iters": matvecs,
+                "linear_residual": linear_residual,
                 "backtracks": backtracks,
+                "admissibility_margin": margin,
             }
         )
 
@@ -609,7 +636,7 @@ def pseudo_check(u, cfg, spec):
     grid = u.grid
     d = grid.d
     h = grid.h
-    _, F, _, _, A_alpha = _linearization_data(u, spec)
+    _, F, _, _, A_alpha, _ = _linearization_data(u, spec)
 
     diff = cfg.ubar.values - u.values
     ddiff = periodic_grad(diff, h)
@@ -706,9 +733,7 @@ def alexandrov_check(prob, quad_tol=0.02):
         ok = np.all(wy[None, :] >= planes - 1e-10, axis=1)
         contact[candidates[ok]] = True
 
-    dets = np.linalg.det(
-        np.moveaxis(hess.reshape(n, n, -1), -1, 0)[contact]
-    )
+    dets = np.linalg.det(hess[contact])
     rhs = float(np.sum(np.maximum(dets, 0.0)) * h**n)
     lhs = float(unit_ball_volume(n) * prob.eps**n / prob.d**n)
     if not lhs <= rhs * (1.0 + quad_tol) + 1e-12:

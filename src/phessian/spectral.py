@@ -7,6 +7,13 @@ symmetric matrix P B P^T, which LAPACK's symmetric eigensolver
 diagonalizes.  Both steps are batched (any leading shape) because the grid
 solver calls them on every node at once.
 
+Symmetric functions of a spectrum need no eigensolve: sigma_q(lam(M)) is
+the sum of the q x q principal minors of M (matrix_sigmas), and the
+gradient of sigma_q(lam(M)) in M is the Newton tensor T_{q-1}(M)
+(newton_tensor).  classify_matrices decides cone membership of lam(M) from
+the minors and sends only the rows inside the zero band's annulus through
+the eigensolver.
+
 On top of the map sit the closed-form first and second derivatives of
 lam_q and of sigma_p(lam) at (A, B) = (I, D) with D diagonal, the Weyl
 sandwich, the Schur-Horn diagonal comparison, the linearization matrix
@@ -18,9 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import OUTSIDE, ConeSpec, classify, require_cone
+from .cone import (
+    OUTSIDE,
+    ConeSpec,
+    ZERO_BAND,
+    _region_codes,
+    classify,
+    classify_batch,
+    require_cone,
+)
 from .errors import DegenerateSpectrumError
-from .symfun import sigma, sigma_minors, sigma_pair_minors, sigma_root_grad
+from .symfun import sigma, sigma_minors, sigma_pair_minors
 
 
 def _check_symmetric(M):
@@ -72,6 +87,98 @@ def jacobi_eigh(M, vectors=False):
         w, V = np.linalg.eigh(M)
         return w, V
     return np.linalg.eigvalsh(M)
+
+
+# |sigma_q| error allowed per unit of |M|_F^q between the minor and the
+# eigenvalue evaluations of sigma_q(lam(M)); both stay below 1e-13 for d <= 8
+MINOR_ROUNDING = 1e-10
+
+
+def _identity_minus(s, MT):
+    """s I - MT for a batch of scalars s and matrices MT."""
+    out = -MT
+    idx = np.arange(MT.shape[-1])
+    out[..., idx, idx] += s[..., None]
+    return out
+
+
+def matrix_sigmas(M):
+    """sigma_0(lam(M)), ..., sigma_d(lam(M)) for symmetric M (batch +
+    (d, d)), shape batch + (d+1,), with no eigensolve: sigma_q(lam(M)) is
+    the sum of the q x q principal minors of M.
+
+    Closed forms for d <= 3; above that Faddeev-LeVerrier, Newton's
+    identities q sigma_q = tr(M T_{q-1}(M)) along the recurrence of
+    newton_tensor.
+    """
+    M = np.asarray(M, dtype=float)
+    d = M.shape[-1]
+    out = np.empty(M.shape[:-2] + (d + 1,))
+    out[..., 0] = 1.0
+    if d > 3:
+        MT = M
+        for q in range(1, d + 1):
+            out[..., q] = np.trace(MT, axis1=-2, axis2=-1) / q
+            if q < d:
+                MT = M @ _identity_minus(out[..., q], MT)
+        return out
+    m = [[M[..., i, j] for j in range(d)] for i in range(d)]
+    out[..., 1] = sum(m[i][i] for i in range(d))
+    if d >= 2:
+        out[..., 2] = sum(
+            m[i][i] * m[j][j] - m[i][j] ** 2
+            for i in range(d) for j in range(i + 1, d)
+        )
+    if d == 3:
+        out[..., 3] = (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] ** 2)
+            - m[0][1] * (m[0][1] * m[2][2] - m[1][2] * m[0][2])
+            + m[0][2] * (m[0][1] * m[1][2] - m[1][1] * m[0][2])
+        )
+    return out
+
+
+def newton_tensor(M, sigmas, k):
+    """Newton tensor T_k(M) = sum_{i<=k} (-1)^i sigma_{k-i}(lam(M)) M^i
+    (batch + (d, d)), the gradient in M of sigma_{k+1}(lam(M)) (Reilly
+    1973); sigmas are matrix_sigmas(M).  Horner form
+    T_0 = I, T_j = sigma_j I - M T_{j-1}.
+    """
+    if k == 0:
+        return np.broadcast_to(np.eye(M.shape[-1]), M.shape)
+    T = _identity_minus(sigmas[..., 1], M)
+    for j in range(2, k + 1):
+        T = _identity_minus(sigmas[..., j], M @ T)
+    return T
+
+
+def classify_matrices(M, spec):
+    """Region codes of lam(M) (2 interior, 1 boundary, 0 outside) for
+    symmetric M (batch + (d, d)), with the matrix_sigmas of every row.
+
+    The codes are those of classify_batch(jacobi_eigh(M), spec).  Its zero
+    band scales with max|lam|, which minors do not give; max|lam| lies in
+    [|M|_F/sqrt(d), |M|_F].  A row is decided from its minors when every
+    |sigma_q|, q <= p, lies more than the rounding allowance
+    MINOR_ROUNDING |M|_F^q outside the band's whole range, since then every
+    threshold in that range gives one verdict.  The other rows (|sigma_q|
+    in the band's annulus) go through the eigensolver.
+    """
+    M = np.asarray(M, dtype=float)
+    p = spec.p
+    sigmas = matrix_sigmas(M)
+    sig = sigmas[..., 1 : p + 1]
+    q = np.arange(1, p + 1)
+    power = np.sqrt(np.einsum("...jk,...jk->...", M, M))[..., None] ** q
+    lo = ZERO_BAND * np.maximum(1.0, power / np.sqrt(spec.n) ** q)
+    hi = ZERO_BAND * np.maximum(1.0, power)
+    slack = MINOR_ROUNDING * power
+    size = np.abs(sig)
+    decided = np.all((size < lo - slack) | (size > hi + slack), axis=-1)
+    codes = _region_codes(sig, hi)
+    if not np.all(decided):
+        codes[~decided] = classify_batch(jacobi_eigh(M[~decided]), spec)
+    return codes, sigmas
 
 
 def eigs(pencil):
@@ -198,21 +305,22 @@ class LinearizationField:
 def linearization(p, g_inv, B):
     """F^{jk} = d sigma_p^{1/p}(lam(g_inv, .)) / d b_jk at B.
 
-    Reduce with the Cholesky congruence g_inv = P^T P, diagonalize
-    P B P^T = Q D Q^T, and pull the diagonal-frame derivative back through
-    S = Q^T P: F = S^T G S.  Requires lam in the open cone; positive
-    definiteness of F is asserted before returning.
+    Reduce with the Cholesky congruence g_inv = P^T P; the gradient of
+    sigma_p^{1/p}(lam(M)) at M = P B P^T is (1/p) sigma_p^{1/p-1} T_{p-1}(M)
+    (newton_tensor), pulled back as F = P^T (.) P.  Requires lam in the open
+    cone; positive definiteness of F is asserted before returning.
     """
     g_inv = _check_symmetric(g_inv)
     B = _check_symmetric(B)
     n = g_inv.shape[-1]
-    L = _cholesky_spd(g_inv)
-    P = L.T
-    mu, Q = jacobi_eigh(P @ B @ P.T, vectors=True)
-    require_cone(mu, ConeSpec(n, p), "lam(g_inv, B)")
-    _, G = sigma_root_grad(p, mu)
-    S = Q.T @ P
-    F = S.T @ (G[:, None] * S)
+    spec = ConeSpec(n, p)
+    P = _cholesky_spd(g_inv).T
+    M = P @ B @ P.T
+    code, sigmas = classify_matrices(M, spec)
+    if code != 2:
+        require_cone(jacobi_eigh(M), spec, "lam(g_inv, B)")
+    T = newton_tensor(M, sigmas, p - 1)
+    F = P.T @ ((1.0 / p) * sigmas[p] ** (1.0 / p - 1.0) * T) @ P
     F = 0.5 * (F + F.T)
     _cholesky_spd(F)  # minors strictly positive inside the cone => F > 0
     return LinearizationField(F, float(np.trace(F)))

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, classify_batch, require_cone
+from .cone import ConeSpec, require_cone
 from .errors import ConstructionError, VerificationError
 from .solver import ball_grid, box_grad_hess
-from .spectral import jacobi_eigh
+from .spectral import classify_matrices, jacobi_eigh
 from .symfun import (
     _as_values,
     sigma,
@@ -106,16 +106,14 @@ class SubsolutionResult:
 
 
 def _require_cone(hess, mask, p, message, closed=False):
-    """Eigenvalues of the Hessian field (n,n)+shape at the masked nodes;
+    """matrix_sigmas of the Hessians (m, n, n) at the masked nodes;
     ConstructionError naming the first node whose eigenvalues leave the
     open cone (the closed cone when closed)."""
-    n = hess.shape[0]
-    lam = jacobi_eigh(np.moveaxis(hess.reshape(n, n, -1), -1, 0)[mask])
-    codes = classify_batch(lam, ConeSpec(n, p))
+    codes, sigmas = classify_matrices(hess, ConeSpec(hess.shape[-1], p))
     bad = codes == 0 if closed else codes != 2
     if np.any(bad):
         raise ConstructionError(message, node=int(np.flatnonzero(mask)[np.argmax(bad)]))
-    return lam
+    return sigmas
 
 
 def construct(problem):
@@ -125,7 +123,9 @@ def construct(problem):
     deleted minor sigma_{p-1}(lam|n), the majorant constants C1 (max of
     phi_tilde(x, psi)) and C2 (1 + max|Dpsi| + max|psi|^alpha), picks A
     and B by the p >= 2 or p = 1 branch, and reports the worst slack of
-    the target differential inequality over the trusted nodes.
+    the target differential inequality over the trusted nodes.  Cone
+    checks and sigma values come from principal minors; only eps2 (p >= 2)
+    needs the eigenvalues of D^2 u.
     """
     n, p, alpha = problem.n, problem.p, problem.alpha
     pts, dist, h = ball_grid(problem.radius, problem.resolution, n)
@@ -136,22 +136,25 @@ def construct(problem):
     u = problem.u(pts).reshape(shape)
     psi = problem.psi(pts).reshape(shape)
 
-    du, d2u = box_grad_hess(u, h)
-    dpsi, d2psi = box_grad_hess(psi, h)
-
-    lam_u = _require_cone(
+    du, d2u = box_grad_hess(u, h, in_ball)
+    sig_u = _require_cone(
         d2u, in_ball, p, "defining function u is not admissible at a grid node"
     )
     if np.any(u.ravel()[in_ball & (dist < problem.radius - h)] >= 0):
         raise ConstructionError("u must be negative inside the ball")
 
-    eps1 = float(np.min(sigma(p, lam_u)))
-    eps2 = float(np.min(sigma(p - 1, lam_u[:, : n - 1]))) if n > 1 else 1.0
+    eps1 = float(np.min(sig_u[:, p]))
+    eps2 = 1.0
+    if n > 1 and p > 1:
+        eps2 = float(np.min(sigma(p - 1, jacobi_eigh(d2u)[:, : n - 1])))
+    del d2u, sig_u
 
+    dpsi, d2psi = box_grad_hess(psi, h, in_ball)
     _require_cone(
         d2psi, in_ball, p,
         "extension psi leaves the closed cone at a grid node", closed=True,
     )
+    del d2psi
 
     psi_flat = psi.ravel()[in_ball]
     dpsi_norm = np.linalg.norm(dpsi.reshape(n, -1), axis=0)[in_ball]
@@ -174,14 +177,15 @@ def construct(problem):
         ) ** (1.0 / (1.0 - alpha))
 
     v = psi + A * (np.exp(B * u) - 1.0)
-    dv, d2v = box_grad_hess(v, h)
-    lam_v = _require_cone(
+    dv, d2v = box_grad_hess(v, h, trusted)
+    sig_v = _require_cone(
         d2v, trusted, p, "constructed v loses admissibility at a grid node"
     )
+    del d2v
 
     v_flat = v.ravel()[trusted]
     dv_norm = np.linalg.norm(dv.reshape(n, -1), axis=0)[trusted]
-    lhs = sigma(p, lam_v) ** (1.0 / p)
+    lhs = sig_v[:, p] ** (1.0 / p)
     rhs = problem.phi_tilde(pts[trusted], v_flat) * (
         1.0 + dv_norm + np.abs(v_flat) ** alpha
     )
@@ -230,12 +234,15 @@ def _level_crossing(base, xi, p, a):
 
 
 def key_lemma_check(cfg, directions=10**4, seed=0):
-    """(lhs, rhs, hypothesis_ok) of the key lemma at cfg with f = sigma_p^{1/p}.
+    """(lhs, rhs, hypothesis_ok, escape) of the key lemma at cfg with
+    f = sigma_p^{1/p}.
 
     hypothesis_ok iff, on random rays from mu - delta*1 into the positive
     orthant, every crossing of the level set {sigma_p^{1/p} = a} (t clamped
     at 0) lies in the ball of radius R; it certifies the sampled rays only.
-    lhs >= rhs is guaranteed by the lemma whenever the hypothesis holds.
+    escape is None then, and otherwise (index, norm) of the first sampled
+    crossing outside the ball.  lhs >= rhs is guaranteed by the lemma
+    whenever the hypothesis holds.
     """
     mu = _as_values(cfg.mu)
     nu = _as_values(cfg.nu)
@@ -255,8 +262,11 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
     xi = rng.uniform(0.0, 1.0, (directions, cfg.n)) + 1e-3
     xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
     t = np.maximum(_level_crossing(base, xi, cfg.p, cfg.a), 0.0)
-    crossings = base + t[:, None] * xi
-    return lhs, rhs, bool(np.all(np.linalg.norm(crossings, axis=-1) < cfg.R))
+    norms = np.linalg.norm(base + t[:, None] * xi, axis=-1)
+    outside = np.flatnonzero(~(norms < cfg.R))
+    if len(outside) == 0:
+        return lhs, rhs, True, None
+    return lhs, rhs, False, (int(outside[0]), float(norms[outside[0]]))
 
 
 def matrix_form_sides(p, delta, R, a, C, D):

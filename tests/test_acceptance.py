@@ -367,7 +367,7 @@ def test_06_key_lemma():
             n=n, p=p, delta=rng.uniform(0.1, 1.0), R=60.0,
             a=rng.uniform(0.5, 2.0), mu=rng.uniform(-1.0, 4.0, n), nu=nu,
         )
-        lhs, rhs, ok = key_lemma_check(cfg, directions=2000, seed=attempts)
+        lhs, rhs, ok, _ = key_lemma_check(cfg, directions=2000, seed=attempts)
         if not ok:
             continue
         verified += 1

@@ -110,6 +110,23 @@ def test_concavity_fuzz_bad_large_mode_input_is_usage_error(tmp_path, extra):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mode", "theorem", "--tau", "0.9"),
+    ("--mode", "theorem"),                           # default tau 0
+    ("--mode", "theorem", "--n", "1", "--tau", "0.25"),
+    ("--mode", "theorem", "--tau", "0.25", "--eps", "0"),
+    ("--mode", "small_mu1", "--p", "9"),
+    ("--mode", "small_mu1", "--p", "2", "--tau", "0.75"),
+    ("--mode", "small_mu1", "--p", "0", "--tau", "0.25"),
+])
+def test_concavity_fuzz_bad_exploratory_input_is_usage_error(tmp_path, argv):
+    proc, out = run_subprocess(tmp_path, "concavity-fuzz", *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("concavity-fuzz: ")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
 def test_concavity_fuzz_exploratory_mode_never_fails(tmp_path):
     status, rep = run(
         tmp_path, "cfe.json", "concavity-fuzz", "--mode", "theorem",
@@ -150,7 +167,25 @@ def test_key_lemma(tmp_path):
     assert status == 0
     assert rep["results"]["verified"] > 0
     assert rep["results"]["verified"] + rep["results"]["hypothesis_failed"] == 30
+    assert (rep["results"]["first_failure"] is None) == (
+        rep["results"]["hypothesis_failed"] == 0
+    )
     assert rep["results"]["min_slack"] >= -1e-9
+
+
+def test_key_lemma_reports_first_failure(tmp_path):
+    # R = 1 is far inside the level sets of these cases, so rays escape
+    status, rep = run(
+        tmp_path, "klf.json", "key-lemma", "--n", "3", "--p", "2",
+        "--trials", "5", "--R", "1", "--directions", "50", "--seed", "0",
+    )
+    assert status == 0
+    res = rep["results"]
+    assert res["hypothesis_failed"] > 0
+    first = res["first_failure"]
+    assert set(first) == {"case", "direction", "norm"}
+    assert 0 <= first["case"] < 5 and 0 <= first["direction"] < 50
+    assert first["norm"] >= 1.0
 
 
 def test_solve_manufactured(tmp_path):
@@ -165,6 +200,8 @@ def test_solve_manufactured(tmp_path):
     for rec in rep["results"]["trace"]:
         assert 0 < rec["krylov_iters"] <= 40
         assert rec["backtracks"] == 0
+        assert 0.0 < rec["linear_residual"] <= 1e-8
+        assert rec["admissibility_margin"] > 0.0
     sol = load_grid_csv(sol_path)
     assert sol.grid.sizes == (32, 32)
 
@@ -244,6 +281,22 @@ def test_pseudo_check_clean(tmp_path):
     )
     assert status == 0
     assert rep["results"]["worst_super_slack"] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_import_skips_sparse_linalg():
+    # only newton_solve needs scipy.sparse.linalg; it imports it on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, phessian.cli; "
+         "print('scipy.sparse.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_unknown_subcommand_is_usage_error():

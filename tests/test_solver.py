@@ -113,6 +113,26 @@ class TestResidual:
         with pytest.raises(AdmissibilityError):
             residual_field(u, spec)
 
+    def test_admissibility_names_first_bad_node_and_its_eigenvalues(self):
+        # oracle: eigvalsh + classify_batch over every node of c I + D^2 u
+        from phessian.cone import ConeSpec, classify_batch
+
+        grid = TorusGrid((16, 16))
+        x1, x2 = grid.meshgrid()
+        u = GridFn(grid, 0.6 * np.cos(x1) * np.cos(2 * x2))
+        spec = EquationSpec(p=2, A_field=("conformal", 1.0), rhs=("constant", 1.0))
+        B = np.eye(2) + np.moveaxis(periodic_hess(u.values, grid.h), (0, 1), (-2, -1))
+        lam = np.linalg.eigvalsh(B.reshape(-1, 2, 2))
+        bad = np.flatnonzero(classify_batch(lam, ConeSpec(2, 2)) != 2)
+        assert 0 < len(bad) < lam.shape[0]
+        ok, report = admissible(u, spec)
+        assert not ok
+        assert report["node"] == np.unravel_index(bad[0], grid.sizes)
+        np.testing.assert_array_equal(report["lam"], lam[bad[0]])
+        with pytest.raises(AdmissibilityError) as exc:
+            residual_field(u, spec)
+        assert exc.value.node == report["node"]
+
     def test_admissible_manufactured(self):
         spec, grid, ustar = manufactured_problem(32)
         ok, report = admissible(ustar, spec)
@@ -169,7 +189,13 @@ class TestNewton:
         assert len(trace) == 1
         assert set(trace[0]) == {
             "iter", "residual", "raw_residual", "step", "krylov_iters", "backtracks",
+            "linear_residual", "admissibility_margin",
         }
+        # lgmres stops once |b - J s| <= krylov_rtol |b| (default 1e-8)
+        assert 0.0 < trace[0]["linear_residual"] <= 1e-8
+        # at u* = a cos x1 cos x2 the smallest sigma_2(lam(I + D^2 u*)) is
+        # (1 - a)^2 = 0.64 (a = 0.2); one Newton step from a 5% bump is close
+        assert 0.6 < trace[0]["admissibility_margin"] < 0.7
 
     def test_line_search_stall_names_residual_and_tol(self):
         # 1e-16 lies below the 32^2 stencils' rounding floor (~1e-15)
@@ -412,6 +438,29 @@ class TestAlexandrov:
         assert unit_ball_volume(3) == pytest.approx(4.0 * np.pi / 3.0)
 
 
+@pytest.mark.parametrize("sizes, p", [
+    ((16, 16), 1), ((16, 16), 2), ((8, 8, 8), 1), ((8, 8, 8), 2), ((8, 8, 8), 3),
+])
+def test_linearization_F_matches_eigh_assembly(sizes, p):
+    # F = (1/p) sigma_p^{1/p-1} T_{p-1}(B) against Q diag(df/dlam) Q^T
+    from phessian.solver import _linearization_data
+    from phessian.symfun import sigma_root_grad
+
+    grid = TorusGrid(sizes)
+    mesh = grid.meshgrid()
+    u = GridFn(grid, 0.1 * np.cos(mesh[0]) * np.sin(mesh[1] + mesh[-1]))
+    spec = EquationSpec(p=p, A_field=("conformal", 1.0), rhs=("constant", 1.0))
+    _, F, _, _, _, margin = _linearization_data(u, spec)
+    d = grid.d
+    B = np.eye(d) + np.moveaxis(periodic_hess(u.values, grid.h), (0, 1), (-2, -1))
+    w, Q = np.linalg.eigh(B.reshape(-1, d, d))
+    _, g = sigma_root_grad(p, w)
+    ref = np.einsum("njk,nk,nlk->njl", Q, g, Q)
+    err = np.abs(F.reshape(-1, d, d) - ref) / np.max(np.abs(ref), axis=(1, 2))[:, None, None]
+    assert np.max(err) <= 1e-10
+    assert margin == pytest.approx(np.min(sigma(p, w)), rel=1e-12)
+
+
 class TestCatalogDerivatives:
     """The analytic t/alpha derivatives of the catalog entries must match
     a directional finite difference of the full residual."""
@@ -422,7 +471,7 @@ class TestCatalogDerivatives:
         grid = u.grid
         rng = np.random.default_rng(seed)
         s = smooth_bump(grid, rng, 1.0)
-        _, F, G, H, _ = _linearization_data(u, spec)
+        _, F, G, H, _, _ = _linearization_data(u, spec)
         js = _apply_jacobian(s, F, G, H, grid.h)
         eps = 1e-6
         rp = residual_field(GridFn(grid, u.values + eps * s), spec).values

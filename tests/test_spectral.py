@@ -1,21 +1,28 @@
 """Tests for pencil eigenvalues, derivative formulas, and matrix concavity."""
 
 import unittest
+from unittest import mock
 
 import numpy as np
 
+from phessian import spectral
+from phessian.cone import ZERO_BAND, ConeSpec, classify_batch, sample_admissible
 from phessian.errors import AdmissibilityError, DegenerateSpectrumError
 from phessian.spectral import (
+    MINOR_ROUNDING,
     Pencil,
+    classify_matrices,
     eigs,
     jacobi_eigh,
     linearization,
+    matrix_sigmas,
     midpoint_concavity_check,
+    newton_tensor,
     schur_horn_check,
     spectral_derivs,
     weyl_check,
 )
-from phessian.symfun import sigma
+from phessian.symfun import sigma, sigma_all, sigma_root_grad
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -129,6 +136,171 @@ class TestJacobi(unittest.TestCase):
                 )
                 got = sigma(k, lam)
                 assert abs(got - minors) <= 1e-10 * max(1.0, abs(minors)), (n, k)
+
+
+def rotate(rng, lam):
+    """Q diag(lam) Q^T for a random orthogonal Q, symmetrized."""
+    Q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+    M = Q @ np.diag(lam) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def with_sigma(head, p, target):
+    """head plus one last entry x with sigma_p(head, x) = target:
+    sigma_p(head, x) = sigma_p(head) + x sigma_{p-1}(head)."""
+    x = (target - sigma(p, head)) / sigma(p - 1, head)
+    return np.append(head, x)
+
+
+def band_range(lam, p):
+    """(lo, hi, slack) per q = 1..p of classify_matrices at a matrix with
+    spectrum lam: the zero band for max|lam| anywhere in
+    [|M|_F/sqrt(d), |M|_F], and the rounding allowance."""
+    norm = np.linalg.norm(lam)
+    q = np.arange(1, p + 1)
+    lo = ZERO_BAND * max(1.0, norm / np.sqrt(len(lam))) ** q
+    hi = ZERO_BAND * max(1.0, norm) ** q
+    return lo, hi, MINOR_ROUNDING * norm**q
+
+
+class TestMinorPath(unittest.TestCase):
+    """sigma_q from principal minors, the band-aware classifier and the
+    Newton tensor, against the eigensolver as the independent oracle."""
+
+    def test_minor_sigmas_match_spectrum(self):
+        rng = np.random.default_rng(40)
+        for d in range(1, 9):
+            for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+                M = np.stack([rand_sym(rng, d, scale) for _ in range(30)])
+                lam = jacobi_eigh(M)
+                ref = sigma_all(lam)
+                got = matrix_sigmas(M)
+                unit = np.max(np.abs(lam), axis=-1)[:, None] ** np.arange(d + 1)
+                self.assertLessEqual(np.max(np.abs(got - ref) / unit), 1e-12, (d, scale))
+                for i in (0, 17):
+                    single = matrix_sigmas(M[i])
+                    self.assertEqual(single.shape, (d + 1,))
+                    np.testing.assert_allclose(single, got[i], rtol=0, atol=1e-14 * unit[i].max())
+
+    def test_minor_sigmas_hand_cases(self):
+        M = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, -1.0], [0.0, -1.0, 4.0]])
+        # sigma_2: 6 - 1 + 8 + 12 - 1 = 24; det: 2*11 - 1*4 = 18
+        np.testing.assert_allclose(matrix_sigmas(M), [1.0, 9.0, 24.0, 18.0])
+        np.testing.assert_array_equal(matrix_sigmas(np.zeros((5, 4, 4))), np.eye(1, 5).repeat(5, 0))
+        np.testing.assert_allclose(matrix_sigmas(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])),
+                                   [1.0, 15.0, 85.0, 225.0, 274.0, 120.0])
+
+    def fuzz_batch(self, rng, d, p):
+        """Random, zero, rank-deficient, boundary and band-annulus rows."""
+        rows = [rand_sym(rng, d, s) for s in (1e-6, 1e-2, 1.0, 1e2, 1e6) for _ in range(8)]
+        rows += [np.zeros((d, d))] * 3
+        for r in range(d):
+            G = rng.normal(size=(d, r)) * rng.choice([1e-3, 1.0, 1e3])
+            rows.append(G @ G.T)
+            rows.append(-G @ G.T)
+        for scale in (1e-3, 1.0, 1e3):
+            head = scale * rng.uniform(1.0, 2.0, d - 1)
+            if d > 1:
+                rows.append(rotate(rng, with_sigma(head, p, 0.0)))   # on the boundary
+                lam = with_sigma(head, p, 0.0)
+                lo, hi, _ = band_range(lam, p)
+                rows.append(rotate(rng, with_sigma(head, p, 0.5 * (lo[-1] + hi[-1]))))
+                rows.append(rotate(rng, with_sigma(head, p, -0.5 * (lo[-1] + hi[-1]))))
+            rows.append(rotate(rng, scale * sample_admissible(d, p, 1, rng)[0]))
+        return np.stack(rows)
+
+    def test_classifier_matches_eigen_path(self):
+        rng = np.random.default_rng(41)
+        for d in range(1, 7):
+            for p in range(1, d + 1):
+                M = self.fuzz_batch(rng, d, p)
+                codes, sigmas = classify_matrices(M, ConeSpec(d, p))
+                ref = classify_batch(jacobi_eigh(M), ConeSpec(d, p))
+                np.testing.assert_array_equal(codes, ref, err_msg=f"d={d} p={p}")
+                np.testing.assert_array_equal(sigmas, matrix_sigmas(M))
+                single = [int(classify_matrices(m, ConeSpec(d, p))[0]) for m in M]
+                np.testing.assert_array_equal(single, ref)
+
+    def fallback_rows(self, M, spec):
+        """classify_matrices(M, spec) plus the matrices it sent through the
+        eigensolver."""
+        seen = []
+
+        def record(A, vectors=False):
+            seen.append(np.array(A))
+            return jacobi_eigh(A, vectors)
+
+        with mock.patch.object(spectral, "jacobi_eigh", record):
+            codes, _ = classify_matrices(M, spec)
+        self.assertLessEqual(len(seen), 1)
+        return codes, (seen[0] if seen else np.empty((0,) + M.shape[1:]))
+
+    def test_annulus_rows_take_the_fallback(self):
+        rng = np.random.default_rng(42)
+        for d, p in ((2, 2), (3, 2), (3, 3), (4, 2), (5, 4)):
+            spec = ConeSpec(d, p)
+            rows, annulus = [], []
+            for scale in (1e-2, 1.0, 30.0, 1e3):
+                head = scale * rng.uniform(1.0, 2.0, d - 1)
+                lo, hi, slack = band_range(with_sigma(head, p, 0.0), p)
+                targets = {
+                    # inside the band's range of thresholds
+                    0.5 * (lo[-1] + hi[-1]): True,
+                    -0.5 * (lo[-1] + hi[-1]): True,
+                    # outside it, but within the rounding allowance
+                    hi[-1] + 0.5 * slack[-1]: True,
+                    # below it: decided as zero unless within the allowance
+                    0.5 * lo[-1]: lo[-1] - slack[-1] < 0.5 * lo[-1],
+                    # clear of both
+                    1e3 * (hi[-1] + slack[-1]): False,
+                    -1e3 * (hi[-1] + slack[-1]): False,
+                }
+                for target, expect in targets.items():
+                    rows.append(rotate(rng, with_sigma(head, p, target)))
+                    annulus.append(expect)
+            rows.append(np.eye(d))
+            rows.append(np.zeros((d, d)))
+            annulus += [False, False]
+            M = np.stack(rows)
+            codes, seen = self.fallback_rows(M, spec)
+            np.testing.assert_array_equal(seen, M[np.array(annulus)], err_msg=f"d={d} p={p}")
+            np.testing.assert_array_equal(codes, classify_batch(jacobi_eigh(M), spec))
+
+    def test_zero_matrix_is_boundary_without_eigensolve(self):
+        for d in range(1, 6):
+            for p in range(1, d + 1):
+                codes, seen = self.fallback_rows(np.zeros((7, d, d)), ConeSpec(d, p))
+                np.testing.assert_array_equal(codes, 1)
+                self.assertEqual(len(seen), 0)
+
+    def test_newton_tensor_matches_eigh_assembly(self):
+        # F = (1/p) sigma_p^{1/p-1} T_{p-1}(M) against Q diag(df/dlam) Q^T
+        rng = np.random.default_rng(43)
+        for d in range(1, 9):
+            for p in range(1, d + 1):
+                lam = sample_admissible(d, p, 20, rng) * rng.choice([1e-3, 1.0, 1e3])
+                M = np.stack([rotate(rng, row) for row in lam])
+                sig = matrix_sigmas(M)
+                T = newton_tensor(M, sig, p - 1)
+                F = (1.0 / p) * sig[:, p, None, None] ** (1.0 / p - 1.0) * T
+                w, Q = np.linalg.eigh(M)
+                _, g = sigma_root_grad(p, w)
+                ref = np.einsum("njk,nk,nlk->njl", Q, g, Q)
+                scale = np.max(np.abs(ref), axis=(1, 2))[:, None, None]
+                self.assertLessEqual(np.max(np.abs(F - ref) / scale), 1e-10, (d, p))
+                np.testing.assert_allclose(
+                    newton_tensor(M[3], sig[3], p - 1), T[3],
+                    rtol=0, atol=1e-14 * np.abs(T[3]).max(),
+                )
+
+    def test_newton_tensor_hand_case(self):
+        M = np.diag([1.0, 2.0, 3.0])
+        sig = matrix_sigmas(M)
+        # T_k(diag(lam)) = diag(sigma_k(lam|j))
+        np.testing.assert_array_equal(newton_tensor(M, sig, 0), np.eye(3))
+        np.testing.assert_allclose(newton_tensor(M, sig, 1), np.diag([5.0, 4.0, 3.0]))
+        np.testing.assert_allclose(newton_tensor(M, sig, 2), np.diag([6.0, 3.0, 2.0]))
+        np.testing.assert_allclose(newton_tensor(M, sig, 3), np.zeros((3, 3)), atol=1e-12)
 
 
 class TestWeyl(unittest.TestCase):

@@ -127,12 +127,40 @@ def test_key_lemma_hand_case():
         n=3, p=1, delta=0.5, R=5.0, a=2.0,
         mu=np.array([2.0, 2.0, 2.0]), nu=np.array([1.0, 1.0, 1.0]),
     )
-    lhs, rhs, ok = key_lemma_check(cfg, directions=2000)
+    lhs, rhs, ok, _ = key_lemma_check(cfg, directions=2000)
     assert lhs == pytest.approx(3.0, abs=1e-12)
     shift = np.linalg.norm(np.array([1.5, 1.5, 1.5]))
     assert rhs == pytest.approx(0.5 * 3 - (5.0 + shift) + 2.0 - 3.0, abs=1e-12)
     assert ok
     assert lhs >= rhs
+
+
+def test_key_lemma_names_first_escaping_crossing():
+    # p = 1: sigma_1 is linear, so the crossing of {sigma_1 = a} on the ray
+    # base + t xi is t = (a - sum(base)) / sum(xi), clamped at 0
+    n, directions, seed = 3, 400, 5
+    cfg = KeyLemmaConfig(
+        n=n, p=1, delta=0.5, R=1.0, a=6.0,
+        mu=np.array([0.5, 1.0, 1.5]), nu=np.ones(n),
+    )
+    base = cfg.mu - cfg.delta
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.0, 1.0, (directions, n)) + 1e-3
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    t = np.maximum((cfg.a - base.sum()) / xi.sum(axis=-1), 0.0)
+    norms = np.linalg.norm(base + t[:, None] * xi, axis=-1)
+    # a radius between the oracle's crossing norms: some rays stay inside
+    R = float(np.median(norms))
+    first = int(np.argmax(norms >= R))
+    assert first > 0
+    cfg = KeyLemmaConfig(n=n, p=1, delta=cfg.delta, R=R, a=cfg.a, mu=cfg.mu, nu=cfg.nu)
+    _, _, ok, escape = key_lemma_check(cfg, directions=directions, seed=seed)
+    assert not ok
+    assert escape[0] == first
+    assert escape[1] == pytest.approx(norms[first], rel=1e-12)
+    big = KeyLemmaConfig(n=n, p=1, delta=cfg.delta, R=2.0 * norms.max(),
+                         a=cfg.a, mu=cfg.mu, nu=cfg.nu)
+    assert key_lemma_check(big, directions=directions, seed=seed)[2:] == (True, None)
 
 
 def test_key_lemma_trivial_shift_case():
@@ -142,7 +170,7 @@ def test_key_lemma_trivial_shift_case():
         n=3, p=2, delta=delta, R=30.0, a=float(sigma(2, nu) ** 0.5),
         mu=nu + delta, nu=nu,
     )
-    lhs, rhs, ok = key_lemma_check(cfg, directions=2000)
+    lhs, rhs, ok, _ = key_lemma_check(cfg, directions=2000)
     # lhs = delta * sum(grad); rhs subtracts a nonnegative R-term from it
     assert lhs >= rhs
 
@@ -161,7 +189,7 @@ def test_key_lemma_random_configs():
             n=n, p=p, delta=rng.uniform(0.1, 1.0), R=60.0, a=a,
             mu=mu, nu=nu,
         )
-        lhs, rhs, ok = key_lemma_check(cfg, directions=500, seed=done)
+        lhs, rhs, ok, _ = key_lemma_check(cfg, directions=500, seed=done)
         if not ok:
             continue
         done += 1
@@ -186,7 +214,7 @@ def test_matrix_form_matches_vector_on_diagonals():
         delta, R, a = 0.4, 40.0, 1.0
         mlhs, mrhs = matrix_form_sides(p, delta, R, a, np.diag(mu), np.diag(nu))
         cfg = KeyLemmaConfig(n=n, p=p, delta=delta, R=R, a=a, mu=mu, nu=nu)
-        vlhs, vrhs, _ = key_lemma_check(cfg, directions=1)
+        vlhs, vrhs, _, _ = key_lemma_check(cfg, directions=1)
         assert mlhs == pytest.approx(vlhs, abs=1e-9)
         assert mrhs == pytest.approx(vrhs, abs=1e-9)
 
