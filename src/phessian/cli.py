@@ -157,37 +157,44 @@ def cmd_identities(args):
     return results, violation
 
 
+def _require_sweep(name, args):
+    """Usage error unless 1 <= p <= n and trials >= 1."""
+    if not 1 <= args.p <= args.n:
+        raise _UsageError(f"{name}: need 1 <= p <= n, got p={args.p}, n={args.n}")
+    if args.trials < 1:
+        raise _UsageError(f"{name}: --trials must be at least 1")
+
+
 RATIO_KEYS = ("ratio_minor_constant", "ratio_mu1_constant")
 
 
 @_subcommand("cone", tol=1e-10)
 def cmd_cone(args):
+    _require_sweep("cone", args)
     spec = ConeSpec(args.n, args.p)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     samples = np.sort(sample_admissible(args.n, args.p, args.trials, rng), axis=1)
-    mac_worst = np.inf
-    strict_worst = {}
-    ratios = {k: 0.0 for k in RATIO_KEYS}
+    mac = np.min(list(maclaurin_report(samples, spec).values()), axis=0)
+    # per sample, the events in the order they are reported: the Maclaurin
+    # slack first, then each strict technical key
+    events = [("maclaurin", mac, mac < -args.tol)]
+    ratios = {}
+    if args.p >= 2:
+        for k, v in tech_ineq_report(samples, spec).items():
+            if k in RATIO_KEYS:
+                ratios[k] = max(0.0, float(np.max(v)))
+            else:
+                events.append((k, v, v <= 0))
     violation = None
-    for mu in samples:
-        mac = maclaurin_report(mu, spec)
-        m = min(mac.values())
-        mac_worst = min(mac_worst, m)
-        if m < -args.tol and violation is None:
-            violation = {"kind": "maclaurin", "mu": mu, "slack": m}
-        if args.p >= 2:
-            tech = tech_ineq_report(mu, spec)
-            for k, v in tech.items():
-                if k in RATIO_KEYS:
-                    ratios[k] = max(ratios[k], v)
-                else:
-                    strict_worst[k] = min(strict_worst.get(k, np.inf), v)
-                    if v <= 0 and violation is None:
-                        violation = {"kind": k, "mu": mu, "slack": v}
+    failing = np.any([hit for _, _, hit in events], axis=0)
+    if np.any(failing):
+        i = int(np.argmax(failing))
+        kind, slack, _ = next(e for e in events if e[2][i])
+        violation = {"kind": kind, "mu": samples[i], "slack": slack[i]}
     results = {
-        "maclaurin_min_slack": mac_worst,
-        "technical_min_slacks": dict(sorted(strict_worst.items())),
-        "empirical_constants": ratios if args.p >= 2 else {},
+        "maclaurin_min_slack": float(np.min(mac)),
+        "technical_min_slacks": {k: float(np.min(v)) for k, v, _ in events[1:]},
+        "empirical_constants": ratios,
     }
     return results, violation
 
@@ -323,6 +330,7 @@ def cmd_subsolution(args):
 
 @_subcommand("key-lemma", tol=-1e-9)
 def cmd_key_lemma(args):
+    _require_sweep("key-lemma", args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     verified = 0
     failed = 0

@@ -6,13 +6,14 @@ One classifier decides every region test, so classify, classify_batch,
 require_cone, cone_distance and sample_admissible agree verdict for verdict.
 """
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .errors import AdmissibilityError
-from .symfun import _as_values, sigma, sigma_all, sigma_minors
+from .symfun import _as_values, sigma_all, sigma_minors
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -80,12 +81,16 @@ def classify_batch(mu, spec):
 
 def require_cone(mu, spec, name="mu", closed=False):
     """Raise AdmissibilityError unless mu lies in the open cone (the closed
-    cone when closed)."""
-    region = classify(mu, spec).region
-    if region == OUTSIDE or (region == BOUNDARY and not closed):
+    cone when closed).  Batched: the error names the first row that fails."""
+    mu = _as_values(mu)
+    if mu.shape[-1] != spec.n:
+        raise ValueError(f"expected a vector of length {spec.n}")
+    bad = classify_batch(mu, spec) < (1 if closed else 2)
+    if np.any(bad):
+        row = mu[np.unravel_index(np.argmax(bad), bad.shape)]
         kind = "closed" if closed else "open"
         raise AdmissibilityError(
-            f"{name} = {mu} is not in the {kind} cone of order {spec.p}", lam=mu
+            f"{name} = {row} is not in the {kind} cone of order {spec.p}", lam=row
         )
 
 
@@ -112,6 +117,20 @@ def cone_distance(mu, spec):
         lo = np.where(active & ~ok, mid, lo)
 
 
+def _batch_of_one(report):
+    """Run a batched report on a single vector as a batch of one, so a
+    single vector's floats equal its row in any batch bit for bit."""
+
+    def run(mu, spec):
+        mu = _as_values(mu)
+        if mu.ndim > 1:
+            return report(mu, spec)
+        return {k: float(v[0]) for k, v in report(mu[None], spec).items()}
+
+    return functools.wraps(report)(run)
+
+
+@_batch_of_one
 def maclaurin_report(mu, spec):
     """Slacks of the generalized Newton-Maclaurin family.
 
@@ -121,71 +140,72 @@ def maclaurin_report(mu, spec):
         (sigma_j / C(n,j)) / (sigma_k / C(n,k))
             <= [ (sigma_l / C(n,l)) / (sigma_m / C(n,m)) ]^{(j-k)/(l-m)}.
 
-    Precondition: mu in the open cone.
+    Batched: a key maps to a float for a single vector and to an array over
+    the batch otherwise.  Precondition: every row in the open cone.
     """
-    mu = _as_values(mu)
     n, p = spec.n, spec.p
     require_cone(mu, spec)
-    sigs = sigma_all(mu)
-    norm = np.array([sigs[q] / comb(n, q) for q in range(min(n, p + 1) + 1)])
+    top = min(n, p + 1)
+    norm = sigma_all(mu)[..., : top + 1] / [comb(n, q) for q in range(top + 1)]
     out = {}
-    for j in range(1, min(p + 1, n) + 1):
+    for j in range(1, top + 1):
         for k in range(0, j):
+            lhs = norm[..., j] / norm[..., k]
             for l in range(1, min(j, p) + 1):
                 for m in range(0, min(l, k + 1)):
-                    lhs = norm[j] / norm[k]
-                    rhs = (norm[l] / norm[m]) ** ((j - k) / (l - m))
+                    rhs = (norm[..., l] / norm[..., m]) ** ((j - k) / (l - m))
                     out[(j, k, l, m)] = rhs - lhs
     return out
 
 
+@_batch_of_one
 def tech_ineq_report(mu, spec):
     """Slack/ratio report for the technical inequalities at sorted admissible mu.
 
     Strict inequalities are reported as slacks (must be > 0 or >= 0); the two
     inequalities whose constants are only known to exist are reported as
-    realized ratios so callers can track empirical suprema.
-    Precondition: mu sorted ascending, p >= 2, mu in the open cone.
+    realized ratios so callers can track empirical suprema.  Batched like
+    maclaurin_report.
+    Precondition: every row sorted ascending, p >= 2, every row in the open
+    cone.
     """
-    mu = _as_values(mu)
     n, p = spec.n, spec.p
     if p < 2:
         raise ValueError("technical inequalities need p >= 2")
-    if np.any(np.diff(mu) < 0):
+    if np.any(np.diff(mu, axis=-1) < 0):
         raise ValueError("mu must be sorted ascending")
     require_cone(mu, spec)
 
     sigs = sigma_all(mu)
-    sp, spm1 = sigs[p], sigs[p - 1]
+    sp, spm1 = sigs[..., p], sigs[..., p - 1]
+    spp1 = sigs[..., p + 1] if p < n else np.zeros_like(sp)
     minors = sigma_minors(p - 1, mu)
 
     out = {}
-    out["partial_sum"] = float(np.sum(mu[: n - p + 1]))
-    out["top_spread"] = float((n - p) * mu[n - p] + mu[0])
-    out["min_entry"] = float(
-        mu[0] + (n - p) / (p * (n - 1)) * np.sum(mu[1:])
+    out["partial_sum"] = np.sum(mu[..., : n - p + 1], axis=-1)
+    out["top_spread"] = (n - p) * mu[..., n - p] + mu[..., 0]
+    out["min_entry"] = mu[..., 0] + (n - p) / (p * (n - 1)) * np.sum(
+        mu[..., 1:], axis=-1
     )
-    out["sigma_pm1_lower"] = float(spm1 - np.prod(mu[n - p + 1 :]))
-    out["minor_chain_min_gap"] = float(np.min(-np.diff(minors)))
-    out["minor_positive"] = float(minors[-1])
-    out["top_minor"] = float(mu[-1] * minors[-1] - p / n * sp)
+    out["sigma_pm1_lower"] = spm1 - np.prod(mu[..., n - p + 1 :], axis=-1)
+    out["minor_chain_min_gap"] = np.min(-np.diff(minors, axis=-1), axis=-1)
+    out["minor_positive"] = minors[..., -1]
+    out["top_minor"] = mu[..., -1] * minors[..., -1] - p / n * sp
 
     pref = sp ** (1.0 / p - 1.0)
-    terms = pref * minors / p
-    out["trace_lower"] = float(np.sum(terms) - comb(n, p) ** (1.0 / p))
-    out["amgm_gap"] = float(np.sum(terms) - n * np.prod(terms) ** (1.0 / n))
+    terms = pref[..., None] * minors / p
+    out["trace_lower"] = np.sum(terms, axis=-1) - comb(n, p) ** (1.0 / p)
+    out["amgm_gap"] = np.sum(terms, axis=-1) - n * np.prod(terms, axis=-1) ** (
+        1.0 / n
+    )
 
     # realized constants: C such that the displayed inequality holds with
     # equality for this mu (empirical suprema are tracked by the caller)
-    out["ratio_minor_constant"] = float(
-        1.0 / (pref * minors[-1] * (pref * spm1) ** (p - 1))
+    out["ratio_minor_constant"] = 1.0 / (
+        pref * minors[..., -1] * (pref * spm1) ** (p - 1)
     )
-    if mu[0] >= 0:
-        out["ratio_mu1_constant"] = 0.0
-    else:
-        spp1 = sigma(p + 1, mu)
-        denom = max(sp ** (1.0 / p), max(-spp1, 0.0) ** (1.0 / (p + 1)))
-        out["ratio_mu1_constant"] = float(-mu[0] / denom)
+    denom = np.maximum(sp ** (1.0 / p), np.maximum(-spp1, 0.0) ** (1.0 / (p + 1)))
+    out["ratio_mu1_constant"] = np.where(mu[..., 0] >= 0, 0.0, -mu[..., 0] / denom)
     return out
 
 

@@ -158,7 +158,8 @@ def construct(problem):
 
     psi_flat = psi.ravel()[in_ball]
     dpsi_norm = np.linalg.norm(dpsi.reshape(n, -1), axis=0)[in_ball]
-    C1 = float(np.max(problem.phi_tilde(pts[in_ball], psi_flat)))
+    # a numpy scalar, so C1**p overflows to inf (rejected below) instead of raising
+    C1 = np.float64(np.max(problem.phi_tilde(pts[in_ball], psi_flat)))
     C2 = float(1.0 + np.max(dpsi_norm) + np.max(np.abs(psi_flat) ** alpha))
 
     du_norm = np.linalg.norm(du.reshape(n, -1), axis=0)
@@ -177,6 +178,10 @@ def construct(problem):
         ) ** (1.0 / (1.0 - alpha))
 
     v = psi + A * (np.exp(B * u) - 1.0)
+    # the stencils at trusted nodes read v inside the ball only
+    finite_v = np.all(np.isfinite(v.ravel()[in_ball]))
+    if not (np.isfinite(A) and np.isfinite(B) and finite_v):
+        raise ConstructionError(f"the construction overflows (A = {A}, B = {B})")
     dv, d2v = box_grad_hess(v, h, trusted)
     sig_v = _require_cone(
         d2v, trusted, p, "constructed v loses admissibility at a grid node"

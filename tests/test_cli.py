@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from phessian import solver
+from phessian import cli, solver
 from phessian.cli import main
 from phessian.solver import (
     EquationSpec,
@@ -72,6 +72,67 @@ def test_cone_reports_constants(tmp_path):
     assert status == 0
     assert min(rep["results"]["technical_min_slacks"].values()) > 0
     assert rep["results"]["empirical_constants"]["ratio_minor_constant"] > 0
+
+
+def _planted(report, plants, seen):
+    """report with slacks overwritten: plants is [(key or None, row, value)],
+    None meaning one Maclaurin key; the batch it ran on goes into seen."""
+
+    def fake(mus, spec):
+        seen["mus"] = mus
+        rep = {k: np.array(v) for k, v in report(mus, spec).items()}
+        for key, row, value in plants:
+            rep[key or next(iter(rep))][row] = value
+        return rep
+
+    return fake
+
+
+@pytest.mark.parametrize("mac_plants, tech_plants, kind, slack", [
+    # the first sample with any event wins, whatever the event
+    ([(None, 7, -1.0)], [("minor_positive", 3, -0.5), ("partial_sum", 5, -0.25)],
+     "minor_positive", -0.5),
+    # within a sample: Maclaurin first, then the tech keys in report order
+    ([(None, 3, -1.0)], [("minor_positive", 3, -0.5), ("top_spread", 3, -0.25)],
+     "maclaurin", -1.0),
+    ([], [("minor_positive", 3, -0.5), ("top_spread", 3, -0.25)],
+     "top_spread", -0.25),
+])
+def test_cone_violation_is_first_event_in_sample_order(
+    tmp_path, monkeypatch, mac_plants, tech_plants, kind, slack
+):
+    seen = {}
+    monkeypatch.setattr(cli, "maclaurin_report",
+                        _planted(cli.maclaurin_report, mac_plants, seen))
+    monkeypatch.setattr(cli, "tech_ineq_report",
+                        _planted(cli.tech_ineq_report, tech_plants, {}))
+    status, rep = run(
+        tmp_path, "cv.json", "cone", "--n", "4", "--p", "2", "--trials", "10",
+        "--seed", "1",
+    )
+    assert status == 1
+    assert rep["violation"] == {"kind": kind, "mu": seen["mus"][3].tolist(),
+                                "slack": slack}
+    for _, _, value in mac_plants:
+        assert rep["results"]["maclaurin_min_slack"] == value
+    for key, _, value in tech_plants:
+        assert rep["results"]["technical_min_slacks"][key] == value
+
+
+@pytest.mark.parametrize("argv", [
+    ("cone", "--trials", "0"),
+    ("cone", "--trials", "-3"),
+    ("cone", "--n", "3", "--p", "4"),
+    ("cone", "--p", "0"),
+    ("key-lemma", "--n", "3", "--p", "5"),
+    ("key-lemma", "--trials", "0"),
+])
+def test_sweep_bad_input_is_usage_error(tmp_path, argv):
+    proc, out = run_subprocess(tmp_path, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
 
 
 def test_spectral_derivs_clean(tmp_path):
@@ -157,6 +218,24 @@ def test_subsolution(tmp_path):
     assert status == 0
     assert rep["results"]["worst_slack"] >= 0
     assert rep["results"]["A"] > 0 and rep["results"]["B"] > 0
+
+
+@pytest.mark.parametrize("phi", [
+    "50",      # B |min u| is about 2500, so exp(-B min u) overflows
+    "1e200",   # C1**p overflows
+    "1e-300",  # B underflows to 0
+])
+def test_subsolution_overflow_is_construction_failure(tmp_path, phi):
+    status, rep = run(
+        tmp_path, "subo.json", "subsolution", "--n", "2", "--p", "2",
+        "--resolution", "33", "--phi", phi,
+    )
+    assert status == 1
+    assert rep["results"] == {}
+    violation = rep["violation"]
+    assert violation["kind"] == "construction_failure"
+    assert violation["node"] is None
+    assert "overflows" in violation["detail"]
 
 
 def test_key_lemma(tmp_path):

@@ -1,5 +1,8 @@
 """Tests for Garding cone geometry and inequality families."""
 
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,10 +12,12 @@ from phessian.cone import (
     classify_batch,
     cone_distance,
     maclaurin_report,
+    require_cone,
     sample_admissible,
     tech_ineq_report,
 )
-from phessian.symfun import sigma
+from phessian.errors import AdmissibilityError
+from phessian.symfun import sigma, sigma_brute
 
 
 def test_classify_hand_cases():
@@ -209,3 +214,144 @@ def test_cone_distance_far_outside_terminates():
     assert classify(mu + t, spec).region == "interior"
     # sigma_2(mu + t) = (1 + t)(3t + 1 - 2e7)
     assert t == pytest.approx((2e7 - 1.0) / 3.0, rel=1e-9)
+
+
+def _maclaurin_oracle(mu, p):
+    """key -> (slack, scale) from subset-enumeration sigmas, one row."""
+    n = len(mu)
+    q = [sigma_brute(i, mu) / comb(n, i) for i in range(n + 1)]
+    out = {}
+    for j, k, l, m in product(range(n + 1), repeat=4):
+        if k < j <= min(p + 1, n) and m < l <= min(p, j) and m <= k:
+            lhs = q[j] / q[k]
+            rhs = (q[l] / q[m]) ** ((j - k) / (l - m))
+            out[(j, k, l, m)] = (rhs - lhs, max(1.0, abs(lhs), abs(rhs)))
+    return out
+
+
+def _tech_oracle(mu, p):
+    """key -> (value, scale) of the technical inequalities at one sorted row,
+    every sigma by subset enumeration."""
+    n = len(mu)
+    sp, spm1, spp1 = (sigma_brute(q, mu) for q in (p, p - 1, p + 1))
+    minors = [sigma_brute(p - 1, np.delete(mu, j)) for j in range(n)]
+    top = float(np.prod(mu[n - p + 1 :]))
+    grad = [sp ** (1.0 / p - 1.0) * m / p for m in minors]
+    amgm = n * float(np.prod(grad)) ** (1.0 / n)
+    size = 1.0 + float(np.sum(np.abs(mu)))
+    pref = sp ** (1.0 / p - 1.0)
+    minor_const = 1.0 / (pref * minors[-1] * (pref * spm1) ** (p - 1))
+    if mu[0] >= 0:
+        mu1_const = 0.0
+    else:
+        mu1_const = -mu[0] / max(sp ** (1.0 / p), max(-spp1, 0.0) ** (1.0 / (p + 1)))
+    return {
+        "partial_sum": (float(np.sum(mu[: n - p + 1])), size),
+        "top_spread": ((n - p) * mu[n - p] + mu[0], (n - p + 1) * size),
+        "min_entry": (mu[0] + (n - p) / (p * (n - 1)) * float(np.sum(mu[1:])), size),
+        "sigma_pm1_lower": (spm1 - top, max(1.0, abs(spm1), abs(top))),
+        "minor_chain_min_gap": (
+            min(minors[j] - minors[j + 1] for j in range(n - 1)),
+            max(1.0, max(abs(m) for m in minors)),
+        ),
+        "minor_positive": (minors[-1], max(1.0, abs(minors[-1]))),
+        "top_minor": (
+            mu[-1] * minors[-1] - p / n * sp,
+            max(1.0, abs(mu[-1] * minors[-1]), abs(sp)),
+        ),
+        "trace_lower": (sum(grad) - comb(n, p) ** (1.0 / p), max(1.0, sum(grad))),
+        "amgm_gap": (sum(grad) - amgm, max(1.0, sum(grad))),
+        "ratio_minor_constant": (minor_const, max(1.0, minor_const)),
+        "ratio_mu1_constant": (mu1_const, max(1.0, mu1_const)),
+    }
+
+
+def test_batched_reports_match_brute_force_oracle():
+    rng = np.random.default_rng(29)
+    negative_first = 0
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            spec = ConeSpec(n, p)
+            mus = np.sort(sample_admissible(n, p, 12, rng), axis=1)
+            mac = maclaurin_report(mus, spec)
+            tech = tech_ineq_report(mus, spec) if p >= 2 else None
+            for i, mu in enumerate(mus):
+                expected = _maclaurin_oracle(mu, p)
+                assert set(mac) == set(expected), (n, p)
+                if tech is not None:
+                    expected.update(_tech_oracle(mu, p))
+                    assert set(tech) | set(mac) == set(expected), (n, p)
+                    negative_first += mu[0] < 0
+                for key, (want, scale) in expected.items():
+                    got = (mac if key in mac else tech)[key][i]
+                    assert abs(got - want) <= 1e-12 * scale, (n, p, key, got, want)
+    assert negative_first > 20  # the ratio_mu1_constant branch is exercised
+
+
+def test_batch_of_one_is_bit_identical_to_batch_row():
+    rng = np.random.default_rng(31)
+    for n in range(1, 11):
+        for p in range(1, n + 1):
+            spec = ConeSpec(n, p)
+            mus = np.sort(sample_admissible(n, p, 9, rng), axis=1)
+            reports = [maclaurin_report] + ([tech_ineq_report] if p >= 2 else [])
+            for report in reports:
+                batch = report(mus, spec)
+                for i, mu in enumerate(mus):
+                    single = report(mu, spec)
+                    assert single.keys() == batch.keys()
+                    for key, value in single.items():
+                        assert type(value) is float
+                        assert value == batch[key][i], (report.__name__, n, p, key)
+
+
+def test_batched_reports_keep_leading_shape():
+    rng = np.random.default_rng(37)
+    spec = ConeSpec(5, 3)
+    mus = np.sort(sample_admissible(5, 3, 12, rng), axis=1).reshape(3, 4, 5)
+    for report in (maclaurin_report, tech_ineq_report):
+        flat = report(mus.reshape(12, 5), spec)
+        for key, value in report(mus, spec).items():
+            assert value.shape == (3, 4)
+            assert np.array_equal(value.ravel(), flat[key])
+
+
+def test_require_cone_batch_names_first_bad_row():
+    spec = ConeSpec(3, 2)
+    mus = np.array([[1.0, 2.0, 3.0], [-5.0, 1.0, 1.0], [0.0, 0.0, 1.0],
+                    [1.0, 1.0, 1.0]])
+    require_cone(mus[[0, 3]], spec)
+    with pytest.raises(AdmissibilityError) as info:
+        require_cone(mus, spec)
+    assert str(info.value) == f"mu = {mus[1]} is not in the open cone of order 2"
+    assert np.array_equal(info.value.lam, mus[1])
+    # the boundary row is the first failure of the closed cone only when the
+    # outside row is gone
+    with pytest.raises(AdmissibilityError, match="closed cone") as info:
+        require_cone(mus[[0, 2, 1]], spec, name="lam", closed=True)
+    assert str(info.value).startswith(f"lam = {mus[1]} ")
+    require_cone(mus[[0, 2, 3]], spec, closed=True)
+    with pytest.raises(AdmissibilityError) as info:
+        require_cone(mus[[0, 2, 3]], spec)
+    assert np.array_equal(info.value.lam, mus[2])
+    with pytest.raises(ValueError, match="length 3"):
+        require_cone(np.ones((4, 2)), spec)
+    with pytest.raises(ValueError, match="length 3"):
+        require_cone([1.0, 2.0], spec)
+
+
+def test_batched_report_preconditions_cover_every_row():
+    spec = ConeSpec(4, 2)
+    mus = np.sort(sample_admissible(4, 2, 6, np.random.default_rng(41)), axis=1)
+    unsorted = mus.copy()
+    unsorted[4] = unsorted[4, ::-1]
+    with pytest.raises(ValueError, match="sorted"):
+        tech_ineq_report(unsorted, spec)
+    outside = mus.copy()
+    outside[5] = [-9.0, -1.0, 1.0, 2.0]
+    for report in (maclaurin_report, tech_ineq_report):
+        with pytest.raises(AdmissibilityError, match="open cone") as info:
+            report(outside, spec)
+        assert np.array_equal(info.value.lam, outside[5])
+    with pytest.raises(ValueError, match="p >= 2"):
+        tech_ineq_report(mus, ConeSpec(4, 1))
