@@ -71,6 +71,19 @@ def _parse_range(text):
     return [int(text)]
 
 
+def _seed(text):
+    """--seed value: a non-negative integer, as numpy's seeding needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return seed
+
+
 def _parse_band(text):
     lo, hi = text.split(":")
     return float(lo), float(hi)
@@ -166,6 +179,9 @@ def _require_sweep(name, args):
 
 
 RATIO_KEYS = ("ratio_minor_constant", "ratio_mu1_constant")
+# technical inequalities that hold with equality somewhere in the cone (at
+# p = n, top_minor is 0 for every vector): flagged only below -tol
+NONSTRICT_KEYS = ("minor_chain_min_gap", "top_minor", "trace_lower", "amgm_gap")
 
 
 @_subcommand("cone", tol=1e-10)
@@ -176,7 +192,7 @@ def cmd_cone(args):
     samples = np.sort(sample_admissible(args.n, args.p, args.trials, rng), axis=1)
     mac = np.min(list(maclaurin_report(samples, spec).values()), axis=0)
     # per sample, the events in the order they are reported: the Maclaurin
-    # slack first, then each strict technical key
+    # slack first, then each technical key
     events = [("maclaurin", mac, mac < -args.tol)]
     ratios = {}
     if args.p >= 2:
@@ -184,7 +200,8 @@ def cmd_cone(args):
             if k in RATIO_KEYS:
                 ratios[k] = max(0.0, float(np.max(v)))
             else:
-                events.append((k, v, v <= 0))
+                hit = v < -args.tol if k in NONSTRICT_KEYS else v <= 0
+                events.append((k, v, hit))
     violation = None
     failing = np.any([hit for _, _, hit in events], axis=0)
     if np.any(failing):
@@ -236,6 +253,17 @@ def cmd_concavity_fuzz(args):
     rng = np.random.default_rng([args.seed, args.n])
     if args.trials < 1:
         raise _UsageError("concavity-fuzz: --trials must be at least 1")
+    if args.mu_n_min is not None:
+        if args.mode == "large_mu1":
+            raise _UsageError(
+                "concavity-fuzz: --mu-n-min does not apply to mode large_mu1"
+            )
+        # only a finite, non-negative shift of mu_n keeps the samples
+        # sorted and admissible
+        if not 0.0 <= args.mu_n_min < np.inf:
+            raise _UsageError(
+                "concavity-fuzz: --mu-n-min must be finite and non-negative"
+            )
     if args.mode == "large_mu1":
         if args.a is None:
             raise _UsageError("concavity-fuzz: --a is required for mode large_mu1")
@@ -250,7 +278,7 @@ def cmd_concavity_fuzz(args):
         if args.mode == "small_mu1" and args.p is None:
             raise _UsageError("concavity-fuzz: --p is required for mode small_mu1")
         try:
-            r = validate_mode(args.n, args.mode, args.tau, args.eps, a=args.a, p=args.p)
+            r, _, _ = validate_mode(args.n, args.mode, args.tau, args.eps, a=args.a, p=args.p)
         except ValueError as exc:
             raise _UsageError(f"concavity-fuzz: {exc}") from None
         mus = np.sort(sample_admissible(args.n, r, args.trials, rng), axis=1)
@@ -472,7 +500,7 @@ def build_parser():
     def common(p, seed=True):
         p.add_argument("--output", default=None, help="report path (default stdout)")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("identities", help="fuzz the sigma identity family")
     p.add_argument("--n", default="3..8", help="dimension or range like 3..8")

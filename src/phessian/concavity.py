@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, classify, classify_batch, cone_distance, require_cone
+from .cone import ConeSpec, classify_batch, cone_distance, require_cone
 from .errors import SearchFailureError
 from .symfun import _as_values, sigma, sigma_minors, sigma_pair_minors
 
@@ -31,43 +31,11 @@ VIOLATION_TOL = -1e-10
 
 
 @dataclass(frozen=True)
-class CVec:
-    """Complex n-vector stored as (re, im) pairs of real vectors."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        re = _as_values(self.re)
-        im = _as_values(self.im)
-        if re.shape != im.shape:
-            raise ValueError("re and im must have the same shape")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @property
-    def z(self):
-        return self.re + 1j * self.im
-
-
-def _as_cvec(w, n):
-    if isinstance(w, CVec):
-        z = w.z
-    else:
-        z = np.asarray(w, dtype=complex)
-    if z.shape[-1] != n:
-        raise ValueError(f"w must have length {n}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("w entries must be finite")
-    return z
-
-
-@dataclass(frozen=True)
 class ConcavityInstance:
     """One (mu, w) evaluation point plus the mode and its parameters."""
 
     mu: np.ndarray
-    w: object          # CVec or any complex array-like
+    w: object          # complex array-like
     tau: float
     eps: float
     mode: str          # large_mu1 | small_mu1 | theorem
@@ -84,43 +52,37 @@ class ThresholdResult:
     history: tuple  # (M, worst residual) of every evaluated M, in call order
 
 
-def _mode_params(inst, n):
-    """(order r, leading constant c, per-j weight factor) for the mode."""
-    if inst.mode == "large_mu1":
+def validate_mode(n, mode, tau, eps, a=None, p=None):
+    """(order r, leading constant c, per-j weight factor) of the mode's
+    inequality at dimension n, after checking every parameter (n, tau, a
+    and p against the mode's ranges; eps positive and finite); ValueError
+    names the first bad one."""
+    if mode == "large_mu1":
         if n < 3:
             raise ValueError("large_mu1 mode needs n >= 3")
-        if not 0.0 <= inst.tau <= 1.0:
+        if not 0.0 <= tau <= 1.0:
             raise ValueError("large_mu1 mode needs tau in [0, 1]")
-        beta = (1.0 - inst.tau) / (1.0 + inst.tau)
-        if inst.a is None or not beta < inst.a <= n - 1:
-            raise ValueError(
-                f"large_mu1 mode needs a in ({beta}, {n - 1}]"
-            )
-        return n - 1, 1.0, 2.0 * inst.a / (n - 1)
-    if inst.mode == "small_mu1":
-        if inst.p is None or not 1 <= inst.p <= n:
+        beta = (1.0 - tau) / (1.0 + tau)
+        if a is None or not beta < a <= n - 1:
+            raise ValueError(f"large_mu1 mode needs a in ({beta}, {n - 1}]")
+        params = n - 1, 1.0, 2.0 * a / (n - 1)
+    elif mode == "small_mu1":
+        if p is None or not 1 <= p <= n:
             raise ValueError("small_mu1 mode needs p in {1,...,n}")
-        if not 0.0 < inst.tau <= 0.5:
+        if not 0.0 < tau <= 0.5:
             raise ValueError("small_mu1 mode needs tau in (0, 1/2]")
-        return inst.p, float((inst.p + 1) ** 2), 1.0 - inst.tau
-    if inst.mode == "theorem":
+        params = p, float((p + 1) ** 2), 1.0 - tau
+    elif mode == "theorem":
         if n < 2:
             raise ValueError("theorem mode needs n >= 2")
-        if not 0.0 < inst.tau <= 0.5:
+        if not 0.0 < tau <= 0.5:
             raise ValueError("theorem mode needs tau in (0, 1/2]")
-        return n - 1, float(n**2), 1.0 - inst.tau
-    raise ValueError(f"unknown mode {inst.mode!r}")
-
-
-def validate_mode(n, mode, tau, eps, a=None, p=None):
-    """Order r of the mode's inequality at dimension n after checking
-    every parameter (n, tau, a and p against the mode's ranges; eps
-    positive and finite); ValueError names the first bad one."""
-    inst = ConcavityInstance(mu=None, w=None, tau=tau, eps=eps, mode=mode, a=a, p=p)
-    r, _, _ = _mode_params(inst, n)
+        params = n - 1, float(n**2), 1.0 - tau
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    return r
+    return params
 
 
 def _evaluate_batch(mu, w, r, c, weight, tau, eps):
@@ -147,32 +109,67 @@ def _evaluate_batch(mu, w, r, c, weight, tau, eps):
     return lhs, rhs
 
 
+def _checked_sides(mu, w, mode, tau, eps, a, p):
+    """Real (lhs, rhs) per row of mu after checking the mode's parameters
+    and every row: mu sorted ascending and in the open cone of the mode's
+    order, w finite and shaped like mu, and the imaginary parts of both
+    sides at roundoff level.  A bad row raises, naming the first."""
+    mu = _as_values(mu)
+    n = mu.shape[-1]
+    r, c, weight = validate_mode(n, mode, tau, eps, a=a, p=p)
+    unsorted = np.any(np.diff(mu, axis=-1) < 0, axis=-1)
+    if np.any(unsorted):
+        row = mu[np.unravel_index(np.argmax(unsorted), unsorted.shape)]
+        raise ValueError(f"mu = {row} must be sorted ascending")
+    require_cone(mu, ConeSpec(n, r))
+    w = np.asarray(w, dtype=complex)
+    if w.shape != mu.shape:
+        raise ValueError(f"w must have the shape {mu.shape} of mu")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w entries must be finite")
+    lhs, rhs = _evaluate_batch(mu, w, r, c, weight, tau, eps)
+    size = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    if np.any(np.maximum(np.abs(lhs.imag), np.abs(rhs.imag)) > 1e-10 * size):
+        raise ArithmeticError("Hermitian form produced a non-real value")
+    return lhs.real, rhs.real
+
+
+def residual_batch(mu, w, mode, tau, eps, a=None, p=None):
+    """Residuals lhs - rhs of the mode's inequality per row of mu (B, n)
+    and complex w (B, n), every row checked as by evaluate."""
+    lhs, rhs = _checked_sides(mu, w, mode, tau, eps, a, p)
+    return lhs - rhs
+
+
 def evaluate(inst):
     """(lhs, rhs, residual = lhs - rhs) of the mode's inequality at inst.
 
-    Preconditions: mu sorted ascending and in the open cone of the mode's
-    order; parameters in the mode's ranges.
+    residual_batch's checked path on a batch of one: it raises where
+    residual_batch would, and its residual equals the matching row of any
+    batch bit for bit.
     """
     mu = _as_values(inst.mu)
     if mu.ndim != 1:
         raise ValueError("mu must be a single vector")
-    n = len(mu)
-    if np.any(np.diff(mu) < 0):
-        raise ValueError("mu must be sorted ascending")
-    if inst.eps <= 0:
-        raise ValueError("eps must be positive")
-    r, c, weight = _mode_params(inst, n)
-    require_cone(mu, ConeSpec(n, r))
-    w = _as_cvec(inst.w, n)
-    lhs, rhs = _evaluate_batch(
-        mu[None, :], w[None, :], r, c, weight, inst.tau, inst.eps
+    lhs, rhs = _checked_sides(
+        mu[None], np.asarray(inst.w, dtype=complex)[None], inst.mode,
+        inst.tau, inst.eps, inst.a, inst.p,
     )
-    lhs, rhs = complex(lhs[0]), complex(rhs[0])
-    if max(abs(lhs.imag), abs(rhs.imag)) > 1e-10 * max(
-        1.0, abs(lhs), abs(rhs)
-    ):
-        raise ArithmeticError("Hermitian form produced a non-real value")
-    return lhs.real, rhs.real, lhs.real - rhs.real
+    return float(lhs[0]), float(rhs[0]), float(lhs[0] - rhs[0])
+
+
+def _hypothesis_rows(mu, tau, eps, a):
+    """Per row of mu (B, n), whether the large_mu1 hypotheses of
+    hypothesis_check hold, for parameters validate_mode accepts."""
+    n = mu.shape[-1]
+    beta = (1.0 - tau) / (1.0 + tau)
+    ok = np.all(np.diff(mu, axis=-1) >= 0, axis=-1)
+    ok &= classify_batch(mu, ConeSpec(n, n - 1)) == 2
+    ok &= mu[..., -1] >= eps * (a + beta) / (a - beta)
+    bound = np.full(ok.shape, np.inf)
+    s = sigma(n - 1, mu)  # > 0 where ok: interior of Gamma_{n-1}
+    bound[ok] = (2.0 * s[ok] / (a - beta)) ** (1.0 / (n - 1))
+    return ok & (mu[..., 0] <= -bound)
 
 
 def hypothesis_check(inst):
@@ -184,21 +181,12 @@ def hypothesis_check(inst):
     """
     try:
         mu = _as_values(inst.mu)
-        n = len(mu)
-        r, _, _ = _mode_params(inst, n)
-        if inst.mode != "large_mu1":
-            raise ValueError("hypothesis_check applies to large_mu1 mode")
-    except ValueError:
+        if inst.mode != "large_mu1" or mu.ndim != 1:
+            return False
+        validate_mode(len(mu), inst.mode, inst.tau, inst.eps, a=inst.a)
+    except (TypeError, ValueError):
         return False
-    if mu.ndim != 1 or np.any(np.diff(mu) < 0) or inst.eps <= 0:
-        return False
-    if classify(mu, ConeSpec(n, n - 1)).region != "interior":
-        return False
-    beta = (1.0 - inst.tau) / (1.0 + inst.tau)
-    if mu[-1] < inst.eps * (inst.a + beta) / (inst.a - beta):
-        return False
-    bound = (2.0 * sigma(n - 1, mu) / (inst.a - beta)) ** (1.0 / (n - 1))
-    return bool(mu[0] <= -bound)
+    return bool(_hypothesis_rows(mu[None], inst.tau, inst.eps, inst.a)[0])
 
 
 def _draw_trials(n, p, sigma_band, trials, seed):
@@ -275,14 +263,9 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         # sigma_1(mu) >= mu_n >= M leaves the band unreachable once M
         # exceeds it; the search is ill-posed
         raise ValueError("threshold search needs p >= 2")
-    if not 0.0 < tau <= 0.5:
-        raise ValueError("tau must lie in (0, 1/2]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    r, c, weight = validate_mode(n, "small_mu1", tau, eps, p=p)
     spec_full = ConeSpec(n, p)
     shapes, targets, tops, w = _draw_trials(n, p, sigma_band, trials, seed)
-    c = float((p + 1) ** 2)
-    weight = 1.0 - tau
     history = []
 
     def worst_at(M):
@@ -291,7 +274,7 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         mu = np.concatenate([t[:, None] * shapes, mu_n[:, None]], axis=-1)
         mu = np.sort(mu, axis=-1)
         ok = classify_batch(mu, spec_full) == 2
-        lhs, rhs = _evaluate_batch(mu, w, p, c, weight, tau, eps)
+        lhs, rhs = _evaluate_batch(mu, w, r, c, weight, tau, eps)
         res = np.where(ok, (lhs - rhs).real, np.inf)
         i = int(np.argmin(res))
         history.append((M, float(res[i])))
@@ -343,7 +326,7 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
     e = sigma_{n-2}(mu'), sigma_{n-1}(mu) = P - x e is affine in x: mu lies
     in Gamma_{n-1} iff x < P/e, and mu_1 <= -bound iff x >= x*, the root of
     x^{n-1} + (2e/c) x - 2P/c with c = a - beta.  x is drawn uniformly on
-    [x*, P/e), so every candidate is a hypothesis point; the cone-and-bound
+    [x*, P/e), so every candidate is a hypothesis point; the hypothesis
     test stays as the final filter.
     """
     validate_mode(n, "large_mu1", tau, eps, a=a)
@@ -363,12 +346,7 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
         lo = _hypothesis_root(P, e, a - beta, n - 1)
         x = lo + rng.uniform(0.0, 1.0, m) * (P / e - lo)
         mu = np.sort(np.concatenate([-x[:, None], pos], axis=-1), axis=-1)
-        ok = classify_batch(mu, ConeSpec(n, n - 1)) == 2
-        bound = np.full(m, np.inf)
-        s = sigma(n - 1, mu)  # > 0 where ok: interior of Gamma_{n-1}
-        bound[ok] = (2.0 * s[ok] / (a - beta)) ** (1.0 / (n - 1))
-        ok &= mu[:, 0] <= -bound
-        good = mu[ok]
+        good = mu[_hypothesis_rows(mu, tau, eps, a)]
         take = len(good)
         empty_rounds = 0 if take else empty_rounds + 1
         if empty_rounds == 100:
@@ -384,16 +362,3 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
             ws[k : k + take] = z / np.linalg.norm(z, axis=-1, keepdims=True)
             k += take
     return mus, ws
-
-
-def residual_batch(mu, w, mode, tau, eps, a=None, p=None):
-    """Batched residuals lhs - rhs without per-instance admissibility
-    checks (callers guarantee admissibility, e.g. via the samplers)."""
-    mu = _as_values(mu)
-    n = mu.shape[-1]
-    inst = ConcavityInstance(
-        mu=np.zeros(n), w=np.zeros(n), tau=tau, eps=eps, mode=mode, a=a, p=p
-    )
-    r, c, weight = _mode_params(inst, n)
-    lhs, rhs = _evaluate_batch(mu, np.asarray(w, dtype=complex), r, c, weight, tau, eps)
-    return (lhs - rhs).real

@@ -209,14 +209,14 @@ def tech_ineq_report(mu, spec):
     return out
 
 
-def sample_admissible(n, p, count, rng, low=-1.0, high=10.0):
-    """Random interior vectors: draw from [low, high]^n and shift along the
+def sample_admissible(n, p, count, rng):
+    """Random interior vectors: draw from [-1, 10]^n and shift along the
     diagonal past the cone boundary."""
     spec = ConeSpec(n, p)
     out = np.empty((count, n))
     k = 0
     while k < count:
-        mu = rng.uniform(low, high, (count - k, n))
+        mu = rng.uniform(-1.0, 10.0, (count - k, n))
         mu = mu + (cone_distance(mu, spec) + 0.1)[:, None]
         good = mu[classify_batch(mu, spec) == 2]
         out[k : k + len(good)] = good

@@ -31,6 +31,9 @@ from .errors import AdmissibilityError, NonconvergenceError, VerificationError
 from .spectral import classify_matrices, jacobi_eigh, newton_tensor
 from .symfun import sigma
 
+# lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
+KRYLOV_RTOL = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # grids and stencils
@@ -412,7 +415,7 @@ def lgmres(A, b, **kwargs):
     return scipy_lgmres(A, b, **kwargs)
 
 
-def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
+def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
     Each linear solve is lgmres preconditioned by the Fourier inverse of
@@ -455,7 +458,7 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30, krylov_rtol=1e-8):
         op = LinearOperator((nnodes, nnodes), matvec=matvec)
         b = -project(res).ravel()
         step_dir, info = lgmres(
-            op, b, rtol=krylov_rtol, atol=0.0, maxiter=2000,
+            op, b, rtol=KRYLOV_RTOL, atol=0.0, maxiter=2000,
             M=_fourier_preconditioner(F, G, H, h),
         )
         if info != 0:

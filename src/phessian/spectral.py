@@ -93,6 +93,9 @@ def jacobi_eigh(M, vectors=False):
 # eigenvalue evaluations of sigma_q(lam(M)); both stay below 1e-13 for d <= 8
 MINOR_ROUNDING = 1e-10
 
+# smallest eigenvalue gap at which spectral_derivs forms hess_lambda
+GAP_TOL = 1e-6
+
 
 def _identity_minus(s, MT):
     """s I - MT for a batch of scalars s and matrices MT."""
@@ -232,11 +235,11 @@ class SpectralDerivs:
     hess_sigma: np.ndarray       # (n, n, n, n)
 
 
-def spectral_derivs(p, D, gap_tol=1e-6, skip_degenerate=False):
+def spectral_derivs(p, D, skip_degenerate=False):
     """Derivative formulas at the diagonal point (A, B) = (I, diag(D)).
 
     hess_lambda needs every eigenvalue it references to be simple (gap >=
-    gap_tol); with skip_degenerate the offending q-blocks are filled with
+    GAP_TOL); with skip_degenerate the offending q-blocks are filled with
     NaN instead of raising.  The sigma blocks use the minor closed forms,
     finite at ties, so they carry no gap requirement.
     """
@@ -258,13 +261,13 @@ def spectral_derivs(p, D, gap_tol=1e-6, skip_degenerate=False):
         s = order[q]
         gaps = np.abs(mu - mu[s])
         gaps[s] = np.inf
-        if np.min(gaps) < gap_tol:
+        if np.min(gaps) < GAP_TOL:
             other = int(np.argmin(gaps))
             if skip_degenerate:
                 hess_lambda[q] = np.nan
                 continue
             raise DegenerateSpectrumError(
-                f"eigenvalue gap {np.min(gaps):.3e} below {gap_tol:.1e} "
+                f"eigenvalue gap {np.min(gaps):.3e} below {GAP_TOL:.1e} "
                 f"between entries {s + 1} and {other + 1}",
                 pair=(min(s, other) + 1, max(s, other) + 1),
             )

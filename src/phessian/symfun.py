@@ -130,11 +130,16 @@ def sigma_root_grad(p, mu):
     """(f, grad f) for f = sigma_p^{1/p} at mu in the open cone (batched):
 
         df/dmu_j = (1/p) sigma_p^{1/p-1} sigma_{p-1}(mu|j).
+
+    A single vector is a batch of one, so it matches its row in any batch
+    bit for bit.
     """
-    sp = sigma(p, mu)
-    scale = sp[..., None] if np.ndim(sp) else sp
-    grad = (1.0 / p) * scale ** (1.0 / p - 1.0) * sigma_minors(p - 1, mu)
-    return sp ** (1.0 / p), grad
+    mu = _as_values(mu)
+    rows = mu[None] if mu.ndim == 1 else mu
+    sp = sigma(p, rows)
+    grad = (1.0 / p) * sp[..., None] ** (1.0 / p - 1.0) * sigma_minors(p - 1, rows)
+    f = sp ** (1.0 / p)
+    return (f[0], grad[0]) if mu.ndim == 1 else (f, grad)
 
 
 def _residual(lhs, rhs):

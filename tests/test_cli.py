@@ -119,6 +119,19 @@ def test_cone_violation_is_first_event_in_sample_order(
         assert rep["results"]["technical_min_slacks"][key] == value
 
 
+@pytest.mark.parametrize("n, p, seed", [(2, 2, 9), (7, 7, 5)])
+def test_cone_at_p_equal_n_is_clean(tmp_path, n, p, seed):
+    # top_minor = mu_n sigma_{n-1}(mu|n) - sigma_n is 0 for every vector at
+    # p = n: a non-strict inequality is flagged only below -tol
+    status, rep = run(
+        tmp_path, "cpn.json", "cone", "--n", str(n), "--p", str(p),
+        "--trials", "300", "--seed", str(seed),
+    )
+    assert status == 0
+    assert rep["violation"] is None
+    assert rep["results"]["technical_min_slacks"]["top_minor"] >= -1e-10
+
+
 @pytest.mark.parametrize("argv", [
     ("cone", "--trials", "0"),
     ("cone", "--trials", "-3"),
@@ -131,6 +144,18 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     proc, out = run_subprocess(tmp_path, *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", [
+    "identities", "cone", "spectral-derivs", "concavity-fuzz", "find-m",
+    "key-lemma", "solve",
+])
+def test_negative_seed_is_usage_error(tmp_path, subcommand):
+    proc, out = run_subprocess(tmp_path, subcommand, "--seed", "-1")
+    assert proc.returncode == 2, proc.stderr
+    assert "--seed" in proc.stderr and "non-negative" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not os.path.exists(out)
 
@@ -179,6 +204,13 @@ def test_concavity_fuzz_bad_large_mode_input_is_usage_error(tmp_path, extra):
     ("--mode", "small_mu1", "--p", "9"),
     ("--mode", "small_mu1", "--p", "2", "--tau", "0.75"),
     ("--mode", "small_mu1", "--p", "0", "--tau", "0.25"),
+    # a negative shift leaves the cone (and the sorted order) the
+    # inequality is stated on
+    ("--mode", "theorem", "--n", "4", "--tau", "0.3", "--mu-n-min", "-100",
+     "--trials", "50", "--seed", "1"),
+    ("--mode", "theorem", "--tau", "0.3", "--mu-n-min", "nan"),
+    # large_mu1 draws its own mu_n
+    ("--mode", "large_mu1", "--n", "5", "--a", "2.5", "--mu-n-min", "100"),
 ])
 def test_concavity_fuzz_bad_exploratory_input_is_usage_error(tmp_path, argv):
     proc, out = run_subprocess(tmp_path, "concavity-fuzz", *argv)

@@ -7,14 +7,13 @@ import phessian.concavity as concavity
 from phessian.concavity import (
     VIOLATION_TOL,
     ConcavityInstance,
-    CVec,
     evaluate,
     find_threshold,
     hypothesis_check,
     residual_batch,
     sample_hypothesis_points,
 )
-from phessian.cone import ZERO_BAND
+from phessian.cone import ZERO_BAND, ConeSpec, classify, sample_admissible
 from phessian.errors import AdmissibilityError
 from phessian.symfun import sigma, sigma_brute, sigma_trunc
 
@@ -104,15 +103,10 @@ def test_real_w_agrees_with_degenerate_complex():
     )[2]
     r2 = evaluate(
         ConcavityInstance(
-            mu=mu, w=CVec(wre, np.zeros(4)), tau=0.25, eps=1.0, mode="theorem"
+            mu=mu, w=wre + 0j, tau=0.25, eps=1.0, mode="theorem"
         )
     )[2]
     assert abs(r1 - r2) <= 1e-13 * max(1.0, abs(r1))
-
-
-def test_cvec_validation():
-    with pytest.raises(ValueError):
-        CVec(np.ones(3), np.ones(2))
 
 
 def test_preconditions():
@@ -140,6 +134,104 @@ def test_preconditions():
                 mu=[0.5, 1.0, 3.0], w=[1, 0, 0], tau=0.5, eps=1.0, mode="bogus"
             )
         )
+
+
+def test_residual_batch_rejects_bad_rows():
+    rng = np.random.default_rng(5)
+    mus = np.sort(sample_admissible(4, 3, 5, rng), axis=1)
+    ws = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    residual_batch(mus, ws, "theorem", 0.25, 1.0)
+    # positive rows lie in every cone, so only the order check sees these;
+    # the error names the first bad row
+    unsorted = mus.copy()
+    unsorted[1] = unsorted[1, ::-1]
+    unsorted[3] = unsorted[3, [1, 0, 2, 3]]
+    with pytest.raises(ValueError, match="sorted") as exc:
+        residual_batch(unsorted, ws, "theorem", 0.25, 1.0)
+    assert str(unsorted[1]) in str(exc.value)
+    assert str(unsorted[3]) not in str(exc.value)
+    outside = mus.copy()
+    outside[1, 0] = -10.0 * outside[1, -1]
+    outside[3, :2] = -10.0 * outside[3, -1]
+    with pytest.raises(AdmissibilityError) as exc:
+        residual_batch(outside, ws, "theorem", 0.25, 1.0)
+    assert np.array_equal(exc.value.lam, outside[1])
+    for bad in (np.nan, np.inf):
+        w_bad = ws.copy()
+        w_bad[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            residual_batch(mus, w_bad, "theorem", 0.25, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        residual_batch(mus, ws[:, :3], "theorem", 0.25, 1.0)
+
+
+def test_evaluate_is_residual_batch_row():
+    rng = np.random.default_rng(6)
+    for n in (3, 4, 6):
+        for mode, tau, kw in [
+            ("theorem", 0.25, {}),
+            ("small_mu1", 0.25, {"p": 2}),
+            ("large_mu1", 0.0, {"a": 1.5}),
+        ]:
+            if mode == "large_mu1":
+                mus, ws = sample_hypothesis_points(n, tau, 1.0, kw["a"], 20, rng)
+            else:
+                r = n - 1 if mode == "theorem" else kw["p"]
+                mus = np.sort(sample_admissible(n, r, 20, rng), axis=1)
+                ws = rng.normal(size=(20, n)) + 1j * rng.normal(size=(20, n))
+            res = residual_batch(mus, ws, mode, tau, 1.0, **kw)
+            for mu, w, want in zip(mus, ws, res):
+                lhs, rhs, got = evaluate(ConcavityInstance(
+                    mu=mu, w=w, tau=tau, eps=1.0, mode=mode, **kw
+                ))
+                assert got == want and lhs - rhs == want, (n, mode)
+
+
+def reference_hypotheses(mu, tau, eps, a):
+    """The large_mu1 hypotheses clause by clause on one vector."""
+    n = len(mu)
+    beta = (1 - tau) / (1 + tau)
+    return bool(
+        all(mu[j] <= mu[j + 1] for j in range(n - 1))
+        and classify(mu, ConeSpec(n, n - 1)).region == "interior"
+        and mu[-1] >= eps * (a + beta) / (a - beta)
+        and mu[0] <= -(2 * sigma_brute(n - 1, mu) / (a - beta)) ** (1 / (n - 1))
+    )
+
+
+def test_hypothesis_check_is_the_batched_row_test():
+    # hypothesis points, each bent to fail exactly one clause, plus raw
+    # random rows; the batched test, hypothesis_check per row and the
+    # clause-by-clause reference agree on every row
+    rng = np.random.default_rng(23)
+    for n in (4, 5, 7):
+        tau, eps = 0.25, 1.0
+        beta = (1 - tau) / (1 + tau)
+        a = beta + 0.5 * (n - 1 - beta)
+        good, _ = sample_hypothesis_points(n, tau, eps, a, 30, rng)
+        pos = good[:, 1:]
+        P, e = sigma(n - 1, pos), sigma(n - 2, pos)
+        x_lo = concavity._hypothesis_root(P, e, a - beta, n - 1)
+        unsorted = good[:, [0, 2, 1] + list(range(3, n))]
+        outside = good.copy()
+        outside[:, 0] = -1.5 * P / e
+        low_top = good * (0.5 * eps * (a + beta) / (a - beta) / good[:, -1:])
+        mild = good.copy()
+        mild[:, 0] = -0.5 * x_lo
+        raw = rng.uniform(-3.0, 3.0, (60, n))
+        raw[:30] = np.sort(raw[:30], axis=1)
+        failing = (unsorted, outside, low_top, mild)
+        for rows in (good, *failing, raw):
+            batch = concavity._hypothesis_rows(rows, tau, eps, a)
+            for mu, got in zip(rows, batch):
+                inst = ConcavityInstance(
+                    mu=mu, w=None, tau=tau, eps=eps, mode="large_mu1", a=a
+                )
+                assert hypothesis_check(inst) == got
+                assert reference_hypotheses(mu, tau, eps, a) == got
+        assert concavity._hypothesis_rows(good, tau, eps, a).all()
+        for rows in failing:
+            assert not concavity._hypothesis_rows(rows, tau, eps, a).any()
 
 
 def test_hypothesis_check_examples():

@@ -191,7 +191,7 @@ class TestNewton:
             "iter", "residual", "raw_residual", "step", "krylov_iters", "backtracks",
             "linear_residual", "admissibility_margin",
         }
-        # lgmres stops once |b - J s| <= krylov_rtol |b| (default 1e-8)
+        # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| (1e-8)
         assert 0.0 < trace[0]["linear_residual"] <= 1e-8
         # at u* = a cos x1 cos x2 the smallest sigma_2(lam(I + D^2 u*)) is
         # (1 - a)^2 = 0.64 (a = 0.2); one Newton step from a 5% bump is close
@@ -211,7 +211,7 @@ class TestNewton:
 
     def test_krylov_failure_raises_with_trace(self, monkeypatch):
         # the second linear solve gets one outer cycle of one inner step,
-        # far short of krylov_rtol; its status must not be discarded
+        # far short of KRYLOV_RTOL; its status must not be discarded
         real = solver.lgmres
         calls = []
 

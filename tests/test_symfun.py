@@ -200,6 +200,17 @@ def test_sigma_root_grad_against_finite_differences():
             np.testing.assert_allclose(g1, grad[0], rtol=1e-14)
 
 
+def test_sigma_root_grad_single_is_batch_of_one():
+    rng = np.random.default_rng(23)
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            mu = rng.uniform(0.1, 5.0, (40, n))
+            f, grad = sigma_root_grad(p, mu)
+            for i in range(len(mu)):
+                f1, g1 = sigma_root_grad(p, mu[i])
+                assert f1 == f[i] and np.array_equal(g1, grad[i]), (n, p, i)
+
+
 def test_sigma_ray_coeffs_match_brute_force():
     # the coefficients of t -> sigma_p(base + t xi), evaluated at random t,
     # against subset enumeration of the moved vector
