@@ -85,8 +85,15 @@ def _seed(text):
 
 
 def _parse_band(text):
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
+    """'lo:hi' -> (lo, hi); usage error unless both are finite and
+    0 < lo <= hi."""
+    try:
+        lo, hi = (float(x) for x in text.split(":"))
+    except ValueError:
+        lo = hi = np.nan
+    if not 0.0 < lo <= hi < np.inf:
+        raise _UsageError(f"find-m: --sigma must be lo:hi with 0 < lo <= hi finite, got {text!r}")
+    return lo, hi
 
 
 def _emit(report, output):
@@ -308,6 +315,13 @@ def cmd_concavity_fuzz(args):
 
 @_subcommand("find-m")
 def cmd_find_m(args):
+    _require_sweep("find-m", args)
+    if args.p < 2:
+        raise _UsageError("find-m: threshold search needs p >= 2")
+    try:
+        validate_mode(args.n, "small_mu1", args.tau, args.eps, p=args.p)
+    except ValueError as exc:
+        raise _UsageError(f"find-m: {exc}") from None
     band = _parse_band(args.sigma)
     try:
         out = find_threshold(

@@ -117,21 +117,26 @@ def periodic_hess(f, h):
 def box_grad_hess(f, h, mask=None):
     """Gradient and Hessian of a field on a non-periodic box: repeated
     np.gradient, central inside and second-order one-sided at the edges,
-    each mixed partial d_j(d_i f), j >= i, taken once.  Returns (grad
-    (n,)+shape, Hessian matrices (m, n, n) at the m nodes selected by the
-    flat boolean mask, every node in row-major order when mask is None)."""
+    each mixed partial d_j(d_i f), j >= i, taken once.  Returns the
+    gradient (n, m) and the Hessian (n, n, m) at the m nodes selected by
+    the flat boolean mask (every node in row-major order when mask is
+    None): component-major, the (d, d) + nodes layout of periodic_hess,
+    one contiguous plane per component.  np.moveaxis(hess, -1, 0) is the
+    (m, n, n) batch of matrices."""
     n = f.ndim
     grads = np.gradient(f, h, edge_order=2)
     if n == 1:
         grads = [grads]
     nodes = slice(None) if mask is None else mask
-    hess = np.empty((f.size if mask is None else np.count_nonzero(mask), n, n))
+    m = f.size if mask is None else np.count_nonzero(mask)
+    grad = np.empty((n, m))
+    hess = np.empty((n, n, m))
     for i in range(n):
+        grad[i] = grads[i].ravel()[nodes]
         for j in range(i, n):
-            hij = np.gradient(grads[i], h, axis=j, edge_order=2).ravel()[nodes]
-            hess[:, i, j] = hij
-            hess[:, j, i] = hij
-    return np.stack(grads), hess
+            hess[i, j] = np.gradient(grads[i], h, axis=j, edge_order=2).ravel()[nodes]
+            hess[j, i] = hess[i, j]
+    return grad, hess
 
 
 def ball_grid(radius, resolution, n):
@@ -718,7 +723,7 @@ def alexandrov_check(prob, quad_tol=0.02):
         )
 
     grad, hess = box_grad_hess(wv, h)
-    dw = grad.reshape(n, -1).T
+    dw = grad.T
 
     in_ball = dist < prob.d
     grad_norm = np.linalg.norm(dw, axis=-1)
@@ -736,7 +741,7 @@ def alexandrov_check(prob, quad_tol=0.02):
         ok = np.all(wy[None, :] >= planes - 1e-10, axis=1)
         contact[candidates[ok]] = True
 
-    dets = np.linalg.det(hess[contact])
+    dets = np.linalg.det(np.moveaxis(hess[..., contact], -1, 0))
     rhs = float(np.sum(np.maximum(dets, 0.0)) * h**n)
     lhs = float(unit_ball_volume(n) * prob.eps**n / prob.d**n)
     if not lhs <= rhs * (1.0 + quad_tol) + 1e-12:

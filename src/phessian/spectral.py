@@ -81,8 +81,11 @@ def jacobi_eigh(M, vectors=False):
     and, when requested, the matching orthonormal eigenvector columns.
 
     LAPACK's symmetric solver (syevd via numpy) reads the lower triangle.
+    A strided batch (a component-major Hessian seen through np.moveaxis)
+    is copied to contiguous matrices first: the solver's per-matrix gather
+    from strided memory costs more than the copy.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     if vectors:
         w, V = np.linalg.eigh(M)
         return w, V
@@ -177,7 +180,10 @@ def classify_matrices(M, spec):
     hi = ZERO_BAND * np.maximum(1.0, power)
     slack = MINOR_ROUNDING * power
     size = np.abs(sig)
-    decided = np.all((size < lo - slack) | (size > hi + slack), axis=-1)
+    outside_band = (size < lo - slack) | (size > hi + slack)
+    decided = True
+    for j in range(p):  # column by column, as in _region_codes
+        decided = decided & outside_band[..., j]
     codes = _region_codes(sig, hi)
     if not np.all(decided):
         codes[~decided] = classify_batch(jacobi_eigh(M[~decided]), spec)

@@ -106,10 +106,18 @@ class SubsolutionResult:
 
 
 def _require_cone(hess, mask, p, message, closed=False):
-    """matrix_sigmas of the Hessians (m, n, n) at the masked nodes;
+    """matrix_sigmas of the Hessians (n, n, m) at the masked nodes;
     ConstructionError naming the first node whose eigenvalues leave the
-    open cone (the closed cone when closed)."""
-    codes, sigmas = classify_matrices(hess, ConeSpec(hess.shape[-1], p))
+    open cone (the closed cone when closed), or when a sigma_q overflows,
+    since a verdict on inf is no verdict on the Hessian."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes, sigmas = classify_matrices(np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p))
+    finite = np.isfinite(sigmas)
+    if not np.all(finite):
+        raise ConstructionError(
+            "the construction overflows in the sigma_q of a Hessian",
+            node=int(np.flatnonzero(mask)[np.argmin(np.all(finite, axis=-1))]),
+        )
     bad = codes == 0 if closed else codes != 2
     if np.any(bad):
         raise ConstructionError(message, node=int(np.flatnonzero(mask)[np.argmax(bad)]))
@@ -146,7 +154,8 @@ def construct(problem):
     eps1 = float(np.min(sig_u[:, p]))
     eps2 = 1.0
     if n > 1 and p > 1:
-        eps2 = float(np.min(sigma(p - 1, jacobi_eigh(d2u)[:, : n - 1])))
+        lam = jacobi_eigh(np.moveaxis(d2u, -1, 0))
+        eps2 = float(np.min(sigma(p - 1, lam[:, : n - 1])))
     del d2u, sig_u
 
     dpsi, d2psi = box_grad_hess(psi, h, in_ball)
@@ -157,39 +166,39 @@ def construct(problem):
     del d2psi
 
     psi_flat = psi.ravel()[in_ball]
-    dpsi_norm = np.linalg.norm(dpsi.reshape(n, -1), axis=0)[in_ball]
+    dpsi_norm = np.linalg.norm(dpsi, axis=0)
     # a numpy scalar, so C1**p overflows to inf (rejected below) instead of raising
     C1 = np.float64(np.max(problem.phi_tilde(pts[in_ball], psi_flat)))
     C2 = float(1.0 + np.max(dpsi_norm) + np.max(np.abs(psi_flat) ** alpha))
 
-    du_norm = np.linalg.norm(du.reshape(n, -1), axis=0)
-    max_du = float(np.max(du_norm[in_ball]))
+    max_du = float(np.max(np.linalg.norm(du, axis=0)))
     min_u = float(np.min(u.ravel()[in_ball]))
-    if p >= 2:
-        B = C1**p * 2 ** (p - 1) / eps2 * max_du ** (p - 2)
-        A = C2 ** (1.0 / alpha) + (
-            C1 * 2 ** ((2 * p - 1) / p) * eps1 ** (-1.0 / p) / B
-            * np.exp(-B * min_u)
-        ) ** (1.0 / (1.0 - alpha))
-    else:
-        B = C1**2 / (2.0 * eps1 * eps2)
-        A = C2 ** (1.0 / alpha) + (
-            4.0 / eps1 * C1 / B * np.exp(-B * min_u)
-        ) ** (1.0 / (1.0 - alpha))
-
-    v = psi + A * (np.exp(B * u) - 1.0)
-    # the stencils at trusted nodes read v inside the ball only
+    # A, B and v may overflow, v also outside the ball, where no stencil at
+    # a trusted node reads it; the checks below reject what matters
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if p >= 2:
+            B = C1**p * 2 ** (p - 1) / eps2 * max_du ** (p - 2)
+            A = C2 ** (1.0 / alpha) + (
+                C1 * 2 ** ((2 * p - 1) / p) * eps1 ** (-1.0 / p) / B
+                * np.exp(-B * min_u)
+            ) ** (1.0 / (1.0 - alpha))
+        else:
+            B = C1**2 / (2.0 * eps1 * eps2)
+            A = C2 ** (1.0 / alpha) + (
+                4.0 / eps1 * C1 / B * np.exp(-B * min_u)
+            ) ** (1.0 / (1.0 - alpha))
+        v = psi + A * (np.exp(B * u) - 1.0)
+        dv, d2v = box_grad_hess(v, h, trusted)
     finite_v = np.all(np.isfinite(v.ravel()[in_ball]))
     if not (np.isfinite(A) and np.isfinite(B) and finite_v):
         raise ConstructionError(f"the construction overflows (A = {A}, B = {B})")
-    dv, d2v = box_grad_hess(v, h, trusted)
     sig_v = _require_cone(
         d2v, trusted, p, "constructed v loses admissibility at a grid node"
     )
     del d2v
 
     v_flat = v.ravel()[trusted]
-    dv_norm = np.linalg.norm(dv.reshape(n, -1), axis=0)[trusted]
+    dv_norm = np.linalg.norm(dv, axis=0)
     lhs = sig_v[:, p] ** (1.0 / p)
     rhs = problem.phi_tilde(pts[trusted], v_flat) * (
         1.0 + dv_norm + np.abs(v_flat) ** alpha

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,12 @@ def test_cone_at_p_equal_n_is_clean(tmp_path, n, p, seed):
     ("cone", "--p", "0"),
     ("key-lemma", "--n", "3", "--p", "5"),
     ("key-lemma", "--trials", "0"),
+    ("find-m", "--n", "3", "--p", "2", "--tau", "0.7"),
+    ("find-m", "--n", "3", "--p", "1", "--tau", "0.5"),
+    ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--trials", "0"),
+    ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--sigma", "2"),
+    ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--sigma", "2:1"),
+    ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--sigma", "nan:1"),
 ])
 def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     proc, out = run_subprocess(tmp_path, *argv)
@@ -268,6 +275,23 @@ def test_subsolution_overflow_is_construction_failure(tmp_path, phi):
     assert violation["kind"] == "construction_failure"
     assert violation["node"] is None
     assert "overflows" in violation["detail"]
+
+
+def test_subsolution_minor_overflow_is_construction_failure(tmp_path):
+    # A is about 1.4e214: v is finite in the ball, but sigma_3 of its
+    # Hessians overflows; no verdict may rest on inf, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, rep = run(
+            tmp_path, "subm.json", "subsolution", "--n", "3", "--p", "3",
+            "--resolution", "17", "--phi", "5",
+        )
+    assert status == 1
+    assert rep["results"] == {}
+    violation = rep["violation"]
+    assert violation["kind"] == "construction_failure"
+    assert "overflows" in violation["detail"]
+    assert 0 <= violation["node"] < 17**3
 
 
 def test_key_lemma(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from phessian.cone import (
     ConeSpec,
+    _region_codes,
     classify,
     classify_batch,
     cone_distance,
@@ -169,6 +170,30 @@ def test_classify_batch_matches_scalar():
     names = {2: "interior", 1: "boundary", 0: "outside"}
     for mu, c in zip(mus, codes):
         assert classify(mu, spec).region == names[int(c)]
+
+
+def test_region_codes_match_np_all_reference():
+    def reference(sigs, tau):
+        interior = np.all(sigs > tau, axis=-1)
+        boundary = (np.abs(sigs[..., -1]) <= tau[..., -1]) & np.all(
+            sigs >= -tau, axis=-1
+        )
+        return np.where(interior, 2, np.where(boundary, 1, 0))
+
+    rng = np.random.default_rng(24)
+    for p in range(1, 7):
+        for batch in ((), (400,), (20, 30)):
+            tau = rng.uniform(0.1, 2.0, batch + (p,))
+            # exact ties at +-tau and 0 next to clear values of either sign,
+            # clear positives often enough that every code occurs
+            pick = rng.choice(5, batch + (p,), p=[0.1, 0.1, 0.1, 0.6, 0.1])
+            sigs = np.choose(pick, [tau, -tau, np.zeros_like(tau),
+                                    3.0 * tau, -3.0 * tau])
+            got = _region_codes(sigs, tau)
+            assert got.shape == batch
+            if batch:
+                assert set(np.unique(got)) == {0, 1, 2}
+            np.testing.assert_array_equal(got, reference(sigs, tau), err_msg=f"p={p}")
 
 
 def _outside_draws(seed, count):

@@ -22,6 +22,7 @@ from phessian.solver import (
     admissible,
     alexandrov_check,
     auxiliary_field,
+    box_grad_hess,
     load_grid_csv,
     load_problem_json,
     manufactured_problem,
@@ -82,6 +83,40 @@ class TestGridBasics:
         d2f = periodic_hess(f, grid.h)
         assert np.allclose(d2f[0, 1], d2f[1, 0])
         assert np.max(np.abs(d2f[0, 0] + f)) < 2e-3
+
+
+@pytest.mark.parametrize("shape", [(13,), (9, 11), (7, 8, 9)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_box_grad_hess_component_planes(shape, masked):
+    """Gradient (n, m) and Hessian planes (n, n, m) at the masked nodes,
+    against a per-component np.gradient reference and, for a quadratic,
+    against its exact derivatives (edge_order=2 is exact on quadratics)."""
+    rng = np.random.default_rng(len(shape))
+    n, h = len(shape), 0.1
+    mask = rng.random(np.prod(shape)) < 0.4 if masked else None
+    nodes = slice(None) if mask is None else mask
+    m = np.count_nonzero(mask) if masked else np.prod(shape)
+
+    f = rng.normal(size=shape)
+    grad, hess = box_grad_hess(f, h, mask)
+    assert grad.shape == (n, m) and hess.shape == (n, n, m)
+    g = [np.gradient(f, h, axis=i, edge_order=2) for i in range(n)]
+    for i in range(n):
+        np.testing.assert_array_equal(grad[i], g[i].ravel()[nodes])
+        for j in range(n):
+            # d_max(d_min f), each mixed partial taken in one order
+            ref = np.gradient(g[min(i, j)], h, axis=max(i, j), edge_order=2)
+            np.testing.assert_array_equal(hess[i, j], ref.ravel()[nodes])
+
+    Q = rng.normal(size=(n, n))
+    Q = Q + Q.T
+    b = rng.normal(size=n)
+    x = np.stack(np.meshgrid(*[h * np.arange(k) for k in shape], indexing="ij"), -1)
+    quad = 0.5 * np.einsum("...i,ij,...j->...", x, Q, x) + x @ b
+    grad, hess = box_grad_hess(quad, h, mask)
+    exact = (x @ Q + b).reshape(-1, n)[nodes].T
+    np.testing.assert_allclose(grad, exact, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hess, np.broadcast_to(Q[..., None], hess.shape), rtol=0, atol=1e-10)
 
 
 class TestResidual:

@@ -221,6 +221,20 @@ class TestMinorPath(unittest.TestCase):
                 single = [int(classify_matrices(m, ConeSpec(d, p))[0]) for m in M]
                 np.testing.assert_array_equal(single, ref)
 
+    def test_plane_major_view_is_bit_identical(self):
+        # construct passes np.moveaxis(hess, -1, 0) of a (d, d, m) Hessian;
+        # d >= 4 takes the Faddeev-LeVerrier matmul path
+        rng = np.random.default_rng(44)
+        for d in range(2, 6):
+            for p in range(1, d + 1):
+                M = self.fuzz_batch(rng, d, p)
+                view = np.moveaxis(np.ascontiguousarray(np.moveaxis(M, 0, -1)), -1, 0)
+                self.assertFalse(view.flags.c_contiguous)
+                codes, sigmas = classify_matrices(view, ConeSpec(d, p))
+                ref_codes, ref_sigmas = classify_matrices(M, ConeSpec(d, p))
+                np.testing.assert_array_equal(codes, ref_codes, err_msg=f"d={d} p={p}")
+                np.testing.assert_array_equal(sigmas, ref_sigmas, err_msg=f"d={d} p={p}")
+
     def fallback_rows(self, M, spec):
         """classify_matrices(M, spec) plus the matrices it sent through the
         eigensolver."""

@@ -5,6 +5,7 @@ import pytest
 
 from phessian.cone import ConeSpec, classify
 from phessian.errors import AdmissibilityError, ConstructionError
+from phessian.solver import ball_grid
 from phessian.subsolution import (
     BallProblem,
     KeyLemmaConfig,
@@ -113,6 +114,47 @@ def test_construct_rejects_bad_u():
     )
     with pytest.raises(ConstructionError):
         construct(prob)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_construct_matches_eigenvalue_oracle(p):
+    """eps1, eps2 and worst_slack of construct (principal minors) against
+    eigvalsh of nodewise np.gradient Hessians plus sigma, for a defining
+    function whose Hessian varies over the ball."""
+    def u(pts):
+        return (np.sum(pts**2, axis=-1) - 1.0) * (0.5 + 0.1 * pts[:, 0])
+
+    def psi(pts):
+        return 0.3 * np.sum(pts**2, axis=-1) + 0.1 * pts[:, 0]
+
+    n, res, phi, alpha = 3, 33, 0.1, 0.5
+    prob = BallProblem(
+        n=n, radius=1.0, resolution=res, p=p, alpha=alpha,
+        psi=psi, phi_tilde=const_phi(phi), u=u,
+    )
+    out = construct(prob)
+
+    pts, dist, h = ball_grid(1.0, res, n)
+    in_ball = dist <= 1.0 + 1e-12
+    trusted = dist <= 1.0 - 2 * h
+
+    def grad_hess(f, mask):
+        g = np.gradient(f, h, edge_order=2)
+        H = np.stack([np.stack(np.gradient(gi, h, edge_order=2), -1) for gi in g], -2)
+        H = 0.5 * (H + np.swapaxes(H, -1, -2))
+        return np.stack(g, -1).reshape(-1, n)[mask], H.reshape(-1, n, n)[mask]
+
+    _, hess_u = grad_hess(u(pts).reshape((res,) * n), in_ball)
+    lam_u = np.linalg.eigvalsh(hess_u)
+    eps1 = np.min(sigma(p, lam_u))
+    eps2 = np.min(sigma(p - 1, lam_u[:, : n - 1])) if p > 1 else 1.0
+    dv, hess_v = grad_hess(out.v, trusted)
+    v = out.v.ravel()[trusted]
+    slack = sigma(p, np.linalg.eigvalsh(hess_v)) ** (1.0 / p) - phi * (
+        1.0 + np.linalg.norm(dv, axis=-1) + np.abs(v) ** alpha
+    )
+    for got, ref in ((out.eps1, eps1), (out.eps2, eps2), (out.worst_slack, np.min(slack))):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_problem_validation():
