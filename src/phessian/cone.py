@@ -56,11 +56,19 @@ def _region_codes(sigs, tau):
 def _regions(mu, p):
     """Region codes and sigma_1..sigma_p, batched.  |sigma_q| <= ZERO_BAND *
     max(1, ||mu||_inf^q) counts as zero, so verdicts respect the cone's
-    scale invariance."""
-    sigs = sigma_all(mu)[..., 1 : p + 1]
+    scale invariance.  A row whose sigma_q or band overflows (entries
+    beyond about 1e100) is decided on mu / ||mu||_inf with band ZERO_BAND,
+    the same verdict; its sigma values stay as computed."""
     scale = np.maximum(1.0, np.max(np.abs(mu), axis=-1))
-    tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))
-    return _region_codes(sigs, tau), sigs
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigs = sigma_all(mu)[..., 1 : p + 1]
+        tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))
+    codes = _region_codes(sigs, tau)
+    finite = np.isfinite(sigs) & np.isfinite(tau)
+    if not finite.all():
+        huge = ~np.all(finite, axis=-1)
+        codes[huge] = _regions(mu[huge] / scale[huge][..., None], p)[0]
+    return codes, sigs
 
 
 def classify(mu, spec):

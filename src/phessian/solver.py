@@ -767,8 +767,7 @@ def save_grid_csv(path, fn):
     )
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for v in fn.values.ravel():
-            fh.write(format(v, ".17g") + "\n")
+        fh.write("".join(["%.17g\n" % v for v in fn.values.ravel().tolist()]))
 
 
 def load_grid_csv(path):

@@ -174,17 +174,20 @@ def classify_matrices(M, spec):
     p = spec.p
     sigmas = matrix_sigmas(M)
     sig = sigmas[..., 1 : p + 1]
-    q = np.arange(1, p + 1)
-    power = np.sqrt(np.einsum("...jk,...jk->...", M, M))[..., None] ** q
-    lo = ZERO_BAND * np.maximum(1.0, power / np.sqrt(spec.n) ** q)
-    hi = ZERO_BAND * np.maximum(1.0, power)
-    slack = MINOR_ROUNDING * power
-    size = np.abs(sig)
-    outside_band = (size < lo - slack) | (size > hi + slack)
+    norm = np.sqrt(np.einsum("...jk,...jk->...", M, M))
+    # |M|_F^q as a running product, one plane per q; the rounding allowance
+    # is far wider than its last bits
+    power = 1.0
+    hi = np.empty((p,) + norm.shape)
     decided = True
-    for j in range(p):  # column by column, as in _region_codes
-        decided = decided & outside_band[..., j]
-    codes = _region_codes(sig, hi)
+    for q in range(p):
+        power = power * norm
+        lo = ZERO_BAND * np.maximum(1.0, power / np.sqrt(spec.n) ** (q + 1))
+        hi[q] = ZERO_BAND * np.maximum(1.0, power)
+        slack = MINOR_ROUNDING * power
+        size = np.abs(sig[..., q])
+        decided = decided & ((size < lo - slack) | (size > hi[q] + slack))
+    codes = _region_codes(sig, np.moveaxis(hi, 0, -1))
     if not np.all(decided):
         codes[~decided] = classify_batch(jacobi_eigh(M[~decided]), spec)
     return codes, sigmas

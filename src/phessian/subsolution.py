@@ -36,6 +36,8 @@ from .solver import ball_grid, box_grad_hess
 from .spectral import classify_matrices, jacobi_eigh
 from .symfun import (
     _as_values,
+    _planes,
+    _prefix,
     sigma,
     sigma_minors,
     sigma_ray_coeffs,
@@ -226,6 +228,11 @@ def _level_crossing(base, xi, p, a):
     a^p there once.  Newton from Fujiwara's root bound decreases onto that
     crossing; a row stops when its step no longer decreases t.  Values come
     from the moved vector, since the monomial form cancels far from t = 0.
+
+    The loop runs on entry planes of the rays still descending.  A settled
+    row would repeat its last step exactly, so once fewer than half the
+    rows descend the settled ones are dropped for good; before that,
+    gathering the rest would cost more than it saves.
     """
     target = a**p
     c = sigma_ray_coeffs(p, base, xi)
@@ -234,17 +241,34 @@ def _level_crossing(base, xi, p, a):
     bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
     bounds[..., -1] *= 0.5 ** (1.0 / p)
     t = 2.0 * np.max(bounds, axis=-1)
-    slope = c[..., 1:] * k
+    shape, n = t.shape, np.shape(xi)[-1]
+    # flat planes: slopes (p, m), ray entries (n, m)
+    slope = _planes(c[..., 1:] * k).reshape(p, -1)
+    base, xi = (
+        np.ascontiguousarray(_planes(np.broadcast_to(v, shape + (n,)))).reshape(n, -1)
+        for v in (base, xi)
+    )
+    out = t.reshape(-1)
+    rows, t = np.arange(out.size), out.copy()
     while True:
-        g = sigma(p, base + t[..., None] * xi) - target
-        dg = slope[..., -1]
+        moved = base + t * xi
+        if not np.isfinite(moved).all():  # the input check of sigma
+            raise ValueError("vector entries must be finite")
+        g = _prefix(moved, p)[p] - target
+        dg = slope[-1]
         for j in range(p - 2, -1, -1):
-            dg = dg * t + slope[..., j]
+            dg = dg * t + slope[j]
         step = t - g / dg
         down = step < t
-        if not np.any(down):
-            return t
-        t = np.where(down, step, t)
+        descending = np.count_nonzero(down)
+        if descending and 2 * descending >= t.size:
+            t = np.where(down, step, t)
+            continue
+        out[rows] = t
+        if not descending:
+            return out.reshape(shape)
+        rows, t = rows[down], step[down]
+        base, xi, slope = base[:, down], xi[:, down], slope[:, down]
 
 
 def key_lemma_check(cfg, directions=10**4, seed=0):

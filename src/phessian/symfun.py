@@ -7,6 +7,17 @@ arrays for batches.  Evaluation uses the prefix recurrence
     e_p(mu_1..mu_k) = e_p(mu_1..mu_{k-1}) + mu_k * e_{p-1}(mu_1..mu_{k-1})
 
 in index order, O(n*p) per vector, never subset enumeration.
+
+The recurrence runs on planes: its input is the stack of entry planes
+mu[..., k] (shape (n,) + batch) and its accumulator a stack of contiguous
+planes e_j (shape (top+1,) + batch), so each update e_j += mu_k e_{j-1} is
+one pass over contiguous memory instead of a strided one over every row's
+short last axis.  Results come back as transposed views, entries on the
+last axis again.  Every element sees the same operations in the same order
+as in the row-major layout, so values are identical bit for bit.  The
+minors, pair minors and the level-crossing Newton of subsolution build
+their masked or moved vectors directly as planes and share the one
+recurrence.
 """
 
 import numpy as np
@@ -21,16 +32,39 @@ def _as_values(mu):
     return mu
 
 
-def _prefix(mu, top):
-    """sigma_0(mu), ..., sigma_top(mu) by the prefix recurrence, shape
-    batch + (top+1,)."""
-    e = np.zeros(mu.shape[:-1] + (top + 1,))
-    e[..., 0] = 1.0
-    for k in range(mu.shape[-1]):
-        x = mu[..., k]
-        for j in range(min(k + 1, top), 0, -1):
-            e[..., j] += x * e[..., j - 1]
+def _planes(a):
+    """View of a with its last axis first: np.moveaxis(a, -1, 0) without
+    that function's per-call overhead, which shows on small batches."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def _rows(planes):
+    """Inverse of _planes: the view with the first axis last."""
+    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
+
+
+def _prefix(planes, top):
+    """sigma_0, ..., sigma_top of the entry planes (n,) + batch by the
+    prefix recurrence, as planes (top+1,) + batch."""
+    e = np.zeros((top + 1,) + planes.shape[1:])
+    e[0] = 1.0
+    for k in range(len(planes)):
+        x = planes[k]
+        for j in range(min(k + 1, top), 1, -1):
+            e[j] += x * e[j - 1]
+        if top:
+            e[1] += x  # x * e[0]: multiplying by exactly 1 changes no bit
     return e
+
+
+def _sigma_planes(p, planes):
+    """sigma_p of the entry planes (n,) + batch, shape batch: 1 if p = 0,
+    0 if p < 0 or p > n."""
+    if p == 0:
+        return np.ones(planes.shape[1:])
+    if p < 0 or p > len(planes):
+        return np.zeros(planes.shape[1:])
+    return _prefix(planes, p)[p]
 
 
 def sigma_all(mu):
@@ -39,21 +73,13 @@ def sigma_all(mu):
     Returns an array of shape batch + (n+1,).
     """
     mu = _as_values(mu)
-    return _prefix(mu, mu.shape[-1])
+    return _rows(_prefix(_planes(mu), mu.shape[-1]))
 
 
 def sigma(p, mu):
     """sigma_p(mu): 1 if p = 0, 0 if p < 0 or p > n, else the p-th
     elementary symmetric polynomial of the entries."""
-    mu = _as_values(mu)
-    n = mu.shape[-1]
-    batch = mu.shape[:-1]
-    if p == 0:
-        out = np.ones(batch)
-    elif p < 0 or p > n:
-        out = np.zeros(batch)
-    else:
-        out = _prefix(mu, p)[..., p]
+    out = _sigma_planes(p, _planes(_as_values(mu)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -83,30 +109,33 @@ def sigma_trunc(p, mu, J):
     return sigma(p, masked)
 
 
+def _masked_planes(mu, axes):
+    """Entry planes (n,) + batch + (n,) * axes of mu, one copy of mu per
+    trailing index, with entry k zeroed wherever a trailing index is k."""
+    n = mu.shape[-1]
+    planes = _planes(mu)[(...,) + (None,) * axes]
+    planes = np.broadcast_to(planes, planes.shape[: mu.ndim] + (n,) * axes).copy()
+    idx = np.arange(n)
+    for axis in range(axes):
+        planes[(idx, Ellipsis, idx) + (slice(None),) * axis] = 0.0
+    return planes
+
+
 def sigma_minors(p, mu):
     """Every sigma_p(mu|j), j = 1..n, along the last axis (batched).
 
-    Row j of a broadcast copy has entry j zeroed; one sigma call over the
-    rows gives all n minors.
+    Plane k of the masked copy holds mu_k in column j except in column k;
+    one recurrence over the planes gives all n minors.
     """
-    mu = _as_values(mu)
-    n = mu.shape[-1]
-    masked = np.repeat(mu[..., None, :], n, axis=-2)
-    idx = np.arange(n)
-    masked[..., idx, idx] = 0.0
-    return np.ascontiguousarray(sigma(p, masked))
+    return _sigma_planes(p, _masked_planes(_as_values(mu), 1))
 
 
 def sigma_pair_minors(p, mu):
     """sigma_p(mu|jk) for every index pair as a batch + (n, n) array,
     zero on the diagonal (repeated index)."""
     mu = _as_values(mu)
-    n = mu.shape[-1]
-    masked = np.broadcast_to(mu[..., None, None, :], mu.shape[:-1] + (n, n, n)).copy()
-    idx = np.arange(n)
-    masked[..., idx, :, idx] = 0.0
-    masked[..., :, idx, idx] = 0.0
-    out = np.ascontiguousarray(sigma(p, masked))
+    out = _sigma_planes(p, _masked_planes(mu, 2))
+    idx = np.arange(mu.shape[-1])
     out[..., idx, idx] = 0.0
     return out
 
@@ -116,14 +145,14 @@ def sigma_ray_coeffs(p, base, xi):
     + t xi), p >= 0: the prefix recurrence with polynomial entries, O(n p^2)
     per ray.  base and xi broadcast against each other."""
     base, xi = np.broadcast_arrays(_as_values(base), _as_values(xi))
-    e = np.zeros(base.shape[:-1] + (p + 1, p + 1))  # e[..., j, k]: t^k of sigma_j
-    e[..., 0, 0] = 1.0
+    e = np.zeros((p + 1, p + 1) + base.shape[:-1])  # e[j, k]: t^k of sigma_j
+    e[0, 0] = 1.0
     for k in range(base.shape[-1]):
-        b, x = base[..., k, None], xi[..., k, None]
+        b, x = base[..., k], xi[..., k]
         for j in range(min(k + 1, p), 0, -1):
-            e[..., j, 1:] += x * e[..., j - 1, :-1]
-            e[..., j, :] += b * e[..., j - 1, :]
-    return e[..., p, :]
+            e[j, 1:] += x * e[j - 1, :-1]
+            e[j] += b * e[j - 1]
+    return _rows(e[p])
 
 
 def sigma_root_grad(p, mu):

@@ -50,6 +50,27 @@ def test_classify_scale_invariance():
             assert classify(s * mu, spec).region == base
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e110, 1e200, 1e300])
+def test_huge_entries_keep_their_codes(scale):
+    # sigma_q and its band overflow past ~1e100; the verdict must still be
+    # that of the unscaled vector, with no overflow warning
+    rows = {
+        (3, 3): [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+        (3, 2): [[0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [2.0, -1.0, 3.0]],
+        (4, 1): [[1.0, -1.0, 2.0, -1.5], [1.0, -1.0, 2.0, -2.0], [-1.0, -1.0, 0.5, 0.5]],
+    }
+    for (n, p), mus in rows.items():
+        spec = ConeSpec(n, p)
+        mu = np.array(mus)
+        want = classify_batch(mu, spec)
+        assert set(want) == {0, 1, 2}
+        np.testing.assert_array_equal(classify_batch(scale * mu, spec), want)
+        for row, code in zip(scale * mu, want):
+            assert classify(row, spec).region == ("outside", "boundary", "interior")[code]
+        require_cone(scale * mu[want == 2], spec)
+
+
 def test_cone_distance_hand_cases():
     assert cone_distance([-1.0, -1.0, -1.0], ConeSpec(3, 1)) == pytest.approx(
         1.0, abs=1e-9

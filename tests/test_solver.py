@@ -564,6 +564,26 @@ class TestSerialization:
         assert back.grid.sizes == grid.sizes
         assert np.array_equal(back.values, ustar.values)
 
+    def test_grid_csv_body_is_per_value_format(self):
+        # one line per node, each format(v, ".17g"): signed zero, the
+        # smallest subnormal, a huge and a non-dyadic value
+        grid = TorusGrid((8, 8))
+        values = np.linspace(-1.0, 1.0, 64).reshape(grid.sizes)
+        values.flat[:4] = [-0.0, 5e-324, 1e300, 0.1]
+        with tempfile.TemporaryDirectory() as td:
+            path = os.path.join(td, "u.csv")
+            save_grid_csv(path, GridFn(grid, values))
+            with open(path) as fh:
+                fh.readline()
+                body = fh.read()
+            back = load_grid_csv(path)
+        assert body == "".join(format(v, ".17g") + "\n" for v in values.ravel())
+        assert body.startswith(
+            "-0\n4.9406564584124654e-324\n1.0000000000000001e+300\n0.10000000000000001\n"
+        )
+        assert np.array_equal(back.values, values)
+        assert np.signbit(back.values.flat[0])
+
     def test_problem_json_roundtrip(self):
         specs = [
             EquationSpec(p=1, A_field=("zero",), rhs=("constant", 2.0)),

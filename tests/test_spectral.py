@@ -280,6 +280,35 @@ class TestMinorPath(unittest.TestCase):
             np.testing.assert_array_equal(seen, M[np.array(annulus)], err_msg=f"d={d} p={p}")
             np.testing.assert_array_equal(codes, classify_batch(jacobi_eigh(M), spec))
 
+    def test_rows_at_both_band_edges(self):
+        # |sigma_p| 1% of the rounding allowance on either side of the
+        # undecided range's edges lo - slack and hi + slack, still far wider
+        # than rounding in the minors: rows just inside go through the
+        # eigensolver, rows just outside are decided from the minors, and
+        # every code agrees with the eigenvalue classifier.  The lower edge
+        # is positive only for |M|_F^p < 1e-2, hence the small scales.
+        rng = np.random.default_rng(45)
+        for d, p in ((2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (5, 4)):
+            spec = ConeSpec(d, p)
+            rows, inside = [], []
+            for scale in (0.2 * 1e-2 ** (1.0 / p) / d, 1e-2, 1.0, 30.0):
+                head = scale * rng.uniform(1.0, 2.0, d - 1)
+                lo, hi, slack = band_range(with_sigma(head, p, 0.0), p)
+                step = 0.01 * slack[-1]
+                near = {hi[-1] + slack[-1] - step: False, hi[-1] + slack[-1] + step: True}
+                if lo[-1] - slack[-1] > 0:
+                    near.update({lo[-1] - slack[-1] + step: False,
+                                 lo[-1] - slack[-1] - step: True})
+                for target, outside in near.items():
+                    for sign in (1.0, -1.0):
+                        rows.append(rotate(rng, with_sigma(head, p, sign * target)))
+                        inside.append(not outside)
+            self.assertGreater(len(rows), 8 * 2, (d, p))   # some lower edge exists
+            M = np.stack(rows)
+            codes, seen = self.fallback_rows(M, spec)
+            np.testing.assert_array_equal(seen, M[np.array(inside)], err_msg=f"d={d} p={p}")
+            np.testing.assert_array_equal(codes, classify_batch(jacobi_eigh(M), spec))
+
     def test_zero_matrix_is_boundary_without_eigensolve(self):
         for d in range(1, 6):
             for p in range(1, d + 1):

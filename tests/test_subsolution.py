@@ -15,7 +15,7 @@ from phessian.subsolution import (
     rank_one_sigma,
 )
 from phessian.subsolution import _level_crossing
-from phessian.symfun import sigma, sigma_brute
+from phessian.symfun import sigma, sigma_brute, sigma_ray_coeffs
 
 
 def ball_u(pts):
@@ -276,10 +276,22 @@ def test_matrix_form_conjugation_invariant_rhs():
     assert rhs2 == pytest.approx(rhs1, abs=1e-9)
 
 
+def assert_crossing(base, x, p, a, t):
+    """At the crossing t*, subset enumeration gives sigma_p = a^p, a step
+    1e-6 back along the ray is below the level set, and the crossing lies
+    in the open cone (the branch past the largest root of sigma_p)."""
+    target = a**p
+    # rel 1e-9, unless one ulp of t moves sigma_p further: a ray with tiny
+    # xi_j crosses where base_j + t xi_j nearly cancels
+    ulp = np.spacing(t)
+    spread = abs(sigma_brute(p, base + (t + ulp) * x) - sigma_brute(p, base + (t - ulp) * x))
+    err = abs(sigma_brute(p, base + t * x) - target)
+    assert err <= max(1e-9 * target, spread)
+    assert sigma_brute(p, base + (t - 1e-6) * x) < target
+    assert classify(base + t * x, ConeSpec(len(x), p)).region == "interior"
+
+
 def test_level_crossing_against_brute_force():
-    # at each crossing t*, subset enumeration gives sigma_p = a^p, a step
-    # 1e-6 back along the ray is below the level set, and the crossing lies
-    # in the open cone (the branch past the largest root of sigma_p)
     rng = np.random.default_rng(61)
     for _ in range(80):
         n = int(rng.integers(1, 8))
@@ -289,14 +301,66 @@ def test_level_crossing_against_brute_force():
         xi = rng.uniform(0.0, 1.0, (20, n)) + 1e-3
         xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
         t = _level_crossing(base, xi, p, a)
-        target = a**p
         for ti, x in zip(t, xi):
-            # rel 1e-9, unless one ulp of t moves sigma_p further: a ray
-            # with tiny xi_j crosses where base_j + t xi_j nearly cancels
-            ulp = np.spacing(ti)
-            spread = abs(sigma_brute(p, base + (ti + ulp) * x)
-                         - sigma_brute(p, base + (ti - ulp) * x))
-            err = abs(sigma_brute(p, base + ti * x) - target)
-            assert err <= max(1e-9 * target, spread)
-            assert sigma_brute(p, base + (ti - 1e-6) * x) < target
-            assert classify(base + ti * x, ConeSpec(n, p)).region == "interior"
+            assert_crossing(base, x, p, a, ti)
+
+
+def dense_crossing(base, xi, p, a):
+    """The crossing Newton of _level_crossing on the whole batch, every row
+    every step, with the number of steps each row descends."""
+    target = a**p
+    c = sigma_ray_coeffs(p, base, xi)
+    c[..., 0] -= target
+    k = np.arange(1, p + 1)
+    bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
+    bounds[..., -1] *= 0.5 ** (1.0 / p)
+    t = 2.0 * np.max(bounds, axis=-1)
+    steps = np.zeros(t.shape, dtype=int)
+    while True:
+        g = sigma(p, base + t[..., None] * xi) - target
+        dg = np.polynomial.polynomial.polyval(t, (c[..., 1:] * k).T, tensor=False)
+        step = t - g / dg
+        down = step < t
+        if not np.any(down):
+            return t, steps
+        steps += down
+        t = np.where(down, step, t)
+
+
+def test_level_crossing_active_set_is_exact():
+    # one batch of rays that settle after at most 6 steps, rays that need
+    # 15 or more, and rays whose crossing lies below 0 (clamped by
+    # key_lemma_check), ordered so the two halves drop their settled rows
+    # at other steps than the whole batch does
+    rng = np.random.default_rng(62)
+    n, p, a = 3, 3, 1.0
+    xi = rng.uniform(0.0, 1.0, (4000, n)) + 1e-3
+    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+    low = np.array([-0.8, 0.5, 2.0])
+    _, steps = dense_crossing(low, xi, p, a)
+    fast, slow = xi[steps <= 6][:60], xi[steps >= 15]
+    assert len(fast) == 60 and len(slow) >= 10
+    base = np.concatenate([np.repeat([low], 40, 0), np.repeat([low + 1.5], 20, 0),
+                           np.repeat([low], len(slow) + 20, 0)])
+    rays = np.concatenate([fast[:40], xi[:20], slow, fast[40:]])
+    t = _level_crossing(base, rays, p, a)
+    ref, steps = dense_crossing(base, rays, p, a)
+    assert steps.min() <= 6 and steps.max() >= 15 and np.sum(t < 0) == 20
+    half = len(rays) // 2
+    halves = [_level_crossing(base[s], rays[s], p, a)
+              for s in (slice(None, half), slice(half, None))]
+    assert np.array_equal(np.concatenate(halves), t)
+    assert np.array_equal(ref, t)
+    for b, x, ti in zip(base, rays, t):
+        assert_crossing(b, x, p, a, ti)
+
+
+def test_level_crossing_rejects_nonfinite_iterate():
+    # sigma_2(xi) = 0 on the last ray: its Fujiwara bound is inf, and the
+    # moved vector is not finite
+    rng = np.random.default_rng(63)
+    xi = rng.uniform(0.0, 1.0, (50, 3)) + 1e-3
+    xi[-1] = [1.0, 0.0, 0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            _level_crossing(np.array([-0.5, 0.2, 1.0]), xi, 2, 1.0)
