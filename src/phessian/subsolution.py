@@ -36,10 +36,9 @@ from .solver import ball_grid, box_grad_hess
 from .spectral import classify_matrices, jacobi_eigh
 from .symfun import (
     _as_values,
-    _planes,
-    _prefix,
     sigma,
     sigma_minors,
+    sigma_planes,
     sigma_ray_coeffs,
     sigma_root_grad,
 )
@@ -230,9 +229,8 @@ def _level_crossing(base, xi, p, a):
     from the moved vector, since the monomial form cancels far from t = 0.
 
     The loop runs on entry planes of the rays still descending.  A settled
-    row would repeat its last step exactly, so once fewer than half the
-    rows descend the settled ones are dropped for good; before that,
-    gathering the rest would cost more than it saves.
+    row would repeat its last step exactly, so it keeps its last value and
+    is dropped for good.
     """
     target = a**p
     c = sigma_ray_coeffs(p, base, xi)
@@ -243,32 +241,28 @@ def _level_crossing(base, xi, p, a):
     t = 2.0 * np.max(bounds, axis=-1)
     shape, n = t.shape, np.shape(xi)[-1]
     # flat planes: slopes (p, m), ray entries (n, m)
-    slope = _planes(c[..., 1:] * k).reshape(p, -1)
+    slope = np.moveaxis(c[..., 1:] * k, -1, 0).reshape(p, -1)
     base, xi = (
-        np.ascontiguousarray(_planes(np.broadcast_to(v, shape + (n,)))).reshape(n, -1)
+        np.ascontiguousarray(np.moveaxis(np.broadcast_to(v, shape + (n,)), -1, 0))
+        .reshape(n, -1)
         for v in (base, xi)
     )
     out = t.reshape(-1)
     rows, t = np.arange(out.size), out.copy()
-    while True:
-        moved = base + t * xi
-        if not np.isfinite(moved).all():  # the input check of sigma
-            raise ValueError("vector entries must be finite")
-        g = _prefix(moved, p)[p] - target
+    while rows.size:
+        g = sigma_planes(p, base + t * xi) - target
         dg = slope[-1]
         for j in range(p - 2, -1, -1):
             dg = dg * t + slope[j]
         step = t - g / dg
-        down = step < t
-        descending = np.count_nonzero(down)
-        if descending and 2 * descending >= t.size:
-            t = np.where(down, step, t)
-            continue
         out[rows] = t
-        if not descending:
-            return out.reshape(shape)
-        rows, t = rows[down], step[down]
-        base, xi, slope = base[:, down], xi[:, down], slope[:, down]
+        keep = np.flatnonzero(step < t)
+        if keep.size < rows.size:  # copy the planes only when a row settled
+            rows, base, xi, slope, step = (
+                v.take(keep, -1) for v in (rows, base, xi, slope, step)
+            )
+        t = step
+    return out.reshape(shape)
 
 
 def key_lemma_check(cfg, directions=10**4, seed=0):

@@ -12,35 +12,29 @@ The recurrence runs on planes: its input is the stack of entry planes
 mu[..., k] (shape (n,) + batch) and its accumulator a stack of contiguous
 planes e_j (shape (top+1,) + batch), so each update e_j += mu_k e_{j-1} is
 one pass over contiguous memory instead of a strided one over every row's
-short last axis.  Results come back as transposed views, entries on the
+short last axis.  Results come back as np.moveaxis views, entries on the
 last axis again.  Every element sees the same operations in the same order
 as in the row-major layout, so values are identical bit for bit.  The
-minors, pair minors and the level-crossing Newton of subsolution build
-their masked or moved vectors directly as planes and share the one
+minors and pair minors build their masked copies directly as planes, and
+callers that hold their vectors as planes (the level-crossing Newton of
+subsolution) evaluate them with sigma_planes; all share the one
 recurrence.
 """
 
 import numpy as np
 
 
+def _require_finite(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("vector entries must be finite")
+
+
 def _as_values(mu):
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 0 or mu.shape[-1] == 0:
         raise ValueError("vector must have length n >= 1")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("vector entries must be finite")
+    _require_finite(mu)
     return mu
-
-
-def _planes(a):
-    """View of a with its last axis first: np.moveaxis(a, -1, 0) without
-    that function's per-call overhead, which shows on small batches."""
-    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
-
-
-def _rows(planes):
-    """Inverse of _planes: the view with the first axis last."""
-    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
 
 
 def _prefix(planes, top):
@@ -67,19 +61,26 @@ def _sigma_planes(p, planes):
     return _prefix(planes, p)[p]
 
 
+def sigma_planes(p, planes):
+    """sigma_p of the entry planes (n,) + batch, shape batch: the vectors
+    np.moveaxis(planes, 0, -1), entries checked finite as in sigma."""
+    _require_finite(planes)
+    return _sigma_planes(p, planes)
+
+
 def sigma_all(mu):
     """All values sigma_0(mu), ..., sigma_n(mu) in one prefix-recurrence pass.
 
     Returns an array of shape batch + (n+1,).
     """
     mu = _as_values(mu)
-    return _rows(_prefix(_planes(mu), mu.shape[-1]))
+    return np.moveaxis(_prefix(np.moveaxis(mu, -1, 0), mu.shape[-1]), 0, -1)
 
 
 def sigma(p, mu):
     """sigma_p(mu): 1 if p = 0, 0 if p < 0 or p > n, else the p-th
     elementary symmetric polynomial of the entries."""
-    out = _sigma_planes(p, _planes(_as_values(mu)))
+    out = _sigma_planes(p, np.moveaxis(_as_values(mu), -1, 0))
     return float(out) if out.ndim == 0 else out
 
 
@@ -113,7 +114,7 @@ def _masked_planes(mu, axes):
     """Entry planes (n,) + batch + (n,) * axes of mu, one copy of mu per
     trailing index, with entry k zeroed wherever a trailing index is k."""
     n = mu.shape[-1]
-    planes = _planes(mu)[(...,) + (None,) * axes]
+    planes = np.moveaxis(mu, -1, 0)[(...,) + (None,) * axes]
     planes = np.broadcast_to(planes, planes.shape[: mu.ndim] + (n,) * axes).copy()
     idx = np.arange(n)
     for axis in range(axes):
@@ -152,7 +153,7 @@ def sigma_ray_coeffs(p, base, xi):
         for j in range(min(k + 1, p), 0, -1):
             e[j, 1:] += x * e[j - 1, :-1]
             e[j] += b * e[j - 1]
-    return _rows(e[p])
+    return np.moveaxis(e[p], 0, -1)
 
 
 def sigma_root_grad(p, mu):

@@ -330,8 +330,8 @@ def dense_crossing(base, xi, p, a):
 def test_level_crossing_active_set_is_exact():
     # one batch of rays that settle after at most 6 steps, rays that need
     # 15 or more, and rays whose crossing lies below 0 (clamped by
-    # key_lemma_check), ordered so the two halves drop their settled rows
-    # at other steps than the whole batch does
+    # key_lemma_check), ordered so each half loses its settled rows at
+    # other steps than the whole batch does
     rng = np.random.default_rng(62)
     n, p, a = 3, 3, 1.0
     xi = rng.uniform(0.0, 1.0, (4000, n)) + 1e-3

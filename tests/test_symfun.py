@@ -12,6 +12,7 @@ from phessian.symfun import (
     sigma_brute,
     sigma_minors,
     sigma_pair_minors,
+    sigma_planes,
     sigma_ray_coeffs,
     sigma_root_grad,
     sigma_trunc,
@@ -64,6 +65,19 @@ def test_sigma_batched_matches_scalar():
     batched = sigma(2, mu)
     for i in range(20):
         assert batched[i] == sigma(2, mu[i])
+
+
+def test_sigma_planes_matches_sigma():
+    # entry planes (n,) + batch give sigma of the moved-back vectors bit for
+    # bit, and a non-finite entry fails sigma's input check
+    rng = np.random.default_rng(5)
+    mu = rng.uniform(-5, 5, (6, 7, 4))
+    planes = np.ascontiguousarray(np.moveaxis(mu, -1, 0))
+    for p in range(-1, 6):
+        assert np.array_equal(sigma_planes(p, planes), sigma(p, mu)), p
+    planes[2, 3, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        sigma_planes(2, planes)
 
 
 def test_sigma_all_consistent():
