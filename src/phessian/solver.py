@@ -10,8 +10,10 @@ central differences).  The module owns:
   phi(alpha, t) with their analytic alpha/t derivatives,
 * nodewise residual and admissibility maps,
 * a damped Newton iteration with cone-preserving line search, a zero-mean
-  gauge for u-independent equations, and matrix-free Krylov linear solves
-  preconditioned by the Fourier symbol of the frozen-coefficient Jacobian,
+  gauge for u-independent equations, and matrix-free LGMRES linear solves
+  preconditioned by the Fourier symbol of the frozen-coefficient Jacobian
+  (lgmres; its inner products are numpy reductions, not threaded BLAS, so
+  a solve gives the same bits on any core count),
 * diagnostic monitors and the auxiliary functions whose maxima the
   a-priori-estimate proofs track,
 * pseudo-subsolution / pseudo-supersolution pointwise checkers,
@@ -22,7 +24,7 @@ central differences).  The module owns:
 
 import json
 from dataclasses import dataclass
-from math import gamma, pi
+from math import gamma, hypot, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -33,6 +35,8 @@ from .symfun import sigma
 
 # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
 KRYLOV_RTOL = 1e-8
+# corrections lgmres carries from cycle to cycle (Baker et al.: 1 to 3)
+LGMRES_OUTER_K = 3
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +370,8 @@ def _fourier_preconditioner(F, G, H, h):
     so this is the exact inverse for constant coefficients.  Its real part
     is negative off the zero mode for SPD F and H <= 0.  A mode with a zero
     symbol (the constant under the zero-mean gauge, where H = 0) spans the
-    kernel and is dropped.  Returns a LinearOperator on raveled fields.
+    kernel and is dropped.  Returns the inverse as a map of raveled fields.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     shape = H.shape
     d = len(shape)
     axes = tuple(range(d))
@@ -392,7 +394,7 @@ def _fourier_preconditioner(F, G, H, h):
         rhat = np.fft.rfftn(r.reshape(shape), axes=axes)
         return np.fft.irfftn(rhat * inverse, s=shape, axes=axes).ravel()
 
-    return LinearOperator((H.size, H.size), matvec=apply)
+    return apply
 
 
 def _gauge(spec, shape):
@@ -412,12 +414,148 @@ def residual_norm(res, spec):
     return float(np.max(np.abs(_gauge(spec, res.shape)(res))))
 
 
-def lgmres(A, b, **kwargs):
-    """scipy.sparse.linalg.lgmres, imported on first use: the subcommands
-    that never solve a linear system skip loading scipy.sparse.linalg."""
-    from scipy.sparse.linalg import lgmres as scipy_lgmres
+def _dot(a, b):
+    """Inner product in numpy's own single-threaded loop.  BLAS ddot splits
+    long vectors across threads, and its summation order, hence its last
+    bits, then depends on the thread count."""
+    return float(np.einsum("i,i->", a, b))
 
-    return scipy_lgmres(A, b, **kwargs)
+
+def _norm(a):
+    return sqrt(_dot(a, a))
+
+
+def _combine(vectors, coeffs):
+    """sum_i coeffs[i] vectors[i], accumulated in index order."""
+    out = vectors[0] * coeffs[0]
+    for v, c in zip(vectors[1:], coeffs[1:]):
+        out += c * v
+    return out
+
+
+def _arnoldi(matvec, psolve, v0, m, atol, outer_v):
+    """Up to m left-preconditioned GMRES steps from the unit vector v0, then
+    one step for each augmentation pair (z, psolve(matvec(z))) in outer_v;
+    stops early once the preconditioned residual, relative to |v0|, is
+    below atol or the basis breaks down.  The Hessenberg matrix is reduced
+    by Givens rotations as it grows.
+
+    Returns (zs, vs, hs, y, res): the step directions, the orthonormal
+    basis, the Hessenberg columns, the least-squares coefficients with
+    psolve(matvec(zs @ y)) = vs @ (hs @ y), and the residual estimate; None
+    when the triangular factor is singular or not finite.
+    """
+    m += len(outer_v)
+    vs, zs, hs, rs, rots = [v0], [], [], [], []
+    g = [1.0]
+    eps = np.finfo(float).eps
+    for j in range(m):
+        if j >= m - len(outer_v):
+            z, w = outer_v[j - (m - len(outer_v))]
+            w = w.copy()
+        else:
+            z = vs[-1]
+            w = psolve(matvec(z))
+        w_norm = _norm(w)
+        h = []
+        for v in vs:
+            alpha = _dot(v, w)
+            h.append(alpha)
+            w -= alpha * v
+        h.append(_norm(w))
+        if h[-1] != 0.0 and isfinite(1.0 / h[-1]):
+            w *= 1.0 / h[-1]
+        breakdown = not h[-1] > eps * w_norm
+        vs.append(w)
+        zs.append(z)
+        hs.append(h)
+
+        r = list(h)
+        for i, (c, s) in enumerate(rots):
+            r[i], r[i + 1] = c * r[i] + s * r[i + 1], c * r[i + 1] - s * r[i]
+        rho = hypot(r[j], r[j + 1])
+        c, s = (r[j] / rho, r[j + 1] / rho) if rho != 0.0 else (1.0, 0.0)
+        rots.append((c, s))
+        r[j] = rho
+        rs.append(r)
+        g[j], g_next = c * g[j], -s * g[j]
+        g.append(g_next)
+        res = abs(g_next)
+        if res < atol or breakdown:
+            break
+
+    y = [0.0] * (j + 1)
+    for k in range(j, -1, -1):
+        if not (isfinite(rs[k][k]) and rs[k][k] != 0.0):
+            return None
+        y[k] = (g[k] - sum(rs[l][k] * y[l] for l in range(k + 1, j + 1))) / rs[k][k]
+    return zs, vs, hs, y, res
+
+
+def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
+    """Solve J x = b from x = 0 by LGMRES (Baker, Jessup and Manteuffel,
+    SIAM J. Matrix Anal. Appl. 2005): restarted GMRES (Saad and Schultz
+    1986) whose every cycle of inner_m left-preconditioned steps is
+    augmented by the last LGMRES_OUTER_K corrections, carried with their
+    images so that they cost no matvec.  matvec applies J and M, the
+    preconditioner, an approximate inverse of J, both to 1-D arrays.  Each
+    outer cycle stops on the unpreconditioned residual, |J x - b| <= rtol
+    |b|; the inner tolerance adapts to how far the last cycle's
+    preconditioned residual ran from its target.  This is the algorithm of
+    scipy.sparse.linalg.lgmres (with atol = 0), with every inner product a
+    numpy reduction (_dot), so the result does not depend on the number of
+    BLAS threads.
+
+    Returns (x, 0) on convergence and (x, info > 0) otherwise: maxiter when
+    the cycles run out, the cycle's number when M returns zero or an inner
+    least-squares problem is singular or not finite.  Raises ValueError
+    when b is not finite.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("lgmres: the right-hand side must be finite")
+    x = np.zeros_like(b, dtype=float)
+    b_norm = _norm(b)
+    if b_norm == 0.0:
+        return x, 0
+    tol = rtol * b_norm
+    ptol_max_factor = 1.0
+    outer_v = []
+    for k_outer in range(maxiter):
+        r_outer = matvec(x) - b
+        r_norm = _norm(r_outer)
+        if r_norm <= tol:
+            return x, 0
+        v0 = -M(r_outer)
+        inner_res_0 = _norm(v0)
+        if inner_res_0 == 0.0:
+            return x, k_outer + 1
+        v0 *= 1.0 / inner_res_0
+        ptol = min(ptol_max_factor, tol / r_norm)
+        arnoldi = _arnoldi(matvec, M, v0, inner_m, ptol, outer_v)
+        if arnoldi is None:
+            return x, k_outer + 1
+        zs, vs, hs, y, pres = arnoldi
+        y = [inner_res_0 * yk for yk in y]
+        if not all(isfinite(yk) for yk in y):
+            return x, k_outer + 1
+        if pres > ptol:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        else:
+            ptol_max_factor = max(1e-16, 0.25 * ptol_max_factor)
+
+        dx = _combine(zs, y)
+        nx = _norm(dx)
+        if nx > 0.0:
+            # image of dx: psolve(matvec(dx)) = vs @ q with q = hs @ y
+            q = [0.0] * len(vs)
+            for h, yk in zip(hs, y):
+                for i, hik in enumerate(h):
+                    q[i] += hik * yk
+            outer_v.append((dx / nx, _combine(vs, q) / nx))
+        while len(outer_v) > LGMRES_OUTER_K:
+            del outer_v[0]
+        x += dx
+    return x, maxiter
 
 
 def newton_solve(spec, u0, tol=1e-9, max_iters=30):
@@ -425,7 +563,10 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     zero-mean gauge when the equation does not depend on u (see _gauge).
     Each linear solve is lgmres preconditioned by the Fourier inverse of
     the frozen-coefficient Jacobian (_fourier_preconditioner); lgmres stops
-    on the unpreconditioned residual.
+    on the unpreconditioned residual.  The linear solve makes no BLAS call:
+    its inner products are numpy reductions and its matvecs are stencils
+    and FFTs, so the trace and the solution are the same under any number
+    of BLAS threads.
 
     Returns (solution GridFn, trace); the trace records, for every
     iteration, residual_norm, the raw residual norm, the accepted step
@@ -437,11 +578,8 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     the trace so far when a linear solve or the line search fails, or when
     max_iters iterations leave residual_norm above tol.
     """
-    from scipy.sparse.linalg import LinearOperator
-
     grid = u0.grid
     h = grid.h
-    nnodes = int(np.prod(grid.sizes))
     project = _gauge(spec, grid.sizes)
     u = project(u0.values)
     trace = []
@@ -460,11 +598,10 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
             out = _apply_jacobian(project(x.reshape(grid.sizes)), F, G, H, h)
             return project(out).ravel()
 
-        op = LinearOperator((nnodes, nnodes), matvec=matvec)
         b = -project(res).ravel()
         step_dir, info = lgmres(
-            op, b, rtol=KRYLOV_RTOL, atol=0.0, maxiter=2000,
-            M=_fourier_preconditioner(F, G, H, h),
+            matvec, b, M=_fourier_preconditioner(F, G, H, h), rtol=KRYLOV_RTOL,
+            maxiter=2000,
         )
         if info != 0:
             raise NonconvergenceError(
@@ -473,9 +610,8 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
                 trace=trace,
             )
         s = project(step_dir.reshape(grid.sizes))
-        linear_residual = float(
-            np.linalg.norm(b - project(_apply_jacobian(s, F, G, H, h)).ravel())
-            / np.linalg.norm(b)
+        linear_residual = (
+            _norm(b - project(_apply_jacobian(s, F, G, H, h)).ravel()) / _norm(b)
         )
 
         step = 1.0

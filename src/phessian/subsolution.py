@@ -230,10 +230,17 @@ def _level_crossing(base, xi, p, a):
 
     The loop runs on entry planes of the rays still descending.  A settled
     row would repeat its last step exactly, so it keeps its last value and
-    is dropped for good.
+    is dropped for good.  A ray with sigma_p(xi) = 0 (outside the rows'
+    domain) has no finite starting bound and raises ValueError up front.
     """
     target = a**p
     c = sigma_ray_coeffs(p, base, xi)
+    flat = np.flatnonzero(c[..., p] == 0.0)
+    if flat.size:
+        raise ValueError(
+            f"sigma_p(xi) = 0 on ray {flat[0]}: Fujiwara's bound, where the "
+            f"crossing's Newton starts, is not finite"
+        )
     c[..., 0] -= target
     k = np.arange(1, p + 1)
     bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)

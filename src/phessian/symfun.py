@@ -150,9 +150,12 @@ def sigma_ray_coeffs(p, base, xi):
     e[0, 0] = 1.0
     for k in range(base.shape[-1]):
         b, x = base[..., k], xi[..., k]
-        for j in range(min(k + 1, p), 0, -1):
+        for j in range(min(k + 1, p), 1, -1):
             e[j, 1:] += x * e[j - 1, :-1]
             e[j] += b * e[j - 1]
+        if p:  # e[0] = (1, 0, ..., 0): adding its products changes no bit
+            e[1, 1] += x
+            e[1, 0] += b
     return np.moveaxis(e[p], 0, -1)
 
 

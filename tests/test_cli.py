@@ -32,18 +32,23 @@ def run(tmp_path, name, *argv):
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
-def run_subprocess(tmp_path, *argv):
-    """main(argv) in a fresh interpreter with a timeout, so a hang fails."""
+def src_env():
+    """This environment with the package source first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
     )
+    return env
+
+
+def run_subprocess(tmp_path, *argv):
+    """main(argv) in a fresh interpreter with a timeout, so a hang fails."""
     out = os.path.join(tmp_path, "report.json")
     return subprocess.run(
         [sys.executable, "-c",
          "import sys; from phessian.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv, "--output", out],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=src_env(), capture_output=True, text=True, timeout=60,
     ), out
 
 
@@ -418,20 +423,45 @@ def test_pseudo_check_clean(tmp_path):
     assert rep["results"]["worst_super_slack"] == pytest.approx(0.75, abs=1e-12)
 
 
-def test_import_skips_sparse_linalg():
-    # only newton_solve needs scipy.sparse.linalg; it imports it on first use
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
+def test_import_skips_sparse_linalg(tmp_path):
+    # nothing in phessian imports scipy, a Newton solve included
+    out = os.path.join(tmp_path, "solve.json")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, phessian.cli; "
-         "print('scipy.sparse.linalg' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
+         "status = phessian.cli.main(sys.argv[1:]); "
+         "print(status, 'scipy' in sys.modules)",
+         "solve", "--manufactured", "16", "--output", out],
+        env=src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 False"
+
+
+def test_solve_is_independent_of_blas_threads(tmp_path):
+    # one solve with one and with two BLAS/OpenMP threads: the same report
+    # apart from wall_time_s and the same solution file, byte for byte
+    reports, solutions = [], []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = src_env()
+        for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[key] = threads
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from phessian.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "solve", "--manufactured", "128", "--tol", "1e-12", "--seed", "0",
+             "--solution", "solution.csv", "--output", "report.json"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        text = (cwd / "report.json").read_text()
+        reports.append([line for line in text.splitlines() if "wall_time_s" not in line])
+        solutions.append((cwd / "solution.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert solutions[0] == solutions[1]
 
 
 def test_unknown_subcommand_is_usage_error():

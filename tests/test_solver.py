@@ -321,10 +321,89 @@ class TestFourierPreconditioner:
         # zero-mean gauge: H = 0 and the constant mode is J's kernel
         H = np.zeros(sizes) if gauge else np.full(sizes, -rng.uniform(0.5, 2.0))
         r = rng.normal(size=sizes)
-        x = _fourier_preconditioner(F, G, H, grid.h).matvec(r.ravel())
+        x = _fourier_preconditioner(F, G, H, grid.h)(r.ravel())
         back = _apply_jacobian(x.reshape(sizes), F, G, H, grid.h)
         want = r - np.mean(r) if gauge else r
         assert np.max(np.abs(back - want)) <= 1e-10
+
+
+class TestLgmres:
+    """lgmres on a small dense nonsymmetric system (condition number about
+    6) with a Jacobi preconditioner; np.linalg.solve is the oracle."""
+
+    @staticmethod
+    def system(n=30):
+        rng = np.random.default_rng(0)
+        A = 4.0 * np.eye(n) + 0.5 * rng.normal(size=(n, n))
+        return A, rng.normal(size=n), np.diag(A).copy()
+
+    @pytest.mark.parametrize("inner_m", [30, 2])
+    def test_matches_dense_solve(self, inner_m, monkeypatch):
+        A, b, diag = self.system()
+        arnoldi = solver._arnoldi
+        cycles = []
+
+        def recorded(matvec, psolve, v0, m, atol, outer_v):
+            # each augmentation pair carries its preconditioned image
+            for z, w in outer_v:
+                assert np.max(np.abs(psolve(A @ z) - w)) <= 1e-12
+            cycles.append((atol, len(outer_v)))
+            return arnoldi(matvec, psolve, v0, m, atol, outer_v)
+
+        monkeypatch.setattr(solver, "_arnoldi", recorded)
+        x, info = solver.lgmres(
+            lambda v: A @ v, b, M=lambda r: r / diag, rtol=1e-10, maxiter=1000,
+            inner_m=inner_m,
+        )
+        assert info == 0
+        assert np.linalg.norm(A @ x - b) <= 1.0001e-10 * np.linalg.norm(b)
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-9
+        if inner_m == 2:
+            # forced restarts: many cycles, the inner tolerance adapts, and
+            # the three augmentation vectors are carried once available
+            assert len(cycles) >= 10
+            assert len({atol for atol, _ in cycles}) > 1
+            assert [k for _, k in cycles[:5]] == [0, 1, 2, 3, 3]
+        else:
+            assert cycles == [(cycles[0][0], 0)]
+
+    def test_zero_rhs_returns_zero(self):
+        A, b, diag = self.system()
+
+        def matvec(v):
+            raise AssertionError("no matvec for b = 0")
+
+        x, info = solver.lgmres(
+            matvec, np.zeros_like(b), M=lambda r: r / diag, rtol=1e-10, maxiter=10
+        )
+        assert info == 0
+        assert x.shape == b.shape and not np.any(x)
+
+    def test_starved_solve_reports_maxiter(self):
+        A, b, diag = self.system()
+        for maxiter in (1, 3):
+            x, info = solver.lgmres(
+                lambda v: A @ v, b, M=lambda r: r / diag, rtol=1e-10,
+                maxiter=maxiter, inner_m=1,
+            )
+            assert info == maxiter
+            assert np.all(np.isfinite(x))
+            assert np.linalg.norm(A @ x - b) > 1e-10 * np.linalg.norm(b)
+
+    def test_zero_preconditioner_output_is_failure(self):
+        A, b, _ = self.system()
+        x, info = solver.lgmres(
+            lambda v: A @ v, b, M=lambda r: 0.0 * r, rtol=1e-10, maxiter=10
+        )
+        assert info == 1
+        assert not np.any(x)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rhs_raises(self, bad):
+        A, b, _ = self.system()
+        b[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solver.lgmres(lambda v: A @ v, b, M=lambda r: r, rtol=1e-10, maxiter=10)
 
 
 class TestMonitors:

@@ -355,12 +355,12 @@ def test_level_crossing_active_set_is_exact():
         assert_crossing(b, x, p, a, ti)
 
 
+@pytest.mark.filterwarnings("error")
 def test_level_crossing_rejects_nonfinite_iterate():
-    # sigma_2(xi) = 0 on the last ray: its Fujiwara bound is inf, and the
-    # moved vector is not finite
+    # sigma_2(xi) = 0 on the last ray: its Fujiwara bound would be inf; the
+    # ray is named and rejected before that division, with no warning
     rng = np.random.default_rng(63)
     xi = rng.uniform(0.0, 1.0, (50, 3)) + 1e-3
     xi[-1] = [1.0, 0.0, 0.0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="finite"):
-            _level_crossing(np.array([-0.5, 0.2, 1.0]), xi, 2, 1.0)
+    with pytest.raises(ValueError, match="ray 49.*finite"):
+        _level_crossing(np.array([-0.5, 0.2, 1.0]), xi, 2, 1.0)

@@ -243,3 +243,36 @@ def test_sigma_ray_coeffs_match_brute_force():
                 want = sigma_brute(p, b + t * x)
                 got = np.polynomial.polynomial.polyval(t, c)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def ray_coeffs_by_products(p, base, xi):
+    """sigma_ray_coeffs's recurrence with its j = 1 update written as the
+    products with e[0] = (1, 0, ..., 0), as for every other j."""
+    base, xi = np.broadcast_arrays(np.asarray(base, float), np.asarray(xi, float))
+    e = np.zeros((p + 1, p + 1) + base.shape[:-1])
+    e[0, 0] = 1.0
+    for k in range(base.shape[-1]):
+        b, x = base[..., k], xi[..., k]
+        for j in range(min(k + 1, p), 0, -1):
+            e[j, 1:] += x * e[j - 1, :-1]
+            e[j] += b * e[j - 1]
+    return np.moveaxis(e[p], 0, -1)
+
+
+def test_sigma_ray_coeffs_sign_of_zero():
+    # entries +-0.0 and values that cancel to zero, all-zero rays and bases:
+    # bit for bit (signs of zero included) the recurrence that adds the
+    # products with e[0]
+    rng = np.random.default_rng(33)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0])
+    for n in range(1, 9):
+        for p in range(0, n + 2):
+            base = rng.choice(values, (80, n))
+            xi = rng.choice(values, (80, n))
+            base[:4] = [[0.0], [-0.0], [0.0], [-0.0]]
+            xi[2:6] = [[0.0], [-0.0], [-0.0], [0.0]]
+            got = sigma_ray_coeffs(p, base, xi)
+            want = ray_coeffs_by_products(p, base, xi)
+            assert got.shape == want.shape == (80, p + 1)
+            assert got.tobytes() == want.tobytes(), (n, p)
+            assert np.any(np.signbit(base)) and np.any(np.signbit(xi))
