@@ -504,7 +504,7 @@ def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
     preconditioned residual ran from its target.  This is the algorithm of
     scipy.sparse.linalg.lgmres (with atol = 0), with every inner product a
     numpy reduction (_dot), so the result does not depend on the number of
-    BLAS threads.
+    BLAS threads, and without scipy's matvec of the zero start.
 
     Returns (x, 0) on convergence and (x, info > 0) otherwise: maxiter when
     the cycles run out, the cycle's number when M returns zero or an inner
@@ -521,7 +521,8 @@ def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
     ptol_max_factor = 1.0
     outer_v = []
     for k_outer in range(maxiter):
-        r_outer = matvec(x) - b
+        # the first cycle starts from x = 0, whose residual is -b: no matvec
+        r_outer = matvec(x) - b if k_outer else -b
         r_norm = _norm(r_outer)
         if r_norm <= tol:
             return x, 0
@@ -834,12 +835,18 @@ def unit_ball_volume(n):
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
+# elements of the (candidates, ball nodes, n) offsets that alexandrov_check's
+# supporting-plane test forms at once: it runs over chunks of candidates
+PLANE_TEST_ELEMENTS = 2**21
+
+
 def alexandrov_check(prob, quad_tol=0.02):
     """Contact-set lower bound omega_n eps^n / d^n <= integral of
     det D^2 w over the contact set.
 
     The contact set is computed nodewise: |Dw| < eps/d (strict) plus the
-    brute-force global supporting-plane test against every ball node.
+    brute-force global supporting-plane test against every ball node, in
+    chunks of candidates of PLANE_TEST_ELEMENTS offsets.
     Returns (lhs, rhs, contact_mask over the grid); raises
     VerificationError unless lhs <= rhs*(1 + quad_tol).
     """
@@ -867,15 +874,16 @@ def alexandrov_check(prob, quad_tol=0.02):
 
     ball_idx = np.flatnonzero(in_ball)
     contact = np.zeros(len(pts), dtype=bool)
-    if len(candidates):
-        y = pts[ball_idx]
-        wy = wv.ravel()[ball_idx]
-        planes = (
-            wv.ravel()[candidates][:, None]
-            + np.einsum("cm,cym->cy", dw[candidates], y[None, :, :] - pts[candidates][:, None, :])
+    y = pts[ball_idx]
+    wy = wv.ravel()[ball_idx]
+    step = max(1, PLANE_TEST_ELEMENTS // y.size)
+    for lo in range(0, len(candidates), step):
+        c = candidates[lo : lo + step]
+        planes = wv.ravel()[c][:, None] + np.einsum(
+            "cm,cym->cy", dw[c], y[None, :, :] - pts[c][:, None, :]
         )
         ok = np.all(wy[None, :] >= planes - 1e-10, axis=1)
-        contact[candidates[ok]] = True
+        contact[c[ok]] = True
 
     dets = np.linalg.det(np.moveaxis(hess[..., contact], -1, 0))
     rhs = float(np.sum(np.maximum(dets, 0.0)) * h**n)

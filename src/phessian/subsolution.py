@@ -27,12 +27,13 @@ semi-decision: sampling can only certify "holds on all sampled rays").
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .cone import ConeSpec, require_cone
 from .errors import ConstructionError, VerificationError
-from .solver import ball_grid, box_grad_hess
+from .solver import box_grad_hess
 from .spectral import classify_matrices, jacobi_eigh
 from .symfun import (
     _as_values,
@@ -73,9 +74,12 @@ class BallProblem:
     """Ball-domain data for the exponential-bump construction.
 
     psi, u are callables taking an (N, n) array of points; phi_tilde takes
-    (points, t) with t an (N,) array.  u must be a defining function of
-    the ball (negative inside, zero on the boundary) with admissible
-    Hessian; psi needs lam(D^2 psi) in the closed cone.
+    (points, t) with t an (N,) array.  All three must be pointwise: the
+    value at a row depends on that row alone (of points and t), since
+    construct evaluates them on one slab of grid planes at a time.  u must
+    be a defining function of the ball (negative inside, zero on the
+    boundary) with admissible Hessian; psi needs lam(D^2 psi) in the closed
+    cone.
     """
 
     n: int
@@ -106,23 +110,94 @@ class SubsolutionResult:
     worst_slack: float
 
 
-def _require_cone(hess, mask, p, message, closed=False):
-    """matrix_sigmas of the Hessians (n, n, m) at the masked nodes;
-    ConstructionError naming the first node whose eigenvalues leave the
-    open cone (the closed cone when closed), or when a sigma_q overflows,
-    since a verdict on inf is no verdict on the Hessian."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        codes, sigmas = classify_matrices(np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p))
-    finite = np.isfinite(sigmas)
-    if not np.all(finite):
-        raise ConstructionError(
-            "the construction overflows in the sigma_q of a Hessian",
-            node=int(np.flatnonzero(mask)[np.argmin(np.all(finite, axis=-1))]),
+# construct runs its per-node stages on slabs of axis-0 planes holding about
+# this many nodes (at least one plane), read with SLAB_HALO planes more on
+# each side: d0(d0 f) reads f two planes away, and at the box's edge plane
+# the one-sided formula reads d0 f at planes 0..2, whose central value at
+# plane 2 needs plane 3
+SLAB_NODES = 2**17
+SLAB_HALO = 3
+
+
+class _Slab(NamedTuple):
+    core: slice        # the core planes
+    read: slice        # the core planes plus halo
+    skip: int          # nodes of halo before the core in read
+    first: int         # flat grid index of the first core node
+    dist: np.ndarray   # distances of the core nodes to the origin
+
+
+def _slabs(axis, n):
+    """The slabs of the grid axis^n, in row-major node order.  dist sums
+    the squares in axis order, as np.linalg.norm does for n < 8."""
+    res = len(axis)
+    plane = res ** (n - 1)
+    step = max(1, SLAB_NODES // plane)
+    sq = axis * axis
+    for lo in range(0, res, step):
+        hi = min(lo + step, res)
+        dist = sq[lo:hi].reshape((-1,) + (1,) * (n - 1))
+        for k in range(1, n):
+            dist = dist + sq.reshape((-1,) + (1,) * (n - 1 - k))
+        a = max(0, lo - SLAB_HALO)
+        yield _Slab(
+            slice(lo, hi), slice(a, min(res, hi + SLAB_HALO)), (lo - a) * plane,
+            lo * plane, np.sqrt(dist).ravel(),
         )
-    bad = codes == 0 if closed else codes != 2
-    if np.any(bad):
-        raise ConstructionError(message, node=int(np.flatnonzero(mask)[np.argmax(bad)]))
-    return sigmas
+
+
+def _slab_points(axis, n, slab, rows=None):
+    """Grid points (m, n) of the slab's core nodes in row-major node order,
+    or of those the flat mask rows selects."""
+    mesh = np.meshgrid(
+        axis[slab.core], *([axis] * (n - 1)), indexing="ij", sparse=True
+    )
+    pts = np.empty(np.broadcast_shapes(*(m.shape for m in mesh)) + (n,))
+    for k, m in enumerate(mesh):
+        pts[..., k] = m
+    pts = pts.reshape(-1, n)
+    return pts if rows is None else pts[rows]
+
+
+def _admissible_slabs(field, axis, h, p, select, message, closed=False):
+    """Cone check of field's Hessians at the nodes select(slab) picks, slab
+    by slab: yields (slab, mask, gradient (n, m), Hessian (n, n, m),
+    matrix_sigmas (m, n + 1)) for each slab before the first node outside
+    the cone (the closed cone when closed), and raises ConstructionError
+    with message naming that node after the last slab.  A sigma_q that
+    overflows raises at once, naming its node: a verdict on inf is no
+    verdict on the Hessian, and it outranks a node outside the cone, as in
+    one check over every node.  box_grad_hess reads the slab's planes plus
+    halo; np.gradient's formulas are elementwise, so its values are those
+    of the whole field.  The field may overflow where no stencil at a
+    selected node reads it."""
+    bad = None
+    for s in _slabs(axis, field.ndim):
+        mask = select(s)
+        if not mask.any():
+            continue
+        part = field[s.read]
+        read = np.zeros(part.size, dtype=bool)
+        read[s.skip : s.skip + mask.size] = mask
+        nodes = s.first + np.flatnonzero(mask)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, hess = box_grad_hess(part, h, read)
+            codes, sigmas = classify_matrices(
+                np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p)
+            )
+        finite = np.all(np.isfinite(sigmas), axis=-1)
+        if not np.all(finite):
+            raise ConstructionError(
+                "the construction overflows in the sigma_q of a Hessian",
+                node=int(nodes[np.argmin(finite)]),
+            )
+        outside = codes == 0 if closed else codes != 2
+        if bad is None and np.any(outside):
+            bad = int(nodes[np.argmax(outside)])
+        if bad is None:
+            yield s, mask, grad, hess, sigmas
+    if bad is not None:
+        raise ConstructionError(message, node=bad)
 
 
 def construct(problem):
@@ -135,45 +210,65 @@ def construct(problem):
     the target differential inequality over the trusted nodes.  Cone
     checks and sigma values come from principal minors; only eps2 (p >= 2)
     needs the eigenvalues of D^2 u.
+
+    Memory: three whole fields (u, psi, then v in u's place) plus one slab
+    at a time; every per-node stage runs on a slab of axis-0 planes,
+    (planes + 2 SLAB_HALO) res^(n-1) nodes with planes = max(1,
+    SLAB_NODES // res^(n-1)).  Every global quantity is a min or a max over
+    nodes, so no result depends on the slabs, and the first fault is the
+    one a single pass over every node raises, in the order: u's cone
+    check, u < 0 inside, psi's closed-cone check, overflow of A, B or v,
+    v's cone check.
     """
-    n, p, alpha = problem.n, problem.p, problem.alpha
-    pts, dist, h = ball_grid(problem.radius, problem.resolution, n)
+    n, p, alpha, radius = problem.n, problem.p, problem.alpha, problem.radius
+    axis = np.linspace(-radius, radius, problem.resolution)
+    h = axis[1] - axis[0]
     shape = (problem.resolution,) * n
-    in_ball = dist <= problem.radius + 1e-12
-    trusted = dist <= problem.radius - 2 * h
+    u, psi = np.empty(shape), np.empty(shape)
+    for s in _slabs(axis, n):
+        pts = _slab_points(axis, n, s)
+        for field, f in ((u, problem.u), (psi, problem.psi)):
+            field[s.core] = f(pts).reshape(field[s.core].shape)
 
-    u = problem.u(pts).reshape(shape)
-    psi = problem.psi(pts).reshape(shape)
+    def in_ball(s):
+        return s.dist <= radius + 1e-12
 
-    du, d2u = box_grad_hess(u, h, in_ball)
-    sig_u = _require_cone(
-        d2u, in_ball, p, "defining function u is not admissible at a grid node"
-    )
-    if np.any(u.ravel()[in_ball & (dist < problem.radius - h)] >= 0):
+    def trusted(s):
+        return s.dist <= radius - 2 * h
+
+    negative = True
+    eps1 = eps2 = min_u = np.inf
+    max_du = -np.inf
+    for s, ball, du, d2u, sig_u in _admissible_slabs(
+        u, axis, h, p, in_ball, "defining function u is not admissible at a grid node"
+    ):
+        u_flat = u[s.core].ravel()
+        negative &= not np.any(u_flat[ball & (s.dist < radius - h)] >= 0)
+        eps1 = np.minimum(eps1, np.min(sig_u[:, p]))
+        if n > 1 and p > 1:
+            lam = jacobi_eigh(np.moveaxis(d2u, -1, 0))
+            eps2 = np.minimum(eps2, np.min(sigma(p - 1, lam[:, : n - 1])))
+        max_du = np.maximum(max_du, np.max(np.linalg.norm(du, axis=0)))
+        min_u = np.minimum(min_u, np.min(u_flat[ball]))
+    if not negative:
         raise ConstructionError("u must be negative inside the ball")
+    eps1, max_du, min_u = float(eps1), float(max_du), float(min_u)
+    eps2 = float(eps2) if n > 1 and p > 1 else 1.0
 
-    eps1 = float(np.min(sig_u[:, p]))
-    eps2 = 1.0
-    if n > 1 and p > 1:
-        lam = jacobi_eigh(np.moveaxis(d2u, -1, 0))
-        eps2 = float(np.min(sigma(p - 1, lam[:, : n - 1])))
-    del d2u, sig_u
-
-    dpsi, d2psi = box_grad_hess(psi, h, in_ball)
-    _require_cone(
-        d2psi, in_ball, p,
+    C1 = max_dpsi = max_psi = -np.inf
+    for s, ball, dpsi, _, _ in _admissible_slabs(
+        psi, axis, h, p, in_ball,
         "extension psi leaves the closed cone at a grid node", closed=True,
-    )
-    del d2psi
-
-    psi_flat = psi.ravel()[in_ball]
-    dpsi_norm = np.linalg.norm(dpsi, axis=0)
+    ):
+        psi_flat = psi[s.core].ravel()[ball]
+        phi = problem.phi_tilde(_slab_points(axis, n, s, ball), psi_flat)
+        C1 = np.maximum(C1, np.max(phi))
+        max_dpsi = np.maximum(max_dpsi, np.max(np.linalg.norm(dpsi, axis=0)))
+        max_psi = np.maximum(max_psi, np.max(np.abs(psi_flat) ** alpha))
     # a numpy scalar, so C1**p overflows to inf (rejected below) instead of raising
-    C1 = np.float64(np.max(problem.phi_tilde(pts[in_ball], psi_flat)))
-    C2 = float(1.0 + np.max(dpsi_norm) + np.max(np.abs(psi_flat) ** alpha))
+    C1 = np.float64(C1)
+    C2 = float(1.0 + max_dpsi + max_psi)
 
-    max_du = float(np.max(np.linalg.norm(du, axis=0)))
-    min_u = float(np.min(u.ravel()[in_ball]))
     # A, B and v may overflow, v also outside the ball, where no stencil at
     # a trusted node reads it; the checks below reject what matters
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -188,24 +283,31 @@ def construct(problem):
             A = C2 ** (1.0 / alpha) + (
                 4.0 / eps1 * C1 / B * np.exp(-B * min_u)
             ) ** (1.0 / (1.0 - alpha))
-        v = psi + A * (np.exp(B * u) - 1.0)
-        dv, d2v = box_grad_hess(v, h, trusted)
-    finite_v = np.all(np.isfinite(v.ravel()[in_ball]))
+        # v = psi + A (e^{B u} - 1), in u's memory
+        v = np.multiply(B, u, out=u)
+        np.exp(v, out=v)
+        v -= 1.0
+        v *= A
+        v += psi
+    del u, psi
+    finite_v = all(
+        np.all(np.isfinite(v[s.core].ravel()[in_ball(s)])) for s in _slabs(axis, n)
+    )
     if not (np.isfinite(A) and np.isfinite(B) and finite_v):
         raise ConstructionError(f"the construction overflows (A = {A}, B = {B})")
-    sig_v = _require_cone(
-        d2v, trusted, p, "constructed v loses admissibility at a grid node"
-    )
-    del d2v
 
-    v_flat = v.ravel()[trusted]
-    dv_norm = np.linalg.norm(dv, axis=0)
-    lhs = sig_v[:, p] ** (1.0 / p)
-    rhs = problem.phi_tilde(pts[trusted], v_flat) * (
-        1.0 + dv_norm + np.abs(v_flat) ** alpha
-    )
-    worst = float(np.min(lhs - rhs))
-    return SubsolutionResult(float(A), float(B), eps1, eps2, v, worst)
+    worst = np.inf
+    for s, nodes, dv, _, sig_v in _admissible_slabs(
+        v, axis, h, p, trusted, "constructed v loses admissibility at a grid node"
+    ):
+        v_flat = v[s.core].ravel()[nodes]
+        phi = problem.phi_tilde(_slab_points(axis, n, s, nodes), v_flat)
+        # where |Dv| overflows the slack is -inf, a reported violation,
+        # unless a later slab fails the cone check; neither case warns
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = phi * (1.0 + np.linalg.norm(dv, axis=0) + np.abs(v_flat) ** alpha)
+            worst = np.minimum(worst, np.min(sig_v[:, p] ** (1.0 / p) - rhs))
+    return SubsolutionResult(float(A), float(B), eps1, eps2, v, float(worst))
 
 
 @dataclass(frozen=True)

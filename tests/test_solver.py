@@ -367,6 +367,23 @@ class TestLgmres:
         else:
             assert cycles == [(cycles[0][0], 0)]
 
+    @pytest.mark.parametrize("inner_m", [30, 2])
+    def test_no_matvec_of_zero(self, inner_m):
+        # the first cycle's residual from x = 0 is -b, taken without J 0
+        A, b, diag = self.system()
+        inputs = []
+
+        def matvec(v):
+            inputs.append(v.copy())
+            return A @ v
+
+        x, info = solver.lgmres(
+            matvec, b, M=lambda r: r / diag, rtol=1e-10, maxiter=1000, inner_m=inner_m
+        )
+        assert info == 0 and inputs
+        assert all(np.any(v) for v in inputs)
+        assert np.max(np.abs(x - np.linalg.solve(A, b))) <= 1e-9
+
     def test_zero_rhs_returns_zero(self):
         A, b, diag = self.system()
 
@@ -513,6 +530,33 @@ class TestAlexandrov:
         )
         lhs, rhs, _ = alexandrov_check(prob)
         assert lhs <= rhs
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_chunked_plane_test_matches_brute_force(self, per_chunk, monkeypatch):
+        # w is not convex: 38 of its 87 candidates have no supporting plane
+        res, eps = 33, 0.4
+
+        def w(pts):
+            return np.sum(pts**2, axis=-1) + 0.1 * np.cos(5.0 * pts[:, 0])
+
+        axis = np.linspace(-1.0, 1.0, res)
+        pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], -1)
+        wv = w(pts)
+        g = np.stack(np.gradient(wv.reshape(res, res), axis[1] - axis[0], edge_order=2), -1)
+        g = g.reshape(-1, 2)
+        ball = np.hypot(pts[:, 0], pts[:, 1]) < 1.0
+        want = np.zeros(res * res, dtype=bool)
+        for x in np.flatnonzero(ball & (np.hypot(g[:, 0], g[:, 1]) < eps)):
+            plane = wv[x] + (pts[ball, 0] - pts[x, 0]) * g[x, 0] + (
+                pts[ball, 1] - pts[x, 1]
+            ) * g[x, 1]
+            want[x] = np.all(wv[ball] >= plane - 1e-10)
+        assert 0 < want.sum() < np.sum(ball & (np.hypot(g[:, 0], g[:, 1]) < eps))
+
+        monkeypatch.setattr(solver, "PLANE_TEST_ELEMENTS", per_chunk * 2 * ball.sum())
+        prob = AlexandrovProblem(center=(0.0, 0.0), d=1.0, resolution=res, w=w, eps=eps)
+        _, _, contact = alexandrov_check(prob, quad_tol=1.0)
+        assert np.array_equal(contact.ravel(), want)
 
     def test_linear_w_has_no_admissible_eps(self):
         prob = AlexandrovProblem(

@@ -1,8 +1,12 @@
 """Tests for the exponential-bump subsolution and the key lemma."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from phessian import subsolution
 from phessian.cone import ConeSpec, classify
 from phessian.errors import AdmissibilityError, ConstructionError
 from phessian.solver import ball_grid
@@ -14,7 +18,7 @@ from phessian.subsolution import (
     matrix_form_sides,
     rank_one_sigma,
 )
-from phessian.subsolution import _level_crossing
+from phessian.subsolution import _level_crossing, _slab_points, _slabs
 from phessian.symfun import sigma, sigma_brute, sigma_ray_coeffs
 
 
@@ -116,21 +120,52 @@ def test_construct_rejects_bad_u():
         construct(prob)
 
 
+def bowl_u(pts):
+    # a defining function whose Hessian varies over the ball
+    return (np.sum(pts**2, axis=-1) - 1.0) * (0.5 + 0.1 * pts[:, 0])
+
+
+def tilted_psi(pts):
+    return 0.3 * np.sum(pts**2, axis=-1) + 0.1 * pts[:, 0]
+
+
+def late_bad_u(pts):
+    # D^2 u leaves the cone where x0 > 0.85, far into the grid's planes
+    return ball_u(pts) - 2.0 * np.maximum(pts[:, 0] - 0.6, 0.0) ** 3
+
+
+def concave_u(pts):
+    return -ball_u(pts)
+
+
+def overflowing_u(pts):
+    # not admissible near x0 = -1; sigma_2 overflows where x0, x1 > 0.5
+    corner = np.maximum(pts[:, :2] - 0.5, 0.0) ** 3
+    return late_bad_u(-pts) + 1e200 * np.sum(corner, axis=-1)
+
+
+def positive_u(pts, base=ball_u):
+    # admissible as base is, but positive inside the ball near x0 = -1
+    return base(pts) + 20.0 * np.maximum(-0.5 - pts[:, 0], 0.0) ** 3
+
+
+def positive_late_bad_u(pts):
+    return positive_u(pts, late_bad_u)
+
+
+def late_bad_psi(pts):
+    return -np.maximum(pts[:, 0] - 0.5, 0.0) ** 3
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_construct_matches_eigenvalue_oracle(p):
     """eps1, eps2 and worst_slack of construct (principal minors) against
     eigvalsh of nodewise np.gradient Hessians plus sigma, for a defining
     function whose Hessian varies over the ball."""
-    def u(pts):
-        return (np.sum(pts**2, axis=-1) - 1.0) * (0.5 + 0.1 * pts[:, 0])
-
-    def psi(pts):
-        return 0.3 * np.sum(pts**2, axis=-1) + 0.1 * pts[:, 0]
-
     n, res, phi, alpha = 3, 33, 0.1, 0.5
     prob = BallProblem(
         n=n, radius=1.0, resolution=res, p=p, alpha=alpha,
-        psi=psi, phi_tilde=const_phi(phi), u=u,
+        psi=tilted_psi, phi_tilde=const_phi(phi), u=bowl_u,
     )
     out = construct(prob)
 
@@ -144,7 +179,7 @@ def test_construct_matches_eigenvalue_oracle(p):
         H = 0.5 * (H + np.swapaxes(H, -1, -2))
         return np.stack(g, -1).reshape(-1, n)[mask], H.reshape(-1, n, n)[mask]
 
-    _, hess_u = grad_hess(u(pts).reshape((res,) * n), in_ball)
+    _, hess_u = grad_hess(bowl_u(pts).reshape((res,) * n), in_ball)
     lam_u = np.linalg.eigvalsh(hess_u)
     eps1 = np.min(sigma(p, lam_u))
     eps2 = np.min(sigma(p - 1, lam_u[:, : n - 1])) if p > 1 else 1.0
@@ -155,6 +190,103 @@ def test_construct_matches_eigenvalue_oracle(p):
     )
     for got, ref in ((out.eps1, eps1), (out.eps2, eps2), (out.worst_slack, np.min(slack))):
         assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def slab_runs(monkeypatch, prob):
+    """construct with slabs of 1, 2 and 3 planes and of the whole grid:
+    each result, or the text and node of its ConstructionError; warnings
+    are errors.  One-plane slabs need the whole halo of 3 planes."""
+    plane = prob.resolution ** (prob.n - 1)
+    runs = []
+    for planes in (1, 2, 3, prob.resolution):
+        monkeypatch.setattr(subsolution, "SLAB_NODES", planes * plane)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                runs.append(construct(prob))
+            except ConstructionError as exc:
+                runs.append((str(exc), exc.node))
+    return runs
+
+
+@pytest.mark.parametrize("n, res", [(1, 17), (1, 41), (2, 17), (2, 33), (3, 9), (3, 17)])
+def test_construct_is_slab_invariant(n, res, monkeypatch):
+    for p in range(1, n + 1):
+        prob = BallProblem(
+            n=n, radius=1.0, resolution=res, p=p, alpha=0.5,
+            psi=tilted_psi, phi_tilde=const_phi(0.1), u=bowl_u,
+        )
+        *slabbed, whole = slab_runs(monkeypatch, prob)
+        assert whole.worst_slack >= 0.0
+        for out in slabbed:
+            for key in ("A", "B", "eps1", "eps2", "worst_slack"):
+                assert getattr(out, key) == getattr(whole, key), (p, key)
+            assert np.array_equal(out.v, whole.v)
+
+
+@pytest.mark.parametrize("n, p, res, u, psi, phi, text, plane", [
+    (2, 2, 33, concave_u, zero_field, 0.1, "u is not admissible", 0),
+    (2, 2, 33, late_bad_u, zero_field, 0.1, "u is not admissible", 27),
+    (3, 2, 17, late_bad_u, zero_field, 0.1, "u is not admissible", 14),
+    # an overflow outranks an earlier node outside the cone
+    (3, 2, 17, overflowing_u, zero_field, 0.1, "overflows in the sigma_q", 11),
+    (3, 2, 17, positive_u, zero_field, 0.1, "u must be negative", None),
+    # u's cone check outranks an earlier positive u
+    (3, 2, 17, positive_late_bad_u, zero_field, 0.1, "u is not admissible", 14),
+    (3, 2, 17, ball_u, late_bad_psi, 0.1, "psi leaves the closed cone", 11),
+    (2, 2, 33, ball_u, zero_field, 50.0, "the construction overflows (A =", None),
+    (2, 2, 33, ball_u, zero_field, 1e200, "the construction overflows (A =", None),
+    (2, 2, 33, ball_u, zero_field, 1e-300, "the construction overflows (A =", None),
+    (3, 3, 17, ball_u, zero_field, 5.0, "overflows in the sigma_q", 4),
+])
+def test_construct_faults_do_not_depend_on_slabs(
+    n, p, res, u, psi, phi, text, plane, monkeypatch
+):
+    prob = BallProblem(
+        n=n, radius=1.0, resolution=res, p=p, alpha=0.5,
+        psi=psi, phi_tilde=const_phi(phi), u=u,
+    )
+    runs = slab_runs(monkeypatch, prob)
+    assert all(run == runs[0] for run in runs)
+    detail, node = runs[0]
+    assert text in detail
+    if plane is None:
+        assert node is None
+    else:
+        # the fault's axis-0 plane; all but plane 0 lie past the first slab
+        assert node // res ** (n - 1) == plane
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("res", [9, 16, 17])
+def test_slabs_cover_the_grid(n, res, monkeypatch):
+    monkeypatch.setattr(subsolution, "SLAB_NODES", 2 * res ** (n - 1))
+    axis = np.linspace(-1.0, 1.0, res)
+    pts, dist, _ = ball_grid(1.0, res, n)
+    slabs = list(_slabs(axis, n))
+    assert [s.core for s in slabs] == [slice(lo, min(lo + 2, res)) for lo in range(0, res, 2)]
+    assert np.array_equal(np.concatenate([_slab_points(axis, n, s) for s in slabs]), pts)
+    assert np.array_equal(np.concatenate([s.dist for s in slabs]), dist)
+    for s in slabs:
+        assert s.read == slice(max(0, s.core.start - 3), min(res, s.core.stop + 3))
+        assert s.first == s.core.start * res ** (n - 1)
+
+
+def test_construct_memory_is_bounded():
+    # the three whole fields at 97^3 take 21 MB; holding every stage's
+    # whole-grid arrays at once peaked at 169 MB
+    prob = BallProblem(
+        n=3, radius=1.0, resolution=97, p=2, alpha=0.5,
+        psi=zero_field, phi_tilde=const_phi(0.1), u=ball_u,
+    )
+    tracemalloc.start()
+    try:
+        out = construct(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.worst_slack >= 0.0
+    assert peak <= 80 * 2**20
 
 
 def test_problem_validation():
