@@ -349,11 +349,14 @@ def cmd_subsolution(args):
     def psi(pts):
         return np.zeros(len(pts))
 
-    prob = BallProblem(
-        n=args.n, radius=args.radius, resolution=args.resolution,
-        p=args.p, alpha=args.alpha, psi=psi,
-        phi_tilde=lambda pts, t: np.full(len(pts), args.phi), u=u,
-    )
+    try:
+        prob = BallProblem(
+            n=args.n, radius=args.radius, resolution=args.resolution,
+            p=args.p, alpha=args.alpha, psi=psi,
+            phi_tilde=lambda pts, t: np.full(len(pts), args.phi), u=u,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"subsolution: {exc}") from None
     try:
         out = construct(prob)
     except ConstructionError as exc:
@@ -471,12 +474,14 @@ def cmd_alexandrov(args):
         w = lambda pts: np.sum(pts**2, axis=-1) ** 2 + np.sum(pts**2, axis=-1)  # noqa: E731
     else:
         w = lambda pts: np.cosh(np.linalg.norm(pts, axis=-1)) - 1.0  # noqa: E731
-    prob = AlexandrovProblem(
-        center=(0.0, 0.0), d=args.d, resolution=args.resolution,
-        w=w, eps=args.eps,
-    )
     try:
+        prob = AlexandrovProblem(
+            center=(0.0, 0.0), d=args.d, resolution=args.resolution,
+            w=w, eps=args.eps,
+        )
         lhs, rhs, contact = alexandrov_check(prob)
+    except ValueError as exc:
+        raise _UsageError(f"alexandrov: {exc}") from None
     except VerificationError as exc:
         violation = {"kind": "measure_bound", "detail": str((exc.lhs, exc.rhs))}
         return {}, violation

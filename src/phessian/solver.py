@@ -10,10 +10,11 @@ central differences).  The module owns:
   phi(alpha, t) with their analytic alpha/t derivatives,
 * nodewise residual and admissibility maps,
 * a damped Newton iteration with cone-preserving line search, a zero-mean
-  gauge for u-independent equations, and matrix-free LGMRES linear solves
-  preconditioned by the Fourier symbol of the frozen-coefficient Jacobian
-  (lgmres; its inner products are numpy reductions, not threaded BLAS, so
-  a solve gives the same bits on any core count),
+  gauge for u-independent equations, and matrix-free restarted GMRES
+  linear solves right-preconditioned by the Fourier symbol of the
+  frozen-coefficient Jacobian (lgmres; its inner products are numpy
+  reductions, not threaded BLAS, so a solve gives the same bits on any
+  core count),
 * diagnostic monitors and the auxiliary functions whose maxima the
   a-priori-estimate proofs track,
 * pseudo-subsolution / pseudo-supersolution pointwise checkers,
@@ -24,7 +25,7 @@ central differences).  The module owns:
 
 import json
 from dataclasses import dataclass
-from math import gamma, hypot, isfinite, pi, sqrt
+from math import gamma, hypot, inf, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .symfun import sigma
 
 # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
 KRYLOV_RTOL = 1e-8
-# corrections lgmres carries from cycle to cycle (Baker et al.: 1 to 3)
-LGMRES_OUTER_K = 3
 
 
 # ---------------------------------------------------------------------------
@@ -433,44 +432,33 @@ def _combine(vectors, coeffs):
     return out
 
 
-def _arnoldi(matvec, psolve, v0, m, atol, outer_v):
-    """Up to m left-preconditioned GMRES steps from the unit vector v0, then
-    one step for each augmentation pair (z, psolve(matvec(z))) in outer_v;
-    stops early once the preconditioned residual, relative to |v0|, is
-    below atol or the basis breaks down.  The Hessenberg matrix is reduced
-    by Givens rotations as it grows.
+def _arnoldi(matvec, psolve, v0, m, atol):
+    """Up to m right-preconditioned GMRES steps, w = matvec(psolve(v)), from
+    the unit vector v0; stops early once the residual estimate, relative to
+    |v0|, is below atol or the basis breaks down.  The Hessenberg matrix is
+    reduced by Givens rotations as it grows.
 
-    Returns (zs, vs, hs, y, res): the step directions, the orthonormal
-    basis, the Hessenberg columns, the least-squares coefficients with
-    psolve(matvec(zs @ y)) = vs @ (hs @ y), and the residual estimate; None
-    when the triangular factor is singular or not finite.
+    Returns (vs, y): the orthonormal basis and the least-squares
+    coefficients, so that the correction is psolve(vs @ y); None when the
+    triangular factor is singular or not finite.
     """
-    m += len(outer_v)
-    vs, zs, hs, rs, rots = [v0], [], [], [], []
+    vs, rs, rots = [v0], [], []
     g = [1.0]
     eps = np.finfo(float).eps
     for j in range(m):
-        if j >= m - len(outer_v):
-            z, w = outer_v[j - (m - len(outer_v))]
-            w = w.copy()
-        else:
-            z = vs[-1]
-            w = psolve(matvec(z))
+        w = matvec(psolve(vs[-1]))
         w_norm = _norm(w)
-        h = []
+        r = []
         for v in vs:
             alpha = _dot(v, w)
-            h.append(alpha)
+            r.append(alpha)
             w -= alpha * v
-        h.append(_norm(w))
-        if h[-1] != 0.0 and isfinite(1.0 / h[-1]):
-            w *= 1.0 / h[-1]
-        breakdown = not h[-1] > eps * w_norm
+        r.append(_norm(w))
+        if r[-1] != 0.0 and isfinite(1.0 / r[-1]):
+            w *= 1.0 / r[-1]
+        breakdown = not r[-1] > eps * w_norm
         vs.append(w)
-        zs.append(z)
-        hs.append(h)
 
-        r = list(h)
         for i, (c, s) in enumerate(rots):
             r[i], r[i + 1] = c * r[i] + s * r[i + 1], c * r[i + 1] - s * r[i]
         rho = hypot(r[j], r[j + 1])
@@ -480,8 +468,7 @@ def _arnoldi(matvec, psolve, v0, m, atol, outer_v):
         rs.append(r)
         g[j], g_next = c * g[j], -s * g[j]
         g.append(g_next)
-        res = abs(g_next)
-        if res < atol or breakdown:
+        if abs(g_next) < atol or breakdown:
             break
 
     y = [0.0] * (j + 1)
@@ -489,82 +476,57 @@ def _arnoldi(matvec, psolve, v0, m, atol, outer_v):
         if not (isfinite(rs[k][k]) and rs[k][k] != 0.0):
             return None
         y[k] = (g[k] - sum(rs[l][k] * y[l] for l in range(k + 1, j + 1))) / rs[k][k]
-    return zs, vs, hs, y, res
+    return vs[: j + 1], y
 
 
 def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
-    """Solve J x = b from x = 0 by LGMRES (Baker, Jessup and Manteuffel,
-    SIAM J. Matrix Anal. Appl. 2005): restarted GMRES (Saad and Schultz
-    1986) whose every cycle of inner_m left-preconditioned steps is
-    augmented by the last LGMRES_OUTER_K corrections, carried with their
-    images so that they cost no matvec.  matvec applies J and M, the
-    preconditioner, an approximate inverse of J, both to 1-D arrays.  Each
-    outer cycle stops on the unpreconditioned residual, |J x - b| <= rtol
-    |b|; the inner tolerance adapts to how far the last cycle's
-    preconditioned residual ran from its target.  This is the algorithm of
-    scipy.sparse.linalg.lgmres (with atol = 0), with every inner product a
-    numpy reduction (_dot), so the result does not depend on the number of
-    BLAS threads, and without scipy's matvec of the zero start.
+    """Solve J x = b from x = 0 by restarted GMRES (Saad and Schultz 1986)
+    preconditioned on the right: each cycle of up to inner_m steps solves
+    J M y = r and takes x += M y.  matvec applies J and M, the
+    preconditioner, an approximate inverse of J, both to 1-D arrays.  The
+    Givens estimate of a cycle is the unpreconditioned residual, so a cycle
+    stops once it estimates |b - J x| <= rtol |b|.  One matvec after each
+    cycle gives the true residual, and the solve returns once that test
+    holds; the first cycle starts from r = b, without a matvec.  Every inner
+    product is a numpy reduction (_dot), so the result does not depend on
+    the number of BLAS threads.  The name stays from the LGMRES port this
+    replaced: callers, error texts and tracing find the solve under it.
 
-    Returns (x, 0) on convergence and (x, info > 0) otherwise: maxiter when
-    the cycles run out, the cycle's number when M returns zero or an inner
-    least-squares problem is singular or not finite.  Raises ValueError
-    when b is not finite.
+    Returns (x, info, r_norm): info is 0 on convergence, maxiter when the
+    cycles run out, or the cycle's number when an inner least-squares
+    problem is singular or not finite or the correction is zero or not
+    finite (M returns zero); r_norm is |b - J x| of the returned x, from
+    the last check.  Raises ValueError when b is not finite.
     """
     if not np.isfinite(b).all():
         raise ValueError("lgmres: the right-hand side must be finite")
     x = np.zeros_like(b, dtype=float)
-    b_norm = _norm(b)
-    if b_norm == 0.0:
-        return x, 0
-    tol = rtol * b_norm
-    ptol_max_factor = 1.0
-    outer_v = []
-    for k_outer in range(maxiter):
-        # the first cycle starts from x = 0, whose residual is -b: no matvec
-        r_outer = matvec(x) - b if k_outer else -b
-        r_norm = _norm(r_outer)
-        if r_norm <= tol:
-            return x, 0
-        v0 = -M(r_outer)
-        inner_res_0 = _norm(v0)
-        if inner_res_0 == 0.0:
-            return x, k_outer + 1
-        v0 *= 1.0 / inner_res_0
-        ptol = min(ptol_max_factor, tol / r_norm)
-        arnoldi = _arnoldi(matvec, M, v0, inner_m, ptol, outer_v)
+    r, r_norm = b, _norm(b)
+    tol = rtol * r_norm
+    if r_norm <= tol:
+        return x, 0, r_norm
+    for k in range(maxiter):
+        arnoldi = _arnoldi(matvec, M, r / r_norm, inner_m, tol / r_norm)
         if arnoldi is None:
-            return x, k_outer + 1
-        zs, vs, hs, y, pres = arnoldi
-        y = [inner_res_0 * yk for yk in y]
-        if not all(isfinite(yk) for yk in y):
-            return x, k_outer + 1
-        if pres > ptol:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        else:
-            ptol_max_factor = max(1e-16, 0.25 * ptol_max_factor)
-
-        dx = _combine(zs, y)
-        nx = _norm(dx)
-        if nx > 0.0:
-            # image of dx: psolve(matvec(dx)) = vs @ q with q = hs @ y
-            q = [0.0] * len(vs)
-            for h, yk in zip(hs, y):
-                for i, hik in enumerate(h):
-                    q[i] += hik * yk
-            outer_v.append((dx / nx, _combine(vs, q) / nx))
-        while len(outer_v) > LGMRES_OUTER_K:
-            del outer_v[0]
+            return x, k + 1, r_norm
+        vs, y = arnoldi
+        dx = M(_combine(vs, [r_norm * yk for yk in y]))
+        if not 0.0 < _norm(dx) < inf:
+            return x, k + 1, r_norm
         x += dx
-    return x, maxiter
+        r = b - matvec(x)
+        r_norm = _norm(r)
+        if r_norm <= tol:
+            return x, 0, r_norm
+    return x, maxiter, r_norm
 
 
 def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
-    Each linear solve is lgmres preconditioned by the Fourier inverse of
-    the frozen-coefficient Jacobian (_fourier_preconditioner); lgmres stops
-    on the unpreconditioned residual.  The linear solve makes no BLAS call:
+    Each linear solve is lgmres, right-preconditioned by the Fourier
+    inverse of the frozen-coefficient Jacobian (_fourier_preconditioner);
+    it stops on the true residual.  The linear solve makes no BLAS call:
     its inner products are numpy reductions and its matvecs are stencils
     and FFTs, so the trace and the solution are the same under any number
     of BLAS threads.
@@ -573,11 +535,11 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     iteration, residual_norm, the raw residual norm, the accepted step
     length, the Jacobian matvecs of its linear solve (krylov_iters), the
     true relative residual |b - J s|/|b| of that solve (linear_residual,
-    one matvec more), the halvings of its line search (backtracks) and the
-    smallest sigma_p over the nodes of the new iterate
-    (admissibility_margin).  NonconvergenceError carries
-    the trace so far when a linear solve or the line search fails, or when
-    max_iters iterations leave residual_norm above tol.
+    from lgmres's last check), the halvings of its line search
+    (backtracks) and the smallest sigma_p over the nodes of the new
+    iterate (admissibility_margin).  NonconvergenceError carries the trace
+    so far when a linear solve or the line search fails, or when max_iters
+    iterations leave residual_norm above tol.
     """
     grid = u0.grid
     h = grid.h
@@ -600,7 +562,7 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
             return project(out).ravel()
 
         b = -project(res).ravel()
-        step_dir, info = lgmres(
+        step_dir, info, r_norm = lgmres(
             matvec, b, M=_fourier_preconditioner(F, G, H, h), rtol=KRYLOV_RTOL,
             maxiter=2000,
         )
@@ -611,9 +573,7 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
                 trace=trace,
             )
         s = project(step_dir.reshape(grid.sizes))
-        linear_residual = (
-            _norm(b - project(_apply_jacobian(s, F, G, H, h)).ravel()) / _norm(b)
-        )
+        linear_residual = r_norm / _norm(b)
 
         step = 1.0
         backtracks = 0
@@ -795,8 +755,8 @@ def pseudo_check(u, cfg, spec):
     rhs = cfg.delta1 * trace_F - cfg.M1 * lam1_F - cfg.M1
     sub_slack = lhs - rhs
 
-    d2ud = periodic_hess(u.values - cfg.ubar.values, h)
-    Hmat = np.moveaxis(d2ud, (0, 1), (-2, -1)).reshape(-1, d, d)
+    # the stencils are linear and negation is exact: D^2(u - ubar) bit for bit
+    Hmat = np.moveaxis(-d2diff, (0, 1), (-2, -1)).reshape(-1, d, d)
     lam_diff = jacobi_eigh(Hmat)
     shifted = lam_diff + cfg.delta2
     gate_cone = classify_batch(shifted, ConeSpec(d, d)) >= 1
@@ -829,6 +789,12 @@ class AlexandrovProblem:
     resolution: int
     w: callable
     eps: float
+
+    def __post_init__(self):
+        if self.d <= 0 or self.resolution < 9:
+            raise ValueError("need positive d and resolution >= 9")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 def unit_ball_volume(n):

@@ -160,6 +160,30 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ("subsolution", "--resolution", "5"),
+    ("alexandrov", "--resolution", "3"),
+    ("alexandrov", "--resolution", "2"),
+    ("alexandrov", "--eps", "5"),
+])
+def test_bad_grid_input_is_usage_error(tmp_path, argv):
+    proc, out = run_subprocess(tmp_path, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("subcommand", ["subsolution", "alexandrov"])
+def test_grid_defaults_are_not_usage_errors(tmp_path, subcommand):
+    # alexandrov still exits 1 at its defaults: its nodal contact-set sum
+    # undercounts the disc at 65^2, a quadrature fault, not bad input
+    proc, out = run_subprocess(tmp_path, subcommand)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stderr == ""
+    assert os.path.exists(out)
+
+
 @pytest.mark.parametrize("subcommand", [
     "identities", "cone", "spectral-derivs", "concavity-fuzz", "find-m",
     "key-lemma", "solve",
