@@ -117,27 +117,34 @@ def periodic_hess(f, h):
     return H
 
 
-def box_grad_hess(f, h, mask=None):
+def box_grad_hess(f, h, mask=None, core=slice(None)):
     """Gradient and Hessian of a field on a non-periodic box: repeated
     np.gradient, central inside and second-order one-sided at the edges,
     each mixed partial d_j(d_i f), j >= i, taken once.  Returns the
-    gradient (n, m) and the Hessian (n, n, m) at the m nodes selected by
-    the flat boolean mask (every node in row-major order when mask is
-    None): component-major, the (d, d) + nodes layout of periodic_hess,
-    one contiguous plane per component.  np.moveaxis(hess, -1, 0) is the
-    (m, n, n) batch of matrices."""
+    gradient (n, m) and the Hessian (n, n, m) at the m nodes of the axis-0
+    planes f[core] selected by the flat boolean mask over those planes
+    (every node in row-major order when mask is None): component-major,
+    the (d, d) + nodes layout of periodic_hess, one contiguous plane per
+    component.  np.moveaxis(hess, -1, 0) is the (m, n, n) batch of
+    matrices.
+
+    Only d0 f and d0(d0 f) read the planes outside core; every derivative
+    along an axis j >= 1 is taken on the core planes alone.  np.gradient's
+    formulas along such an axis are elementwise in axis 0, so the values
+    are those of the whole field."""
     n = f.ndim
-    grads = np.gradient(f, h, edge_order=2)
-    if n == 1:
-        grads = [grads]
+    d0 = np.gradient(f, h, axis=0, edge_order=2)
+    part = f[core]
     nodes = slice(None) if mask is None else mask
-    m = f.size if mask is None else np.count_nonzero(mask)
+    m = part.size if mask is None else np.count_nonzero(mask)
     grad = np.empty((n, m))
     hess = np.empty((n, n, m))
+    hess[0, 0] = np.gradient(d0, h, axis=0, edge_order=2)[core].ravel()[nodes]
     for i in range(n):
-        grad[i] = grads[i].ravel()[nodes]
-        for j in range(i, n):
-            hess[i, j] = np.gradient(grads[i], h, axis=j, edge_order=2).ravel()[nodes]
+        gi = d0[core] if i == 0 else np.gradient(part, h, axis=i, edge_order=2)
+        grad[i] = gi.ravel()[nodes]
+        for j in range(max(i, 1), n):
+            hess[i, j] = np.gradient(gi, h, axis=j, edge_order=2).ravel()[nodes]
             hess[j, i] = hess[i, j]
     return grad, hess
 
@@ -496,8 +503,13 @@ def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
     cycles run out, or the cycle's number when an inner least-squares
     problem is singular or not finite or the correction is zero or not
     finite (M returns zero); r_norm is |b - J x| of the returned x, from
-    the last check.  Raises ValueError when b is not finite.
+    the last check.  Raises ValueError when b is not finite or when maxiter
+    or inner_m is below 1.
     """
+    if maxiter < 1 or inner_m < 1:
+        raise ValueError(
+            f"lgmres: maxiter and inner_m must be >= 1, got {maxiter} and {inner_m}"
+        )
     if not np.isfinite(b).all():
         raise ValueError("lgmres: the right-hand side must be finite")
     x = np.zeros_like(b, dtype=float)
@@ -801,8 +813,9 @@ def unit_ball_volume(n):
     return pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
-# elements of the (candidates, ball nodes, n) offsets that alexandrov_check's
-# supporting-plane test forms at once: it runs over chunks of candidates
+# elements of the (candidates, ball nodes) plane values that
+# alexandrov_check's supporting-plane test forms at once: it runs over chunks
+# of candidates
 PLANE_TEST_ELEMENTS = 2**21
 
 
@@ -812,7 +825,9 @@ def alexandrov_check(prob, quad_tol=0.02):
 
     The contact set is computed nodewise: |Dw| < eps/d (strict) plus the
     brute-force global supporting-plane test against every ball node, in
-    chunks of candidates of PLANE_TEST_ELEMENTS offsets.
+    chunks of candidates of PLANE_TEST_ELEMENTS plane values: the slope s
+    of the candidate x supports w iff min_y (w(y) - s.y) >= w(x) - s.x,
+    with 1e-10 of slack, over the ball nodes y.
     Returns (lhs, rhs, contact_mask over the grid); raises
     VerificationError unless lhs <= rhs*(1 + quad_tol).
     """
@@ -840,16 +855,17 @@ def alexandrov_check(prob, quad_tol=0.02):
 
     ball_idx = np.flatnonzero(in_ball)
     contact = np.zeros(len(pts), dtype=bool)
-    y = pts[ball_idx]
+    y = offsets[ball_idx].T
     wy = wv.ravel()[ball_idx]
-    step = max(1, PLANE_TEST_ELEMENTS // y.size)
+    # each candidate's own column holds its w(x) - s.x
+    own = np.searchsorted(ball_idx, candidates)
+    step = max(1, PLANE_TEST_ELEMENTS // len(wy))
     for lo in range(0, len(candidates), step):
-        c = candidates[lo : lo + step]
-        planes = wv.ravel()[c][:, None] + np.einsum(
-            "cm,cym->cy", dw[c], y[None, :, :] - pts[c][:, None, :]
-        )
-        ok = np.all(wy[None, :] >= planes - 1e-10, axis=1)
-        contact[c[ok]] = True
+        c = slice(lo, lo + step)
+        g = dw[candidates[c]] @ y
+        np.subtract(wy, g, out=g)
+        ok = np.min(g, axis=1) >= g[np.arange(len(g)), own[c]] - 1e-10
+        contact[candidates[c][ok]] = True
 
     dets = np.linalg.det(np.moveaxis(hess[..., contact], -1, 0))
     rhs = float(np.sum(np.maximum(dets, 0.0)) * h**n)

@@ -114,15 +114,16 @@ class SubsolutionResult:
 # this many nodes (at least one plane), read with SLAB_HALO planes more on
 # each side: d0(d0 f) reads f two planes away, and at the box's edge plane
 # the one-sided formula reads d0 f at planes 0..2, whose central value at
-# plane 2 needs plane 3
-SLAB_NODES = 2**17
+# plane 2 needs plane 3.  Only d0 f and d0(d0 f) are taken on the halo, so a
+# small slab adds little derivative work.
+SLAB_NODES = 2**16
 SLAB_HALO = 3
 
 
 class _Slab(NamedTuple):
     core: slice        # the core planes
     read: slice        # the core planes plus halo
-    skip: int          # nodes of halo before the core in read
+    inner: slice       # the core planes' positions in read
     first: int         # flat grid index of the first core node
     dist: np.ndarray   # distances of the core nodes to the origin
 
@@ -141,7 +142,7 @@ def _slabs(axis, n):
             dist = dist + sq.reshape((-1,) + (1,) * (n - 1 - k))
         a = max(0, lo - SLAB_HALO)
         yield _Slab(
-            slice(lo, hi), slice(a, min(res, hi + SLAB_HALO)), (lo - a) * plane,
+            slice(lo, hi), slice(a, min(res, hi + SLAB_HALO)), slice(lo - a, hi - a),
             lo * plane, np.sqrt(dist).ravel(),
         )
 
@@ -159,34 +160,38 @@ def _slab_points(axis, n, slab, rows=None):
     return pts if rows is None else pts[rows]
 
 
-def _admissible_slabs(field, axis, h, p, select, message, closed=False):
+def _admissible_pass(field, axis, h, p, select, message, visit, closed=False):
     """Cone check of field's Hessians at the nodes select(slab) picks, slab
-    by slab: yields (slab, mask, gradient (n, m), Hessian (n, n, m),
-    matrix_sigmas (m, n + 1)) for each slab before the first node outside
+    by slab: calls visit(slab, mask, gradient (n, m), Hessian (n, n, m),
+    matrix_sigmas (m, n + 1)) on each slab before the first node outside
     the cone (the closed cone when closed), and raises ConstructionError
     with message naming that node after the last slab.  A sigma_q that
     overflows raises at once, naming its node: a verdict on inf is no
     verdict on the Hessian, and it outranks a node outside the cone, as in
     one check over every node.  box_grad_hess reads the slab's planes plus
-    halo; np.gradient's formulas are elementwise, so its values are those
-    of the whole field.  The field may overflow where no stencil at a
-    selected node reads it."""
+    halo and differentiates along the other axes on the core planes only;
+    np.gradient's formulas are elementwise, so its values are those of the
+    whole field.  The field may overflow where no stencil at a selected
+    node reads it.  Each slab's arrays are freed before the next slab is
+    differentiated, so visit must keep none of them."""
     bad = None
     for s in _slabs(axis, field.ndim):
         mask = select(s)
         if not mask.any():
             continue
-        part = field[s.read]
-        read = np.zeros(part.size, dtype=bool)
-        read[s.skip : s.skip + mask.size] = mask
         nodes = s.first + np.flatnonzero(mask)
+        # the previous slab's arrays are dropped here, after this slab's
+        # nodes were allocated above them: dropped at the end of their own
+        # slab, they left the heap's top free, and the allocator handed it
+        # back to the system to fault it in again (3x the page faults)
+        grad = hess = codes = sigmas = outside = None
         with np.errstate(over="ignore", invalid="ignore"):
-            grad, hess = box_grad_hess(part, h, read)
+            grad, hess = box_grad_hess(field[s.read], h, mask, s.inner)
             codes, sigmas = classify_matrices(
                 np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p)
             )
-        finite = np.all(np.isfinite(sigmas), axis=-1)
-        if not np.all(finite):
+        if not np.isfinite(sigmas).all():
+            finite = np.all(np.isfinite(sigmas), axis=-1)
             raise ConstructionError(
                 "the construction overflows in the sigma_q of a Hessian",
                 node=int(nodes[np.argmin(finite)]),
@@ -195,7 +200,7 @@ def _admissible_slabs(field, axis, h, p, select, message, closed=False):
         if bad is None and np.any(outside):
             bad = int(nodes[np.argmax(outside)])
         if bad is None:
-            yield s, mask, grad, hess, sigmas
+            visit(s, mask, grad, hess, sigmas)
     if bad is not None:
         raise ConstructionError(message, node=bad)
 
@@ -212,9 +217,12 @@ def construct(problem):
     needs the eigenvalues of D^2 u.
 
     Memory: three whole fields (u, psi, then v in u's place) plus one slab
-    at a time; every per-node stage runs on a slab of axis-0 planes,
-    (planes + 2 SLAB_HALO) res^(n-1) nodes with planes = max(1,
-    SLAB_NODES // res^(n-1)).  Every global quantity is a min or a max over
+    alive at a time; every per-node stage runs on a slab of planes =
+    max(1, SLAB_NODES // res^(n-1)) axis-0 planes, and each slab's arrays
+    are freed before the next slab is differentiated.  Only d0 f and
+    d0(d0 f) are taken on the slab's planes plus SLAB_HALO on each side;
+    every other derivative, the minors and the eigenvalues are taken on
+    the core planes only.  Every global quantity is a min or a max over
     nodes, so no result depends on the slabs, and the first fault is the
     one a single pass over every node raises, in the order: u's cone
     check, u < 0 inside, psi's closed-cone check, overflow of A, B or v,
@@ -236,12 +244,14 @@ def construct(problem):
     def trusted(s):
         return s.dist <= radius - 2 * h
 
+    # each pass folds its slabs in a function, so that no slab's arrays
+    # outlive its call
     negative = True
     eps1 = eps2 = min_u = np.inf
     max_du = -np.inf
-    for s, ball, du, d2u, sig_u in _admissible_slabs(
-        u, axis, h, p, in_ball, "defining function u is not admissible at a grid node"
-    ):
+
+    def u_slab(s, ball, du, d2u, sig_u):
+        nonlocal negative, eps1, eps2, max_du, min_u
         u_flat = u[s.core].ravel()
         negative &= not np.any(u_flat[ball & (s.dist < radius - h)] >= 0)
         eps1 = np.minimum(eps1, np.min(sig_u[:, p]))
@@ -250,21 +260,30 @@ def construct(problem):
             eps2 = np.minimum(eps2, np.min(sigma(p - 1, lam[:, : n - 1])))
         max_du = np.maximum(max_du, np.max(np.linalg.norm(du, axis=0)))
         min_u = np.minimum(min_u, np.min(u_flat[ball]))
+
+    _admissible_pass(
+        u, axis, h, p, in_ball, "defining function u is not admissible at a grid node",
+        u_slab,
+    )
     if not negative:
         raise ConstructionError("u must be negative inside the ball")
     eps1, max_du, min_u = float(eps1), float(max_du), float(min_u)
     eps2 = float(eps2) if n > 1 and p > 1 else 1.0
 
     C1 = max_dpsi = max_psi = -np.inf
-    for s, ball, dpsi, _, _ in _admissible_slabs(
-        psi, axis, h, p, in_ball,
-        "extension psi leaves the closed cone at a grid node", closed=True,
-    ):
+
+    def psi_slab(s, ball, dpsi, _, __):
+        nonlocal C1, max_dpsi, max_psi
         psi_flat = psi[s.core].ravel()[ball]
         phi = problem.phi_tilde(_slab_points(axis, n, s, ball), psi_flat)
         C1 = np.maximum(C1, np.max(phi))
         max_dpsi = np.maximum(max_dpsi, np.max(np.linalg.norm(dpsi, axis=0)))
         max_psi = np.maximum(max_psi, np.max(np.abs(psi_flat) ** alpha))
+
+    _admissible_pass(
+        psi, axis, h, p, in_ball,
+        "extension psi leaves the closed cone at a grid node", psi_slab, closed=True,
+    )
     # a numpy scalar, so C1**p overflows to inf (rejected below) instead of raising
     C1 = np.float64(C1)
     C2 = float(1.0 + max_dpsi + max_psi)
@@ -297,9 +316,9 @@ def construct(problem):
         raise ConstructionError(f"the construction overflows (A = {A}, B = {B})")
 
     worst = np.inf
-    for s, nodes, dv, _, sig_v in _admissible_slabs(
-        v, axis, h, p, trusted, "constructed v loses admissibility at a grid node"
-    ):
+
+    def v_slab(s, nodes, dv, _, sig_v):
+        nonlocal worst
         v_flat = v[s.core].ravel()[nodes]
         phi = problem.phi_tilde(_slab_points(axis, n, s, nodes), v_flat)
         # where |Dv| overflows the slack is -inf, a reported violation,
@@ -307,6 +326,10 @@ def construct(problem):
         with np.errstate(over="ignore", invalid="ignore"):
             rhs = phi * (1.0 + np.linalg.norm(dv, axis=0) + np.abs(v_flat) ** alpha)
             worst = np.minimum(worst, np.min(sig_v[:, p] ** (1.0 / p) - rhs))
+
+    _admissible_pass(
+        v, axis, h, p, trusted, "constructed v loses admissibility at a grid node", v_slab
+    )
     return SubsolutionResult(float(A), float(B), eps1, eps2, v, float(worst))
 
 

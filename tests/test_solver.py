@@ -119,6 +119,40 @@ def test_box_grad_hess_component_planes(shape, masked):
     np.testing.assert_allclose(hess, np.broadcast_to(Q[..., None], hess.shape), rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(9,), (9, 5), (9, 5, 4)])
+def test_box_grad_hess_core_planes(shape, monkeypatch):
+    """For every range of core planes, read alone with the whole field or
+    with a halo of 3 planes cut at the box's edges, the gradient and
+    Hessian at the masked core nodes are the whole-field call's at those
+    nodes, bit for bit; only d0 f and d0(d0 f) run over the planes outside
+    the core."""
+    rng = np.random.default_rng(len(shape))
+    n, h, res = len(shape), 0.1, shape[0]
+    f = rng.normal(size=shape)
+    plane = f.size // res
+    grad, hess = box_grad_hess(f, h)
+    gradient, calls = np.gradient, []
+
+    def spy(a, *args, axis=None, **kwargs):
+        calls.append((axis, len(a)))
+        return gradient(a, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", spy)
+    for lo in range(res):
+        for hi in range(lo + 1, res + 1):
+            nodes = slice(lo * plane, hi * plane)
+            mask = rng.random((hi - lo) * plane) < 0.6
+            for a, b in ((0, res), (max(0, lo - 3), min(res, hi + 3))):
+                calls.clear()
+                g, H = box_grad_hess(f[a:b], h, mask, slice(lo - a, hi - a))
+                assert np.array_equal(g, grad[:, nodes][:, mask])
+                assert np.array_equal(H, hess[..., nodes][..., mask])
+                # d_i f and d_j(d_i f) for j >= 1: 2 (n - 1) + n (n - 1) / 2
+                on_core = 2 * (n - 1) + n * (n - 1) // 2
+                assert [k for axis, k in calls if axis == 0] == [b - a] * 2
+                assert [k for axis, k in calls if axis != 0] == [hi - lo] * on_core
+
+
 class TestResidual:
     def test_constant_state_residual(self):
         grid = TorusGrid((16, 16))
@@ -480,6 +514,16 @@ class TestLgmres:
         with pytest.raises(ValueError, match="finite"):
             solver.lgmres(lambda v: A @ v, b, M=lambda r: r, rtol=1e-10, maxiter=10)
 
+    @pytest.mark.parametrize("maxiter, inner_m", [(0, 30), (1, 0)])
+    def test_no_cycle_is_rejected(self, maxiter, inner_m):
+        # maxiter = 0 used to report convergence (info 0) with x = 0
+        A, b, diag = self.system()
+        with pytest.raises(ValueError, match=">= 1"):
+            solver.lgmres(
+                lambda v: A @ v, b, M=lambda r: r / diag, rtol=1e-10,
+                maxiter=maxiter, inner_m=inner_m,
+            )
+
 
 class TestMonitors:
     def test_constant_state(self):
@@ -611,7 +655,7 @@ class TestAlexandrov:
             want[x] = np.all(wv[ball] >= plane - 1e-10)
         assert 0 < want.sum() < np.sum(ball & (np.hypot(g[:, 0], g[:, 1]) < eps))
 
-        monkeypatch.setattr(solver, "PLANE_TEST_ELEMENTS", per_chunk * 2 * ball.sum())
+        monkeypatch.setattr(solver, "PLANE_TEST_ELEMENTS", per_chunk * ball.sum())
         prob = AlexandrovProblem(center=(0.0, 0.0), d=1.0, resolution=res, w=w, eps=eps)
         _, _, contact = alexandrov_check(prob, quad_tol=1.0)
         assert np.array_equal(contact.ravel(), want)

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -269,12 +270,15 @@ def test_slabs_cover_the_grid(n, res, monkeypatch):
     assert np.array_equal(np.concatenate([s.dist for s in slabs]), dist)
     for s in slabs:
         assert s.read == slice(max(0, s.core.start - 3), min(res, s.core.stop + 3))
+        assert range(res)[s.read][s.inner] == range(res)[s.core]
         assert s.first == s.core.start * res ** (n - 1)
 
 
 def test_construct_memory_is_bounded():
-    # the three whole fields at 97^3 take 21 MB; holding every stage's
-    # whole-grid arrays at once peaked at 169 MB
+    # the three whole fields at 97^3 take 21 MB, and one slab of 6 planes
+    # with its derivatives, minors and eigenvalues brings the peak to 25 MB;
+    # holding two slabs and differentiating the halo planes along every
+    # axis peaked at 51 MB, every stage's whole-grid arrays at once at 169 MB
     prob = BallProblem(
         n=3, radius=1.0, resolution=97, p=2, alpha=0.5,
         psi=zero_field, phi_tilde=const_phi(0.1), u=ball_u,
@@ -286,7 +290,39 @@ def test_construct_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert out.worst_slack >= 0.0
-    assert peak <= 80 * 2**20
+    assert peak <= 32 * 2**20
+
+
+def test_construct_frees_each_slab_before_the_next(monkeypatch):
+    """No array that a slab's derivatives, minors, eigenvalues or
+    phi_tilde produced is alive when the next slab is differentiated, in
+    any of the three passes."""
+    live, alive_at_start = [], []
+
+    def tracked(f, starts_slab=False):
+        def call(*args, **kwargs):
+            if starts_slab:
+                alive_at_start.append(sum(ref() is not None for ref in live))
+            out = f(*args, **kwargs)
+            live.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,)))
+            return out
+        return call
+
+    monkeypatch.setattr(
+        subsolution, "box_grad_hess", tracked(subsolution.box_grad_hess, starts_slab=True)
+    )
+    for name in ("classify_matrices", "jacobi_eigh"):
+        monkeypatch.setattr(subsolution, name, tracked(getattr(subsolution, name)))
+    monkeypatch.setattr(subsolution, "SLAB_NODES", 2 * 17**2)
+    prob = BallProblem(
+        n=3, radius=1.0, resolution=17, p=2, alpha=0.5,
+        psi=tilted_psi, phi_tilde=tracked(const_phi(0.1)), u=bowl_u,
+    )
+    construct(prob)
+    # 2-plane slabs: 9 hold ball nodes (u's and psi's passes), 7 hold
+    # trusted nodes (v's pass)
+    assert len(alive_at_start) == 25
+    assert not any(alive_at_start)
 
 
 def test_problem_validation():
