@@ -34,7 +34,7 @@ import numpy as np
 from .cone import ConeSpec, require_cone
 from .errors import ConstructionError, VerificationError
 from .solver import box_grad_hess
-from .spectral import classify_matrices, jacobi_eigh
+from .spectral import classify_matrices, jacobi_eigh, linearization, matrix_sigmas
 from .symfun import (
     _as_values,
     sigma,
@@ -440,22 +440,20 @@ def matrix_form_sides(p, delta, R, a, C, D):
         rhs = delta * tr(F) + a - f(lam(D))
               - (R + |lam(C) - delta 1|) lam_1(F)
 
-    with F the gradient of f(lam(I, .)) = sigma_p^{1/p} at D, assembled by
-    diagonalizing D and conjugating the diagonal-frame gradient back.
+    with F = linearization(p, I, D) the gradient of f(lam(I, .)) =
+    sigma_p^{1/p} at D, f(lam(D)) from its principal minors and lam_1(F)
+    from the eigensolver: no eigenvectors.
     """
     C = np.asarray(C, dtype=float)
     D = np.asarray(D, dtype=float)
-    n = D.shape[-1]
-    nu, Q = jacobi_eigh(D, vectors=True)
-    require_cone(nu, ConeSpec(n, p), "lam(D)")
-    f_nu, grad = sigma_root_grad(p, nu)
-    F = Q @ np.diag(grad) @ Q.T
+    F = linearization(p, np.eye(D.shape[-1]), D)
+    f_nu = matrix_sigmas(D)[p] ** (1.0 / p)
     lam_C = jacobi_eigh(C)
     lhs = float(np.sum(F * (C - D)))
     rhs = float(
         delta * np.trace(F)
         + a
         - f_nu
-        - (R + np.linalg.norm(lam_C - delta)) * np.min(grad)
+        - (R + np.linalg.norm(lam_C - delta)) * jacobi_eigh(F)[0]
     )
     return lhs, rhs

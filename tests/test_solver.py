@@ -607,6 +607,54 @@ class TestPseudoCheck:
         rep = pseudo_check(ustar, cfg, spec)
         assert 0 <= rep.super_nodes < 32 * 32
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_coefficient_coupling_matches_directional_derivative(self, p):
+        # With A = (1 - e^u - phi_tilde |du|^2) I the subsolution side's lhs
+        # is the derivative at eps = 0 of sigma_p^{1/p}(lam(A(du + eps dw,
+        # u) + D^2 u + eps D^2 w)), w = ubar - u; oracle: central differences
+        # of eigenvalues, and F assembled from an eigendecomposition
+        from phessian.symfun import sigma_root_grad
+
+        grid = TorusGrid((32, 32))
+        x1, x2 = grid.meshgrid()
+        u = GridFn(grid, -1.0 + 0.2 * np.cos(x1) * np.cos(x2))
+        w = 0.3 * np.sin(x1) * np.cos(2.0 * x2) + 0.2 * np.cos(x1 + x2)
+        ubar = GridFn(grid, u.values + w)
+        # large enough that the coupling term moves the worst slack
+        phi_tilde = 5.0
+        spec = EquationSpec(
+            p=p, A_field=("paper_example", phi_tilde), rhs=("constant", 0.3)
+        )
+        cfg = PseudoCheckConfig(delta1=0.1, M1=2.0, delta2=0.5, M2=1.0, ubar=ubar)
+        rep = pseudo_check(u, cfg, spec)
+
+        h = grid.h
+        du, d2u = periodic_grad(u.values, h), periodic_hess(u.values, h)
+        dw, d2w = periodic_grad(w, h), periodic_hess(w, h)
+
+        def matrices(eps):
+            g = du + eps * dw
+            a = 1.0 - np.exp(u.values) - phi_tilde * np.sum(g**2, axis=0)
+            m = np.moveaxis(d2u + eps * d2w, (0, 1), (-2, -1)).copy()
+            m[..., 0, 0] += a
+            m[..., 1, 1] += a
+            return m.reshape(-1, 2, 2)
+
+        def root(eps):
+            return sigma(p, np.linalg.eigvalsh(matrices(eps))) ** (1.0 / p)
+
+        eps = 1e-5
+        lhs = (root(eps) - root(-eps)) / (2.0 * eps)
+        lam, Q = np.linalg.eigh(matrices(0.0))
+        _, grad = sigma_root_grad(p, lam)
+        F = np.einsum("njk,nk,nlk->njl", Q, grad, Q)
+        rhs = (
+            cfg.delta1 * np.trace(F, axis1=1, axis2=2)
+            - cfg.M1 * np.linalg.eigvalsh(F)[:, 0]
+            - cfg.M1
+        )
+        assert rep.worst_sub_slack == pytest.approx(np.min(lhs - rhs), abs=1e-6)
+
     def test_config_validation(self):
         spec, grid, ustar = manufactured_problem(32)
         with pytest.raises(ValueError):
@@ -729,6 +777,26 @@ def test_linearization_F_matches_eigh_assembly(sizes, p):
     err = np.abs(F.reshape(-1, d, d) - ref) / np.max(np.abs(ref), axis=(1, 2))[:, None, None]
     assert np.max(err) <= 1e-10
     assert margin == pytest.approx(np.min(sigma(p, w)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_linearization_data_F_is_batched_linearization(p):
+    # the solver's F field and spectral.linearization under the identity
+    # metric are one formula: they differ only by linearization's final
+    # symmetrization
+    from phessian.solver import _linearization_data
+    from phessian.spectral import linearization
+
+    grid = TorusGrid((10, 9, 8))
+    mesh = grid.meshgrid()
+    u = GridFn(grid, 0.1 * np.cos(mesh[0]) * np.sin(mesh[1] + mesh[2]))
+    spec = EquationSpec(p=p, A_field=("conformal", 1.0), rhs=("constant", 1.0))
+    _, F, _, _, _, _ = _linearization_data(u, spec)
+    B = np.eye(3) + np.moveaxis(periodic_hess(u.values, grid.h), (0, 1), (-2, -1))
+    ref = linearization(p, np.eye(3), B)
+    assert ref.shape == F.shape
+    scale = np.max(np.abs(ref), axis=(-2, -1))[..., None, None]
+    assert np.max(np.abs(F - ref) / scale) <= 1e-14
 
 
 class TestCatalogDerivatives:

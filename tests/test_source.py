@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -23,3 +24,34 @@ def test_no_assert_statements(module):
         tree = ast.parse(fh.read(), filename=path)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{module}: assert at lines {lines}"
+
+
+def traced_functions():
+    """(layer, function) pairs of the TRACED table in perfbench/tracer.py,
+    read from its syntax tree: the file is neither imported nor run."""
+    path = os.path.join(PACKAGE, os.pardir, os.pardir, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return [
+                (layer.value, fn.value)
+                for layer, funcs in zip(node.value.keys, node.value.values)
+                for fn in funcs.keys
+            ]
+    raise AssertionError("perfbench/tracer.py defines no TRACED table")
+
+
+def test_traced_functions_exist():
+    # the benchmark's traced runs wrap these by name; a rename in the
+    # package would otherwise surface only as a crashed traced run
+    pairs = traced_functions()
+    assert ("solver", "_linearization_data") in pairs
+    missing = [
+        f"phessian.{layer}.{fn}"
+        for layer, fn in pairs
+        if not callable(getattr(importlib.import_module(f"phessian.{layer}"), fn, None))
+    ]
+    assert missing == []

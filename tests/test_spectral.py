@@ -101,13 +101,6 @@ class TestJacobi(unittest.TestCase):
             w = jacobi_eigh(M)
             np.testing.assert_allclose(w, np.linalg.eigvalsh(M), atol=1e-11 * max(1, n))
 
-    def test_vectors_reconstruct(self):
-        rng = np.random.default_rng(4)
-        M = rand_sym(rng, 5, 2.0)
-        w, V = jacobi_eigh(M, vectors=True)
-        np.testing.assert_allclose(V @ np.diag(w) @ V.T, M, atol=1e-12)
-        np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-12)
-
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(5)
         Ms = np.stack([rand_sym(rng, 4, 3.0) for _ in range(40)])
@@ -240,9 +233,9 @@ class TestMinorPath(unittest.TestCase):
         eigensolver."""
         seen = []
 
-        def record(A, vectors=False):
+        def record(A):
             seen.append(np.array(A))
-            return jacobi_eigh(A, vectors)
+            return jacobi_eigh(A)
 
         with mock.patch.object(spectral, "jacobi_eigh", record):
             codes, _ = classify_matrices(M, spec)
@@ -478,14 +471,14 @@ class TestSpectralDerivs(unittest.TestCase):
 
 class TestLinearization(unittest.TestCase):
     def test_hand_case(self):
-        out = linearization(2, np.eye(3), np.diag([1.0, 2.0, 3.0]))
+        F = linearization(2, np.eye(3), np.diag([1.0, 2.0, 3.0]))
         ref = np.diag([5.0, 4.0, 3.0]) / (2.0 * np.sqrt(11.0))
-        np.testing.assert_allclose(out.F, ref, atol=1e-12)
+        np.testing.assert_allclose(F, ref, atol=1e-12)
 
     def test_identity_case(self):
         for n in (2, 3, 4):
-            out = linearization(n, np.eye(n), np.eye(n))
-            np.testing.assert_allclose(out.F, np.eye(n) / n, atol=1e-12)
+            F = linearization(n, np.eye(n), np.eye(n))
+            np.testing.assert_allclose(F, np.eye(n) / n, atol=1e-12)
 
     def test_trace_lower_bound(self):
         from math import comb
@@ -498,10 +491,10 @@ class TestLinearization(unittest.TestCase):
             lam = eigs(Pencil(np.eye(n), B))
             if sigma(p, lam) <= 0:
                 continue
-            out = linearization(p, np.eye(n), B)
-            self.assertGreaterEqual(out.trace_F, comb(n, p) ** (1.0 / p) - 1e-10)
+            F = linearization(p, np.eye(n), B)
+            self.assertGreaterEqual(np.trace(F), comb(n, p) ** (1.0 / p) - 1e-10)
             # F symmetric positive definite
-            self.assertGreater(np.linalg.eigvalsh(out.F)[0], 0.0)
+            self.assertGreater(np.linalg.eigvalsh(F)[0], 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
@@ -511,7 +504,7 @@ class TestLinearization(unittest.TestCase):
             p = int(rng.integers(1, n + 1))
             g_inv = rand_spd(rng, n)
             B = rand_sym(rng, n, 1.0) + 2 * n * np.linalg.inv(g_inv)
-            out = linearization(p, g_inv, B)
+            F = linearization(p, g_inv, B)
 
             def val(dB):
                 lam = eigs(Pencil(g_inv, B + dB))
@@ -521,11 +514,48 @@ class TestLinearization(unittest.TestCase):
                 for k in range(j, n):
                     E = sym_basis(n, j, k)
                     fd = (val(h * E) - val(-h * E)) / (2 * h)
-                    self.assertLess(abs(fd - np.sum(out.F * E)), 1e-6)
+                    self.assertLess(abs(fd - np.sum(F * E)), 1e-6)
 
     def test_inadmissible_rejected(self):
         with self.assertRaises(AdmissibilityError):
             linearization(2, np.eye(3), np.diag([-1.0, 1.0, 1.0]))
+
+    def random_batch(self, rng, n, rows):
+        g_inv = np.stack([rand_spd(rng, n) for _ in range(rows)])
+        B = np.stack(
+            [rand_sym(rng, n, 0.5) + 4 * n * np.linalg.inv(g) for g in g_inv]
+        )
+        return g_inv, B
+
+    def test_batch_rows_equal_single_calls(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4):
+            for p in range(1, n + 1):
+                g_inv, B = self.random_batch(rng, n, 12)
+                F = linearization(p, g_inv, B)
+                self.assertEqual(F.shape, B.shape)
+                for i in range(len(B)):
+                    np.testing.assert_array_equal(
+                        F[i], linearization(p, g_inv[i], B[i]),
+                        err_msg=f"n={n} p={p} row {i}",
+                    )
+                # two leading axes name their rows the same way
+                F2 = linearization(p, g_inv.reshape(3, 4, n, n), B.reshape(3, 4, n, n))
+                np.testing.assert_array_equal(F2.reshape(F.shape), F)
+
+    def test_batch_names_the_inadmissible_row(self):
+        rng = np.random.default_rng(12)
+        g_inv, B = self.random_batch(rng, 3, 8)
+        # negating an admissible row makes every lam negative
+        B[5] = -B[5]
+        with self.assertRaises(AdmissibilityError) as ctx:
+            linearization(2, g_inv, B)
+        self.assertEqual(ctx.exception.node, (5,))
+        self.assertIn("inadmissible eigenvalues", str(ctx.exception))
+        P = np.linalg.cholesky(g_inv[5]).T
+        np.testing.assert_allclose(
+            ctx.exception.lam, np.linalg.eigvalsh(P @ B[5] @ P.T), rtol=1e-12
+        )
 
 
 class TestSchurHorn(unittest.TestCase):
