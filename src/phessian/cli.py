@@ -64,11 +64,18 @@ def _jsonable(x):
 
 
 def _parse_range(text):
-    """'3..8' -> [3..8], '4' -> [4]."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """'3..8' -> [3..8], '4' -> [4]; usage error unless the range is
+    non-empty and starts at 1 or above."""
+    lo, _, hi = text.partition("..")
+    try:
+        dims = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        dims = []
+    if not dims or dims[0] < 1:
+        raise _UsageError(
+            f"identities: --n must be a dimension >= 1 or a range lo..hi, got {text!r}"
+        )
+    return dims
 
 
 def _seed(text):
@@ -152,9 +159,12 @@ def _subcommand(name, **fixed):
 
 @_subcommand("identities", tol=1e-10)
 def cmd_identities(args):
+    dims = _parse_range(args.n)
+    if args.trials < 1:
+        raise _UsageError("identities: --trials must be at least 1")
     results = {}
     violation = None
-    for n in _parse_range(args.n):
+    for n in dims:
         for p in range(1, n + 1):
             rng = np.random.default_rng([args.seed, n, p])
             mu = rng.uniform(-3.0, 3.0, (args.trials, n))
@@ -225,6 +235,7 @@ def cmd_cone(args):
 
 @_subcommand("spectral-derivs", fd_step=1e-5, tol=1e-6)
 def cmd_spectral_derivs(args):
+    _require_sweep("spectral-derivs", args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     worst = 0.0
     worst_mu = None
@@ -342,6 +353,11 @@ def cmd_find_m(args):
 
 @_subcommand("subsolution")
 def cmd_subsolution(args):
+    # the construction needs phi_tilde > 0
+    if not 0.0 < args.phi < np.inf:
+        raise _UsageError(
+            f"subsolution: --phi must be positive and finite, got {args.phi}"
+        )
 
     def u(pts):
         return 0.5 * (np.sum(pts**2, axis=-1) - args.radius**2)
@@ -390,9 +406,12 @@ def cmd_key_lemma(args):
             n=args.n, p=args.p, delta=rng.uniform(0.1, 1.0), R=args.R,
             a=rng.uniform(0.5, 2.0), mu=mu, nu=nu,
         )
-        lhs, rhs, ok, escape = key_lemma_check(
-            cfg, directions=args.directions, seed=i
-        )
+        try:
+            lhs, rhs, ok, escape = key_lemma_check(
+                cfg, directions=args.directions, seed=i
+            )
+        except ValueError as exc:
+            raise _UsageError(f"key-lemma: {exc}") from None
         if not ok:
             failed += 1
             if first_failure is None:
@@ -428,8 +447,15 @@ def _smooth_perturbation(grid, rng, scale):
 def cmd_solve(args):
     if args.manufactured and args.problem:
         raise _UsageError("solve: --manufactured and --problem are mutually exclusive")
+    if not 0.0 < args.tol < np.inf:
+        raise _UsageError(f"solve: --tol must be positive and finite, got {args.tol}")
     if args.manufactured:
-        spec, grid, ustar = manufactured_problem(args.manufactured, p=args.p)
+        if not np.isfinite(args.perturb):
+            raise _UsageError(f"solve: --perturb must be finite, got {args.perturb}")
+        try:
+            spec, grid, ustar = manufactured_problem(args.manufactured, p=args.p)
+        except ValueError as exc:
+            raise _UsageError(f"solve: {exc}") from None
         rng = np.random.default_rng(args.seed)
         bump = _smooth_perturbation(
             grid, rng, args.perturb * np.max(np.abs(ustar.values))
@@ -443,6 +469,10 @@ def cmd_solve(args):
             u0 = load_grid_csv(args.initial)
         except ValueError as exc:
             raise _UsageError(f"solve: {exc}") from None
+        if not 1 <= spec.p <= u0.grid.d:
+            raise _UsageError(
+                f"solve: need 1 <= p <= d = {u0.grid.d}, got p = {spec.p}"
+            )
     else:
         raise _UsageError("solve: either --manufactured or --problem is required")
 
@@ -494,11 +524,14 @@ def cmd_alexandrov(args):
 
 @_subcommand("pseudo-check")
 def cmd_pseudo_check(args):
-    spec, grid, ustar = manufactured_problem(args.size, p=args.p)
-    cfg = PseudoCheckConfig(
-        delta1=args.delta1, M1=args.M1, delta2=args.delta2, M2=args.M2,
-        ubar=ustar,
-    )
+    try:
+        spec, grid, ustar = manufactured_problem(args.size, p=args.p)
+        cfg = PseudoCheckConfig(
+            delta1=args.delta1, M1=args.M1, delta2=args.delta2, M2=args.M2,
+            ubar=ustar,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"pseudo-check: {exc}") from None
     results = dataclasses.asdict(pseudo_check(ustar, cfg, spec))
     violation = None
     if results["sub_violations"] or results["super_violations"]:

@@ -179,6 +179,10 @@ class EquationSpec:
     A_field: tuple = ("zero",)
     rhs: tuple = ("constant", 1.0)
 
+    def __post_init__(self):
+        if self.rhs[0] == "constant" and not 0.0 < float(self.rhs[1]) < inf:
+            raise ValueError("constant right-hand side must be positive and finite")
+
 
 def _broadcast_field(param, shape):
     arr = np.asarray(param, dtype=float)
@@ -227,10 +231,7 @@ def _rhs_phi(spec, u, du):
     shape = u.shape
     kind = spec.rhs[0]
     if kind == "constant":
-        c = float(spec.rhs[1])
-        if c <= 0:
-            raise ValueError("right-hand side must be positive")
-        return np.full(shape, c), None, None
+        return np.full(shape, float(spec.rhs[1])), None, None
     if kind == "stored":
         phi = _broadcast_field(spec.rhs[1], shape)
         if np.any(phi <= 0):
@@ -345,33 +346,25 @@ def _apply_jacobian(s, F, G, H, h):
 def _fourier_preconditioner(F, G, H, h):
     """Inverse of the Jacobian with F, G, H frozen at their node means.
 
-    On the periodic grid the stencils of _apply_jacobian act on the Fourier
-    mode with angles theta by multiplication with the symbol
-
-        - sum_j F_jj 4 sin^2(theta_j/2)/h_j^2
-        - sum_{j != k} F_jk sin(theta_j) sin(theta_k)/(h_j h_k)
-        + i sum_j G_j sin(theta_j)/h_j + H,
-
-    so this is the exact inverse for constant coefficients.  Its real part
-    is negative off the zero mode for SPD F and H <= 0.  A mode with a zero
-    symbol (the constant under the zero-mean gauge, where H = 0) spans the
-    kernel and is dropped.  Returns the inverse as a map of raveled fields.
+    The frozen operator is shift-invariant on the periodic grid, so its
+    symbol is the rfftn of its impulse response, _apply_jacobian of the unit
+    impulse at node 0, and this is its exact inverse.  Off the zero mode the
+    symbol's real part is negative for SPD F and H <= 0.  A zero symbol (the
+    constant mode under the zero-mean gauge, where H = 0) spans the kernel
+    and is dropped.  Returns the inverse as a map of raveled fields.
     """
     shape = H.shape
     d = len(shape)
     axes = tuple(range(d))
+    impulse = np.zeros(shape)
+    impulse.flat[0] = 1.0
     Fbar = F.reshape(-1, d, d).mean(axis=0)
     Gbar = G.reshape(d, -1).mean(axis=1)
-    freqs = [np.fft.fftfreq(n) for n in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
-    theta = np.meshgrid(*(2.0 * pi * f for f in freqs), indexing="ij", sparse=True)
-    half = [2.0 * np.sin(t / 2.0) / hj for t, hj in zip(theta, h)]
-    odd = [np.sin(t) / hj for t, hj in zip(theta, h)]
-    symbol = complex(H.mean())
-    for j in range(d):
-        symbol = symbol - Fbar[j, j] * half[j] ** 2 + 1j * Gbar[j] * odd[j]
-        for k in range(d):
-            if k != j:
-                symbol = symbol - Fbar[j, k] * odd[j] * odd[k]
+    symbol = np.fft.rfftn(_apply_jacobian(impulse, Fbar, Gbar, H.mean(), h))
+    # the stencils annihilate constants, but the FFT's summation order leaves
+    # about 1e-15 at the zero mode: under the gauge (H = 0) that would be a
+    # 1e15 gain on the kernel instead of a dropped mode
+    symbol.flat[0] = H.mean()
     inverse = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inverse, where=symbol != 0)
 
@@ -516,8 +509,9 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
     Each linear solve is lgmres, right-preconditioned by the Fourier
-    inverse of the frozen-coefficient Jacobian (_fourier_preconditioner);
-    it stops on the true residual.  The linear solve makes no BLAS call:
+    inverse of the frozen-coefficient Jacobian, whose symbol is the FFT of
+    the stencils' impulse response (_fourier_preconditioner); it stops on
+    the true residual.  The linear solve makes no BLAS call:
     its inner products are numpy reductions and its matvecs are stencils
     and FFTs, so the trace and the solution are the same under any number
     of BLAS threads.
@@ -674,7 +668,7 @@ def auxiliary_field(u, ubar, spec, aux, kind):
         du, _, lam = _lambda_field(u.values, grid, spec)
         lam_n = lam[:, -1].reshape(grid.sizes)
         if np.any(lam_n <= -1.0):
-            bad = np.unravel_index(int(np.argmax(lam_n <= -1.0)), grid.sizes)
+            bad = tuple(np.argwhere(lam_n <= -1.0)[0].tolist())
             raise ValueError(
                 f"lam_n = {lam_n[bad]} <= -1 at node {bad}: log undefined"
             )
@@ -688,7 +682,7 @@ def auxiliary_field(u, ubar, spec, aux, kind):
         phi = np.log1p(grad_sq) + _aux_eval(aux.zeta, u.values)
     else:
         raise ValueError(f"unknown auxiliary kind {kind!r}")
-    node = np.unravel_index(int(np.argmax(phi)), grid.sizes)
+    node = tuple(int(i) for i in np.unravel_index(np.argmax(phi), grid.sizes))
     return GridFn(grid, phi), node
 
 
@@ -704,10 +698,10 @@ class PseudoCheckConfig:
     ubar: GridFn
 
     def __post_init__(self):
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ValueError("delta1, delta2 must be positive")
-        if self.M1 < 0 or self.M2 < 0:
-            raise ValueError("M1, M2 must be nonnegative")
+        if not (0 < self.delta1 < inf and 0 < self.delta2 < inf):
+            raise ValueError("delta1, delta2 must be positive and finite")
+        if not (0 <= self.M1 < inf and 0 <= self.M2 < inf):
+            raise ValueError("M1, M2 must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -939,11 +933,14 @@ def equation_from_dict(blob):
             return (kind, np.asarray(e["values"], dtype=float))
         raise ValueError(f"unknown catalog entry {kind!r}")
 
-    return EquationSpec(
-        p=int(blob["p"]),
-        A_field=entry(blob["A"], False),
-        rhs=entry(blob["rhs"], True),
-    )
+    try:
+        return EquationSpec(
+            p=int(blob["p"]),
+            A_field=entry(blob["A"], False),
+            rhs=entry(blob["rhs"], True),
+        )
+    except KeyError as exc:
+        raise ValueError(f"problem JSON lacks the key {exc}") from None
 
 
 def save_problem_json(path, spec):
@@ -965,8 +962,10 @@ def manufactured_problem(size, p=2, amplitude=0.2):
     A is the identity (conformal c=1) and the right side is the exact
     sigma_p^{1/p}(lam(I + D^2 u*)) evaluated analytically, so u* solves
     the continuous equation and the discrete residual at u* is O(h^2).
-    Returns (spec, grid, u_star GridFn).
+    Returns (spec, grid, u_star GridFn); ValueError unless 1 <= p <= 2.
     """
+    if not 1 <= p <= 2:
+        raise ValueError(f"need 1 <= p <= 2 on the 2-D grid, got p = {p}")
     grid = TorusGrid((size, size))
     x1, x2 = grid.meshgrid()
     cc = np.cos(x1) * np.cos(x2)

@@ -214,7 +214,7 @@ def require_matrix_cone(M, p):
     if np.all(codes == 2):
         return sigmas.reshape(M.shape[:-2] + (d + 1,))
     bad = int(np.argmax(codes != 2))
-    node = np.unravel_index(bad, M.shape[:-2])
+    node = tuple(int(i) for i in np.unravel_index(bad, M.shape[:-2]))
     lam = jacobi_eigh(flat[bad])
     raise AdmissibilityError(
         f"inadmissible eigenvalues {lam} at node {node}", node=node, lam=lam

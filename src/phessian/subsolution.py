@@ -410,8 +410,12 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
     """
     mu = _as_values(cfg.mu)
     nu = _as_values(cfg.nu)
-    if cfg.delta <= 0 or cfg.R <= 0 or cfg.a <= 0:
-        raise ValueError("delta, R, a must be positive")
+    if not (cfg.delta > 0 and cfg.a > 0):
+        raise ValueError("delta, a must be positive")
+    if not 0 < cfg.R < np.inf:
+        raise ValueError(f"R must be positive and finite, got {cfg.R}")
+    if directions < 1:
+        raise ValueError(f"need at least 1 direction, got {directions}")
     require_cone(nu, ConeSpec(cfg.n, cfg.p), "nu")
     f_nu, grad = sigma_root_grad(cfg.p, nu)
     base = mu - cfg.delta * np.ones(cfg.n)

@@ -151,6 +151,17 @@ def test_cone_at_p_equal_n_is_clean(tmp_path, n, p, seed):
     ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--sigma", "2"),
     ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--sigma", "2:1"),
     ("find-m", "--n", "3", "--p", "2", "--tau", "0.5", "--sigma", "nan:1"),
+    # sigma_5 of a 3-vector is 0: no trial could be checked
+    ("spectral-derivs", "--n", "3", "--p", "5"),
+    ("spectral-derivs", "--trials", "0"),
+    ("identities", "--n", "0"),
+    ("identities", "--n", "abc"),
+    ("identities", "--n", "5..3"),
+    ("identities", "--trials", "0"),
+    # no ray would be sampled, so no case could be checked
+    ("key-lemma", "--directions", "0"),
+    ("key-lemma", "--R", "-1"),
+    ("key-lemma", "--R", "nan"),
 ])
 def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     proc, out = run_subprocess(tmp_path, *argv)
@@ -165,8 +176,33 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     ("alexandrov", "--resolution", "3"),
     ("alexandrov", "--resolution", "2"),
     ("alexandrov", "--eps", "5"),
+    ("subsolution", "--phi", "-1"),
+    ("subsolution", "--phi", "nan"),
+    ("solve", "--manufactured", "4"),
+    ("solve", "--manufactured", "32", "--p", "0"),
+    ("solve", "--manufactured", "32", "--p", "3"),
+    ("solve", "--manufactured", "32", "--perturb", "nan"),
+    ("solve", "--manufactured", "32", "--tol", "nan"),
+    ("solve", "--manufactured", "32", "--tol", "0"),
+    ("solve", {"p": 3, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal"},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": -1.0}}),
+    ("pseudo-check", "--size", "4"),
+    ("pseudo-check", "--p", "3"),
+    ("pseudo-check", "--delta1", "-1"),
+    ("pseudo-check", "--delta1", "nan"),
 ])
 def test_bad_grid_input_is_usage_error(tmp_path, argv):
+    # a dict is a problem JSON, solved from a zero 16^2 initial grid
+    if isinstance(argv[1], dict):
+        problem, initial = tmp_path / "problem.json", tmp_path / "u0.csv"
+        problem.write_text(json.dumps(argv[1]))
+        grid = TorusGrid((16, 16))
+        save_grid_csv(initial, GridFn(grid, np.zeros(grid.sizes)))
+        argv = (argv[0], "--problem", str(problem), "--initial", str(initial))
     proc, out = run_subprocess(tmp_path, *argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"{argv[0]}: ")

@@ -179,7 +179,8 @@ class TestResidual:
         ok, report = admissible(u, spec)
         assert not ok
         assert "node" in report and "lam" in report
-        with pytest.raises(AdmissibilityError):
+        # the node is printed as Python ints, not np.int64 reprs
+        with pytest.raises(AdmissibilityError, match=r"at node \(0, 0\)$"):
             residual_field(u, spec)
 
     def test_admissibility_names_first_bad_node_and_its_eigenvalues(self):
@@ -423,6 +424,56 @@ class TestFourierPreconditioner:
         back = _apply_jacobian(x.reshape(sizes), F, G, H, grid.h)
         want = r - np.mean(r) if gauge else r
         assert np.max(np.abs(back - want)) <= 1e-10
+
+
+def closed_form_inverse(Fc, Gc, Hc, h, sizes):
+    """1/symbol of the frozen stencil Jacobian on rfftn's modes, written
+    out from the central differences' symbols at angles theta:
+
+        - sum_j F_jj 4 sin^2(theta_j/2)/h_j^2
+        - sum_{j != k} F_jk sin(theta_j) sin(theta_k)/(h_j h_k)
+        + i sum_j G_j sin(theta_j)/h_j + H,
+
+    with the zero symbol (the kernel under the gauge) dropped."""
+    d = len(sizes)
+    freqs = [np.fft.fftfreq(n) for n in sizes[:-1]] + [np.fft.rfftfreq(sizes[-1])]
+    theta = np.meshgrid(*(2.0 * np.pi * f for f in freqs), indexing="ij", sparse=True)
+    half = [2.0 * np.sin(t / 2.0) / hj for t, hj in zip(theta, h)]
+    odd = [np.sin(t) / hj for t, hj in zip(theta, h)]
+    symbol = complex(Hc)
+    for j in range(d):
+        symbol = symbol - Fc[j, j] * half[j] ** 2 + 1j * Gc[j] * odd[j]
+        for k in range(d):
+            if k != j:
+                symbol = symbol - Fc[j, k] * odd[j] * odd[k]
+    inverse = np.zeros_like(symbol)
+    np.divide(1.0, symbol, out=inverse, where=symbol != 0)
+    return inverse
+
+
+@pytest.mark.parametrize(
+    "sizes", [(8,), (9,), (10, 8), (9, 11), (8, 10, 9), (9, 8, 10)]
+)
+@pytest.mark.parametrize("gauge", [True, False])
+def test_preconditioner_symbol_is_closed_form(sizes, gauge):
+    """The symbol the preconditioner derives from the stencils' impulse
+    response equals the closed form, constant coefficients with cross
+    terms, even and odd sizes; under the gauge the zero mode is dropped."""
+    grid = TorusGrid(sizes)
+    d = grid.d
+    rng = np.random.default_rng(sum(sizes) + 100 * gauge)
+    X = rng.normal(size=(d, d))
+    Fc = X @ X.T + 0.5 * np.eye(d)
+    Gc = rng.normal(size=d)
+    Hc = 0.0 if gauge else -rng.uniform(0.5, 2.0)
+    F = np.broadcast_to(Fc, sizes + (d, d))
+    G = Gc.reshape((d,) + (1,) * d) * np.ones((d,) + sizes)
+    r = rng.normal(size=sizes)
+    x = _fourier_preconditioner(F, G, np.full(sizes, Hc), grid.h)(r.ravel())
+    inverse = closed_form_inverse(Fc, Gc, Hc, grid.h, sizes)
+    axes = tuple(range(d))
+    want = np.fft.irfftn(np.fft.rfftn(r) * inverse, s=sizes, axes=axes).ravel()
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestLgmres:
