@@ -2,8 +2,9 @@
 seeds and machine-readable JSON reports.
 
 Exit status: 0 clean, 1 invariant violation (counterexample serialized in
-the report), 2 usage error.  Identical config + seed gives byte-identical
-reports except for the wall_time_s field.
+the report), 2 usage error (argparse's, or an InputError: see _subcommand).
+Identical config + seed gives byte-identical reports except for the
+wall_time_s field.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .cone import ConeSpec, maclaurin_report, sample_admissible, tech_ineq_repor
 from .errors import (
     AdmissibilityError,
     ConstructionError,
+    InputError,
     NonconvergenceError,
     SearchFailureError,
     VerificationError,
@@ -72,8 +74,8 @@ def _parse_range(text):
     except ValueError:
         dims = []
     if not dims or dims[0] < 1:
-        raise _UsageError(
-            f"identities: --n must be a dimension >= 1 or a range lo..hi, got {text!r}"
+        raise InputError(
+            f"--n must be a dimension >= 1 or a range lo..hi, got {text!r}"
         )
     return dims
 
@@ -99,7 +101,9 @@ def _parse_band(text):
     except ValueError:
         lo = hi = np.nan
     if not 0.0 < lo <= hi < np.inf:
-        raise _UsageError(f"find-m: --sigma must be lo:hi with 0 < lo <= hi finite, got {text!r}")
+        raise InputError(
+            f"--sigma must be lo:hi with 0 < lo <= hi finite, got {text!r}"
+        )
     return lo, hi
 
 
@@ -112,17 +116,14 @@ def _emit(report, output):
         sys.stdout.write(text)
 
 
-class _UsageError(Exception):
-    """Bad command-line input; the subcommand exits 2 without a report."""
-
-
 def _subcommand(name, **fixed):
     """Turn a body into a subcommand that writes the report and returns
     the exit status.
 
     The report's config is every parsed option plus the fixed constants;
     the body reads all of them from one namespace and returns (results,
-    violation).
+    violation).  An InputError from the body is the one usage error: it
+    prints as `name: message` and the subcommand exits 2 without a report.
     """
 
     def wrap(body):
@@ -135,8 +136,8 @@ def _subcommand(name, **fixed):
             config.update(fixed)
             try:
                 results, violation = body(argparse.Namespace(**config))
-            except _UsageError as exc:
-                print(exc, file=sys.stderr)
+            except InputError as exc:
+                print(f"{name}: {exc}", file=sys.stderr)
                 return 2
             report = {
                 "subcommand": name,
@@ -160,8 +161,7 @@ def _subcommand(name, **fixed):
 @_subcommand("identities", tol=1e-10)
 def cmd_identities(args):
     dims = _parse_range(args.n)
-    if args.trials < 1:
-        raise _UsageError("identities: --trials must be at least 1")
+    _require_trials(args)
     results = {}
     violation = None
     for n in dims:
@@ -187,12 +187,11 @@ def cmd_identities(args):
     return results, violation
 
 
-def _require_sweep(name, args):
-    """Usage error unless 1 <= p <= n and trials >= 1."""
-    if not 1 <= args.p <= args.n:
-        raise _UsageError(f"{name}: need 1 <= p <= n, got p={args.p}, n={args.n}")
+def _require_trials(args):
+    """--trials of a sweep whose count no library call sees: an empty sweep
+    would check nothing and still exit 0."""
     if args.trials < 1:
-        raise _UsageError(f"{name}: --trials must be at least 1")
+        raise InputError("--trials must be at least 1")
 
 
 RATIO_KEYS = ("ratio_minor_constant", "ratio_mu1_constant")
@@ -203,7 +202,6 @@ NONSTRICT_KEYS = ("minor_chain_min_gap", "top_minor", "trace_lower", "amgm_gap")
 
 @_subcommand("cone", tol=1e-10)
 def cmd_cone(args):
-    _require_sweep("cone", args)
     spec = ConeSpec(args.n, args.p)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     samples = np.sort(sample_admissible(args.n, args.p, args.trials, rng), axis=1)
@@ -235,7 +233,9 @@ def cmd_cone(args):
 
 @_subcommand("spectral-derivs", fd_step=1e-5, tol=1e-6)
 def cmd_spectral_derivs(args):
-    _require_sweep("spectral-derivs", args)
+    # sigma_p of an n-vector is 0 for p > n: no trial could be checked
+    ConeSpec(args.n, args.p)
+    _require_trials(args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     worst = 0.0
     worst_mu = None
@@ -269,36 +269,22 @@ def cmd_spectral_derivs(args):
 @_subcommand("concavity-fuzz", tol=-1e-9)
 def cmd_concavity_fuzz(args):
     rng = np.random.default_rng([args.seed, args.n])
-    if args.trials < 1:
-        raise _UsageError("concavity-fuzz: --trials must be at least 1")
     if args.mu_n_min is not None:
         if args.mode == "large_mu1":
-            raise _UsageError(
-                "concavity-fuzz: --mu-n-min does not apply to mode large_mu1"
-            )
+            raise InputError("--mu-n-min does not apply to mode large_mu1")
         # only a finite, non-negative shift of mu_n keeps the samples
         # sorted and admissible
         if not 0.0 <= args.mu_n_min < np.inf:
-            raise _UsageError(
-                "concavity-fuzz: --mu-n-min must be finite and non-negative"
-            )
+            raise InputError("--mu-n-min must be finite and non-negative")
     if args.mode == "large_mu1":
-        if args.a is None:
-            raise _UsageError("concavity-fuzz: --a is required for mode large_mu1")
-        try:
-            mus, ws = sample_hypothesis_points(
-                args.n, args.tau, args.eps, args.a, args.trials, rng
-            )
-        except ValueError as exc:
-            raise _UsageError(f"concavity-fuzz: {exc}") from None
+        mus, ws = sample_hypothesis_points(
+            args.n, args.tau, args.eps, args.a, args.trials, rng
+        )
         guaranteed = True
     else:
-        if args.mode == "small_mu1" and args.p is None:
-            raise _UsageError("concavity-fuzz: --p is required for mode small_mu1")
-        try:
-            r, _, _ = validate_mode(args.n, args.mode, args.tau, args.eps, a=args.a, p=args.p)
-        except ValueError as exc:
-            raise _UsageError(f"concavity-fuzz: {exc}") from None
+        r, _, _ = validate_mode(
+            args.n, args.mode, args.tau, args.eps, a=args.a, p=args.p
+        )
         mus = np.sort(sample_admissible(args.n, r, args.trials, rng), axis=1)
         if args.mu_n_min is not None:
             mus[:, -1] += args.mu_n_min
@@ -326,13 +312,6 @@ def cmd_concavity_fuzz(args):
 
 @_subcommand("find-m")
 def cmd_find_m(args):
-    _require_sweep("find-m", args)
-    if args.p < 2:
-        raise _UsageError("find-m: threshold search needs p >= 2")
-    try:
-        validate_mode(args.n, "small_mu1", args.tau, args.eps, p=args.p)
-    except ValueError as exc:
-        raise _UsageError(f"find-m: {exc}") from None
     band = _parse_band(args.sigma)
     try:
         out = find_threshold(
@@ -355,9 +334,7 @@ def cmd_find_m(args):
 def cmd_subsolution(args):
     # the construction needs phi_tilde > 0
     if not 0.0 < args.phi < np.inf:
-        raise _UsageError(
-            f"subsolution: --phi must be positive and finite, got {args.phi}"
-        )
+        raise InputError(f"--phi must be positive and finite, got {args.phi}")
 
     def u(pts):
         return 0.5 * (np.sum(pts**2, axis=-1) - args.radius**2)
@@ -365,14 +342,11 @@ def cmd_subsolution(args):
     def psi(pts):
         return np.zeros(len(pts))
 
-    try:
-        prob = BallProblem(
-            n=args.n, radius=args.radius, resolution=args.resolution,
-            p=args.p, alpha=args.alpha, psi=psi,
-            phi_tilde=lambda pts, t: np.full(len(pts), args.phi), u=u,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"subsolution: {exc}") from None
+    prob = BallProblem(
+        n=args.n, radius=args.radius, resolution=args.resolution,
+        p=args.p, alpha=args.alpha, psi=psi,
+        phi_tilde=lambda pts, t: np.full(len(pts), args.phi), u=u,
+    )
     try:
         out = construct(prob)
     except ConstructionError as exc:
@@ -391,7 +365,7 @@ def cmd_subsolution(args):
 
 @_subcommand("key-lemma", tol=-1e-9)
 def cmd_key_lemma(args):
-    _require_sweep("key-lemma", args)
+    _require_trials(args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     verified = 0
     failed = 0
@@ -406,12 +380,7 @@ def cmd_key_lemma(args):
             n=args.n, p=args.p, delta=rng.uniform(0.1, 1.0), R=args.R,
             a=rng.uniform(0.5, 2.0), mu=mu, nu=nu,
         )
-        try:
-            lhs, rhs, ok, escape = key_lemma_check(
-                cfg, directions=args.directions, seed=i
-            )
-        except ValueError as exc:
-            raise _UsageError(f"key-lemma: {exc}") from None
+        lhs, rhs, ok, escape = key_lemma_check(cfg, directions=args.directions, seed=i)
         if not ok:
             failed += 1
             if first_failure is None:
@@ -446,16 +415,11 @@ def _smooth_perturbation(grid, rng, scale):
 @_subcommand("solve")
 def cmd_solve(args):
     if args.manufactured and args.problem:
-        raise _UsageError("solve: --manufactured and --problem are mutually exclusive")
-    if not 0.0 < args.tol < np.inf:
-        raise _UsageError(f"solve: --tol must be positive and finite, got {args.tol}")
+        raise InputError("--manufactured and --problem are mutually exclusive")
     if args.manufactured:
         if not np.isfinite(args.perturb):
-            raise _UsageError(f"solve: --perturb must be finite, got {args.perturb}")
-        try:
-            spec, grid, ustar = manufactured_problem(args.manufactured, p=args.p)
-        except ValueError as exc:
-            raise _UsageError(f"solve: {exc}") from None
+            raise InputError(f"--perturb must be finite, got {args.perturb}")
+        spec, grid, ustar = manufactured_problem(args.manufactured, p=args.p)
         rng = np.random.default_rng(args.seed)
         bump = _smooth_perturbation(
             grid, rng, args.perturb * np.max(np.abs(ustar.values))
@@ -463,18 +427,11 @@ def cmd_solve(args):
         u0 = GridFn(grid, ustar.values + bump)
     elif args.problem:
         if not args.initial:
-            raise _UsageError("solve: --initial grid CSV required with --problem")
-        try:
-            spec = load_problem_json(args.problem)
-            u0 = load_grid_csv(args.initial)
-        except ValueError as exc:
-            raise _UsageError(f"solve: {exc}") from None
-        if not 1 <= spec.p <= u0.grid.d:
-            raise _UsageError(
-                f"solve: need 1 <= p <= d = {u0.grid.d}, got p = {spec.p}"
-            )
+            raise InputError("--initial grid CSV required with --problem")
+        spec = load_problem_json(args.problem)
+        u0 = load_grid_csv(args.initial)
     else:
-        raise _UsageError("solve: either --manufactured or --problem is required")
+        raise InputError("either --manufactured or --problem is required")
 
     try:
         sol, trace = newton_solve(spec, u0, tol=args.tol)
@@ -504,14 +461,12 @@ def cmd_alexandrov(args):
         w = lambda pts: np.sum(pts**2, axis=-1) ** 2 + np.sum(pts**2, axis=-1)  # noqa: E731
     else:
         w = lambda pts: np.cosh(np.linalg.norm(pts, axis=-1)) - 1.0  # noqa: E731
+    prob = AlexandrovProblem(
+        center=(0.0, 0.0), d=args.d, resolution=args.resolution,
+        w=w, eps=args.eps,
+    )
     try:
-        prob = AlexandrovProblem(
-            center=(0.0, 0.0), d=args.d, resolution=args.resolution,
-            w=w, eps=args.eps,
-        )
         lhs, rhs, contact = alexandrov_check(prob)
-    except ValueError as exc:
-        raise _UsageError(f"alexandrov: {exc}") from None
     except VerificationError as exc:
         violation = {"kind": "measure_bound", "detail": str((exc.lhs, exc.rhs))}
         return {}, violation
@@ -524,14 +479,11 @@ def cmd_alexandrov(args):
 
 @_subcommand("pseudo-check")
 def cmd_pseudo_check(args):
-    try:
-        spec, grid, ustar = manufactured_problem(args.size, p=args.p)
-        cfg = PseudoCheckConfig(
-            delta1=args.delta1, M1=args.M1, delta2=args.delta2, M2=args.M2,
-            ubar=ustar,
-        )
-    except ValueError as exc:
-        raise _UsageError(f"pseudo-check: {exc}") from None
+    spec, grid, ustar = manufactured_problem(args.size, p=args.p)
+    cfg = PseudoCheckConfig(
+        delta1=args.delta1, M1=args.M1, delta2=args.delta2, M2=args.M2,
+        ubar=ustar,
+    )
     results = dataclasses.asdict(pseudo_check(ustar, cfg, spec))
     violation = None
     if results["sub_violations"] or results["super_violations"]:

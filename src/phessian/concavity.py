@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeSpec, classify_batch, cone_distance, require_cone
-from .errors import SearchFailureError
+from .errors import InputError, SearchFailureError
 from .symfun import _as_values, sigma, sigma_minors, sigma_pair_minors
 
 VIOLATION_TOL = -1e-10
@@ -55,33 +55,33 @@ class ThresholdResult:
 def validate_mode(n, mode, tau, eps, a=None, p=None):
     """(order r, leading constant c, per-j weight factor) of the mode's
     inequality at dimension n, after checking every parameter (n, tau, a
-    and p against the mode's ranges; eps positive and finite); ValueError
+    and p against the mode's ranges; eps positive and finite); InputError
     names the first bad one."""
     if mode == "large_mu1":
         if n < 3:
-            raise ValueError("large_mu1 mode needs n >= 3")
+            raise InputError("large_mu1 mode needs n >= 3")
         if not 0.0 <= tau <= 1.0:
-            raise ValueError("large_mu1 mode needs tau in [0, 1]")
+            raise InputError("large_mu1 mode needs tau in [0, 1]")
         beta = (1.0 - tau) / (1.0 + tau)
         if a is None or not beta < a <= n - 1:
-            raise ValueError(f"large_mu1 mode needs a in ({beta}, {n - 1}]")
+            raise InputError(f"large_mu1 mode needs a in ({beta}, {n - 1}]")
         params = n - 1, 1.0, 2.0 * a / (n - 1)
     elif mode == "small_mu1":
         if p is None or not 1 <= p <= n:
-            raise ValueError("small_mu1 mode needs p in {1,...,n}")
+            raise InputError("small_mu1 mode needs p in {1,...,n}")
         if not 0.0 < tau <= 0.5:
-            raise ValueError("small_mu1 mode needs tau in (0, 1/2]")
+            raise InputError("small_mu1 mode needs tau in (0, 1/2]")
         params = p, float((p + 1) ** 2), 1.0 - tau
     elif mode == "theorem":
         if n < 2:
-            raise ValueError("theorem mode needs n >= 2")
+            raise InputError("theorem mode needs n >= 2")
         if not 0.0 < tau <= 0.5:
-            raise ValueError("theorem mode needs tau in (0, 1/2]")
+            raise InputError("theorem mode needs tau in (0, 1/2]")
         params = n - 1, float(n**2), 1.0 - tau
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     if not 0.0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
+        raise InputError("eps must be positive and finite")
     return params
 
 
@@ -258,11 +258,11 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     history.  Deterministic for a fixed seed.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InputError("need at least one trial")
     if p < 2:
         # sigma_1(mu) >= mu_n >= M leaves the band unreachable once M
         # exceeds it; the search is ill-posed
-        raise ValueError("threshold search needs p >= 2")
+        raise InputError("threshold search needs p >= 2")
     r, c, weight = validate_mode(n, "small_mu1", tau, eps, p=p)
     spec_full = ConeSpec(n, p)
     shapes, targets, tops, w = _draw_trials(n, p, sigma_band, trials, seed)
@@ -331,7 +331,7 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
     """
     validate_mode(n, "large_mu1", tau, eps, a=a)
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise InputError("count must be at least 1")
     beta = (1.0 - tau) / (1.0 + tau)
     mus = np.empty((count, n))
     ws = np.empty((count, n), dtype=complex)
@@ -352,7 +352,7 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
         if empty_rounds == 100:
             # [x*, P/e) lies inside the classifier's zero band (a - beta
             # tiny): no draw can pass the filter
-            raise ValueError(
+            raise InputError(
                 f"no hypothesis point passed the cone-and-bound test in 100 "
                 f"rounds at n={n}, tau={tau}, eps={eps}, a={a}"
             )

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, InputError
 from .symfun import _as_values, sigma_all, sigma_minors
 
 INTERIOR = "interior"
@@ -31,7 +31,7 @@ class ConeSpec:
 
     def __post_init__(self):
         if not 1 <= self.p <= self.n:
-            raise ValueError(f"need 1 <= p <= n, got p={self.p}, n={self.n}")
+            raise InputError(f"need 1 <= p <= n, got p={self.p}, n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,10 @@ def tech_ineq_report(mu, spec):
 
 def sample_admissible(n, p, count, rng):
     """Random interior vectors: draw from [-1, 10]^n and shift along the
-    diagonal past the cone boundary."""
+    diagonal past the cone boundary.  InputError unless count >= 1."""
     spec = ConeSpec(n, p)
+    if count < 1:
+        raise InputError("count must be at least 1")
     out = np.empty((count, n))
     k = 0
     while k < count:

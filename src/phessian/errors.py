@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+class InputError(ValueError):
+    """A value from outside the program was rejected: a command-line
+    argument, a problem JSON, a grid CSV or a caller's parameters.  The CLI
+    turns it, and no other ValueError, into `name: message` and exit 2."""
+
+
 class AdmissibilityError(ValueError):
     """A field or vector left the Garding cone where it was required to stay.
 

@@ -24,13 +24,19 @@ central differences).  The module owns:
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gamma, hypot, inf, isfinite, pi, sqrt
 
 import numpy as np
 
 from .cone import ConeSpec, classify_batch
-from .errors import AdmissibilityError, NonconvergenceError, VerificationError
+from .errors import (
+    AdmissibilityError,
+    InputError,
+    NonconvergenceError,
+    VerificationError,
+)
 from .spectral import jacobi_eigh, matrix_root_grad, require_matrix_cone
 from .symfun import sigma
 
@@ -51,7 +57,7 @@ class TorusGrid:
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         if any(s < 8 for s in sizes):
-            raise ValueError("need at least 8 nodes per axis")
+            raise InputError("need at least 8 nodes per axis")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -77,11 +83,11 @@ class GridFn:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.sizes:
-            raise ValueError(
+            raise InputError(
                 f"values shape {v.shape} != grid sizes {self.grid.sizes}"
             )
         if not np.all(np.isfinite(v)):
-            raise ValueError("grid values must be finite")
+            raise InputError("grid values must be finite")
         object.__setattr__(self, "values", v)
 
 
@@ -172,7 +178,8 @@ class EquationSpec:
              ("stored", array of shape sizes+(d,d)).
     rhs:     ("constant", c), ("stored", array over nodes), or
              ("paper_example", base, t_coeff) with
-             phi = base(x) e^{t_coeff u} (sin(|du|^{2p-1}) + 2).
+             phi = base(x) e^{t_coeff u} (sin(|du|^{2p-1}) + 2);
+             c, the stored values and base are checked here, once per spec.
     """
 
     p: int
@@ -180,8 +187,12 @@ class EquationSpec:
     rhs: tuple = ("constant", 1.0)
 
     def __post_init__(self):
-        if self.rhs[0] == "constant" and not 0.0 < float(self.rhs[1]) < inf:
-            raise ValueError("constant right-hand side must be positive and finite")
+        what = {"constant": "constant right-hand side", "stored": "right-hand side",
+                "paper_example": "right-hand side base"}.get(self.rhs[0])
+        if what is not None:
+            values = np.asarray(self.rhs[1], dtype=float)
+            if not np.all((values > 0) & (values < inf)):
+                raise InputError(f"{what} must be positive and finite")
 
 
 def _broadcast_field(param, shape):
@@ -189,7 +200,7 @@ def _broadcast_field(param, shape):
     if arr.ndim == 0:
         return float(arr) * np.ones(shape)
     if arr.shape != shape:
-        raise ValueError(f"stored field shape {arr.shape} != grid {shape}")
+        raise InputError(f"stored field shape {arr.shape} != grid {shape}")
     return arr
 
 
@@ -221,7 +232,7 @@ def _coefficient_A(spec, u, du):
     if kind == "stored":
         stored = np.asarray(spec.A_field[1], dtype=float)
         if stored.shape != shape + (d, d):
-            raise ValueError("stored A field has the wrong shape")
+            raise InputError("stored A field has the wrong shape")
         return stored.copy(), None, None
     raise ValueError(f"unknown A catalog entry {kind!r}")
 
@@ -233,15 +244,10 @@ def _rhs_phi(spec, u, du):
     if kind == "constant":
         return np.full(shape, float(spec.rhs[1])), None, None
     if kind == "stored":
-        phi = _broadcast_field(spec.rhs[1], shape)
-        if np.any(phi <= 0):
-            raise ValueError("right-hand side must be positive")
-        return phi, None, None
+        return _broadcast_field(spec.rhs[1], shape), None, None
     if kind == "paper_example":
         base = _broadcast_field(spec.rhs[1], shape)
         c = float(spec.rhs[2]) if len(spec.rhs) > 2 else 0.0
-        if np.any(base <= 0):
-            raise ValueError("right-hand side base must be positive")
         r = np.sqrt(np.sum(du**2, axis=0))
         s = r ** (2 * spec.p - 1)
         phi = base * np.exp(c * u) * (np.sin(s) + 2.0)
@@ -524,8 +530,11 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     (backtracks) and the smallest sigma_p over the nodes of the new
     iterate (admissibility_margin).  NonconvergenceError carries the trace
     so far when a linear solve or the line search fails, or when max_iters
-    iterations leave residual_norm above tol.
+    iterations leave residual_norm above tol.  InputError unless tol is
+    positive and finite.
     """
+    if not 0.0 < tol < inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
     grid = u0.grid
     h = grid.h
     project = _gauge(spec, grid.sizes)
@@ -699,9 +708,9 @@ class PseudoCheckConfig:
 
     def __post_init__(self):
         if not (0 < self.delta1 < inf and 0 < self.delta2 < inf):
-            raise ValueError("delta1, delta2 must be positive and finite")
+            raise InputError("delta1, delta2 must be positive and finite")
         if not (0 <= self.M1 < inf and 0 <= self.M2 < inf):
-            raise ValueError("M1, M2 must be nonnegative and finite")
+            raise InputError("M1, M2 must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -781,9 +790,9 @@ class AlexandrovProblem:
 
     def __post_init__(self):
         if self.d <= 0 or self.resolution < 9:
-            raise ValueError("need positive d and resolution >= 9")
+            raise InputError("need positive d and resolution >= 9")
         if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+            raise InputError(f"eps must be positive, got {self.eps}")
 
 
 def unit_ball_volume(n):
@@ -805,7 +814,8 @@ def alexandrov_check(prob, quad_tol=0.02):
     chunks of candidates of PLANE_TEST_ELEMENTS plane values: the slope s
     of the candidate x supports w iff min_y (w(y) - s.y) >= w(x) - s.x,
     with 1e-10 of slack, over the ball nodes y.
-    Returns (lhs, rhs, contact_mask over the grid); raises
+    Returns (lhs, rhs, contact_mask over the grid); raises InputError
+    unless eps lies in (0, min of w on the boundary ring - w(center)], and
     VerificationError unless lhs <= rhs*(1 + quad_tol).
     """
     center = np.asarray(prob.center, dtype=float)
@@ -819,7 +829,7 @@ def alexandrov_check(prob, quad_tol=0.02):
     w0 = prob.w(center[None, :])[0]
     eps_max = float(np.min(wv.ravel()[ring]) - w0)
     if not 0.0 < prob.eps <= eps_max + 1e-9:
-        raise ValueError(
+        raise InputError(
             f"eps must lie in (0, {eps_max:.6g}], got {prob.eps}"
         )
 
@@ -873,26 +883,36 @@ def save_grid_csv(path, fn):
         fh.write("".join(["%.17g\n" % v for v in fn.values.ravel().tolist()]))
 
 
+@contextmanager
+def _input_file(path):
+    """path opened for reading; an OSError, or a ValueError while the body
+    parses the file, becomes an InputError that names the path."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def load_grid_csv(path):
-    """Read a grid function written by save_grid_csv; ValueError unless the
-    header is `d,sizes...,h...` with one period h_i*size_i on every axis
-    and prod(sizes) numeric values follow, one per line."""
-    with open(path) as fh:
+    """Read a grid function written by save_grid_csv; InputError unless the
+    file is readable, its header `d,sizes...,h...` has one period h_i*size_i
+    on every axis and prod(sizes) numeric values follow, one per line."""
+    with _input_file(path) as fh:
         head = fh.readline().strip().split(",")
-        try:
-            d = int(head[0])
-            sizes = tuple(int(x) for x in head[1 : 1 + d])
-            hs = [float(x) for x in head[1 + d :]]
-            values = np.loadtxt(fh, ndmin=1)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        d = int(head[0])
+        sizes = tuple(int(x) for x in head[1 : 1 + d])
+        hs = [float(x) for x in head[1 + d :]]
+        values = np.loadtxt(fh, ndmin=1)
     if d < 1 or len(hs) != d:
-        raise ValueError(f"{path}: header must be d,sizes...,h... (1+2d fields)")
+        raise InputError(f"{path}: header must be d,sizes...,h... (1+2d fields)")
     period = hs[0] * sizes[0]
     if not all(abs(h * s - period) <= 1e-9 * period for h, s in zip(hs, sizes)):
-        raise ValueError(f"{path}: spacings {hs} and sizes {sizes} differ in period")
+        raise InputError(f"{path}: spacings {hs} and sizes {sizes} differ in period")
     if values.ndim != 1 or values.size != np.prod(sizes):
-        raise ValueError(f"{path}: expected {np.prod(sizes)} values, got {values.size}")
+        raise InputError(f"{path}: expected {np.prod(sizes)} values, got {values.size}")
     return GridFn(TorusGrid(sizes, period=period), values.reshape(sizes))
 
 
@@ -916,31 +936,39 @@ def equation_to_dict(spec):
 
 
 def equation_from_dict(blob):
-    def entry(e, is_rhs):
-        kind = e["kind"]
+    """EquationSpec of a problem JSON blob (see equation_to_dict).  A
+    missing key, or a value of the wrong type or form, raises one
+    InputError that names its key."""
+
+    def get(e, key, convert=lambda v: v):
+        try:
+            return convert(e[key])
+        except KeyError:
+            raise InputError(f"problem JSON lacks the key {key!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"problem JSON has a bad {key!r}: {exc}") from None
+
+    def field(v):
+        return np.asarray(v, dtype=float)
+
+    def entry(key, is_rhs):
+        e = get(blob, key)
+        kind = get(e, "kind")
         if kind == "zero":
             return ("zero",)
         if kind in ("conformal", "constant"):
-            return (kind, float(e["value"]))
-        if kind == "paper_example":
-            param = e["param"]
-            if isinstance(param, list):
-                param = np.asarray(param, dtype=float)
-            if is_rhs:
-                return (kind, param, float(e.get("t_coeff", 0.0)))
-            return (kind, param)
+            return (kind, get(e, "value", float))
         if kind == "stored":
-            return (kind, np.asarray(e["values"], dtype=float))
-        raise ValueError(f"unknown catalog entry {kind!r}")
+            return (kind, get(e, "values", field))
+        if kind != "paper_example":
+            raise InputError(f"unknown catalog entry {kind!r}")
+        if not is_rhs:
+            return (kind, get(e, "param", field))
+        t_coeff = get(e, "t_coeff", float) if "t_coeff" in e else 0.0
+        return (kind, get(e, "param", field), t_coeff)
 
-    try:
-        return EquationSpec(
-            p=int(blob["p"]),
-            A_field=entry(blob["A"], False),
-            rhs=entry(blob["rhs"], True),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem JSON lacks the key {exc}") from None
+    p = get(blob, "p", int)
+    return EquationSpec(p=p, A_field=entry("A", False), rhs=entry("rhs", True))
 
 
 def save_problem_json(path, spec):
@@ -949,8 +977,9 @@ def save_problem_json(path, spec):
 
 
 def load_problem_json(path):
-    with open(path) as fh:
-        return equation_from_dict(json.load(fh))
+    with _input_file(path) as fh:
+        blob = json.load(fh)
+    return equation_from_dict(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -962,10 +991,10 @@ def manufactured_problem(size, p=2, amplitude=0.2):
     A is the identity (conformal c=1) and the right side is the exact
     sigma_p^{1/p}(lam(I + D^2 u*)) evaluated analytically, so u* solves
     the continuous equation and the discrete residual at u* is O(h^2).
-    Returns (spec, grid, u_star GridFn); ValueError unless 1 <= p <= 2.
+    Returns (spec, grid, u_star GridFn); InputError unless 1 <= p <= 2.
     """
     if not 1 <= p <= 2:
-        raise ValueError(f"need 1 <= p <= 2 on the 2-D grid, got p = {p}")
+        raise InputError(f"need 1 <= p <= 2 on the 2-D grid, got p = {p}")
     grid = TorusGrid((size, size))
     x1, x2 = grid.meshgrid()
     cc = np.cos(x1) * np.cos(x2)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cone import ConeSpec, require_cone
-from .errors import ConstructionError, VerificationError
+from .errors import ConstructionError, InputError, VerificationError
 from .solver import box_grad_hess
 from .spectral import classify_matrices, jacobi_eigh, linearization, matrix_sigmas
 from .symfun import (
@@ -93,11 +93,11 @@ class BallProblem:
 
     def __post_init__(self):
         if not 1 <= self.p <= self.n:
-            raise ValueError("need 1 <= p <= n")
+            raise InputError("need 1 <= p <= n")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise InputError("alpha must lie in (0, 1)")
         if self.radius <= 0 or self.resolution < 9:
-            raise ValueError("need positive radius and resolution >= 9")
+            raise InputError("need positive radius and resolution >= 9")
 
 
 @dataclass(frozen=True)
@@ -406,16 +406,17 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
     at 0) lies in the ball of radius R; it certifies the sampled rays only.
     escape is None then, and otherwise (index, norm) of the first sampled
     crossing outside the ball.  lhs >= rhs is guaranteed by the lemma
-    whenever the hypothesis holds.
+    whenever the hypothesis holds.  InputError names the first bad one of
+    delta, a, R, directions and (n, p).
     """
     mu = _as_values(cfg.mu)
     nu = _as_values(cfg.nu)
     if not (cfg.delta > 0 and cfg.a > 0):
-        raise ValueError("delta, a must be positive")
+        raise InputError("delta, a must be positive")
     if not 0 < cfg.R < np.inf:
-        raise ValueError(f"R must be positive and finite, got {cfg.R}")
+        raise InputError(f"R must be positive and finite, got {cfg.R}")
     if directions < 1:
-        raise ValueError(f"need at least 1 direction, got {directions}")
+        raise InputError(f"need at least 1 direction, got {directions}")
     require_cone(nu, ConeSpec(cfg.n, cfg.p), "nu")
     f_nu, grad = sigma_root_grad(cfg.p, nu)
     base = mu - cfg.delta * np.ones(cfg.n)

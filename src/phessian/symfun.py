@@ -253,15 +253,3 @@ def identity_residuals(p, mu, expansion_indices=None):
         out = {k: float(v) for k, v in out.items()}
     return out
 
-
-def sigma_brute(p, mu):
-    """Subset-enumeration oracle for sigma_p; exponential, test use only."""
-    from itertools import combinations
-
-    mu = np.asarray(mu, dtype=float)
-    n = len(mu)
-    if p == 0:
-        return 1.0
-    if p < 0 or p > n:
-        return 0.0
-    return float(sum(np.prod([mu[i] for i in c]) for c in combinations(range(n), p)))

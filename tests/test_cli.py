@@ -194,12 +194,29 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     ("pseudo-check", "--p", "3"),
     ("pseudo-check", "--delta1", "-1"),
     ("pseudo-check", "--delta1", "nan"),
+    # one node of the stored right side is 0
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "stored",
+                       "values": [[1.0] * 16] * 15 + [[1.0] * 15 + [0.0]]}}),
+    ("solve", {"p": 2, "A": {"kind": "stored", "values": [[1.0, 0.0, 1.0]]},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "paper_example", "param": 0.0, "t_coeff": 0.5}}),
+    ("solve", {"p": 2, "A": {"kind": "paper_example", "param": [[0.1] * 3] * 3},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", None),
+    # an infinite node would reach the Krylov solve as a non-finite residual
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "stored",
+                       "values": [[1.0] * 16] * 15 + [[1.0] * 15 + [float("inf")]]}}),
 ])
 def test_bad_grid_input_is_usage_error(tmp_path, argv):
-    # a dict is a problem JSON, solved from a zero 16^2 initial grid
-    if isinstance(argv[1], dict):
+    # a dict is a problem JSON and None a problem path that does not exist,
+    # either solved from a zero 16^2 initial grid
+    if len(argv) == 2 and not isinstance(argv[1], str):
         problem, initial = tmp_path / "problem.json", tmp_path / "u0.csv"
-        problem.write_text(json.dumps(argv[1]))
+        if argv[1] is not None:
+            problem.write_text(json.dumps(argv[1]))
         grid = TorusGrid((16, 16))
         save_grid_csv(initial, GridFn(grid, np.zeros(grid.sizes)))
         argv = (argv[0], "--problem", str(problem), "--initial", str(initial))
@@ -208,6 +225,8 @@ def test_bad_grid_input_is_usage_error(tmp_path, argv):
     assert proc.stderr.startswith(f"{argv[0]}: ")
     assert "Traceback" not in proc.stderr
     assert not os.path.exists(out)
+    if "--problem" in argv and not os.path.exists(argv[2]):
+        assert argv[2] in proc.stderr
 
 
 @pytest.mark.parametrize("subcommand", ["subsolution", "alexandrov"])
@@ -406,6 +425,20 @@ def test_solve_manufactured(tmp_path):
     assert sol.grid.sizes == (32, 32)
 
 
+def test_solve_overflowing_start_is_admissibility_failure(tmp_path):
+    # the minors of a start near 1e300 overflow: the start counts as
+    # outside the cone, and nothing warns on the way
+    proc, out = run_subprocess(
+        tmp_path, "solve", "--manufactured", "32", "--perturb", "1e300"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    with open(out) as fh:
+        violation = json.load(fh)["violation"]
+    assert violation["kind"] == "AdmissibilityError"
+    assert "at node" in violation["detail"]
+
+
 def test_solve_krylov_failure_exits_1(tmp_path, monkeypatch):
     real = solver.lgmres
     monkeypatch.setattr(
@@ -522,6 +555,19 @@ def test_solve_is_independent_of_blas_threads(tmp_path):
         solutions.append((cwd / "solution.csv").read_bytes())
     assert reports[0] == reports[1]
     assert solutions[0] == solutions[1]
+
+
+def test_plain_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    # only an InputError is rejected input; any other ValueError is a fault
+    # of the program, and it must surface, not read as exit 2
+    def fault(*args, **kwargs):
+        raise ValueError("a fault of the computation")
+
+    monkeypatch.setattr(cli, "key_lemma_check", fault)
+    out = tmp_path / "kl.json"
+    with pytest.raises(ValueError, match="fault of the computation"):
+        main(["key-lemma", "--trials", "1", "--output", str(out)])
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -15,7 +15,9 @@ from phessian.concavity import (
 )
 from phessian.cone import ZERO_BAND, ConeSpec, classify, sample_admissible
 from phessian.errors import AdmissibilityError
-from phessian.symfun import sigma, sigma_brute, sigma_trunc
+from phessian.symfun import sigma, sigma_trunc
+
+from oracles import sigma_brute
 
 
 def brute_sides(mu, w, r, c, weight, tau, eps):

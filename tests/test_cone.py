@@ -17,8 +17,10 @@ from phessian.cone import (
     sample_admissible,
     tech_ineq_report,
 )
-from phessian.errors import AdmissibilityError
-from phessian.symfun import sigma, sigma_brute
+from phessian.errors import AdmissibilityError, InputError
+from phessian.symfun import sigma
+
+from oracles import sigma_brute
 
 
 def test_classify_hand_cases():
@@ -38,6 +40,12 @@ def test_cone_spec_validation():
         ConeSpec(3, 4)
     with pytest.raises(ValueError):
         ConeSpec(3, 0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_admissible_rejects_an_empty_draw(count):
+    with pytest.raises(InputError, match="count must be at least 1"):
+        sample_admissible(3, 2, count, np.random.default_rng(0))
 
 
 def test_classify_scale_invariance():

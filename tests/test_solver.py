@@ -1,5 +1,6 @@
 """Tests for the periodic grid solver, monitors, and measure estimates."""
 
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from phessian import solver
-from phessian.errors import AdmissibilityError, NonconvergenceError
+from phessian.errors import AdmissibilityError, InputError, NonconvergenceError
 from phessian.solver import (
     AlexandrovProblem,
     AuxiliarySpec,
@@ -236,6 +237,25 @@ class TestNewton:
         sol, _ = newton_solve(spec, u0, tol=1e-9)
         _, trace = newton_solve(spec, sol, tol=1e-9)
         assert trace == []
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+    def test_tol_is_checked_before_any_evaluation(self, tol, monkeypatch):
+        spec, _, ustar = manufactured_problem(16)
+        monkeypatch.setattr(solver, "_linearization_data", None)
+        with pytest.raises(InputError, match="tol must be positive and finite"):
+            newton_solve(spec, ustar, tol=tol)
+
+    @pytest.mark.parametrize("A_field, rhs", [
+        (("stored", np.ones((1, 3))), ("constant", 1.0)),
+        (("paper_example", np.full((3, 3), 0.1)), ("constant", 1.0)),
+        (("conformal", 1.0), ("stored", np.ones((8, 8)))),
+        (("conformal", 1.0), ("paper_example", np.ones((16, 8)), 0.5)),
+    ])
+    def test_stored_field_of_the_wrong_shape_is_input_error(self, A_field, rhs):
+        grid = TorusGrid((16, 16))
+        spec = EquationSpec(p=2, A_field=A_field, rhs=rhs)
+        with pytest.raises(InputError, match="shape"):
+            newton_solve(spec, GridFn(grid, np.zeros(grid.sizes)))
 
     def test_constant_problem_takes_no_steps(self):
         grid = TorusGrid((16, 16))
@@ -962,6 +982,48 @@ class TestSerialization:
         assert np.allclose(np.asarray(back.rhs[1]), np.asarray(spec.rhs[1]))
         res = residual_field(ustar, back)
         assert np.max(np.abs(res.values)) < 1e-2
+
+    @pytest.mark.parametrize("rhs", [
+        ("constant", 0.0),
+        ("stored", np.array([[1.0, 0.0], [1.0, 1.0]])),
+        ("stored", -1.0),
+        ("stored", np.array([1.0, np.nan])),
+        ("stored", np.array([1.0, np.inf])),
+        ("paper_example", 0.0, 0.5),
+        ("paper_example", np.array([0.3, -0.1])),
+        ("paper_example", np.inf, 0.5),
+    ])
+    def test_spec_rejects_a_right_side_not_positive_and_finite(self, rhs):
+        # checked once, when the spec is made, before any grid is seen
+        with pytest.raises(InputError, match="must be positive and finite"):
+            EquationSpec(p=2, A_field=("conformal", 1.0), rhs=rhs)
+
+    @pytest.mark.parametrize("blob, named", [
+        ({"A": {"kind": "zero"}}, "lacks the key 'p'"),
+        ({"p": "two"}, "'p'"),
+        ({"p": 2, "A": {"kind": "conformal", "value": None}}, "'value'"),
+        ({"p": 2, "A": []}, "'kind'"),
+        ({"p": 2, "A": {"kind": "paper_example", "param": "x"}}, "'param'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "paper_example", "param": 1, "t_coeff": [1]}}, "'t_coeff'"),
+        ({"p": 2, "A": {"kind": "stored", "values": [[1], [1, 2]]}}, "'values'"),
+        ({"p": 2, "A": {"kind": "bogus"}}, "'bogus'"),
+        ([2], "'p'"),
+        ('{"p": 2,', "problem.json"),  # not JSON
+    ])
+    def test_problem_json_rejection_names_the_key(self, tmp_path, blob, named):
+        path = tmp_path / "problem.json"
+        path.write_text(blob if isinstance(blob, str) else json.dumps(blob))
+        with pytest.raises(InputError) as exc:
+            load_problem_json(str(path))
+        assert named in str(exc.value)
+
+    @pytest.mark.parametrize("load", [load_problem_json, load_grid_csv])
+    def test_loaders_name_a_path_they_cannot_read(self, tmp_path, load):
+        for path in (tmp_path / "absent", tmp_path):
+            with pytest.raises(InputError) as exc:
+                load(str(path))
+            assert str(exc.value).startswith(f"{path}: ")
 
     def _write(self, td, text):
         path = os.path.join(td, "bad.csv")

@@ -55,3 +55,29 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"phessian.{layer}"), fn, None))
     ]
     assert missing == []
+
+
+def cli_handlers():
+    """(top-level function, caught type) for every except clause of cli.py,
+    read from its syntax tree; a bare except catches the type ''."""
+    path = os.path.join(PACKAGE, "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    out = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler):
+                caught = node.type
+                for t in caught.elts if isinstance(caught, ast.Tuple) else [caught]:
+                    out.append((getattr(top, "name", None), ast.unparse(t) if t else ""))
+    return out
+
+
+def test_cli_turns_input_errors_into_exit_2_in_one_place():
+    # the decision "this error is the user's" is made by raising InputError;
+    # a CLI handler that caught ValueError would make it a second time
+    handlers = cli_handlers()
+    assert [f for f, t in handlers if t == "InputError"] == ["_subcommand"]
+    parsers = {"_parse_range", "_parse_band", "_seed"}
+    assert [f for f, t in handlers if t == "ValueError" and f not in parsers] == []
+    assert [f for f, t in handlers if t in ("", "Exception", "BaseException")] == []

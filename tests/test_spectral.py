@@ -1,6 +1,7 @@
 """Tests for pencil eigenvalues, derivative formulas, and matrix concavity."""
 
 import unittest
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from phessian.spectral import (
     matrix_sigmas,
     midpoint_concavity_check,
     newton_tensor,
+    require_matrix_cone,
     schur_horn_check,
     spectral_derivs,
     weyl_check,
@@ -308,6 +310,21 @@ class TestMinorPath(unittest.TestCase):
                 codes, seen = self.fallback_rows(np.zeros((7, d, d)), ConeSpec(d, p))
                 np.testing.assert_array_equal(codes, 1)
                 self.assertEqual(len(seen), 0)
+
+    def test_overflowing_minors_count_as_outside(self):
+        # sigma_2 of diag(1e200, 2e200) overflows: no verdict may rest on
+        # inf, so the matrix is named as outside, and nothing warns
+        M = np.stack([np.eye(2), np.diag([1e200, 2e200]), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with self.assertRaises(AdmissibilityError) as ctx:
+                require_matrix_cone(M, 2)
+            # order 1 needs only the trace, which is finite
+            sigmas = require_matrix_cone(M, 1)
+        self.assertEqual(ctx.exception.node, (1,))
+        self.assertIn("overflowing eigenvalues", str(ctx.exception))
+        np.testing.assert_array_equal(ctx.exception.lam, [1e200, 2e200])
+        np.testing.assert_array_equal(sigmas[:, 1], [2.0, 3e200, 2.0])
 
     def test_newton_tensor_matches_eigh_assembly(self):
         # F = (1/p) sigma_p^{1/p-1} T_{p-1}(M) against Q diag(df/dlam) Q^T

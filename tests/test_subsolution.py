@@ -20,7 +20,9 @@ from phessian.subsolution import (
     rank_one_sigma,
 )
 from phessian.subsolution import _level_crossing, _slab_points, _slabs
-from phessian.symfun import sigma, sigma_brute, sigma_ray_coeffs
+from phessian.symfun import sigma, sigma_ray_coeffs
+
+from oracles import sigma_brute
 
 
 def ball_u(pts):
