@@ -58,8 +58,12 @@ def _regions(mu, p):
     max(1, ||mu||_inf^q) counts as zero, so verdicts respect the cone's
     scale invariance.  A row whose sigma_q or band overflows (entries
     beyond about 1e100) is decided on mu / ||mu||_inf with band ZERO_BAND,
-    the same verdict; its sigma values stay as computed."""
-    scale = np.maximum(1.0, np.max(np.abs(mu), axis=-1))
+    the same verdict; its sigma values stay as computed.  ||mu||_inf is
+    taken column by column, as in _region_codes."""
+    scale = np.abs(mu[..., 0])
+    for k in range(1, mu.shape[-1]):
+        scale = np.maximum(scale, np.abs(mu[..., k]))
+    scale = np.maximum(1.0, scale)
     with np.errstate(over="ignore", invalid="ignore"):
         sigs = sigma_all(mu)[..., 1 : p + 1]
         tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))

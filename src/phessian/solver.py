@@ -179,7 +179,8 @@ class EquationSpec:
     rhs:     ("constant", c), ("stored", array over nodes), or
              ("paper_example", base, t_coeff) with
              phi = base(x) e^{t_coeff u} (sin(|du|^{2p-1}) + 2);
-             c, the stored values and base are checked here, once per spec.
+             c, the stored values and base are checked positive and finite
+             here, once per spec, and A's parameter and t_coeff finite.
     """
 
     p: int
@@ -193,6 +194,12 @@ class EquationSpec:
             values = np.asarray(self.rhs[1], dtype=float)
             if not np.all((values > 0) & (values < inf)):
                 raise InputError(f"{what} must be positive and finite")
+        # the parameters past the catalog kind: A's c, phi_tilde or stored
+        # field, and the right side's t_coeff
+        for params, what in ((self.A_field[1:], "coefficient A"),
+                             (self.rhs[2:], "right-hand side t_coeff")):
+            if not np.all(np.isfinite(np.asarray(params, dtype=float))):
+                raise InputError(f"{what} must be finite")
 
 
 def _broadcast_field(param, shape):
@@ -880,7 +887,8 @@ def save_grid_csv(path, fn):
     )
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write("".join(["%.17g\n" % v for v in fn.values.ravel().tolist()]))
+        values = fn.values.ravel().tolist()
+        fh.write(("%.17g\n" * len(values)) % tuple(values))
 
 
 @contextmanager

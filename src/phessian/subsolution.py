@@ -21,9 +21,10 @@ The key-lemma checker evaluates the concave-function inequality
     sum_j df_j|_nu (mu_j - nu_j) >= delta sum_j df_j - (R + |mu - delta 1|)
                                      min_j df_j + a - f(nu)
 
-for f = sigma_p^{1/p}, with the level-set/ball hypothesis decided by
-the closed-form crossing of the level set on randomized rays (a
-semi-decision: sampling can only certify "holds on all sampled rays").
+for f = sigma_p^{1/p}, with the level-set/ball hypothesis decided on
+randomized rays (a semi-decision: sampling can only certify "holds on all
+sampled rays"): at each ray's ball-exit point where sigma_p there settles
+it, and by a Newton solve for the crossing of the level set elsewhere.
 """
 
 from dataclasses import dataclass
@@ -31,42 +32,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone import ConeSpec, require_cone
-from .errors import ConstructionError, InputError, VerificationError
+from .cone import ConeSpec, _regions, require_cone
+from .errors import ConstructionError, InputError
 from .solver import box_grad_hess
-from .spectral import classify_matrices, jacobi_eigh, linearization, matrix_sigmas
+from .spectral import classify_matrices, jacobi_eigh
 from .symfun import (
     _as_values,
     sigma,
-    sigma_minors,
     sigma_planes,
     sigma_ray_coeffs,
     sigma_root_grad,
 )
-
-
-def rank_one_sigma(mu, B, nu, p):
-    """Both sides of the rank-one update identity
-
-        sigma_p(lam(diag(mu) + B nu nu^T)) =
-            sigma_p(mu) + B sum_j nu_j^2 sigma_{p-1}(mu|j).
-
-    The left side goes through the eigensolver, the right side through
-    sigma-minors; returns (lhs, rhs) once they agree within 1e-9 (relative
-    past unit size) and raises VerificationError otherwise.
-    """
-    mu = _as_values(mu)
-    nu = np.asarray(nu, dtype=float)
-    M = np.diag(mu) + B * np.outer(nu, nu)
-    lhs = sigma(p, jacobi_eigh(M))
-    rhs = sigma(p, mu) + B * float(np.sum(nu**2 * sigma_minors(p - 1, mu)))
-    if not abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs)):
-        raise VerificationError(
-            f"rank-one update identity fails: {lhs!r} != {rhs!r}",
-            lhs=lhs,
-            rhs=rhs,
-        )
-    return float(lhs), float(rhs)
 
 
 @dataclass(frozen=True)
@@ -397,6 +373,50 @@ def _level_crossing(base, xi, p, a):
     return out.reshape(shape)
 
 
+# A ray is decided at its ball-exit point x only when sigma_p(x) exceeds a^p
+# by more than EXIT_MARGIN R^p.  The prefix recurrence forms each of
+# sigma_p's C(n, p) products of entries with at most 2n roundings, so its
+# value is within about 2n eps sigma_p(|x|) <= 2n C(n, p) eps ||x||_inf^p of
+# the exact one (eps = 2.2e-16), and ||x||_inf <= |x| = R: under 1e-11 R^p
+# for n <= 10 and under 1e-10 R^p for n <= 16.  The crossing Newton stops
+# where its computed sigma_p - a^p turns non-positive, which is then within
+# that rounding of the exact crossing; the exit point and the norms of the
+# crossings carry only eps R more.  So where the margin holds, both the
+# exact crossing and the one the Newton would compute lie before the exit,
+# and the ray's verdict, inside, is the one the Newton gives.
+EXIT_MARGIN = 1e-9
+
+
+def _rays_that_may_escape(base, xi, p, a, R):
+    """Indices of the unit rays base + t xi (rows xi > 0, a > 0) whose
+    crossing the exit point does not place inside the ball |x| < R.
+
+    While |base| < R, ray xi leaves the ball at t_R = -(base.xi) +
+    sqrt((base.xi)^2 + R^2 - |base|^2), taken through hypot so that R^2
+    cannot overflow.  If x = base + t_R xi is interior to Gamma_p, so is
+    x + s xi for every s >= 0 (xi is in Gamma_n, inside the convex cone
+    Gamma_p), and sigma_p increases along xi there (Garding).  So when
+    sigma_p(x) > a^p the largest crossing of {sigma_p = a^p} comes before
+    t_R, and the crossing, clamped at 0, lies on the segment from base to
+    x, inside the ball.  The rays decided so are those where x classifies
+    interior and sigma_p(x) clears a^p by the rounding margin
+    EXIT_MARGIN R^p; every other ray, and every ray when |base| >= R, is
+    left to the crossing Newton.
+    """
+    base_norm = float(np.linalg.norm(base))
+    if not base_norm < R:
+        return np.arange(len(xi))
+    # |base| < 1.4e154 where its norm is finite, so the exit points are
+    # finite up to R = the largest float
+    along = xi @ base
+    reach = np.hypot(along, np.sqrt(R - base_norm) * np.sqrt(R + base_norm)) - along
+    exits = base + reach[:, None] * xi
+    codes, sigs = _regions(exits, p)
+    with np.errstate(over="ignore"):
+        level = a**p + EXIT_MARGIN * np.float64(R) ** p
+    return np.flatnonzero(~((codes == 2) & (sigs[:, -1] > level)))
+
+
 def key_lemma_check(cfg, directions=10**4, seed=0):
     """(lhs, rhs, hypothesis_ok, escape) of the key lemma at cfg with
     f = sigma_p^{1/p}.
@@ -404,8 +424,10 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
     hypothesis_ok iff, on random rays from mu - delta*1 into the positive
     orthant, every crossing of the level set {sigma_p^{1/p} = a} (t clamped
     at 0) lies in the ball of radius R; it certifies the sampled rays only.
-    escape is None then, and otherwise (index, norm) of the first sampled
-    crossing outside the ball.  lhs >= rhs is guaranteed by the lemma
+    A ray whose ball-exit point settles that (see _rays_that_may_escape)
+    skips the crossing's Newton solve; the verdicts are those of solving
+    every ray.  escape is None then, and otherwise (index, norm) of the
+    first sampled crossing outside the ball.  lhs >= rhs is guaranteed by the lemma
     whenever the hypothesis holds.  InputError names the first bad one of
     delta, a, R, directions and (n, p).
     """
@@ -430,35 +452,12 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
     rng = np.random.default_rng(seed)
     xi = rng.uniform(0.0, 1.0, (directions, cfg.n)) + 1e-3
     xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-    t = np.maximum(_level_crossing(base, xi, cfg.p, cfg.a), 0.0)
-    norms = np.linalg.norm(base + t[:, None] * xi, axis=-1)
+    rays = _rays_that_may_escape(base, xi, cfg.p, cfg.a, cfg.R)
+    if len(rays) == 0:
+        return lhs, rhs, True, None
+    t = np.maximum(_level_crossing(base, xi[rays], cfg.p, cfg.a), 0.0)
+    norms = np.linalg.norm(base + t[:, None] * xi[rays], axis=-1)
     outside = np.flatnonzero(~(norms < cfg.R))
     if len(outside) == 0:
         return lhs, rhs, True, None
-    return lhs, rhs, False, (int(outside[0]), float(norms[outside[0]]))
-
-
-def matrix_form_sides(p, delta, R, a, C, D):
-    """Matrix-form sides of the key lemma for symmetric C, D:
-
-        lhs = sum_jk F^{jk} (c_jk - d_jk)
-        rhs = delta * tr(F) + a - f(lam(D))
-              - (R + |lam(C) - delta 1|) lam_1(F)
-
-    with F = linearization(p, I, D) the gradient of f(lam(I, .)) =
-    sigma_p^{1/p} at D, f(lam(D)) from its principal minors and lam_1(F)
-    from the eigensolver: no eigenvectors.
-    """
-    C = np.asarray(C, dtype=float)
-    D = np.asarray(D, dtype=float)
-    F = linearization(p, np.eye(D.shape[-1]), D)
-    f_nu = matrix_sigmas(D)[p] ** (1.0 / p)
-    lam_C = jacobi_eigh(C)
-    lhs = float(np.sum(F * (C - D)))
-    rhs = float(
-        delta * np.trace(F)
-        + a
-        - f_nu
-        - (R + np.linalg.norm(lam_C - delta)) * jacobi_eigh(F)[0]
-    )
-    return lhs, rhs
+    return lhs, rhs, False, (int(rays[outside[0]]), float(norms[outside[0]]))

@@ -38,8 +38,10 @@ from phessian.spectral import (
     spectral_derivs,
     weyl_check,
 )
-from phessian.subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_check, rank_one_sigma
+from phessian.subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_check
 from phessian.symfun import identity_residuals, sigma
+
+from paper_checks import rank_one_sigma
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,18 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
                "rhs": {"kind": "stored",
                        "values": [[1.0] * 16] * 15 + [[1.0] * 15 + [float("inf")]]}}),
+    # a NaN coefficient A: numpy's eigvalsh returns zeros for a NaN matrix
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": float("nan")},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "paper_example", "param": float("nan")},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "stored", "values": np.where(
+                   np.arange(16 * 16 * 4).reshape(16, 16, 2, 2) == 5, np.nan,
+                   np.eye(2)).tolist()},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    # e^{t_coeff u} at u = 0 would reach the Krylov solve as nan
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "paper_example", "param": 0.3, "t_coeff": float("inf")}}),
 ])
 def test_bad_grid_input_is_usage_error(tmp_path, argv):
     # a dict is a problem JSON and None a problem path that does not exist,

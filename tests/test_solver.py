@@ -940,10 +940,10 @@ class TestSerialization:
 
     def test_grid_csv_body_is_per_value_format(self):
         # one line per node, each format(v, ".17g"): signed zero, the
-        # smallest subnormal, a huge and a non-dyadic value
+        # smallest subnormal, a huge, a non-dyadic and a tiny value
         grid = TorusGrid((8, 8))
         values = np.linspace(-1.0, 1.0, 64).reshape(grid.sizes)
-        values.flat[:4] = [-0.0, 5e-324, 1e300, 0.1]
+        values.flat[:5] = [-0.0, 5e-324, 1e300, 0.1, 1e-300]
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, "u.csv")
             save_grid_csv(path, GridFn(grid, values))
@@ -954,6 +954,7 @@ class TestSerialization:
         assert body == "".join(format(v, ".17g") + "\n" for v in values.ravel())
         assert body.startswith(
             "-0\n4.9406564584124654e-324\n1.0000000000000001e+300\n0.10000000000000001\n"
+            "1e-300\n"
         )
         assert np.array_equal(back.values, values)
         assert np.signbit(back.values.flat[0])
@@ -997,6 +998,19 @@ class TestSerialization:
         # checked once, when the spec is made, before any grid is seen
         with pytest.raises(InputError, match="must be positive and finite"):
             EquationSpec(p=2, A_field=("conformal", 1.0), rhs=rhs)
+
+    @pytest.mark.parametrize("A_field, rhs, named", [
+        (("conformal", np.nan), ("constant", 1.0), "coefficient A"),
+        (("conformal", -np.inf), ("constant", 1.0), "coefficient A"),
+        (("paper_example", np.array([0.1, np.nan])), ("constant", 1.0), "coefficient A"),
+        (("stored", np.where(np.arange(8).reshape(2, 2, 2) == 3, np.nan, 1.0)),
+         ("constant", 1.0), "coefficient A"),
+        (("conformal", 1.0), ("paper_example", 0.3, np.inf), "t_coeff"),
+        (("conformal", 1.0), ("paper_example", 0.3, np.nan), "t_coeff"),
+    ])
+    def test_spec_rejects_a_non_finite_parameter(self, A_field, rhs, named):
+        with pytest.raises(InputError, match=f"{named} must be finite"):
+            EquationSpec(p=2, A_field=A_field, rhs=rhs)
 
     @pytest.mark.parametrize("blob, named", [
         ({"A": {"kind": "zero"}}, "lacks the key 'p'"),

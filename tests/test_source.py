@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import sys
 
 import pytest
 
@@ -24,6 +25,26 @@ def test_no_assert_statements(module):
         tree = ast.parse(fh.read(), filename=path)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{module}: assert at lines {lines}"
+
+
+def test_library_imports_only_numpy_and_stdlib():
+    # pyproject.toml declares numpy as the one dependency
+    allowed = {"numpy", "__future__"} | set(sys.stdlib_module_names)
+    found = []
+    for module in MODULES:
+        path = os.path.join(PACKAGE, module)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if name.split(".")[0] not in allowed]
+    assert found == []
 
 
 def traced_functions():

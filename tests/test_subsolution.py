@@ -16,13 +16,12 @@ from phessian.subsolution import (
     KeyLemmaConfig,
     construct,
     key_lemma_check,
-    matrix_form_sides,
-    rank_one_sigma,
 )
 from phessian.subsolution import _level_crossing, _slab_points, _slabs
 from phessian.symfun import sigma, sigma_ray_coeffs
 
 from oracles import sigma_brute
+from paper_checks import matrix_form_sides, rank_one_sigma
 
 
 def ball_u(pts):
@@ -406,6 +405,111 @@ def test_key_lemma_random_configs():
             continue
         done += 1
         assert lhs - rhs >= -1e-9
+
+
+def unit_rays(n, directions, seed):
+    """key_lemma_check's rays: uniform in the positive orthant, unit length."""
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.0, 1.0, (directions, n)) + 1e-3
+    return xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+
+
+def every_ray_verdict(cfg, directions, seed):
+    """(hypothesis_ok, escape) with every ray's crossing placed by Newton:
+    the reference for the rays key_lemma_check decides at their exit."""
+    base = np.asarray(cfg.mu, dtype=float) - cfg.delta * np.ones(cfg.n)
+    xi = unit_rays(cfg.n, directions, seed)
+    t = np.maximum(_level_crossing(base, xi, cfg.p, cfg.a), 0.0)
+    norms = np.linalg.norm(base + t[:, None] * xi, axis=-1)
+    outside = np.flatnonzero(~(norms < cfg.R))
+    if len(outside) == 0:
+        return True, None
+    return False, (int(outside[0]), float(norms[outside[0]]))
+
+
+@pytest.fixture
+def newton_rays(monkeypatch):
+    """The rays key_lemma_check hands to the crossing Newton, call by call."""
+    calls = []
+
+    def spy(base, xi, p, a):
+        calls.append(xi.copy())
+        return _level_crossing(base, xi, p, a)
+
+    monkeypatch.setattr(subsolution, "_level_crossing", spy)
+    return calls
+
+
+def test_key_lemma_exit_certificate_matches_every_ray_newton(newton_rays):
+    # every (n, p) with n <= 6, radii that hold and that are escaped
+    rng = np.random.default_rng(11)
+    pairs = [(n, p) for n in range(1, 7) for p in range(1, n + 1)]
+    directions, rays, outcomes = 40, 0, set()
+    for i in range(2100):
+        n, p = pairs[i % len(pairs)]
+        cfg = KeyLemmaConfig(
+            n=n, p=p, delta=rng.uniform(0.1, 1.0),
+            R=float(rng.choice([2.0, 5.0, 10.0, 60.0])), a=rng.uniform(0.5, 3.0),
+            mu=rng.uniform(-1.0, 4.0, n), nu=rng.uniform(0.2, 3.0, n),
+        )
+        got = key_lemma_check(cfg, directions=directions, seed=i)
+        want = every_ray_verdict(cfg, directions, i)
+        assert repr(got[2:]) == repr(want), (i, cfg)
+        outcomes.add(want[0])
+        rays += sum(map(len, newton_rays))
+        newton_rays.clear()
+    assert outcomes == {True, False}
+    # most rays are decided at their exit point, so the comparison tests the
+    # certificate and not only the Newton it falls back on
+    assert rays < 0.5 * 2100 * directions
+
+
+def test_key_lemma_base_outside_ball_sends_every_ray_to_newton(newton_rays):
+    # |base| >= R: no ray starts inside the ball, so none has an exit point.
+    # p = 1 with the base below the origin on axis 1: the first crossing
+    # lies in the ball, a later one outside
+    cfg = KeyLemmaConfig(n=3, p=1, delta=0.5, R=2.0, a=1.0,
+                         mu=np.array([-2.5, 0.8, 0.6]), nu=np.ones(3))
+    got = key_lemma_check(cfg, directions=300, seed=0)
+    assert repr(got[2:]) == repr(every_ray_verdict(cfg, 300, 0))
+    assert list(map(len, newton_rays)) == [300]
+    assert got[2] is False and got[3][0] > 0
+
+
+def test_key_lemma_exit_points_at_the_largest_radius(newton_rays):
+    # the exit points stay finite; their sigma_p overflows for p >= 2, and
+    # those rays go to Newton
+    for p in (1, 2, 3):
+        cfg = KeyLemmaConfig(n=3, p=p, delta=0.5, R=np.finfo(float).max, a=1.0,
+                             mu=np.array([1.0, 1.5, 2.0]), nu=np.ones(3))
+        got = key_lemma_check(cfg, directions=100, seed=p)
+        assert repr(got[2:]) == repr(every_ray_verdict(cfg, 100, p)) == "(True, None)"
+        assert list(map(len, newton_rays)) == ([] if p == 1 else [100])
+        newton_rays.clear()
+
+
+def test_key_lemma_exit_inside_margin_goes_to_newton(newton_rays):
+    # one ray, with a^p set against sigma_p at its exit point x: within
+    # EXIT_MARGIN R^p of it the crossing Newton decides, below that the exit
+    # point does
+    n, p, R, delta, seed = 3, 2, 5.0, 0.5, 3
+    mu = np.array([1.0, 1.5, 2.0])
+    base = mu - delta
+    xi = unit_rays(n, 1, seed)[0]
+    along = xi @ base
+    exit_point = base + (-along + np.sqrt(along**2 - base @ base + R**2)) * xi
+    level = sigma(p, exit_point)
+    margin = subsolution.EXIT_MARGIN * R**p
+    for shift, newton in ((0.0, [1]), (0.5 * margin, [1]), (-0.5 * margin, [1]),
+                          (-2.0 * margin, []), (2.0 * margin, [1])):
+        cfg = KeyLemmaConfig(n=n, p=p, delta=delta, R=R, a=(level + shift) ** (1 / p),
+                             mu=mu, nu=np.ones(n))
+        got = key_lemma_check(cfg, directions=1, seed=seed)
+        assert repr(got[2:]) == repr(every_ray_verdict(cfg, 1, seed))
+        assert list(map(len, newton_rays)) == newton
+        newton_rays.clear()
+    # past the exit the crossing lies outside the ball
+    assert got[2] is False
 
 
 def test_key_lemma_rejects_inadmissible_nu():
