@@ -25,7 +25,7 @@ import numpy as np
 
 from .cone import ConeSpec, classify_batch, cone_distance, require_cone
 from .errors import InputError, SearchFailureError
-from .symfun import _as_values, sigma, sigma_minors, sigma_pair_minors
+from .symfun import _as_values, newton_descent, sigma, sigma_minors, sigma_pair_minors
 
 VIOLATION_TOL = -1e-10
 
@@ -305,17 +305,13 @@ def _hypothesis_root(P, e, c, k):
     """Positive root x* of g(x) = x^k + (2e/c) x - 2P/c per row (P, e, c > 0).
 
     g is increasing and convex on x > 0 and positive at both P/e and
-    (2P/c)^{1/k}, so Newton from the smaller of the two decreases onto x*;
-    a row stops when its step no longer decreases x.
+    (2P/c)^{1/k}, so newton_descent from the smaller of the two reaches x*.
     """
     lin, const = 2.0 * e / c, 2.0 * P / c
-    x = np.minimum(P / e, const ** (1.0 / k))
-    while True:
-        step = x - (x**k + lin * x - const) / (k * x ** (k - 1) + lin)
-        down = step < x
-        if not np.any(down):
-            return x
-        x = np.where(down, step, x)
+
+    def newton(x, lin, const):
+        return x - (x**k + lin * x - const) / (k * x ** (k - 1) + lin)
+    return newton_descent(np.minimum(P / e, const ** (1.0 / k)), newton, lin, const)
 
 
 def sample_hypothesis_points(n, tau, eps, a, count, rng):

@@ -58,6 +58,8 @@ class TorusGrid:
         sizes = tuple(int(s) for s in self.sizes)
         if any(s < 8 for s in sizes):
             raise InputError("need at least 8 nodes per axis")
+        if not 0.0 < self.period < inf:
+            raise InputError(f"period must be positive and finite, got {self.period}")
         object.__setattr__(self, "sizes", sizes)
 
     @property
@@ -169,6 +171,21 @@ def ball_grid(radius, resolution, n):
 # ---------------------------------------------------------------------------
 # equation catalog
 
+# One table per side of the catalog, under the side's problem-JSON key: kind
+# -> the JSON keys of its parameters in tuple order (t_coeff optional, 0.0).
+CATALOG = {"A": {"zero": (), "conformal": ("value",), "paper_example": ("param",),
+                 "stored": ("values",)},
+           "rhs": {"constant": ("value",), "stored": ("values",),
+                   "paper_example": ("param", "t_coeff")}}
+NUMBER_KEYS = ("value", "t_coeff")
+
+
+def _catalog_keys(side, kind):
+    if kind not in CATALOG[side]:
+        raise InputError(f"unknown {side} catalog entry {kind!r}")
+    return CATALOG[side][kind]
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """p plus catalog entries for the coefficient field and right side.
@@ -177,10 +194,10 @@ class EquationSpec:
              with A = (1 - e^u - phi_tilde(x) |du|^2) I, or
              ("stored", array of shape sizes+(d,d)).
     rhs:     ("constant", c), ("stored", array over nodes), or
-             ("paper_example", base, t_coeff) with
+             ("paper_example", base[, t_coeff = 0.0]) with
              phi = base(x) e^{t_coeff u} (sin(|du|^{2p-1}) + 2);
-             c, the stored values and base are checked positive and finite
-             here, once per spec, and A's parameter and t_coeff finite.
+             checked once per spec: kinds and arities against CATALOG, c,
+             the stored values and base positive and finite, the rest finite.
     """
 
     p: int
@@ -188,12 +205,17 @@ class EquationSpec:
     rhs: tuple = ("constant", 1.0)
 
     def __post_init__(self):
+        if len(self.rhs) == 2 and self.rhs[0] == "paper_example":
+            object.__setattr__(self, "rhs", tuple(self.rhs) + (0.0,))
+        for side, entry in (("A", self.A_field), ("rhs", self.rhs)):
+            keys = _catalog_keys(side, entry[0] if len(entry) else None)
+            if len(entry) != 1 + len(keys):
+                raise InputError(f"{side} catalog entry {entry[0]!r} takes {keys}")
         what = {"constant": "constant right-hand side", "stored": "right-hand side",
-                "paper_example": "right-hand side base"}.get(self.rhs[0])
-        if what is not None:
-            values = np.asarray(self.rhs[1], dtype=float)
-            if not np.all((values > 0) & (values < inf)):
-                raise InputError(f"{what} must be positive and finite")
+                "paper_example": "right-hand side base"}[self.rhs[0]]
+        values = np.asarray(self.rhs[1], dtype=float)
+        if not np.all((values > 0) & (values < inf)):
+            raise InputError(f"{what} must be positive and finite")
         # the parameters past the catalog kind: A's c, phi_tilde or stored
         # field, and the right side's t_coeff
         for params, what in ((self.A_field[1:], "coefficient A"),
@@ -241,7 +263,6 @@ def _coefficient_A(spec, u, du):
         if stored.shape != shape + (d, d):
             raise InputError("stored A field has the wrong shape")
         return stored.copy(), None, None
-    raise ValueError(f"unknown A catalog entry {kind!r}")
 
 
 def _rhs_phi(spec, u, du):
@@ -254,7 +275,7 @@ def _rhs_phi(spec, u, du):
         return _broadcast_field(spec.rhs[1], shape), None, None
     if kind == "paper_example":
         base = _broadcast_field(spec.rhs[1], shape)
-        c = float(spec.rhs[2]) if len(spec.rhs) > 2 else 0.0
+        c = float(spec.rhs[2])
         r = np.sqrt(np.sum(du**2, axis=0))
         s = r ** (2 * spec.p - 1)
         phi = base * np.exp(c * u) * (np.sin(s) + 2.0)
@@ -265,7 +286,6 @@ def _rhs_phi(spec, u, du):
         coeff = base * np.exp(c * u) * np.cos(s) * (2 * spec.p - 1) * radial
         phi_alpha = coeff[..., None] * np.moveaxis(du, 0, -1)
         return phi, phi_t, phi_alpha
-    raise ValueError(f"unknown rhs catalog entry {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +816,7 @@ class AlexandrovProblem:
     eps: float
 
     def __post_init__(self):
-        if self.d <= 0 or self.resolution < 9:
+        if not 0.0 < self.d < inf or self.resolution < 9:
             raise InputError("need positive d and resolution >= 9")
         if not self.eps > 0:
             raise InputError(f"eps must be positive, got {self.eps}")
@@ -925,22 +945,13 @@ def load_grid_csv(path):
 
 
 def equation_to_dict(spec):
-    def entry(t):
-        kind = t[0]
-        out = {"kind": kind}
-        if kind in ("conformal", "constant"):
-            out["value"] = float(t[1])
-        elif kind == "paper_example":
-            out["param"] = (
-                t[1].tolist() if isinstance(t[1], np.ndarray) else t[1]
-            )
-            if len(t) > 2:
-                out["t_coeff"] = float(t[2])
-        elif kind == "stored":
-            out["values"] = np.asarray(t[1]).tolist()
+    def entry(side, t):
+        out = {"kind": t[0]}
+        for key, v in zip(_catalog_keys(side, t[0]), t[1:]):
+            out[key] = float(v) if key in NUMBER_KEYS else np.asarray(v).tolist()
         return out
 
-    return {"p": spec.p, "A": entry(spec.A_field), "rhs": entry(spec.rhs)}
+    return {"p": spec.p, "A": entry("A", spec.A_field), "rhs": entry("rhs", spec.rhs)}
 
 
 def equation_from_dict(blob):
@@ -956,27 +967,27 @@ def equation_from_dict(blob):
         except (TypeError, ValueError) as exc:
             raise InputError(f"problem JSON has a bad {key!r}: {exc}") from None
 
+    def json_value(name, *types):
+        def convert(v):  # bool is an int to Python, not a number to JSON
+            if isinstance(v, bool) or not isinstance(v, types):
+                raise TypeError(f"expected a JSON {name}, got {json.dumps(v)}")
+            return types[-1](v)
+        return convert
+
     def field(v):
         return np.asarray(v, dtype=float)
 
-    def entry(key, is_rhs):
-        e = get(blob, key)
-        kind = get(e, "kind")
-        if kind == "zero":
-            return ("zero",)
-        if kind in ("conformal", "constant"):
-            return (kind, get(e, "value", float))
-        if kind == "stored":
-            return (kind, get(e, "values", field))
-        if kind != "paper_example":
-            raise InputError(f"unknown catalog entry {kind!r}")
-        if not is_rhs:
-            return (kind, get(e, "param", field))
-        t_coeff = get(e, "t_coeff", float) if "t_coeff" in e else 0.0
-        return (kind, get(e, "param", field), t_coeff)
+    number = json_value("number", int, float)
 
-    p = get(blob, "p", int)
-    return EquationSpec(p=p, A_field=entry("A", False), rhs=entry("rhs", True))
+    def entry(side):
+        e = get(blob, side)
+        kind = get(e, "kind", json_value("string", str))
+        keys = [k for k in _catalog_keys(side, kind) if k in e or k != "t_coeff"]
+        params = (get(e, k, number if k in NUMBER_KEYS else field) for k in keys)
+        return (kind, *params)
+
+    p = get(blob, "p", json_value("integer", int))
+    return EquationSpec(p=p, A_field=entry("A"), rhs=entry("rhs"))
 
 
 def save_problem_json(path, spec):

@@ -38,6 +38,7 @@ from .solver import box_grad_hess
 from .spectral import classify_matrices, jacobi_eigh
 from .symfun import (
     _as_values,
+    newton_descent,
     sigma,
     sigma_planes,
     sigma_ray_coeffs,
@@ -72,7 +73,7 @@ class BallProblem:
             raise InputError("need 1 <= p <= n")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha must lie in (0, 1)")
-        if self.radius <= 0 or self.resolution < 9:
+        if not 0.0 < self.radius < np.inf or self.resolution < 9:
             raise InputError("need positive radius and resolution >= 9")
 
 
@@ -326,13 +327,10 @@ def _level_crossing(base, xi, p, a):
     sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
     only real roots, is increasing and convex past the largest, and meets
     a^p there once.  Newton from Fujiwara's root bound decreases onto that
-    crossing; a row stops when its step no longer decreases t.  Values come
+    crossing (newton_descent, on entry planes of the rays).  Values come
     from the moved vector, since the monomial form cancels far from t = 0.
-
-    The loop runs on entry planes of the rays still descending.  A settled
-    row would repeat its last step exactly, so it keeps its last value and
-    is dropped for good.  A ray with sigma_p(xi) = 0 (outside the rows'
-    domain) has no finite starting bound and raises ValueError up front.
+    A ray with sigma_p(xi) = 0 (outside the rows' domain) has no finite
+    starting bound and raises ValueError up front.
     """
     target = a**p
     c = sigma_ray_coeffs(p, base, xi)
@@ -355,22 +353,13 @@ def _level_crossing(base, xi, p, a):
         .reshape(n, -1)
         for v in (base, xi)
     )
-    out = t.reshape(-1)
-    rows, t = np.arange(out.size), out.copy()
-    while rows.size:
-        g = sigma_planes(p, base + t * xi) - target
+
+    def newton(t, base, xi, slope):
         dg = slope[-1]
         for j in range(p - 2, -1, -1):
             dg = dg * t + slope[j]
-        step = t - g / dg
-        out[rows] = t
-        keep = np.flatnonzero(step < t)
-        if keep.size < rows.size:  # copy the planes only when a row settled
-            rows, base, xi, slope, step = (
-                v.take(keep, -1) for v in (rows, base, xi, slope, step)
-            )
-        t = step
-    return out.reshape(shape)
+        return t - (sigma_planes(p, base + t * xi) - target) / dg
+    return newton_descent(t.reshape(-1), newton, base, xi, slope).reshape(shape)
 
 
 # A ray is decided at its ball-exit point x only when sigma_p(x) exceeds a^p

@@ -68,6 +68,22 @@ def sigma_planes(p, planes):
     return _sigma_planes(p, planes)
 
 
+def newton_descent(x, step, *planes):
+    """Newton x <- step(x, *planes) per row from the starts x (1-D) while it
+    decreases x, the planes holding the rows still descending on their last
+    axis.  A settled row would repeat its step exactly: it keeps its value
+    and is dropped for good, the only time the planes are copied."""
+    out, rows = x.copy(), np.arange(x.size)
+    while rows.size:
+        nxt = step(x, *planes)
+        out[rows] = x
+        keep = np.flatnonzero(nxt < x)
+        if keep.size < rows.size:
+            rows, nxt, *planes = (v.take(keep, -1) for v in (rows, nxt, *planes))
+        x = nxt
+    return out
+
+
 def sigma_all(mu):
     """All values sigma_0(mu), ..., sigma_n(mu) in one prefix-recurrence pass.
 

@@ -221,6 +221,30 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     # e^{t_coeff u} at u = 0 would reach the Krylov solve as nan
     ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
                "rhs": {"kind": "paper_example", "param": 0.3, "t_coeff": float("inf")}}),
+    # a kind from the other side of the catalog
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "zero"}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "conformal", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "constant", "value": 1.0},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    # p is a JSON integer and value a JSON number: neither is truncated,
+    # read from a bool or parsed from a string
+    ("solve", {"p": 2.9, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": True, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": "2", "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": "1.5"},
+               "rhs": {"kind": "constant", "value": 1.0}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": True}}),
+    # lengths must be positive and finite
+    ("subsolution", "--radius", "nan"),
+    ("subsolution", "--radius", "inf"),
+    ("alexandrov", "--d", "nan"),
+    ("alexandrov", "--d", "inf"),
 ])
 def test_bad_grid_input_is_usage_error(tmp_path, argv):
     # a dict is a problem JSON and None a problem path that does not exist,
@@ -498,6 +522,18 @@ def test_solve_rejects_malformed_initial_csv(tmp_path, capsys):
         fh.write("2,16,16,0.39269908169872414,0.39269908169872414\n1.0\n")
     assert main(["solve", "--problem", problem, "--initial", bad]) == 2
     assert "expected 256 values" in capsys.readouterr().err
+
+
+def test_solve_rejects_zero_spacing_initial_csv(tmp_path, capsys):
+    # spacings of 0 agree on a period of 0, which no grid has
+    spec, _, _ = manufactured_problem(16)
+    problem = os.path.join(tmp_path, "problem.json")
+    save_problem_json(problem, spec)
+    bad = os.path.join(tmp_path, "bad.csv")
+    with open(bad, "w") as fh:
+        fh.write("2,16,16,0,0\n" + "0.0\n" * 256)
+    assert main(["solve", "--problem", problem, "--initial", bad]) == 2
+    assert "period must be positive and finite" in capsys.readouterr().err
 
 
 def test_alexandrov(tmp_path):

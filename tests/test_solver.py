@@ -12,6 +12,7 @@ import pytest
 from phessian import solver
 from phessian.errors import AdmissibilityError, InputError, NonconvergenceError
 from phessian.solver import (
+    CATALOG,
     AlexandrovProblem,
     AuxiliarySpec,
     EquationSpec,
@@ -19,7 +20,9 @@ from phessian.solver import (
     PseudoCheckConfig,
     TorusGrid,
     _apply_jacobian,
+    _coefficient_A,
     _fourier_preconditioner,
+    _rhs_phi,
     admissible,
     alexandrov_check,
     auxiliary_field,
@@ -66,6 +69,11 @@ class TestGridBasics:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             TorusGrid((4, 16))
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
+    def test_period_validation(self, period):
+        with pytest.raises(InputError, match="period must be positive and finite"):
+            TorusGrid((8, 8), period=period)
 
     def test_gridfn_rejects_nonfinite(self):
         grid = TorusGrid((8, 8))
@@ -781,6 +789,7 @@ class TestAlexandrov:
 
     @pytest.mark.parametrize("field, value", [
         ("resolution", 8), ("d", 0.0), ("eps", 0.0), ("eps", np.nan),
+        ("d", np.nan), ("d", np.inf),
     ])
     def test_problem_validation(self, field, value):
         kwargs = dict(center=(0.0, 0.0), d=1.0, resolution=9,
@@ -960,19 +969,32 @@ class TestSerialization:
         assert np.signbit(back.values.flat[0])
 
     def test_problem_json_roundtrip(self):
-        specs = [
-            EquationSpec(p=1, A_field=("zero",), rhs=("constant", 2.0)),
-            EquationSpec(p=2, A_field=("conformal", 1.5), rhs=("paper_example", 0.3, 0.5)),
-            EquationSpec(p=2, A_field=("paper_example", 0.1), rhs=("constant", 0.2)),
-        ]
+        # every kind of both tables, each A with each right side, parameters
+        # as numbers and as arrays over the nodes; every parameter comes back
+        field = np.linspace(0.5, 1.5, 64).reshape(8, 8)
+        A_fields = [("zero",), ("conformal", 1.5), ("paper_example", 0.1),
+                    ("paper_example", 0.1 * field),
+                    ("stored", np.broadcast_to(1.25 * np.eye(2), (8, 8, 2, 2)))]
+        rhss = [("constant", 2.0), ("stored", field), ("paper_example", 0.3, 0.5),
+                ("paper_example", 0.3 * field, -0.25), ("paper_example", 0.3)]
+        assert {t[0] for t in A_fields} == set(CATALOG["A"])
+        assert {t[0] for t in rhss} == set(CATALOG["rhs"])
         with tempfile.TemporaryDirectory() as td:
-            for i, spec in enumerate(specs):
+            for i, (A_field, rhs) in enumerate(
+                (A_field, rhs) for A_field in A_fields for rhs in rhss
+            ):
+                spec = EquationSpec(p=1 + i % 2, A_field=A_field, rhs=rhs)
                 path = os.path.join(td, f"p{i}.json")
                 save_problem_json(path, spec)
                 back = load_problem_json(path)
                 assert back.p == spec.p
-                assert back.A_field[0] == spec.A_field[0]
-                assert back.rhs[0] == spec.rhs[0]
+                for got, want in ((back.A_field, spec.A_field), (back.rhs, spec.rhs)):
+                    assert got[0] == want[0] and len(got) == len(want)
+                    for g, w in zip(got[1:], want[1:]):
+                        assert np.array_equal(np.asarray(g), np.asarray(w))
+        # an omitted t_coeff is filled in once, when the spec is made
+        spec = EquationSpec(p=2, rhs=("paper_example", 0.3))
+        assert spec.rhs == ("paper_example", 0.3, 0.0)
 
     def test_stored_rhs_roundtrip(self):
         spec, grid, ustar = manufactured_problem(16)
@@ -1012,6 +1034,42 @@ class TestSerialization:
         with pytest.raises(InputError, match=f"{named} must be finite"):
             EquationSpec(p=2, A_field=A_field, rhs=rhs)
 
+    @pytest.mark.parametrize("A_field, rhs, message", [
+        (("bogus",), ("constant", 1.0), "unknown A catalog entry 'bogus'"),
+        (("constant", 1.0), ("constant", 1.0), "unknown A catalog entry 'constant'"),
+        (("zero",), ("zero",), "unknown rhs catalog entry 'zero'"),
+        (("zero",), ("conformal", 1.0), "unknown rhs catalog entry 'conformal'"),
+        ((), ("constant", 1.0), "unknown A catalog entry None"),
+        (("conformal",), ("constant", 1.0), "A catalog entry 'conformal' takes"),
+        (("zero", 1.0), ("constant", 1.0), "A catalog entry 'zero' takes"),
+        (("zero",), ("constant",), "rhs catalog entry 'constant' takes"),
+        (("zero",), ("paper_example",), "rhs catalog entry 'paper_example' takes"),
+        (("zero",), ("paper_example", 0.3, 0.5, 1.0), "entry 'paper_example' takes"),
+    ])
+    def test_spec_rejects_an_entry_outside_its_table(self, A_field, rhs, message):
+        # a kind from neither table or the other side's, or the wrong
+        # number of parameters, is rejected when the spec is made
+        with pytest.raises(InputError, match=message):
+            EquationSpec(p=2, A_field=A_field, rhs=rhs)
+
+    @pytest.mark.parametrize("side, kind", [
+        (side, kind) for side, table in CATALOG.items() for kind in table
+    ])
+    def test_every_catalog_kind_evaluates(self, side, kind):
+        # a table row without its branch in _coefficient_A or _rhs_phi
+        # fails here
+        grid = TorusGrid((8, 8))
+        x1, x2 = grid.meshgrid()
+        u = -0.5 + 0.05 * np.cos(x1) * np.cos(x2)
+        stored = {"A": np.broadcast_to(np.eye(2), (8, 8, 2, 2)), "rhs": np.ones((8, 8))}
+        sample = {"value": 1.0, "param": 0.1, "t_coeff": 0.5, "values": stored[side]}
+        entry = (kind, *(sample[key] for key in CATALOG[side][kind]))
+        spec = EquationSpec(p=2, **{"A_field" if side == "A" else "rhs": entry})
+        evaluate = _coefficient_A if side == "A" else _rhs_phi
+        value = evaluate(spec, u, periodic_grad(u, grid.h))[0]
+        assert value.shape == grid.sizes + ((2, 2) if side == "A" else ())
+        assert np.all(np.isfinite(value))
+
     @pytest.mark.parametrize("blob, named", [
         ({"A": {"kind": "zero"}}, "lacks the key 'p'"),
         ({"p": "two"}, "'p'"),
@@ -1024,6 +1082,23 @@ class TestSerialization:
         ({"p": 2, "A": {"kind": "bogus"}}, "'bogus'"),
         ([2], "'p'"),
         ('{"p": 2,', "problem.json"),  # not JSON
+        # p a JSON integer, value and t_coeff JSON numbers: no truncation,
+        # no bool, no string
+        ({"p": 2.9}, "'p'"),
+        ({"p": True}, "'p'"),
+        ({"p": "2"}, "'p'"),
+        ({"p": 2, "A": {"kind": "conformal", "value": "1.5"}}, "'value'"),
+        ({"p": 2, "A": {"kind": "conformal", "value": True}}, "'value'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "paper_example", "param": 1, "t_coeff": "0.5"}}, "'t_coeff'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "paper_example", "param": 1, "t_coeff": False}}, "'t_coeff'"),
+        ({"p": 2, "A": {"kind": ["zero"]}}, "'kind'"),
+        # each side's kinds only on that side
+        ({"p": 2, "A": {"kind": "zero"}, "rhs": {"kind": "zero"}},
+         "unknown rhs catalog entry 'zero'"),
+        ({"p": 2, "A": {"kind": "constant", "value": 1.0}},
+         "unknown A catalog entry 'constant'"),
     ])
     def test_problem_json_rejection_names_the_key(self, tmp_path, blob, named):
         path = tmp_path / "problem.json"

@@ -331,6 +331,9 @@ def test_problem_validation():
         BallProblem(2, 1.0, 33, 3, 0.5, zero_field, const_phi(0.1), ball_u)
     with pytest.raises(ValueError):
         BallProblem(2, 1.0, 33, 2, 1.5, zero_field, const_phi(0.1), ball_u)
+    for radius in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            BallProblem(2, radius, 33, 2, 0.5, zero_field, const_phi(0.1), ball_u)
 
 
 def test_key_lemma_hand_case():
