@@ -47,7 +47,7 @@ from .solver import (
     save_grid_csv,
 )
 from .spectral import jacobi_eigh, spectral_derivs
-from .subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_check
+from .subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_sweep
 from .symfun import identity_residuals, sigma
 
 
@@ -367,20 +367,22 @@ def cmd_subsolution(args):
 def cmd_key_lemma(args):
     _require_trials(args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
+    cfgs = []
+    for _ in range(args.trials):
+        # positive, so inside every cone
+        nu = rng.uniform(0.2, 3.0, args.n)
+        mu = rng.uniform(-1.0, 4.0, args.n)
+        cfgs.append(KeyLemmaConfig(
+            n=args.n, p=args.p, delta=rng.uniform(0.1, 1.0), R=args.R,
+            a=rng.uniform(0.5, 2.0), mu=mu, nu=nu,
+        ))
+    checks = key_lemma_sweep(cfgs, args.directions, range(args.trials))
     verified = 0
     failed = 0
     worst = np.inf
     violation = None
     first_failure = None
-    for i in range(args.trials):
-        # positive, so inside every cone
-        nu = rng.uniform(0.2, 3.0, args.n)
-        mu = rng.uniform(-1.0, 4.0, args.n)
-        cfg = KeyLemmaConfig(
-            n=args.n, p=args.p, delta=rng.uniform(0.1, 1.0), R=args.R,
-            a=rng.uniform(0.5, 2.0), mu=mu, nu=nu,
-        )
-        lhs, rhs, ok, escape = key_lemma_check(cfg, directions=args.directions, seed=i)
+    for i, (cfg, (lhs, rhs, ok, escape)) in enumerate(zip(cfgs, checks)):
         if not ok:
             failed += 1
             if first_failure is None:
@@ -390,7 +392,7 @@ def cmd_key_lemma(args):
         verified += 1
         worst = min(worst, lhs - rhs)
         if lhs - rhs < args.tol and violation is None:
-            violation = {"mu": mu, "nu": nu, "delta": cfg.delta, "a": cfg.a,
+            violation = {"mu": cfg.mu, "nu": cfg.nu, "delta": cfg.delta, "a": cfg.a,
                          "lhs": lhs, "rhs": rhs}
     results = {
         "verified": verified,
@@ -602,9 +604,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

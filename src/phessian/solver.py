@@ -956,8 +956,8 @@ def equation_to_dict(spec):
 
 def equation_from_dict(blob):
     """EquationSpec of a problem JSON blob (see equation_to_dict).  A
-    missing key, or a value of the wrong type or form, raises one
-    InputError that names its key."""
+    missing or unknown key, or a value of the wrong type or form, raises
+    one InputError that names its key."""
 
     def get(e, key, convert=lambda v: v):
         try:
@@ -974,20 +974,36 @@ def equation_from_dict(blob):
             return types[-1](v)
         return convert
 
-    def field(v):
+    number = json_value("number", int, float)
+
+    def field(v):  # a JSON number or nested lists of them
+        todo = [v]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, list):
+                todo.extend(reversed(x))
+            else:
+                number(x)
         return np.asarray(v, dtype=float)
 
-    number = json_value("number", int, float)
+    def only(e, keys, where):
+        unknown = [k for k in e if k not in keys]
+        if unknown:
+            raise InputError(f"problem JSON{where} has an unknown key {unknown[0]!r}")
 
     def entry(side):
         e = get(blob, side)
         kind = get(e, "kind", json_value("string", str))
-        keys = [k for k in _catalog_keys(side, kind) if k in e or k != "t_coeff"]
-        params = (get(e, k, number if k in NUMBER_KEYS else field) for k in keys)
+        keys = _catalog_keys(side, kind)
+        only(e, ("kind", *keys), f"'s {side!r} entry")
+        params = (get(e, k, number if k in NUMBER_KEYS else field)
+                  for k in keys if k in e or k != "t_coeff")
         return (kind, *params)
 
     p = get(blob, "p", json_value("integer", int))
-    return EquationSpec(p=p, A_field=entry("A"), rhs=entry("rhs"))
+    A_field, rhs = entry("A"), entry("rhs")
+    only(blob, ("p", "A", "rhs"), "")
+    return EquationSpec(p=p, A_field=A_field, rhs=rhs)
 
 
 def save_problem_json(path, spec):

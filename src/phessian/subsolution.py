@@ -321,18 +321,18 @@ class KeyLemmaConfig:
     nu: np.ndarray
 
 
-def _level_crossing(base, xi, p, a):
-    """Largest t with sigma_p(base + t xi) = a^p per ray (rows xi > 0, a > 0).
+def _level_crossing(base, xi, p, target):
+    """Largest t with sigma_p(base + t xi) = target per ray (rows xi > 0,
+    target > 0; base, xi and target broadcast over the rays).
 
     sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
     only real roots, is increasing and convex past the largest, and meets
-    a^p there once.  Newton from Fujiwara's root bound decreases onto that
-    crossing (newton_descent, on entry planes of the rays).  Values come
-    from the moved vector, since the monomial form cancels far from t = 0.
-    A ray with sigma_p(xi) = 0 (outside the rows' domain) has no finite
-    starting bound and raises ValueError up front.
+    the target there once.  Newton from Fujiwara's root bound decreases onto
+    that crossing (newton_descent, on entry planes of the rays).  Values
+    come from the moved vector, since the monomial form cancels far from
+    t = 0.  A ray with sigma_p(xi) = 0 (outside the rows' domain) has no
+    finite starting bound and raises ValueError up front.
     """
-    target = a**p
     c = sigma_ray_coeffs(p, base, xi)
     flat = np.flatnonzero(c[..., p] == 0.0)
     if flat.size:
@@ -346,20 +346,21 @@ def _level_crossing(base, xi, p, a):
     bounds[..., -1] *= 0.5 ** (1.0 / p)
     t = 2.0 * np.max(bounds, axis=-1)
     shape, n = t.shape, np.shape(xi)[-1]
-    # flat planes: slopes (p, m), ray entries (n, m)
+    # flat planes: slopes (p, m), ray entries (n, m), targets (m,)
     slope = np.moveaxis(c[..., 1:] * k, -1, 0).reshape(p, -1)
     base, xi = (
         np.ascontiguousarray(np.moveaxis(np.broadcast_to(v, shape + (n,)), -1, 0))
         .reshape(n, -1)
         for v in (base, xi)
     )
+    target = np.broadcast_to(target, shape).reshape(-1)
 
-    def newton(t, base, xi, slope):
+    def newton(t, base, xi, slope, target):
         dg = slope[-1]
         for j in range(p - 2, -1, -1):
             dg = dg * t + slope[j]
         return t - (sigma_planes(p, base + t * xi) - target) / dg
-    return newton_descent(t.reshape(-1), newton, base, xi, slope).reshape(shape)
+    return newton_descent(t.reshape(-1), newton, base, xi, slope, target).reshape(shape)
 
 
 # A ray is decided at its ball-exit point x only when sigma_p(x) exceeds a^p
@@ -375,10 +376,15 @@ def _level_crossing(base, xi, p, a):
 # and the ray's verdict, inside, is the one the Newton gives.
 EXIT_MARGIN = 1e-9
 
+# key_lemma_sweep samples and decides the rays of whole configs together,
+# at least one config and otherwise at most this many rays at a time.
+KEY_LEMMA_RAYS = 2**13
 
-def _rays_that_may_escape(base, xi, p, a, R):
-    """Indices of the unit rays base + t xi (rows xi > 0, a > 0) whose
-    crossing the exit point does not place inside the ball |x| < R.
+
+def _rays_that_may_escape(base, base_norm, xi, p, a, R):
+    """Mask, per config c and ray r, of the unit rays base_c + t xi_cr
+    (xi > 0, a_c > 0) whose crossing the exit point does not place inside
+    the ball |x| < R_c; base_norm holds the |base_c|.
 
     While |base| < R, ray xi leaves the ball at t_R = -(base.xi) +
     sqrt((base.xi)^2 + R^2 - |base|^2), taken through hypot so that R^2
@@ -390,25 +396,96 @@ def _rays_that_may_escape(base, xi, p, a, R):
     x, inside the ball.  The rays decided so are those where x classifies
     interior and sigma_p(x) clears a^p by the rounding margin
     EXIT_MARGIN R^p; every other ray, and every ray when |base| >= R, is
-    left to the crossing Newton.
+    left to the crossing Newton.  The per-config scalars are those of a
+    single config, broadcast.
     """
-    base_norm = float(np.linalg.norm(base))
-    if not base_norm < R:
-        return np.arange(len(xi))
-    # |base| < 1.4e154 where its norm is finite, so the exit points are
-    # finite up to R = the largest float
-    along = xi @ base
-    reach = np.hypot(along, np.sqrt(R - base_norm) * np.sqrt(R + base_norm)) - along
-    exits = base + reach[:, None] * xi
-    codes, sigs = _regions(exits, p)
+    # a config with |base| >= R keeps every ray; its exit points are those
+    # of a stand-in base 0 and radial 0, so they cannot overflow
+    inside = np.less(base_norm, R)
+    base = np.where(inside[:, None], base, 0.0)
+    radial = [
+        np.sqrt(r - b) * np.sqrt(r + b) if ok else 0.0
+        for b, r, ok in zip(base_norm, R, inside)
+    ]
     with np.errstate(over="ignore"):
-        level = a**p + EXIT_MARGIN * np.float64(R) ** p
-    return np.flatnonzero(~((codes == 2) & (sigs[:, -1] > level)))
+        level = [a_c**p + EXIT_MARGIN * np.float64(r) ** p for a_c, r in zip(a, R)]
+    # |base| < 1.4e154 where its norm is finite, so the exit points are
+    # finite up to R = the largest float; b + reach xi is formed in place
+    along = (xi @ base[..., None])[..., 0]
+    reach = np.hypot(along, np.array(radial)[:, None]) - along
+    exits = np.multiply(reach[..., None], xi)
+    exits += base[:, None]
+    codes, sigs = _regions(exits, p)
+    return ~((codes == 2) & (sigs[..., -1] > np.array(level)[:, None]) & inside[:, None])
 
 
-def key_lemma_check(cfg, directions=10**4, seed=0):
-    """(lhs, rhs, hypothesis_ok, escape) of the key lemma at cfg with
-    f = sigma_p^{1/p}.
+def _key_lemma_inputs(cfgs, directions):
+    """mu and nu of cfgs stacked (C, n), after each config's checks in turn:
+    mu and nu finite, delta and a positive, R positive and finite,
+    directions at least 1, (n, p) a cone and the first config's, mu and nu
+    of length n; then nu in the open cone, batched.  The error raised is
+    the one that checking the configs one by one would raise first."""
+    n, p = cfgs[0].n, cfgs[0].p
+    mus, nus, error = [], [], None
+    for cfg in cfgs:
+        try:
+            mu, nu = _as_values(cfg.mu), _as_values(cfg.nu)
+            if not (cfg.delta > 0 and cfg.a > 0):
+                raise InputError("delta, a must be positive")
+            if not 0 < cfg.R < np.inf:
+                raise InputError(f"R must be positive and finite, got {cfg.R}")
+            # shared by every config: it can fail only on the first
+            if directions < 1:
+                raise InputError(f"need at least 1 direction, got {directions}")
+            ConeSpec(cfg.n, cfg.p)
+            if (cfg.n, cfg.p) != (n, p):
+                raise InputError(
+                    f"the configs of a sweep share n and p, got (n, p) = "
+                    f"({cfg.n}, {cfg.p}) after ({n}, {p})"
+                )
+            if mu.shape != (n,) or nu.shape != (n,):
+                raise ValueError(f"expected a vector of length {n}")
+        except ValueError as exc:
+            error = exc
+            break
+        mus.append(mu)
+        nus.append(nu)
+    if nus:
+        require_cone(np.stack(nus), ConeSpec(n, p), "nu")
+    if error is not None:
+        raise error
+    return np.stack(mus), np.stack(nus)
+
+
+def _ray_verdicts(cfgs, seeds, base, base_norm, directions, p):
+    """(hypothesis_ok, escape) per config, its rays drawn from
+    default_rng(seed) and decided together with the other configs'."""
+    xi = np.empty((len(cfgs), directions, base.shape[-1]))
+    for x, seed in zip(xi, seeds):
+        x[...] = np.random.default_rng(seed).uniform(0.0, 1.0, x.shape) + 1e-3
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    a, R = [cfg.a for cfg in cfgs], [cfg.R for cfg in cfgs]
+    owner, ray = np.nonzero(_rays_that_may_escape(base, base_norm, xi, p, a, R))
+    verdicts = [(True, None)] * len(cfgs)
+    if len(ray) == 0:
+        return verdicts
+    # each config's a^p as a scalar power: numpy's array power rounds
+    # differently in the last bit
+    target = np.array([cfg.a**p for cfg in cfgs])
+    t = np.maximum(_level_crossing(base[owner], xi[owner, ray], p, target[owner]), 0.0)
+    norms = np.linalg.norm(base[owner] + t[:, None] * xi[owner, ray], axis=-1)
+    outside = np.flatnonzero(~(norms < np.array(R)[owner]))
+    # owner ascends, so each config's first escape is where owner[outside]
+    # changes
+    for i in outside[np.flatnonzero(np.diff(owner[outside], prepend=-1))]:
+        verdicts[owner[i]] = (False, (int(ray[i]), float(norms[i])))
+    return verdicts
+
+
+def key_lemma_sweep(cfgs, directions, seeds):
+    """(lhs, rhs, hypothesis_ok, escape) of the key lemma with f =
+    sigma_p^{1/p} for each config of cfgs, which share n and p, the rays of
+    cfgs[i] drawn from default_rng(seeds[i]).
 
     hypothesis_ok iff, on random rays from mu - delta*1 into the positive
     orthant, every crossing of the level set {sigma_p^{1/p} = a} (t clamped
@@ -416,37 +493,41 @@ def key_lemma_check(cfg, directions=10**4, seed=0):
     A ray whose ball-exit point settles that (see _rays_that_may_escape)
     skips the crossing's Newton solve; the verdicts are those of solving
     every ray.  escape is None then, and otherwise (index, norm) of the
-    first sampled crossing outside the ball.  lhs >= rhs is guaranteed by the lemma
-    whenever the hypothesis holds.  InputError names the first bad one of
-    delta, a, R, directions and (n, p).
+    first sampled crossing outside the ball.  lhs >= rhs is guaranteed by
+    the lemma whenever the hypothesis holds.  InputError names the first
+    bad one of delta, a, R, directions and (n, p), config by config.
+
+    The configs' scalars are computed one config at a time, their cone
+    checks and gradients in one batch, and their rays whole configs at a
+    time, up to KEY_LEMMA_RAYS rays (at least one config) per pass: each
+    result equals the config's alone, bit for bit.
     """
-    mu = _as_values(cfg.mu)
-    nu = _as_values(cfg.nu)
-    if not (cfg.delta > 0 and cfg.a > 0):
-        raise InputError("delta, a must be positive")
-    if not 0 < cfg.R < np.inf:
-        raise InputError(f"R must be positive and finite, got {cfg.R}")
-    if directions < 1:
-        raise InputError(f"need at least 1 direction, got {directions}")
-    require_cone(nu, ConeSpec(cfg.n, cfg.p), "nu")
-    f_nu, grad = sigma_root_grad(cfg.p, nu)
-    base = mu - cfg.delta * np.ones(cfg.n)
-    lhs = float(np.dot(grad, mu - nu))
-    rhs = float(
-        cfg.delta * np.sum(grad)
-        - (cfg.R + np.linalg.norm(base)) * np.min(grad)
-        + cfg.a
-        - f_nu
-    )
-    rng = np.random.default_rng(seed)
-    xi = rng.uniform(0.0, 1.0, (directions, cfg.n)) + 1e-3
-    xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-    rays = _rays_that_may_escape(base, xi, cfg.p, cfg.a, cfg.R)
-    if len(rays) == 0:
-        return lhs, rhs, True, None
-    t = np.maximum(_level_crossing(base, xi[rays], cfg.p, cfg.a), 0.0)
-    norms = np.linalg.norm(base + t[:, None] * xi[rays], axis=-1)
-    outside = np.flatnonzero(~(norms < cfg.R))
-    if len(outside) == 0:
-        return lhs, rhs, True, None
-    return lhs, rhs, False, (int(rays[outside[0]]), float(norms[outside[0]]))
+    if len(seeds) != len(cfgs):
+        raise InputError(f"need one seed per config, got {len(seeds)} for {len(cfgs)}")
+    if not cfgs:
+        return []
+    mu, nu = _key_lemma_inputs(cfgs, directions)
+    p = cfgs[0].p
+    f_nu, grad = sigma_root_grad(p, nu)
+    base = mu - np.array([cfg.delta for cfg in cfgs])[:, None]
+    base_norm, sides = [], []
+    for cfg, b, g, m, v, f in zip(cfgs, base, grad, mu, nu, f_nu):
+        base_norm.append(float(np.linalg.norm(b)))
+        sides.append((
+            float(np.dot(g, m - v)),
+            float(cfg.delta * np.sum(g) - (cfg.R + base_norm[-1]) * np.min(g) + cfg.a - f),
+        ))
+    step = max(1, KEY_LEMMA_RAYS // directions)
+    verdicts = []
+    for lo in range(0, len(cfgs), step):
+        chunk = slice(lo, lo + step)
+        verdicts += _ray_verdicts(
+            cfgs[chunk], seeds[chunk], base[chunk], base_norm[chunk], directions, p
+        )
+    return [side + verdict for side, verdict in zip(sides, verdicts)]
+
+
+def key_lemma_check(cfg, directions=10**4, seed=0):
+    """(lhs, rhs, hypothesis_ok, escape) of the key lemma at cfg: the batch
+    of one of key_lemma_sweep."""
+    return key_lemma_sweep([cfg], directions, [seed])[0]

@@ -245,6 +245,15 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
     ("subsolution", "--radius", "inf"),
     ("alexandrov", "--d", "nan"),
     ("alexandrov", "--d", "inf"),
+    # an unknown key, and param or values that are not JSON numbers
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "paper_example", "param": 0.3, "t_coef": 0.5}}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "constant", "value": 1.0}, "q": 1}),
+    ("solve", {"p": 2, "A": {"kind": "conformal", "value": 1.0},
+               "rhs": {"kind": "paper_example", "param": "0.3"}}),
+    ("solve", {"p": 2, "A": {"kind": "paper_example", "param": True},
+               "rhs": {"kind": "constant", "value": 1.0}}),
 ])
 def test_bad_grid_input_is_usage_error(tmp_path, argv):
     # a dict is a problem JSON and None a problem path that does not exist,
@@ -611,11 +620,35 @@ def test_plain_value_error_is_not_a_usage_error(tmp_path, monkeypatch):
     def fault(*args, **kwargs):
         raise ValueError("a fault of the computation")
 
-    monkeypatch.setattr(cli, "key_lemma_check", fault)
+    monkeypatch.setattr(cli, "key_lemma_sweep", fault)
     out = tmp_path / "kl.json"
     with pytest.raises(ValueError, match="fault of the computation"):
         main(["key-lemma", "--trials", "1", "--output", str(out)])
     assert not out.exists()
+
+
+def test_main_reuses_its_parser(tmp_path, monkeypatch):
+    # one parser per process: later calls parse with the first call's
+    # parser and give the same reports, whatever ran in between
+    builds, build_parser = [], cli.build_parser
+
+    def build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        argv = ("key-lemma", "--n", "3", "--p", "2", "--trials", "5",
+                "--directions", "200", "--seed", "3")
+        first = run(tmp_path, "a.json", *argv)
+        run(tmp_path, "c.json", "cone", "--n", "4", "--p", "3", "--trials", "20")
+        second = run(tmp_path, "b.json", *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert first[0] == second[0] == 0
+    assert strip_walltime(first[1]) == strip_walltime(second[1])
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1099,6 +1099,25 @@ class TestSerialization:
          "unknown rhs catalog entry 'zero'"),
         ({"p": 2, "A": {"kind": "constant", "value": 1.0}},
          "unknown A catalog entry 'constant'"),
+        # every key known: at the top level and in each entry
+        ({"p": 2, "A": {"kind": "zero"}, "rhs": {"kind": "constant", "value": 1},
+          "t_coeff": 0.5}, "unknown key 't_coeff'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "paper_example", "param": 1, "t_coef": 0.5}},
+         "'rhs' entry has an unknown key 't_coef'"),
+        ({"p": 2, "A": {"kind": "zero", "value": 1.0}},
+         "'A' entry has an unknown key 'value'"),
+        ({"p": 2, "A": {"kind": "paper_example", "param": 0.1, "t_coeff": 0.5}},
+         "'A' entry has an unknown key 't_coeff'"),
+        # param and values JSON numbers or nested lists of them
+        ({"p": 2, "A": {"kind": "paper_example", "param": "0.3"}}, "'param'"),
+        ({"p": 2, "A": {"kind": "paper_example", "param": True}}, "'param'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "stored", "values": [[1.0, 2.0], [1.0, "2"]]}}, "'values'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "stored", "values": [[1.0, False]]}}, "'values'"),
+        ({"p": 2, "A": {"kind": "zero"},
+          "rhs": {"kind": "stored", "values": [[1.0, None]]}}, "'values'"),
     ])
     def test_problem_json_rejection_names_the_key(self, tmp_path, blob, named):
         path = tmp_path / "problem.json"

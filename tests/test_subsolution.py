@@ -1,5 +1,7 @@
 """Tests for the exponential-bump subsolution and the key lemma."""
 
+import dataclasses
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -9,13 +11,14 @@ import pytest
 
 from phessian import subsolution
 from phessian.cone import ConeSpec, classify
-from phessian.errors import AdmissibilityError, ConstructionError
+from phessian.errors import AdmissibilityError, ConstructionError, InputError
 from phessian.solver import ball_grid
 from phessian.subsolution import (
     BallProblem,
     KeyLemmaConfig,
     construct,
     key_lemma_check,
+    key_lemma_sweep,
 )
 from phessian.subsolution import _level_crossing, _slab_points, _slabs
 from phessian.symfun import sigma, sigma_ray_coeffs
@@ -422,7 +425,7 @@ def every_ray_verdict(cfg, directions, seed):
     the reference for the rays key_lemma_check decides at their exit."""
     base = np.asarray(cfg.mu, dtype=float) - cfg.delta * np.ones(cfg.n)
     xi = unit_rays(cfg.n, directions, seed)
-    t = np.maximum(_level_crossing(base, xi, cfg.p, cfg.a), 0.0)
+    t = np.maximum(_level_crossing(base, xi, cfg.p, cfg.a**cfg.p), 0.0)
     norms = np.linalg.norm(base + t[:, None] * xi, axis=-1)
     outside = np.flatnonzero(~(norms < cfg.R))
     if len(outside) == 0:
@@ -435,9 +438,9 @@ def newton_rays(monkeypatch):
     """The rays key_lemma_check hands to the crossing Newton, call by call."""
     calls = []
 
-    def spy(base, xi, p, a):
+    def spy(base, xi, p, target):
         calls.append(xi.copy())
-        return _level_crossing(base, xi, p, a)
+        return _level_crossing(base, xi, p, target)
 
     monkeypatch.setattr(subsolution, "_level_crossing", spy)
     return calls
@@ -515,6 +518,88 @@ def test_key_lemma_exit_inside_margin_goes_to_newton(newton_rays):
     assert got[2] is False
 
 
+def random_key_lemma_configs(rng, n, p, count):
+    return [
+        KeyLemmaConfig(
+            n=n, p=p, delta=rng.uniform(0.1, 1.0),
+            R=float(rng.choice([2.0, 5.0, 10.0, 60.0])), a=rng.uniform(0.5, 3.0),
+            mu=rng.uniform(-1.0, 4.0, n), nu=rng.uniform(0.2, 3.0, n),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_key_lemma_sweep_equals_the_per_config_loop():
+    # every (n, p) with n <= 6, one batch each mixing bases outside the
+    # ball, configs that escape and configs that hold
+    rng = np.random.default_rng(12)
+    directions, outside, outcomes = 60, 0, set()
+    for n in range(1, 7):
+        for p in range(1, n + 1):
+            cfgs = random_key_lemma_configs(rng, n, p, 24)
+            seeds = rng.integers(0, 2**32, len(cfgs))
+            got = key_lemma_sweep(cfgs, directions, seeds)
+            assert len(got) == len(cfgs)
+            for cfg, seed, row in zip(cfgs, seeds, got):
+                assert repr(row) == repr(key_lemma_check(cfg, directions, seed)), cfg
+            kinds = {row[2] for row in got}
+            outcomes |= kinds
+            bases = [np.linalg.norm(c.mu - c.delta) >= c.R for c in cfgs]
+            outside += sum(bases)
+            if n >= 3:
+                assert kinds == {True, False} and 0 < sum(bases) < len(cfgs), (n, p)
+    assert outcomes == {True, False} and outside > 0
+
+
+def test_key_lemma_sweep_does_not_depend_on_the_ray_budget(monkeypatch):
+    # one config per pass, every config in one pass, and the default (4
+    # configs of 2000 rays per pass)
+    rng = np.random.default_rng(13)
+    cfgs = random_key_lemma_configs(rng, 3, 2, 20)
+    want = repr(key_lemma_sweep(cfgs, 2000, range(20)))
+    assert {row[2] for row in key_lemma_sweep(cfgs, 2000, range(20))} == {True, False}
+    for rays in (1, 2**30):
+        monkeypatch.setattr(subsolution, "KEY_LEMMA_RAYS", rays)
+        assert repr(key_lemma_sweep(cfgs, 2000, range(20))) == want
+
+
+def test_key_lemma_sweep_raises_the_loops_first_error():
+    good = KeyLemmaConfig(n=3, p=2, delta=0.5, R=5.0, a=1.0,
+                          mu=np.ones(3), nu=np.ones(3))
+    outside = dataclasses.replace(good, nu=np.array([-2.0, 1.0, 1.0]))
+    negative = dataclasses.replace(good, delta=-1.0)
+    cases = [
+        ([good, outside, negative], 10, AdmissibilityError, "nu = "),
+        ([good, negative, outside], 10, InputError, "delta, a"),
+        ([outside, good], 0, InputError, "direction"),
+        ([dataclasses.replace(good, R=np.inf), good], 0, InputError, "R must"),
+        ([good, outside, dataclasses.replace(good, p=4)], 10, AdmissibilityError, "nu = "),
+        ([good, dataclasses.replace(good, p=4)], 10, InputError, "need 1 <= p <= n"),
+    ]
+    for cfgs, directions, error, match in cases:
+        with pytest.raises(error, match=match):
+            key_lemma_sweep(cfgs, directions, range(len(cfgs)))
+        loop_error = None
+        for i, cfg in enumerate(cfgs):
+            try:
+                key_lemma_check(cfg, directions, i)
+            except ValueError as exc:
+                loop_error = exc
+                break
+        assert isinstance(loop_error, error) and re.search(match, str(loop_error))
+    # errors of a batch alone: configs it cannot stack
+    for bad, match in ((dataclasses.replace(good, p=3), "share n and p"),
+                       (dataclasses.replace(good, mu=np.ones(4)), "length 3")):
+        with pytest.raises(ValueError, match=match):
+            key_lemma_sweep([good, bad, outside], 10, range(3))
+        with pytest.raises(AdmissibilityError):
+            key_lemma_sweep([good, outside, bad], 10, range(3))
+    with pytest.raises(InputError, match="one seed per config"):
+        key_lemma_sweep([good, good], 10, [0])
+    # an empty sweep checks nothing, not even directions, and returns nothing
+    assert key_lemma_sweep([], 0, []) == []
+
+
 def test_key_lemma_rejects_inadmissible_nu():
     cfg = KeyLemmaConfig(
         n=3, p=2, delta=0.5, R=5.0, a=1.0,
@@ -577,7 +662,7 @@ def test_level_crossing_against_brute_force():
         a = rng.uniform(0.5, 2.0)
         xi = rng.uniform(0.0, 1.0, (20, n)) + 1e-3
         xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-        t = _level_crossing(base, xi, p, a)
+        t = _level_crossing(base, xi, p, a**p)
         for ti, x in zip(t, xi):
             assert_crossing(base, x, p, a, ti)
 
@@ -620,11 +705,11 @@ def test_level_crossing_active_set_is_exact():
     base = np.concatenate([np.repeat([low], 40, 0), np.repeat([low + 1.5], 20, 0),
                            np.repeat([low], len(slow) + 20, 0)])
     rays = np.concatenate([fast[:40], xi[:20], slow, fast[40:]])
-    t = _level_crossing(base, rays, p, a)
+    t = _level_crossing(base, rays, p, a**p)
     ref, steps = dense_crossing(base, rays, p, a)
     assert steps.min() <= 6 and steps.max() >= 15 and np.sum(t < 0) == 20
     half = len(rays) // 2
-    halves = [_level_crossing(base[s], rays[s], p, a)
+    halves = [_level_crossing(base[s], rays[s], p, a**p)
               for s in (slice(None, half), slice(half, None))]
     assert np.array_equal(np.concatenate(halves), t)
     assert np.array_equal(ref, t)
@@ -640,4 +725,4 @@ def test_level_crossing_rejects_nonfinite_iterate():
     xi = rng.uniform(0.0, 1.0, (50, 3)) + 1e-3
     xi[-1] = [1.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="ray 49.*finite"):
-        _level_crossing(np.array([-0.5, 0.2, 1.0]), xi, 2, 1.0)
+        _level_crossing(np.array([-0.5, 0.2, 1.0]), xi, 2, 1.0**2)
