@@ -5,7 +5,7 @@ sigma_p-type fully nonlinear equations:
 
 * symfun   -- elementary symmetric polynomials, truncated minors, identities
 * cone     -- Garding cone membership, projection, inequality families
-* spectral -- eigenvalue pencils, derivative formulas, matrix concavity
+* spectral -- eigenvalue pencils, principal-minor sigmas, derivative formulas
 * concavity-- quadratic-form concavity inequalities and threshold search
 * subsolution -- explicit exponential-bump subsolutions and the key lemma
 * solver   -- periodic finite-difference embodiment of the equation with a

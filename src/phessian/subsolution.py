@@ -28,6 +28,7 @@ it, and by a Newton solve for the crossing of the level set elsewhere.
 """
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -182,6 +183,68 @@ def _admissible_pass(field, axis, h, p, select, message, visit, closed=False):
         raise ConstructionError(message, node=bad)
 
 
+# construct eigensolves a Hessian H for eps2 only where the interval
+# _minor_bounds puts around its computed sigma_k(lam(H)|n), k = p - 1, may
+# hold the minimum.  The interval encloses the exact value, widened by
+# EIGH_ROUNDING k C(n-1, k) |H|_F^k for the rounding of the computed one.
+# eigvalsh is backward stable: each computed eigenvalue lies within a small
+# multiple of eps |H|_2 of the exact one (LAPACK Users' Guide, section 4.7);
+# against mpmath its error was at most 5.0 eps |H|_F on 4,500 random,
+# double-root and near-identity 3 x 3 matrices.  sigma_k moves by at most
+# C(n-2, k-1) |H|_F^{k-1} per unit of each of its n - 1 eigenvalues, and
+# (n - 1) C(n-2, k-1) = k C(n-1, k); so the margin leaves 64 eps |H|_F per
+# eigenvalue for LAPACK's error, sigma's recurrence (about 2(n - 1) eps
+# C(n-1, k) |H|_F^k) and the bound's own arithmetic (a few eps of its terms).
+# A blanket allowance such as MINOR_ROUNDING would prune nothing: a quadratic
+# u's values tie to within 5.5e-13 at 97^3, where this margin keeps 4.6% of
+# the nodes, 256 eps about 40% and an absolute 1e-13 98%.
+EIGH_ROUNDING = 64 * np.finfo(float).eps
+
+
+def _minor_bounds(hess, trace, k):
+    """Lower and upper ends (m,) of an interval that holds the computed
+    sigma_k(lam|n), the top eigenvalue left out, of each of the m Hessians H
+    of hess (n, n, m), whose traces are trace; (-inf, inf) where the
+    interval is not finite or |H|_F is too small for its arithmetic.
+
+    With q = tr H / n, the deviatoric part H - qI has Frobenius norm b and
+    eigenvalues x summing to 0, so its top one, beta = lam_n - q, lies in
+    [b / sqrt(n m), b sqrt(m / n)] (m = n - 1).  The other eigenvalues are
+    q + y with sum(y) = -beta and |y| <= b, so sigma_k(lam|n) =
+    C(m, k) q^k - C(m-1, k-1) q^{k-1} beta + sum_{j=2..k} C(m-j, k-j)
+    q^{k-j} sigma_j(y), and Maclaurin bounds |sigma_j(y)| by
+    C(m, j) (b / sqrt m)^j.  The interval is widened by
+    EIGH_ROUNDING k C(m, k) |H|_F^k, |H|_F^2 = b^2 + n q^2.
+    """
+    n = len(hess)
+    m = n - 1
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        q = trace / n
+        b2 = sum(np.square(hess[i, i] - q) for i in range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                b2 += 2.0 * np.square(hess[i, j])
+        b = np.sqrt(b2)
+        norm = np.sqrt(b2 + n * q * q)
+        # beta's term about the middle of beta's range, b sqrt(n / m) / 2,
+        # give or take its half-width b (m - 1) / (2 sqrt(n m))
+        slope = comb(m - 1, k - 1) * q ** (k - 1)
+        center = comb(m, k) * q**k - slope * b * (np.sqrt(n / m) / 2)
+        radius = np.abs(slope) * b * ((m - 1) / (2 * np.sqrt(n * m)))
+        radius += EIGH_ROUNDING * k * comb(m, k) * norm**k
+        for j in range(2, k + 1):
+            radius += comb(m - j, k - j) * comb(m, j) * np.abs(q) ** (k - j) * (
+                b / np.sqrt(m)
+            ) ** j
+        lo, hi = center - radius, center + radius
+        # hi - lo is not finite where either end is not.  Below 1e-140 the
+        # squares in b underflow by more than the margin, and below
+        # 1e-280^(1/k) the margin itself does
+        unbounded = ~np.isfinite(hi - lo) | (norm < max(1e-140, 1e-280 ** (1 / k)))
+    lo[unbounded], hi[unbounded] = -np.inf, np.inf
+    return lo, hi
+
+
 def construct(problem):
     """Run the construction and certify it nodewise.
 
@@ -190,8 +253,13 @@ def construct(problem):
     phi_tilde(x, psi)) and C2 (1 + max|Dpsi| + max|psi|^alpha), picks A
     and B by the p >= 2 or p = 1 branch, and reports the worst slack of
     the target differential inequality over the trusted nodes.  Cone
-    checks and sigma values come from principal minors; only eps2 (p >= 2)
-    needs the eigenvalues of D^2 u.
+    checks and sigma values come from principal minors.  eps2 (p >= 2)
+    needs the eigenvalues of D^2 u, but only at the nodes that can hold
+    its minimum: each slab eigensolves the Hessians whose lower bound
+    (_minor_bounds) does not exceed the least upper bound so far, which
+    always include the node of the smallest computed value, and only one
+    of them when they are all equal.  LAPACK solves each matrix on its
+    own, so eps2 is the minimum over every node, bit for bit.
 
     Memory: three whole fields (u, psi, then v in u's place) plus one slab
     alive at a time; every per-node stage runs on a slab of planes =
@@ -224,17 +292,32 @@ def construct(problem):
     # each pass folds its slabs in a function, so that no slab's arrays
     # outlive its call
     negative = True
-    eps1 = eps2 = min_u = np.inf
+    eps1 = eps2 = min_u = cut = np.inf
     max_du = -np.inf
 
     def u_slab(s, ball, du, d2u, sig_u):
-        nonlocal negative, eps1, eps2, max_du, min_u
+        nonlocal negative, eps1, eps2, cut, max_du, min_u
         u_flat = u[s.core].ravel()
         negative &= not np.any(u_flat[ball & (s.dist < radius - h)] >= 0)
         eps1 = np.minimum(eps1, np.min(sig_u[:, p]))
         if n > 1 and p > 1:
-            lam = jacobi_eigh(np.moveaxis(d2u, -1, 0))
-            eps2 = np.minimum(eps2, np.min(sigma(p - 1, lam[:, : n - 1])))
+            # cut bounds eps2 from above; a node whose value cannot reach
+            # below it cannot hold the minimum
+            lo, hi = _minor_bounds(d2u, sig_u[:, 1], p - 1)
+            cut = np.minimum(cut, np.min(hi))
+            keep = lo <= cut
+            if keep.any():
+                # one gather, into the contiguous matrices jacobi_eigh
+                # takes; none when every node is kept
+                hess = np.moveaxis(d2u, -1, 0)
+                hess = hess if keep.all() else hess[keep]
+                # equal matrices have equal computed eigenvalues, so where
+                # every one left equals the first (a quadratic u on a dyadic
+                # grid, whose values all tie), one stands for all
+                if (hess == hess[0]).all():
+                    hess = hess[:1]
+                lam = jacobi_eigh(hess)
+                eps2 = np.minimum(eps2, np.min(sigma(p - 1, lam[:, : n - 1])))
         max_du = np.maximum(max_du, np.max(np.linalg.norm(du, axis=0)))
         min_u = np.minimum(min_u, np.min(u_flat[ball]))
 
@@ -419,12 +502,33 @@ def _rays_that_may_escape(base, base_norm, xi, p, a, R):
     return ~((codes == 2) & (sigs[..., -1] > np.array(level)[:, None]) & inside[:, None])
 
 
+def _fits_the_rays(mu, delta, a, n, p):
+    """Mask over configs (rows of mu; delta, a per row) whose rays cannot
+    overflow: sigma_p stays finite wherever the sweep evaluates it.
+
+    With base = mu - delta 1 and S = max(|base|_inf, a), write base = xi r
+    entrywise, |r_i| <= S / min(xi).  The coefficients of sigma_p(base +
+    t xi) - a^p in t then satisfy |c_{p-k}| <= C(p, k) (S / min xi)^k c_p,
+    so Fujiwara's bound B <= 2 p S / min(xi).  The crossing Newton starts
+    at B and descends onto a root, so |t| <= B throughout.  _ray_verdicts
+    draws entries of at least 1e-3 / (1.001 sqrt n), so every entry the
+    sweep forms is at most X = (1 + 2002 p sqrt n) S, and each partial sum
+    of the minor recurrence or of the Newton slope at most 4^n X^p; the
+    power is at least 2 so that |base|^2 fits too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.max(np.abs(mu - delta[:, None]), axis=-1)
+        X = (1.0 + 2002.0 * p * np.sqrt(n)) * np.maximum(base, a)
+        return np.isfinite(4.0**n * X ** max(p, 2))
+
+
 def _key_lemma_inputs(cfgs, directions):
     """mu and nu of cfgs stacked (C, n), after each config's checks in turn:
     mu and nu finite, delta and a positive, R positive and finite,
     directions at least 1, (n, p) a cone and the first config's, mu and nu
-    of length n; then nu in the open cone, batched.  The error raised is
-    the one that checking the configs one by one would raise first."""
+    of length n; then, batched, nu in the open cone and mu - delta and a
+    small enough that the rays cannot overflow (_fits_the_rays).  The error
+    raised is the one that checking the configs one by one would raise
+    first."""
     n, p = cfgs[0].n, cfgs[0].p
     mus, nus, error = [], [], None
     for cfg in cfgs:
@@ -451,10 +555,25 @@ def _key_lemma_inputs(cfgs, directions):
         mus.append(mu)
         nus.append(nu)
     if nus:
-        require_cone(np.stack(nus), ConeSpec(n, p), "nu")
+        mus, nus = np.stack(mus), np.stack(nus)
+        checked = cfgs[: len(nus)]
+        fits = _fits_the_rays(
+            mus, np.array([cfg.delta for cfg in checked]),
+            np.array([cfg.a for cfg in checked]), n, p,
+        )
+        # each config's nu is checked before its size, as one by one
+        stop = len(nus) if fits.all() else int(np.argmin(fits)) + 1
+        require_cone(nus[:stop], ConeSpec(n, p), "nu")
+        if not fits.all():
+            cfg = checked[stop - 1]
+            raise InputError(
+                f"sigma_{p} could overflow along the rays: max |mu| = "
+                f"{np.max(np.abs(mus[stop - 1])):.3g}, delta = {cfg.delta:.3g}, "
+                f"a = {cfg.a:.3g}"
+            )
     if error is not None:
         raise error
-    return np.stack(mus), np.stack(nus)
+    return mus, nus
 
 
 def _ray_verdicts(cfgs, seeds, base, base_norm, directions, p):
@@ -495,7 +614,9 @@ def key_lemma_sweep(cfgs, directions, seeds):
     every ray.  escape is None then, and otherwise (index, norm) of the
     first sampled crossing outside the ball.  lhs >= rhs is guaranteed by
     the lemma whenever the hypothesis holds.  InputError names the first
-    bad one of delta, a, R, directions and (n, p), config by config.
+    bad one of delta, a, R, directions and (n, p), config by config, or a
+    config so large that sigma_p could overflow along its rays
+    (_fits_the_rays).
 
     The configs' scalars are computed one config at a time, their cone
     checks and gradients in one batch, and their rays whole configs at a

@@ -30,18 +30,16 @@ from phessian.solver import (
     pseudo_check,
     residual_field,
 )
-from phessian.spectral import (
-    eigs,
-    jacobi_eigh,
-    midpoint_concavity_check,
-    schur_horn_check,
-    spectral_derivs,
-    weyl_check,
-)
+from phessian.spectral import eigs, jacobi_eigh, spectral_derivs
 from phessian.subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_check
 from phessian.symfun import identity_residuals, sigma
 
-from paper_checks import rank_one_sigma
+from paper_checks import (
+    midpoint_concavity_check,
+    rank_one_sigma,
+    schur_horn_check,
+    weyl_check,
+)
 
 
 # ---------------------------------------------------------------------------

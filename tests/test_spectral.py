@@ -17,14 +17,13 @@ from phessian.spectral import (
     jacobi_eigh,
     linearization,
     matrix_sigmas,
-    midpoint_concavity_check,
     newton_tensor,
     require_matrix_cone,
-    schur_horn_check,
     spectral_derivs,
-    weyl_check,
 )
 from phessian.symfun import sigma, sigma_all, sigma_root_grad
+
+from paper_checks import midpoint_concavity_check, schur_horn_check, weyl_check
 
 
 def rand_sym(rng, n, scale=1.0):

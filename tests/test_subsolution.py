@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from phessian import subsolution
 from phessian.cone import ConeSpec, classify
 from phessian.errors import AdmissibilityError, ConstructionError, InputError
-from phessian.solver import ball_grid
+from phessian.solver import ball_grid, box_grad_hess
+from phessian.spectral import jacobi_eigh
 from phessian.subsolution import (
     BallProblem,
     KeyLemmaConfig,
@@ -20,7 +22,7 @@ from phessian.subsolution import (
     key_lemma_check,
     key_lemma_sweep,
 )
-from phessian.subsolution import _level_crossing, _slab_points, _slabs
+from phessian.subsolution import _level_crossing, _minor_bounds, _slab_points, _slabs
 from phessian.symfun import sigma, sigma_ray_coeffs
 
 from oracles import sigma_brute
@@ -315,7 +317,7 @@ def test_construct_frees_each_slab_before_the_next(monkeypatch):
     monkeypatch.setattr(
         subsolution, "box_grad_hess", tracked(subsolution.box_grad_hess, starts_slab=True)
     )
-    for name in ("classify_matrices", "jacobi_eigh"):
+    for name in ("classify_matrices", "jacobi_eigh", "_minor_bounds"):
         monkeypatch.setattr(subsolution, name, tracked(getattr(subsolution, name)))
     monkeypatch.setattr(subsolution, "SLAB_NODES", 2 * 17**2)
     prob = BallProblem(
@@ -327,6 +329,114 @@ def test_construct_frees_each_slab_before_the_next(monkeypatch):
     # trusted nodes (v's pass)
     assert len(alive_at_start) == 25
     assert not any(alive_at_start)
+
+
+def bound_test_matrices(rng, n):
+    """Symmetric (m, n, n) batches whose sigma_k(lam|n) is hard to enclose:
+    random, near the identity, exactly tied, with double roots (top and
+    bottom), scaled towards overflow and towards underflow."""
+    def sym(M):
+        return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+    Q = np.linalg.qr(rng.normal(size=(200, n, n)))[0]
+    roots = rng.uniform(-2.0, 3.0, (200, n))
+    roots[:100, -1] = roots[:100, -2]   # double top root
+    roots[100:, 1] = roots[100:, 0]     # double bottom root
+    double = sym(Q @ (roots[..., None] * np.swapaxes(Q, -1, -2)))
+    random = sym(rng.uniform(-3.0, 3.0, (400, n, n)))
+    return {
+        "random": random,
+        "near identity": np.eye(n) + sym(rng.uniform(-1e-13, 1e-13, (200, n, n))),
+        "exact ties": np.stack([c * np.eye(n) for c in (-2.0, -0.5, 1.0, 3.0)]),
+        "double roots": double,
+        "near overflow": random * 1e100,
+        # |H|_F^2 overflows, or |H|_F is too small for the bound's
+        # arithmetic: always eigensolved
+        "overflow": random[:50] * 1e160,
+        "near underflow": np.concatenate([
+            np.stack([c * np.eye(n) for c in (0.0, 1e-300)]), random[:50] * 1e-150
+        ]),
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_minor_bounds_hold_the_eigensolved_value(n):
+    rng = np.random.default_rng(40 + n)
+    for kind, M in bound_test_matrices(rng, n).items():
+        hess = np.moveaxis(M, 0, -1)
+        trace = np.trace(M, axis1=1, axis2=2)
+        lam = jacobi_eigh(M)[:, : n - 1]
+        for p in range(2, n + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lo, hi = _minor_bounds(hess, trace, p - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = sigma(p - 1, lam)
+            # an unbounded row is always eigensolved; its value may overflow
+            unbounded = (lo == -np.inf) & (hi == np.inf)
+            assert np.all(unbounded | ((lo <= value) & (value <= hi))), (kind, p)
+            if kind in ("overflow", "near underflow"):
+                assert unbounded.all()
+            else:
+                assert unbounded.any() == (kind == "near overflow" and p > 4), (kind, p)
+            if kind == "near identity":
+                # narrow enough to prune: under 2e-11 of the value, which is
+                # about C(n - 1, p - 1)
+                assert np.all(hi - lo < 2e-11 * comb(n - 1, p - 1)), p
+
+
+def exp_u(pts):
+    return np.exp(np.sum(pts**2, axis=-1)) - np.e
+
+
+@pytest.mark.parametrize("n, p, res, u", [
+    (3, 2, 31, ball_u),   # h = 1/15: quadratic u, values tie within rounding
+    (3, 3, 31, ball_u),
+    (3, 2, 33, ball_u),   # h = 1/16: D^2 u = I exactly, every value ties
+    (3, 3, 17, ball_u),
+    (3, 2, 31, bowl_u),
+    (3, 3, 25, exp_u),
+    (2, 2, 41, exp_u),
+    (4, 3, 13, ball_u),
+    (4, 4, 13, bowl_u),
+])
+def test_eps2_is_the_minimum_over_every_ball_node(n, p, res, u, monkeypatch):
+    prob = BallProblem(
+        n=n, radius=1.0, resolution=res, p=p, alpha=0.5,
+        psi=zero_field, phi_tilde=const_phi(0.1), u=u,
+    )
+    pts, dist, h = ball_grid(1.0, res, n)
+    _, hess = box_grad_hess(u(pts).reshape((res,) * n), h)
+    lam = jacobi_eigh(np.moveaxis(hess, -1, 0)[dist <= 1.0 + 1e-12])
+    want = np.min(sigma(p - 1, lam[:, : n - 1]))
+    # the least upper bound carried over 1-plane and 4-plane slabs, and
+    # one slab
+    for planes in (1, 4, res):
+        monkeypatch.setattr(subsolution, "SLAB_NODES", planes * res ** (n - 1))
+        assert construct(prob).eps2 == want, planes
+
+
+@pytest.mark.parametrize("res", [49, 33])
+def test_eps2_eigensolves_few_nodes(res, monkeypatch):
+    # quadratic u.  h = 1/24: the nodes' values tie within rounding, and
+    # the bounds still leave few of them open.  h = 1/16: D^2 u = I to the
+    # bit, so nothing is pruned, and one matrix stands for each slab's
+    seen = []
+
+    def counted(M):
+        seen.append(len(M))
+        return jacobi_eigh(M)
+
+    monkeypatch.setattr(subsolution, "jacobi_eigh", counted)
+    monkeypatch.setattr(subsolution, "SLAB_NODES", 4 * res**2)
+    prob = BallProblem(
+        n=3, radius=1.0, resolution=res, p=2, alpha=0.5,
+        psi=zero_field, phi_tilde=const_phi(0.1), u=ball_u,
+    )
+    construct(prob)
+    in_ball = np.count_nonzero(ball_grid(1.0, res, 3)[1] <= 1.0 + 1e-12)
+    assert 0 < sum(seen) < 0.1 * in_ball
+    assert (set(seen) == {1}) == (res == 33)
 
 
 def test_problem_validation():
@@ -568,7 +678,13 @@ def test_key_lemma_sweep_raises_the_loops_first_error():
                           mu=np.ones(3), nu=np.ones(3))
     outside = dataclasses.replace(good, nu=np.array([-2.0, 1.0, 1.0]))
     negative = dataclasses.replace(good, delta=-1.0)
+    huge = dataclasses.replace(good, mu=np.array([1e200, 2e200, 1.0]))
     cases = [
+        ([good, huge, outside], 10, InputError, "overflow along the rays"),
+        ([good, outside, huge], 10, AdmissibilityError, "nu = "),
+        ([good, huge, negative], 10, InputError, "overflow along the rays"),
+        # one config's nu is checked before its size
+        ([good, dataclasses.replace(huge, nu=outside.nu)], 10, AdmissibilityError, "nu = "),
         ([good, outside, negative], 10, AdmissibilityError, "nu = "),
         ([good, negative, outside], 10, InputError, "delta, a"),
         ([outside, good], 0, InputError, "direction"),
@@ -598,6 +714,17 @@ def test_key_lemma_sweep_raises_the_loops_first_error():
         key_lemma_sweep([good, good], 10, [0])
     # an empty sweep checks nothing, not even directions, and returns nothing
     assert key_lemma_sweep([], 0, []) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", [[1e300, 2e300, 1.0], [1e200, 2e200, 1.0]])
+def test_key_lemma_rejects_configs_whose_rays_overflow(mu):
+    cfg = KeyLemmaConfig(n=3, p=2, delta=0.5, R=5.0, a=1.0, mu=np.array(mu), nu=np.ones(3))
+    with pytest.raises(InputError, match="sigma_2 could overflow along the rays"):
+        key_lemma_check(cfg, directions=100)
+    # so does an a whose a^p overflows
+    with pytest.raises(InputError, match="overflow along the rays"):
+        key_lemma_check(dataclasses.replace(cfg, mu=np.ones(3), a=1e200), directions=100)
 
 
 def test_key_lemma_rejects_inadmissible_nu():
