@@ -11,8 +11,9 @@ central differences).  The module owns:
 * nodewise residual and admissibility maps,
 * a damped Newton iteration with cone-preserving line search, a zero-mean
   gauge for u-independent equations, and matrix-free restarted GMRES
-  linear solves right-preconditioned by the Fourier symbol of the
-  frozen-coefficient Jacobian (lgmres; its inner products are numpy
+  linear solves whose matvec is the Jacobian's stencil, its weights built
+  once per Newton step, right-preconditioned by the Fourier symbol of the
+  frozen-coefficient stencil (lgmres; its inner products are numpy
   reductions, not threaded BLAS, so a solve gives the same bits on any
   core count),
 * diagnostic monitors and the auxiliary functions whose maxima the
@@ -93,33 +94,55 @@ class GridFn:
         object.__setattr__(self, "values", v)
 
 
+def _wrap(f, out=None):
+    """f with one ghost layer on each side of every axis, filled from the
+    opposite side as the torus wraps (corners included), in out when given:
+    _shifted views of it then read f at each node's neighbours."""
+    if out is None:
+        out = np.empty(tuple(n + 2 for n in f.shape), dtype=f.dtype)
+    out[(slice(1, -1),) * f.ndim] = f
+    for k in range(f.ndim):
+        # the full range of every other axis, so the ghosts of the axes
+        # before k are copied along and the corners fill
+        lead = (slice(None),) * k
+        out[lead + (0,)] = out[lead + (-2,)]
+        out[lead + (-1,)] = out[lead + (1,)]
+    return out
+
+
+def _shifted(w, shift):
+    """The view of w = _wrap(f) that holds f(x + sum_k shift[k] e_k) at each
+    node x of f; shift maps axes to -1 or 1."""
+    return w[tuple(slice(1 + shift.get(k, 0), n - 1 + shift.get(k, 0))
+                   for k, n in enumerate(w.shape))]
+
+
 def periodic_grad(f, h):
     """Central first differences, one array per axis, O(h^2)."""
-    return np.stack(
-        [
-            (np.roll(f, -1, axis=m) - np.roll(f, 1, axis=m)) / (2.0 * h[m])
-            for m in range(f.ndim)
-        ]
-    )
+    w = _wrap(f)
+    out = np.empty((f.ndim,) + f.shape)
+    for m in range(f.ndim):
+        np.subtract(_shifted(w, {m: 1}), _shifted(w, {m: -1}), out=out[m])
+        out[m] /= 2.0 * h[m]
+    return out
 
 
 def periodic_hess(f, h):
     """Central second differences; shape (d, d) + f.shape, symmetric."""
     d = f.ndim
+    w = _wrap(f)
+    twice = 2.0 * f
     H = np.empty((d, d) + f.shape)
     for i in range(d):
-        # f(x +- e_i), rolled once for the diagonal and every cross term
-        fp = np.roll(f, -1, axis=i)
-        fm = np.roll(f, 1, axis=i)
-        H[i, i] = (fp - 2.0 * f + fm) / h[i] ** 2
+        np.subtract(_shifted(w, {i: 1}), twice, out=H[i, i])
+        H[i, i] += _shifted(w, {i: -1})
+        H[i, i] /= h[i] ** 2
         for j in range(i + 1, d):
-            cross = (
-                np.roll(fp, -1, axis=j)
-                - np.roll(fp, 1, axis=j)
-                - np.roll(fm, -1, axis=j)
-                + np.roll(fm, 1, axis=j)
-            ) / (4.0 * h[i] * h[j])
-            H[i, j] = cross
+            cross = H[i, j]
+            np.subtract(_shifted(w, {i: 1, j: 1}), _shifted(w, {i: 1, j: -1}), out=cross)
+            cross -= _shifted(w, {i: -1, j: 1})
+            cross += _shifted(w, {i: -1, j: -1})
+            cross /= 4.0 * h[i] * h[j]
             H[j, i] = cross
     return H
 
@@ -367,24 +390,68 @@ def _linearization_data(u, spec):
     return res, F, G, H, G_A, float(np.min(sp))
 
 
-def _apply_jacobian(s, F, G, H, h):
-    ds = periodic_grad(s, h)
-    d2s = periodic_hess(s, h)
-    out = np.einsum("...jk,jk...->...", F, d2s)
-    out += np.einsum("m...,m...->...", G, ds)
-    out += H * s
-    return out
+def _jacobian_stencil(F, G, H, h, shape):
+    """J s = sum_jk F^{jk} d2s_jk + sum_m G_m ds_m + H s on the grid of the
+    given shape, as the weights of its central-difference stencil, built
+    once from F, G and H (fields, or constants that broadcast), which need
+    not stay alive after it:
+
+        centre      c    = H - 2 sum_j F_jj/h_j^2     on s(x)
+        axis j      a_j  = F_jj/h_j^2                 on s(x+e_j) + s(x-e_j)
+                    g_j  = G_j/(2 h_j)                on s(x+e_j) - s(x-e_j)
+        axes j < k  f_jk = (F_jk + F_kj)/(4 h_j h_k)  on s(x+e_j+e_k) - s(x+e_j-e_k)
+                                                         - s(x-e_j+e_k) + s(x-e_j-e_k)
+
+    1 + 2d + d(d-1)/2 weights in all.  Returns the operator as a map of
+    fields: each call copies s once into a preallocated wrapped array
+    (_wrap) and sums weighted _shifted views of it through one preallocated
+    temporary, so it builds no gradient or Hessian of s; the result is a
+    new array.  It agrees with F:periodic_hess(s) + G.periodic_grad(s) + H s
+    up to rounding.
+    """
+    d = len(shape)
+    a = [F[..., j, j] / h[j] ** 2 for j in range(d)]
+    g = [G[j] / (2.0 * h[j]) for j in range(d)]
+    centre = H - 2.0 * sum(a)
+    f = [(F[..., j, k] + F[..., k, j]) / (4.0 * h[j] * h[k])
+         for j in range(d) for k in range(j + 1, d)]
+    wrapped = np.empty(tuple(n + 2 for n in shape))
+    tmp = np.empty(shape)
+    # views into wrapped, which every call refills
+    axis_views = [(_shifted(wrapped, {j: 1}), _shifted(wrapped, {j: -1}))
+                  for j in range(d)]
+    pair_views = [[_shifted(wrapped, {j: sj, k: sk})
+                   for sj, sk in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+                  for j in range(d) for k in range(j + 1, d)]
+
+    def apply(s):
+        _wrap(s, wrapped)
+        out = centre * s
+        for (plus, minus), aj, gj in zip(axis_views, a, g):
+            out += np.multiply(np.add(plus, minus, out=tmp), aj, out=tmp)
+            out += np.multiply(np.subtract(plus, minus, out=tmp), gj, out=tmp)
+        for (pp, pm, mp, mm), fjk in zip(pair_views, f):
+            np.subtract(pp, pm, out=tmp)
+            np.subtract(tmp, mp, out=tmp)
+            np.add(tmp, mm, out=tmp)
+            out += np.multiply(tmp, fjk, out=tmp)
+        return out
+
+    return apply
 
 
 def _fourier_preconditioner(F, G, H, h):
     """Inverse of the Jacobian with F, G, H frozen at their node means.
 
     The frozen operator is shift-invariant on the periodic grid, so its
-    symbol is the rfftn of its impulse response, _apply_jacobian of the unit
-    impulse at node 0, and this is its exact inverse.  Off the zero mode the
-    symbol's real part is negative for SPD F and H <= 0.  A zero symbol (the
-    constant mode under the zero-mean gauge, where H = 0) spans the kernel
-    and is dropped.  Returns the inverse as a map of raveled fields.
+    symbol is the rfftn of its impulse response: _jacobian_stencil, built
+    from the means, applied to the unit impulse at node 0.  So it inverts
+    the operator the Newton matvec applies wherever F, G and H are
+    constant.  Off the zero mode the symbol's real part is negative for SPD
+    F and H <= 0.  A zero symbol (the constant mode under the zero-mean
+    gauge, where H = 0) spans the kernel and is dropped.  Returns the
+    inverse as a map of raveled fields; it holds one complex half-spectrum
+    and no reference to F, G or H.
     """
     shape = H.shape
     d = len(shape)
@@ -393,11 +460,12 @@ def _fourier_preconditioner(F, G, H, h):
     impulse.flat[0] = 1.0
     Fbar = F.reshape(-1, d, d).mean(axis=0)
     Gbar = G.reshape(d, -1).mean(axis=1)
-    symbol = np.fft.rfftn(_apply_jacobian(impulse, Fbar, Gbar, H.mean(), h))
-    # the stencils annihilate constants, but the FFT's summation order leaves
-    # about 1e-15 at the zero mode: under the gauge (H = 0) that would be a
-    # 1e15 gain on the kernel instead of a dropped mode
-    symbol.flat[0] = H.mean()
+    Hbar = H.mean()
+    symbol = np.fft.rfftn(_jacobian_stencil(Fbar, Gbar, Hbar, h, shape)(impulse))
+    # the stencil annihilates constants, but the FFT's summation order
+    # leaves about 1e-15 at the zero mode: under the gauge (H = 0) that would
+    # be a 1e15 gain on the kernel instead of a dropped mode
+    symbol.flat[0] = Hbar
     inverse = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inverse, where=symbol != 0)
 
@@ -541,10 +609,14 @@ def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
 def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
-    Each linear solve is lgmres, right-preconditioned by the Fourier
-    inverse of the frozen-coefficient Jacobian, whose symbol is the FFT of
-    the stencils' impulse response (_fourier_preconditioner); it stops on
-    the true residual.  The linear solve makes no BLAS call:
+    Each accepted linearization becomes the Jacobian's stencil
+    (_jacobian_stencil) and its Fourier preconditioner, the inverse of the
+    same stencil with F, G and H frozen at their means
+    (_fourier_preconditioner); F, G, H and the residual field are dropped
+    before the linear solve, and the stencil and the preconditioner before
+    the line search, which holds one candidate's linearization at a time.
+    Each linear solve is lgmres, right-preconditioned, and stops on the
+    true residual.  The linear solve makes no BLAS call:
     its inner products are numpy reductions and its matvecs are stencils
     and FFTs, so the trace and the solution are the same under any number
     of BLAS threads.
@@ -578,19 +650,23 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
         if rnorm <= tol:
             break
 
+        b = -project(res).ravel()
+        # the linear solve holds J and M in place of F, G, H and res, and
+        # the line search holds none of them
+        J = _jacobian_stencil(F, G, H, h, grid.sizes)
+        M = _fourier_preconditioner(F, G, H, h)
+        del res, F, G, H
         matvecs = 0
 
         def matvec(x):
             nonlocal matvecs
             matvecs += 1
-            out = _apply_jacobian(project(x.reshape(grid.sizes)), F, G, H, h)
-            return project(out).ravel()
+            return project(J(project(x.reshape(grid.sizes)))).ravel()
 
-        b = -project(res).ravel()
         step_dir, info, r_norm = lgmres(
-            matvec, b, M=_fourier_preconditioner(F, G, H, h), rtol=KRYLOV_RTOL,
-            maxiter=2000,
+            matvec, b, M=M, rtol=KRYLOV_RTOL, maxiter=2000
         )
+        del J, M
         if info != 0:
             raise NonconvergenceError(
                 f"lgmres returned info {info} after {matvecs} matvecs "
@@ -599,21 +675,21 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
             )
         s = project(step_dir.reshape(grid.sizes))
         linear_residual = r_norm / _norm(b)
+        del b, step_dir
 
         step = 1.0
         backtracks = 0
         while True:
             cand = u + step * s
             try:
-                new_res, new_F, new_G, new_H, _, margin = _linearization_data(
-                    GridFn(grid, cand), spec
-                )
+                res, F, G, H, _, margin = _linearization_data(GridFn(grid, cand), spec)
+                new_norm = gauged_norm(res)
             except AdmissibilityError:
-                new_res = None
-            if new_res is not None:
-                new_norm = gauged_norm(new_res)
-                if new_norm <= (1.0 - 1e-4 * step) * rnorm:
-                    break
+                new_norm = inf
+            if new_norm <= (1.0 - 1e-4 * step) * rnorm:
+                break
+            # a rejected candidate's fields go before the next one's
+            res = F = G = H = None
             step *= 0.5
             backtracks += 1
             if step < 1e-12:
@@ -625,7 +701,6 @@ def newton_solve(spec, u0, tol=1e-9, max_iters=30):
                     trace=trace,
                 )
         u = cand
-        res, F, G, H = new_res, new_F, new_G, new_H
         rnorm = new_norm
         trace.append(
             {

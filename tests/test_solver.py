@@ -19,9 +19,9 @@ from phessian.solver import (
     GridFn,
     PseudoCheckConfig,
     TorusGrid,
-    _apply_jacobian,
     _coefficient_A,
     _fourier_preconditioner,
+    _jacobian_stencil,
     _rhs_phi,
     admissible,
     alexandrov_check,
@@ -41,6 +41,8 @@ from phessian.solver import (
     unit_ball_volume,
 )
 from phessian.symfun import sigma
+
+from oracles import roll_grad, roll_hess, roll_jacobian
 
 
 def smooth_bump(grid, rng, scale):
@@ -92,6 +94,22 @@ class TestGridBasics:
         d2f = periodic_hess(f, grid.h)
         assert np.allclose(d2f[0, 1], d2f[1, 0])
         assert np.max(np.abs(d2f[0, 0] + f)) < 2e-3
+
+
+# one shape per dimension 1..5, no two axes of a shape alike
+STENCIL_SHAPES = [(11,), (9, 12), (8, 10, 9), (5, 7, 6, 8), (4, 6, 5, 3, 7)]
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_periodic_stencils_equal_roll_oracle_bit_for_bit(shape):
+    """periodic_grad and periodic_hess, which read shifted views of one
+    wrapped copy, equal the np.roll differences of tests/oracles.py bit for
+    bit, with a different h on every axis."""
+    rng = np.random.default_rng(len(shape))
+    f = rng.normal(size=shape)
+    h = tuple(rng.uniform(0.05, 1.0, size=len(shape)))
+    assert np.array_equal(periodic_grad(f, h), roll_grad(f, h))
+    assert np.array_equal(periodic_hess(f, h), roll_hess(f, h))
 
 
 @pytest.mark.parametrize("shape", [(13,), (9, 11), (7, 8, 9)])
@@ -236,6 +254,25 @@ class TestNewton:
         diff = sol.values - (ustar.values - np.mean(ustar.values))
         assert np.max(np.abs(diff - np.mean(diff))) < 5e-4
 
+    def test_solve_peak_memory_is_bounded_in_fields(self):
+        # the traced peak of a 64^2 solve, counted in grid fields of
+        # 8 * 64^2 bytes; holding F, G and H through the Krylov solve and
+        # the line search, with np.roll matvecs, took 37.8
+        import tracemalloc
+
+        spec, grid, ustar = manufactured_problem(64, p=2)
+        bump = smooth_bump(grid, np.random.default_rng(1), 0.01)
+        u0 = GridFn(grid, ustar.values + bump)
+        newton_solve(spec, u0, tol=1e-12)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            _, trace = newton_solve(spec, u0, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) >= 2
+        assert peak <= 32 * 8 * 64 * 64
+
     def test_restart_at_solution_takes_no_steps(self):
         spec, grid, ustar = manufactured_problem(32, p=2)
         rng = np.random.default_rng(6)
@@ -371,8 +408,8 @@ class TestNewton:
     @pytest.mark.parametrize("problem", ["manufactured", "anisotropic"])
     def test_linear_residual_is_true_residual(self, problem, monkeypatch):
         # the trace's linear_residual is |b - P J P x|/|b| of the returned
-        # step, P the zero-mean gauge, recomputed here with _apply_jacobian
-        # at the linearization the solve was given
+        # step, P the zero-mean gauge, recomputed here with the stencil J
+        # built from the linearization the solve was given
         if problem == "manufactured":
             spec, grid, ustar = manufactured_problem(32, p=2)
             bump = smooth_bump(grid, np.random.default_rng(7), 0.01)
@@ -405,7 +442,8 @@ class TestNewton:
 
         for rec, (b, x, (F, G, H)) in zip(trace, solves):
             s = project(x.reshape(grid.sizes))
-            r = b - project(_apply_jacobian(s, F, G, H, grid.h)).ravel()
+            J = _jacobian_stencil(F, G, H, grid.h, grid.sizes)
+            r = b - project(J(s)).ravel()
             assert rec["linear_residual"] == norm(r) / norm(b)
 
     @pytest.mark.parametrize(
@@ -430,9 +468,32 @@ class TestNewton:
         assert np.max(np.abs(residual_field(sol, spec).values)) <= 1e-9
 
 
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
+def test_jacobian_stencil_matches_roll_oracle(shape):
+    """The stencil's matvec equals einsum(F, D^2 s) + G.Ds + H s of the np.roll
+    oracle to 1e-13 relative in sup norm, with SPD F, G and H <= 0 varying
+    node to node; each call returns a new array, so an earlier result
+    survives the next call."""
+    d = len(shape)
+    rng = np.random.default_rng(10 + d)
+    h = tuple(rng.uniform(0.05, 1.0, size=d))
+    X = rng.normal(size=shape + (d, d))
+    F = X @ np.swapaxes(X, -1, -2) + 0.1 * np.eye(d)
+    G = rng.normal(size=(d,) + shape)
+    H = -rng.uniform(0.0, 2.0, size=shape)
+    J = _jacobian_stencil(F, G, H, h, shape)
+    s1, s2 = rng.normal(size=(2,) + shape)
+    out1 = J(s1)
+    out2 = J(s2)
+    for s, out in ((s1, out1), (s2, out2)):
+        want = roll_jacobian(s, F, G, H, h)
+        assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestFourierPreconditioner:
     """The preconditioner inverts the stencil Jacobian exactly when F, G and
-    H are constant; _apply_jacobian (plain np.roll stencils) is the oracle."""
+    H are constant; roll_jacobian (np.roll differences and einsums, in
+    tests/oracles.py) is the oracle."""
 
     @pytest.mark.parametrize("sizes", [(16, 20), (8, 10, 9)])
     @pytest.mark.parametrize("gauge", [True, False])
@@ -449,7 +510,7 @@ class TestFourierPreconditioner:
         H = np.zeros(sizes) if gauge else np.full(sizes, -rng.uniform(0.5, 2.0))
         r = rng.normal(size=sizes)
         x = _fourier_preconditioner(F, G, H, grid.h)(r.ravel())
-        back = _apply_jacobian(x.reshape(sizes), F, G, H, grid.h)
+        back = roll_jacobian(x.reshape(sizes), F, G, H, grid.h)
         want = r - np.mean(r) if gauge else r
         assert np.max(np.abs(back - want)) <= 1e-10
 
@@ -884,13 +945,13 @@ class TestCatalogDerivatives:
     a directional finite difference of the full residual."""
 
     def check_jacobian(self, spec, u, seed):
-        from phessian.solver import _apply_jacobian, _linearization_data
+        from phessian.solver import _linearization_data
 
         grid = u.grid
         rng = np.random.default_rng(seed)
         s = smooth_bump(grid, rng, 1.0)
         _, F, G, H, _, _ = _linearization_data(u, spec)
-        js = _apply_jacobian(s, F, G, H, grid.h)
+        js = _jacobian_stencil(F, G, H, grid.h, grid.sizes)(s)
         eps = 1e-6
         rp = residual_field(GridFn(grid, u.values + eps * s), spec).values
         rm = residual_field(GridFn(grid, u.values - eps * s), spec).values
