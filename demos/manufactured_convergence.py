@@ -12,28 +12,32 @@ from phessian.solver import (
     monitors,
     newton_solve,
     residual_field,
+    smooth_perturbation,
 )
+
+
+def residual_norm_at_exact(sizes, p):
+    spec, _, ustar = manufactured_problem(sizes, p=p)
+    return np.max(np.abs(residual_field(ustar, spec).values))
+
 
 print("residual of the exact solution under grid refinement:")
 prev = None
 for size in (32, 64, 128):
-    spec, grid, ustar = manufactured_problem(size, p=2)
-    r = np.max(np.abs(residual_field(ustar, spec).values))
+    r = residual_norm_at_exact((size, size), 2)
     order = "" if prev is None else f"   order {np.log2(prev / r):.2f}"
     print(f"  {size:4d}^2   max|residual| = {r:.3e}{order}")
     prev = r
 
+# the same oracle in 3-D with p = 3, u* = a cos x1 cos x2 cos x3
+coarse, fine = (residual_norm_at_exact((size,) * 3, 3) for size in (16, 32))
+print(f"  {32:4d}^3   max|residual| = {fine:.3e}   order {np.log2(coarse / fine):.2f}"
+      "   (p = 3, from 16^3)")
+
 # Perturb the exact solution by a smooth 5% bump and let Newton recover it.
-spec, grid, ustar = manufactured_problem(64, p=2)
+spec, grid, ustar = manufactured_problem((64, 64), p=2)
 rng = np.random.default_rng(5)
-x1, x2 = grid.meshgrid()
-bump = sum(
-    rng.normal() * np.cos(k1 * x1 + k2 * x2)
-    + rng.normal() * np.sin(k1 * x1 + k2 * x2)
-    for k1 in range(3) for k2 in range(3)
-)
-bump -= np.mean(bump)
-bump *= 0.05 * np.max(np.abs(ustar.values)) / np.max(np.abs(bump))
+bump = smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
 
 sol, trace = newton_solve(spec, GridFn(grid, ustar.values + bump), tol=1e-9)
 print("\nNewton iterations:")

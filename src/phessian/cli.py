@@ -45,6 +45,7 @@ from .solver import (
     residual_field,
     residual_norm,
     save_grid_csv,
+    smooth_perturbation,
 )
 from .spectral import jacobi_eigh, spectral_derivs
 from .subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_sweep
@@ -403,17 +404,6 @@ def cmd_key_lemma(args):
     return results, violation
 
 
-def _smooth_perturbation(grid, rng, scale):
-    x1, x2 = grid.meshgrid()
-    f = np.zeros(grid.sizes)
-    for k1 in range(3):
-        for k2 in range(3):
-            a, b = rng.normal(size=2)
-            f += a * np.cos(k1 * x1 + k2 * x2) + b * np.sin(k1 * x1 + k2 * x2)
-    f -= np.mean(f)
-    return scale * f / np.max(np.abs(f))
-
-
 @_subcommand("solve")
 def cmd_solve(args):
     if args.manufactured and args.problem:
@@ -421,9 +411,9 @@ def cmd_solve(args):
     if args.manufactured:
         if not np.isfinite(args.perturb):
             raise InputError(f"--perturb must be finite, got {args.perturb}")
-        spec, grid, ustar = manufactured_problem(args.manufactured, p=args.p)
+        spec, grid, ustar = manufactured_problem((args.manufactured,) * 2, p=args.p)
         rng = np.random.default_rng(args.seed)
-        bump = _smooth_perturbation(
+        bump = smooth_perturbation(
             grid, rng, args.perturb * np.max(np.abs(ustar.values))
         )
         u0 = GridFn(grid, ustar.values + bump)
@@ -481,7 +471,7 @@ def cmd_alexandrov(args):
 
 @_subcommand("pseudo-check")
 def cmd_pseudo_check(args):
-    spec, grid, ustar = manufactured_problem(args.size, p=args.p)
+    spec, grid, ustar = manufactured_problem((args.size,) * 2, p=args.p)
     cfg = PseudoCheckConfig(
         delta1=args.delta1, M1=args.M1, delta2=args.delta2, M2=args.M2,
         ubar=ustar,

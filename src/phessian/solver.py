@@ -20,10 +20,13 @@ central differences).  The module owns:
   a-priori-estimate proofs track,
 * pseudo-subsolution / pseudo-supersolution pointwise checkers,
 * a contact-set lower bound for the Monge-Ampere mass (generalized
-  Alexandrov lemma), and
-* CSV/JSON serialization for grid fields and problem descriptions.
+  Alexandrov lemma),
+* CSV/JSON serialization for grid fields and problem descriptions, and
+* a manufactured problem on a grid of any dimension, its right side from
+  the spectral Hessian fourier_hess, with a seeded smooth start.
 """
 
+import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,7 +42,6 @@ from .errors import (
     VerificationError,
 )
 from .spectral import jacobi_eigh, matrix_root_grad, require_matrix_cone
-from .symfun import sigma
 
 # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
 KRYLOV_RTOL = 1e-8
@@ -145,6 +147,53 @@ def periodic_hess(f, h):
             cross /= 4.0 * h[i] * h[j]
             H[j, i] = cross
     return H
+
+
+def fourier_hess(f, h):
+    """Spectral second derivatives of the periodic f (period n_m h_m on
+    axis m); shape (d, d) + f.shape, symmetric, the layout of
+    periodic_hess.  One rfftn, the factors -k_i k_j, one irfftn over the
+    stacked pairs i <= j: exact to rounding for a trigonometric polynomial
+    of degree below n_m / 2 on each axis.  The mixed factors take the
+    Nyquist wavenumber of an even axis as 0, since the grid holds its
+    cosine but not its sine; the pure ones keep -k^2."""
+    d = f.ndim
+    k, k_mixed = [], []
+    for m, (n, hm) in enumerate(zip(f.shape, h)):
+        freq = np.fft.rfftfreq if m == d - 1 else np.fft.fftfreq
+        km = 2.0 * pi * freq(n, hm)
+        kn = km.copy()
+        if n % 2 == 0:
+            kn[n // 2] = 0.0
+        axis = (slice(None),) + (None,) * (d - 1 - m)
+        k.append(km[axis])
+        k_mixed.append(kn[axis])
+    F = np.fft.rfftn(f)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    planes = np.fft.irfftn(
+        np.stack([-(k[i] * k[i] if i == j else k_mixed[i] * k_mixed[j]) * F
+                  for i, j in pairs]),
+        s=f.shape, axes=tuple(range(1, d + 1)),
+    )
+    H = np.empty((d, d) + f.shape)
+    for (i, j), plane in zip(pairs, planes):
+        H[i, j] = plane
+        H[j, i] = plane
+    return H
+
+
+def smooth_perturbation(grid, rng, scale):
+    """Low-frequency random field on grid with zero mean and sup norm scale:
+    a cos(k.x) + b sin(k.x) summed over the modes k in {0, 1, 2}^d in
+    row-major order, with one rng.normal(size=2) pair (a, b) per mode."""
+    xs = grid.meshgrid()
+    f = np.zeros(grid.sizes)
+    for ks in itertools.product(range(3), repeat=grid.d):
+        a, b = rng.normal(size=2)
+        phase = sum(k * x for k, x in zip(ks, xs))
+        f += a * np.cos(phase) + b * np.sin(phase)
+    f -= np.mean(f)
+    return scale * f / np.max(np.abs(f))
 
 
 def box_grad_hess(f, h, mask=None, core=slice(None)):
@@ -1095,24 +1144,23 @@ def load_problem_json(path):
 # ---------------------------------------------------------------------------
 # manufactured problem
 
-def manufactured_problem(size, p=2, amplitude=0.2):
-    """Periodic test problem with known solution u* = a cos x1 cos x2.
+def manufactured_problem(sizes, p=2, amplitude=0.2):
+    """Periodic test problem on the grid of the given sizes, d = len(sizes),
+    with known solution u* = a cos x1 ... cos xd.
 
-    A is the identity (conformal c=1) and the right side is the exact
-    sigma_p^{1/p}(lam(I + D^2 u*)) evaluated analytically, so u* solves
-    the continuous equation and the discrete residual at u* is O(h^2).
-    Returns (spec, grid, u_star GridFn); InputError unless 1 <= p <= 2.
+    A is the identity (conformal c=1) and the right side is
+    sigma_p^{1/p}(lam(I + D^2 u*)) with D^2 u* by fourier_hess, exact to
+    rounding for this u* and independent of the stencils under test, so u*
+    solves the continuous equation and the discrete residual at u* is
+    O(h^2).  Returns (spec, grid, u_star GridFn); InputError unless
+    1 <= p <= d, before any field is built, and AdmissibilityError if
+    I + D^2 u* leaves the cone somewhere.
     """
-    if not 1 <= p <= 2:
-        raise InputError(f"need 1 <= p <= 2 on the 2-D grid, got p = {p}")
-    grid = TorusGrid((size, size))
-    x1, x2 = grid.meshgrid()
-    cc = np.cos(x1) * np.cos(x2)
-    ss = np.sin(x1) * np.sin(x2)
-    ustar = amplitude * cc
-    lam1 = 1.0 - amplitude * cc - amplitude * np.abs(ss)
-    lam2 = 1.0 - amplitude * cc + amplitude * np.abs(ss)
-    lam = np.stack([lam1, lam2], axis=-1)
-    phi = sigma(p, lam.reshape(-1, 2)).reshape(grid.sizes) ** (1.0 / p)
+    d = len(sizes)
+    ConeSpec(d, p)
+    grid = TorusGrid(sizes)
+    ustar = amplitude * np.prod(np.cos(grid.meshgrid()), axis=0)
+    B = np.eye(d) + np.moveaxis(fourier_hess(ustar, grid.h), (0, 1), (-2, -1))
+    phi = require_matrix_cone(B, p)[..., p] ** (1.0 / p)
     spec = EquationSpec(p=p, A_field=("conformal", 1.0), rhs=("stored", phi))
     return spec, grid, GridFn(grid, ustar)

@@ -29,6 +29,7 @@ from phessian.solver import (
     newton_solve,
     pseudo_check,
     residual_field,
+    smooth_perturbation,
 )
 from phessian.spectral import eigs, jacobi_eigh, spectral_derivs
 from phessian.subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_check
@@ -384,21 +385,14 @@ def test_07_solver():
     t0 = time.perf_counter()
     norms = []
     for size in (32, 64, 128):
-        spec, grid, ustar = manufactured_problem(size, p=2)
+        spec, grid, ustar = manufactured_problem((size, size), p=2)
         norms.append(np.max(np.abs(residual_field(ustar, spec).values)))
     for coarse, fine in zip(norms, norms[1:]):
         assert np.log2(coarse / fine) >= 1.8
 
-    spec, grid, ustar = manufactured_problem(64, p=2)
+    spec, grid, ustar = manufactured_problem((64, 64), p=2)
     rng = np.random.default_rng(707)
-    x1, x2 = grid.meshgrid()
-    bump = np.zeros(grid.sizes)
-    for k1 in range(3):
-        for k2 in range(3):
-            a, b = rng.normal(size=2)
-            bump += a * np.cos(k1 * x1 + k2 * x2) + b * np.sin(k1 * x1 + k2 * x2)
-    bump -= np.mean(bump)
-    bump *= 0.05 * np.max(np.abs(ustar.values)) / np.max(np.abs(bump))
+    bump = smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
     u0 = GridFn(grid, ustar.values + bump)
 
     sol, trace = newton_solve(spec, u0, tol=1e-9)
@@ -473,7 +467,7 @@ def test_08_alexandrov():
 
 def test_09_pseudo_solution_sanity():
     for p in (1, 2):
-        spec, grid, ustar = manufactured_problem(32, p=p)
+        spec, grid, ustar = manufactured_problem((32, 32), p=p)
         for delta2 in (0.2, 0.5, 1.0):
             for extra in (0.0, 0.5):
                 cfg = PseudoCheckConfig(

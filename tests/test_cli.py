@@ -523,7 +523,7 @@ def test_solve_requires_a_problem(tmp_path, capsys):
 
 
 def test_solve_rejects_malformed_initial_csv(tmp_path, capsys):
-    spec, _, _ = manufactured_problem(16)
+    spec, _, _ = manufactured_problem((16, 16))
     problem = os.path.join(tmp_path, "problem.json")
     save_problem_json(problem, spec)
     bad = os.path.join(tmp_path, "bad.csv")
@@ -535,7 +535,7 @@ def test_solve_rejects_malformed_initial_csv(tmp_path, capsys):
 
 def test_solve_rejects_zero_spacing_initial_csv(tmp_path, capsys):
     # spacings of 0 agree on a period of 0, which no grid has
-    spec, _, _ = manufactured_problem(16)
+    spec, _, _ = manufactured_problem((16, 16))
     problem = os.path.join(tmp_path, "problem.json")
     save_problem_json(problem, spec)
     bad = os.path.join(tmp_path, "bad.csv")

@@ -27,6 +27,7 @@ from phessian.solver import (
     alexandrov_check,
     auxiliary_field,
     box_grad_hess,
+    fourier_hess,
     load_grid_csv,
     load_problem_json,
     manufactured_problem,
@@ -38,23 +39,12 @@ from phessian.solver import (
     residual_field,
     save_grid_csv,
     save_problem_json,
+    smooth_perturbation,
     unit_ball_volume,
 )
 from phessian.symfun import sigma
 
 from oracles import roll_grad, roll_hess, roll_jacobian
-
-
-def smooth_bump(grid, rng, scale):
-    """Low-frequency random field with zero mean and sup norm = scale."""
-    x1, x2 = grid.meshgrid()
-    f = np.zeros(grid.sizes)
-    for k1 in range(3):
-        for k2 in range(3):
-            a, b = rng.normal(size=2)
-            f += a * np.cos(k1 * x1 + k2 * x2) + b * np.sin(k1 * x1 + k2 * x2)
-    f -= np.mean(f)
-    return scale * f / np.max(np.abs(f))
 
 
 class TestGridBasics:
@@ -110,6 +100,48 @@ def test_periodic_stencils_equal_roll_oracle_bit_for_bit(shape):
     h = tuple(rng.uniform(0.05, 1.0, size=len(shape)))
     assert np.array_equal(periodic_grad(f, h), roll_grad(f, h))
     assert np.array_equal(periodic_hess(f, h), roll_hess(f, h))
+
+
+@pytest.mark.parametrize("shape", [(8,), (9,), (9, 8), (10, 10), (8, 9, 10), (16, 16, 15)])
+def test_fourier_hess_is_exact_on_trig_polynomials(shape):
+    """fourier_hess against the closed-form Hessian of a trigonometric
+    polynomial, with a different h on every axis: random modes below each
+    axis's Nyquist wavenumber and, on each even axis, its Nyquist cosine
+    times cosines on the other axes, whose mixed derivatives carry that
+    Nyquist sine and so vanish at the nodes."""
+    rng = np.random.default_rng(sum(shape))
+    d = len(shape)
+    h = rng.uniform(0.3, 1.0, size=d)
+    xs = np.meshgrid(*[np.arange(n) * hm for n, hm in zip(shape, h)], indexing="ij")
+    unit = [2.0 * np.pi / (n * hm) for n, hm in zip(shape, h)]
+    below = [(n - 1) // 2 for n in shape]
+    f = np.zeros(shape)
+    exact = np.zeros((d, d) + shape)
+    for _ in range(4):
+        kappa = [u * rng.integers(-b, b + 1) for u, b in zip(unit, below)]
+        phase = sum(k * x for k, x in zip(kappa, xs))
+        a, b = rng.normal(size=2)
+        wave = a * np.cos(phase) + b * np.sin(phase)
+        f += wave
+        exact -= np.multiply.outer(np.outer(kappa, kappa), wave)
+    for m in (m for m, n in enumerate(shape) if n % 2 == 0):
+        kappa = [u * rng.integers(1, b + 1) for u, b in zip(unit, below)]
+        kappa[m] = unit[m] * (shape[m] // 2)
+        c = rng.normal()
+        cos = [np.cos(k * x) for k, x in zip(kappa, xs)]
+        sin = [np.sin(k * x) for k, x in zip(kappa, xs)]
+        wave = c * np.prod(cos, axis=0)
+        f += wave
+        for i in range(d):
+            exact[i, i] -= kappa[i] ** 2 * wave
+            for j in (j for j in range(d) if j != i):
+                mixed = c * kappa[i] * kappa[j] * sin[i] * sin[j]
+                for q in (q for q in range(d) if q not in (i, j)):
+                    mixed = mixed * cos[q]
+                exact[i, j] += mixed
+    H = fourier_hess(f, tuple(h))
+    assert H.shape == (d, d) + shape
+    assert np.max(np.abs(H - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("shape", [(13,), (9, 11), (7, 8, 9)])
@@ -190,10 +222,11 @@ class TestResidual:
         res = residual_field(u, spec)
         assert np.max(np.abs(res.values)) < 1e-12
 
-    def test_manufactured_residual_order(self):
+    @pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_manufactured_residual_order(self, d, p):
         norms = []
-        for size in (32, 64, 128):
-            spec, grid, ustar = manufactured_problem(size, p=2)
+        for size in {2: (32, 64, 128), 3: (16, 32, 64)}[d]:
+            spec, grid, ustar = manufactured_problem((size,) * d, p=p)
             res = residual_field(ustar, spec)
             norms.append(np.max(np.abs(res.values)))
         for coarse, fine in zip(norms, norms[1:]):
@@ -231,16 +264,24 @@ class TestResidual:
         assert exc.value.node == report["node"]
 
     def test_admissible_manufactured(self):
-        spec, grid, ustar = manufactured_problem(32)
+        spec, grid, ustar = manufactured_problem((32, 32))
         ok, report = admissible(ustar, spec)
         assert ok and report is None
+
+    @pytest.mark.parametrize("sizes, p", [((16, 16), 3), ((16, 16), 0), ((8, 8, 8), 4)])
+    def test_manufactured_p_outside_1_to_d_is_input_error_before_any_field(
+        self, sizes, p, monkeypatch
+    ):
+        monkeypatch.setattr(solver, "TorusGrid", None)
+        with pytest.raises(InputError, match="need 1 <= p <= n"):
+            manufactured_problem(sizes, p=p)
 
 
 class TestNewton:
     def test_converges_from_smooth_perturbation(self):
-        spec, grid, ustar = manufactured_problem(64, p=2)
+        spec, grid, ustar = manufactured_problem((64, 64), p=2)
         rng = np.random.default_rng(5)
-        bump = smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+        bump = smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
         u0 = GridFn(grid, ustar.values + bump)
         sol, trace = newton_solve(spec, u0, tol=1e-9)
         assert 0 < len(trace) <= 12
@@ -254,14 +295,31 @@ class TestNewton:
         diff = sol.values - (ustar.values - np.mean(ustar.values))
         assert np.max(np.abs(diff - np.mean(diff))) < 5e-4
 
+    def test_converges_in_3d_at_second_order(self):
+        # p = 3 on 16^3 and 24^3 from a 5% perturbation: the discrete
+        # solution's distance to u* falls like h^2, by (24/16)^2 = 2.25
+        errors = []
+        for size in (16, 24):
+            spec, grid, ustar = manufactured_problem((size,) * 3, p=3)
+            bump = smooth_perturbation(
+                grid, np.random.default_rng(3), 0.05 * np.max(np.abs(ustar.values))
+            )
+            sol, trace = newton_solve(spec, GridFn(grid, ustar.values + bump), tol=1e-9)
+            assert 0 < len(trace) <= 6
+            assert trace[-1]["residual"] <= 1e-9
+            assert all(rec["backtracks"] == 0 for rec in trace)
+            diff = sol.values - ustar.values
+            errors.append(np.max(np.abs(diff - np.mean(diff))))
+        assert 2.0 <= errors[0] / errors[1] <= 2.5
+
     def test_solve_peak_memory_is_bounded_in_fields(self):
         # the traced peak of a 64^2 solve, counted in grid fields of
         # 8 * 64^2 bytes; holding F, G and H through the Krylov solve and
         # the line search, with np.roll matvecs, took 37.8
         import tracemalloc
 
-        spec, grid, ustar = manufactured_problem(64, p=2)
-        bump = smooth_bump(grid, np.random.default_rng(1), 0.01)
+        spec, grid, ustar = manufactured_problem((64, 64), p=2)
+        bump = smooth_perturbation(grid, np.random.default_rng(1), 0.01)
         u0 = GridFn(grid, ustar.values + bump)
         newton_solve(spec, u0, tol=1e-12)  # numpy's first-call set-up
         tracemalloc.start()
@@ -274,10 +332,10 @@ class TestNewton:
         assert peak <= 32 * 8 * 64 * 64
 
     def test_restart_at_solution_takes_no_steps(self):
-        spec, grid, ustar = manufactured_problem(32, p=2)
+        spec, grid, ustar = manufactured_problem((32, 32), p=2)
         rng = np.random.default_rng(6)
         u0 = GridFn(
-            grid, ustar.values + smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+            grid, ustar.values + smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
         )
         sol, _ = newton_solve(spec, u0, tol=1e-9)
         _, trace = newton_solve(spec, sol, tol=1e-9)
@@ -285,7 +343,7 @@ class TestNewton:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
     def test_tol_is_checked_before_any_evaluation(self, tol, monkeypatch):
-        spec, _, ustar = manufactured_problem(16)
+        spec, _, ustar = manufactured_problem((16, 16))
         monkeypatch.setattr(solver, "_linearization_data", None)
         with pytest.raises(InputError, match="tol must be positive and finite"):
             newton_solve(spec, ustar, tol=tol)
@@ -312,10 +370,10 @@ class TestNewton:
         assert np.max(np.abs(sol.values)) < 1e-12
 
     def test_max_iters_caps_trace(self):
-        spec, grid, ustar = manufactured_problem(32, p=2)
+        spec, grid, ustar = manufactured_problem((32, 32), p=2)
         rng = np.random.default_rng(7)
         u0 = GridFn(
-            grid, ustar.values + smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+            grid, ustar.values + smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
         )
         # running out of iterations is a failure that carries the trace
         with pytest.raises(NonconvergenceError) as exc:
@@ -334,7 +392,7 @@ class TestNewton:
 
     def test_line_search_stall_names_residual_and_tol(self):
         # 1e-16 lies below the 32^2 stencils' rounding floor (~1e-15)
-        spec, grid, _ = manufactured_problem(32, p=2)
+        spec, grid, _ = manufactured_problem((32, 32), p=2)
         with pytest.raises(NonconvergenceError, match="line search stalled") as exc:
             newton_solve(spec, GridFn(grid, np.zeros(grid.sizes)), tol=1e-16)
         trace = exc.value.trace
@@ -357,10 +415,10 @@ class TestNewton:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, "lgmres", starved)
-        spec, grid, ustar = manufactured_problem(32, p=2)
+        spec, grid, ustar = manufactured_problem((32, 32), p=2)
         rng = np.random.default_rng(7)
         u0 = GridFn(
-            grid, ustar.values + smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+            grid, ustar.values + smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
         )
         with pytest.raises(NonconvergenceError, match="lgmres") as exc:
             newton_solve(spec, u0, tol=1e-12)
@@ -373,9 +431,9 @@ class TestNewton:
         # 64^2 and 860 at 256^2)
         worst = {}
         for size in (64, 256):
-            spec, grid, ustar = manufactured_problem(size, p=2)
+            spec, grid, ustar = manufactured_problem((size, size), p=2)
             rng = np.random.default_rng(8)
-            bump = smooth_bump(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
+            bump = smooth_perturbation(grid, rng, 0.05 * np.max(np.abs(ustar.values)))
             _, trace = newton_solve(spec, GridFn(grid, ustar.values + bump), tol=1e-12)
             assert all(rec["backtracks"] == 0 for rec in trace)
             worst[size] = max(rec["krylov_iters"] for rec in trace)
@@ -411,8 +469,8 @@ class TestNewton:
         # step, P the zero-mean gauge, recomputed here with the stencil J
         # built from the linearization the solve was given
         if problem == "manufactured":
-            spec, grid, ustar = manufactured_problem(32, p=2)
-            bump = smooth_bump(grid, np.random.default_rng(7), 0.01)
+            spec, grid, ustar = manufactured_problem((32, 32), p=2)
+            bump = smooth_perturbation(grid, np.random.default_rng(7), 0.01)
             u0 = GridFn(grid, ustar.values + bump)
         else:
             spec, grid, u0 = self.anisotropic_problem(32)
@@ -678,7 +736,7 @@ class TestMonitors:
         assert rep.min_lambda_1 == pytest.approx(2.0, abs=1e-12)
 
     def test_manufactured_state(self):
-        spec, grid, ustar = manufactured_problem(64, p=2, amplitude=0.2)
+        spec, grid, ustar = manufactured_problem((64, 64), p=2, amplitude=0.2)
         rep = monitors(ustar, spec)
         assert rep.osc_u == pytest.approx(0.4, abs=1e-6)
         # |grad u*| peaks at 0.2 for u* = 0.2 cos x1 cos x2
@@ -705,7 +763,7 @@ class TestAuxiliary:
         assert np.allclose(phi.values, 0.6)
 
     def test_argmax_matches_brute_scan(self):
-        spec, grid, ustar = manufactured_problem(32)
+        spec, grid, ustar = manufactured_problem((32, 32))
         aux = AuxiliarySpec(eta=("exp", 0.5), zeta=("linear", 1.0))
         ubar = GridFn(grid, 0.5 * ustar.values)
         phi, node = auxiliary_field(ustar, ubar, spec, aux, "second_order")
@@ -730,7 +788,7 @@ class TestAuxiliary:
 
 class TestPseudoCheck:
     def test_identical_pair_satisfies_both_sides(self):
-        spec, grid, ustar = manufactured_problem(32, p=2)
+        spec, grid, ustar = manufactured_problem((32, 32), p=2)
         cfg = PseudoCheckConfig(delta1=0.1, M1=10.0, delta2=0.5, M2=1.0, ubar=ustar)
         rep = pseudo_check(ustar, cfg, spec)
         assert rep.sub_violations == 0
@@ -740,7 +798,7 @@ class TestPseudoCheck:
         assert rep.super_nodes == 32 * 32
 
     def test_gates_exclude_nodes(self):
-        spec, grid, ustar = manufactured_problem(32, p=2)
+        spec, grid, ustar = manufactured_problem((32, 32), p=2)
         x1, _ = grid.meshgrid()
         ubar = GridFn(grid, ustar.values + 0.8 * np.cos(x1))
         cfg = PseudoCheckConfig(delta1=0.1, M1=50.0, delta2=0.2, M2=5.0, ubar=ubar)
@@ -796,7 +854,7 @@ class TestPseudoCheck:
         assert rep.worst_sub_slack == pytest.approx(np.min(lhs - rhs), abs=1e-6)
 
     def test_config_validation(self):
-        spec, grid, ustar = manufactured_problem(32)
+        spec, grid, ustar = manufactured_problem((32, 32))
         with pytest.raises(ValueError):
             PseudoCheckConfig(delta1=-1.0, M1=1.0, delta2=0.5, M2=1.0, ubar=ustar)
 
@@ -949,7 +1007,7 @@ class TestCatalogDerivatives:
 
         grid = u.grid
         rng = np.random.default_rng(seed)
-        s = smooth_bump(grid, rng, 1.0)
+        s = smooth_perturbation(grid, rng, 1.0)
         _, F, G, H, _, _ = _linearization_data(u, spec)
         js = _jacobian_stencil(F, G, H, grid.h, grid.sizes)(s)
         eps = 1e-6
@@ -997,7 +1055,7 @@ class TestCatalogDerivatives:
 
 class TestSerialization:
     def test_grid_csv_roundtrip(self):
-        spec, grid, ustar = manufactured_problem(32)
+        spec, grid, ustar = manufactured_problem((32, 32))
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, "u.csv")
             save_grid_csv(path, ustar)
@@ -1058,7 +1116,7 @@ class TestSerialization:
         assert spec.rhs == ("paper_example", 0.3, 0.0)
 
     def test_stored_rhs_roundtrip(self):
-        spec, grid, ustar = manufactured_problem(16)
+        spec, grid, ustar = manufactured_problem((16, 16))
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, "stored.json")
             save_problem_json(path, spec)
