@@ -432,13 +432,18 @@ def cmd_solve(args):
                      "trace": getattr(exc, "trace", None)}
         return {}, violation
 
-    res = residual_field(sol, spec).values
+    if trace:
+        # the last accepted linearization was taken at sol
+        final, raw = trace[-1]["residual"], trace[-1]["raw_residual"]
+    else:
+        res = residual_field(sol, spec).values
+        final, raw = residual_norm(res, spec), float(np.max(np.abs(res)))
     results = {
         "iterations": len(trace),
         "trace": trace,
         "monitors": dataclasses.asdict(monitors(sol, spec)),
-        "final_residual": residual_norm(res, spec),
-        "raw_residual": float(np.max(np.abs(res))),
+        "final_residual": final,
+        "raw_residual": raw,
     }
     if args.solution:
         save_grid_csv(args.solution, sol)

@@ -57,7 +57,9 @@ class BallProblem:
     construct evaluates them on one slab of grid planes at a time.  u must
     be a defining function of the ball (negative inside, zero on the
     boundary) with admissible Hessian; psi needs lam(D^2 psi) in the closed
-    cone.
+    cone.  u is evaluated first, into a whole field.  psi is evaluated slab
+    by slab, in its cone check and again when v is formed, so an exception
+    that psi raises surfaces in its cone check, after any fault of u's.
     """
 
     n: int
@@ -125,12 +127,11 @@ def _slabs(axis, n):
         )
 
 
-def _slab_points(axis, n, slab, rows=None):
-    """Grid points (m, n) of the slab's core nodes in row-major node order,
-    or of those the flat mask rows selects."""
-    mesh = np.meshgrid(
-        axis[slab.core], *([axis] * (n - 1)), indexing="ij", sparse=True
-    )
+def _slab_points(axis, n, planes, rows=None):
+    """Grid points (m, n) of the nodes on the axis-0 planes `planes` (a
+    slice) in row-major node order, or of those the flat mask rows
+    selects."""
+    mesh = np.meshgrid(axis[planes], *([axis] * (n - 1)), indexing="ij", sparse=True)
     pts = np.empty(np.broadcast_shapes(*(m.shape for m in mesh)) + (n,))
     for k, m in enumerate(mesh):
         pts[..., k] = m
@@ -138,33 +139,62 @@ def _slab_points(axis, n, slab, rows=None):
     return pts if rows is None else pts[rows]
 
 
-def _admissible_pass(field, axis, h, p, select, message, visit, closed=False):
-    """Cone check of field's Hessians at the nodes select(slab) picks, slab
-    by slab: calls visit(slab, mask, gradient (n, m), Hessian (n, n, m),
-    matrix_sigmas (m, n + 1)) on each slab before the first node outside
-    the cone (the closed cone when closed), and raises ConstructionError
-    with message naming that node after the last slab.  A sigma_q that
-    overflows raises at once, naming its node: a verdict on inf is no
-    verdict on the Hessian, and it outranks a node outside the cone, as in
-    one check over every node.  box_grad_hess reads the slab's planes plus
-    halo and differentiates along the other axes on the core planes only;
-    np.gradient's formulas are elementwise, so its values are those of the
-    whole field.  The field may overflow where no stencil at a selected
-    node reads it.  Each slab's arrays are freed before the next slab is
-    differentiated, so visit must keep none of them."""
+def _plane_values(f, axis, n, planes):
+    """The pointwise callable f on the grid points of the axis-0 planes
+    `planes` (a slice), shaped as those planes."""
+    shape = (len(axis[planes]),) + (len(axis),) * (n - 1)
+    return f(_slab_points(axis, n, planes)).reshape(shape)
+
+
+def _evaluated_planes(f, axis, n):
+    """Plane source of the pointwise callable f for one pass over the
+    slabs: maps each slab, in grid order, to a new array of f on its read
+    planes.  The planes it shares with the previous call's are copied from
+    that call's array rather than evaluated again, so f meets each node at
+    most once in the pass; only the latest array is kept."""
+    held, start = np.empty((0,) + (len(axis),) * (n - 1)), 0
+
+    def planes(s):
+        nonlocal held, start
+        fresh = max(s.read.start, start + len(held))
+        parts = [held[s.read.start - start:]]
+        if fresh < s.read.stop:
+            parts.append(_plane_values(f, axis, n, slice(fresh, s.read.stop)))
+        held, start = np.concatenate(parts), s.read.start
+        return held
+    return planes
+
+
+def _admissible_pass(planes, n, axis, h, p, select, message, visit, closed=False):
+    """Cone check of a field's Hessians at the nodes select(slab) picks,
+    slab by slab, planes(slab) giving the field on the slab's read planes:
+    calls visit(slab, mask, the field on the core planes, gradient (n, m),
+    Hessian (n, n, m), matrix_sigmas (m, n + 1)) on each slab before the
+    first node outside the cone (the closed cone when closed), and raises
+    ConstructionError with message naming that node after the last slab.
+    A sigma_q that overflows raises at once, naming its node: a verdict on
+    inf is no verdict on the Hessian, and it outranks a node outside the
+    cone, as in one check over every node.  box_grad_hess reads the slab's
+    planes plus halo and differentiates along the other axes on the core
+    planes only; np.gradient's formulas are elementwise, so its values are
+    those of the whole field.  The field may overflow where no stencil at a
+    selected node reads it.  Each slab's arrays are freed before the next
+    slab is differentiated, so visit must keep none of them."""
     bad = None
-    for s in _slabs(axis, field.ndim):
+    for s in _slabs(axis, n):
         mask = select(s)
         if not mask.any():
             continue
         nodes = s.first + np.flatnonzero(mask)
         # the previous slab's arrays are dropped here, after this slab's
-        # nodes were allocated above them: dropped at the end of their own
+        # nodes were allocated above them (psi's previous planes in
+        # planes(s), after this slab's): dropped at the end of their own
         # slab, they left the heap's top free, and the allocator handed it
         # back to the system to fault it in again (3x the page faults)
-        grad = hess = codes = sigmas = outside = None
+        grad = hess = codes = sigmas = outside = field = None
+        field = planes(s)
         with np.errstate(over="ignore", invalid="ignore"):
-            grad, hess = box_grad_hess(field[s.read], h, mask, s.inner)
+            grad, hess = box_grad_hess(field, h, mask, s.inner)
             codes, sigmas = classify_matrices(
                 np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p)
             )
@@ -178,7 +208,7 @@ def _admissible_pass(field, axis, h, p, select, message, visit, closed=False):
         if bad is None and np.any(outside):
             bad = int(nodes[np.argmax(outside)])
         if bad is None:
-            visit(s, mask, grad, hess, sigmas)
+            visit(s, mask, field[s.inner], grad, hess, sigmas)
     if bad is not None:
         raise ConstructionError(message, node=bad)
 
@@ -261,27 +291,33 @@ def construct(problem):
     of them when they are all equal.  LAPACK solves each matrix on its
     own, so eps2 is the minimum over every node, bit for bit.
 
-    Memory: three whole fields (u, psi, then v in u's place) plus one slab
-    alive at a time; every per-node stage runs on a slab of planes =
+    Memory: one whole field (u, then v in its place) plus one slab alive
+    at a time; every per-node stage runs on a slab of planes =
     max(1, SLAB_NODES // res^(n-1)) axis-0 planes, and each slab's arrays
-    are freed before the next slab is differentiated.  Only d0 f and
-    d0(d0 f) are taken on the slab's planes plus SLAB_HALO on each side;
-    every other derivative, the minors and the eigenvalues are taken on
-    the core planes only.  Every global quantity is a min or a max over
-    nodes, so no result depends on the slabs, and the first fault is the
-    one a single pass over every node raises, in the order: u's cone
-    check, u < 0 inside, psi's closed-cone check, overflow of A, B or v,
-    v's cone check.
+    are freed before the next slab is differentiated.  psi is never held
+    whole: its cone check evaluates it on each slab's planes plus halo,
+    copying the planes the previous slab shared, and v adds it slab by
+    slab, so psi meets each node at most twice.  Only d0 f and d0(d0 f)
+    are taken on the slab's planes plus SLAB_HALO on each side; every
+    other derivative, the minors and the eigenvalues are taken on the core
+    planes only.  Every global quantity is a min or a max over nodes, so
+    no result depends on the slabs, and the first fault is the one a
+    single pass over every node raises, in the order: u's cone check,
+    u < 0 inside, psi's closed-cone check, overflow of A, B or v, v's cone
+    check.
     """
     n, p, alpha, radius = problem.n, problem.p, problem.alpha, problem.radius
     axis = np.linspace(-radius, radius, problem.resolution)
     h = axis[1] - axis[0]
-    shape = (problem.resolution,) * n
-    u, psi = np.empty(shape), np.empty(shape)
+    u = np.empty((problem.resolution,) * n)
     for s in _slabs(axis, n):
-        pts = _slab_points(axis, n, s)
-        for field, f in ((u, problem.u), (psi, problem.psi)):
-            field[s.core] = f(pts).reshape(field[s.core].shape)
+        # each slab's points are dropped after the next slab's are
+        # allocated, as _admissible_pass drops its arrays: dropped at the
+        # end of their own slab, they took this loop from 3.5k page faults
+        # to 13k at 97^3
+        pts = _slab_points(axis, n, s.core)
+        u[s.core] = problem.u(pts).reshape(u[s.core].shape)
+    del pts
 
     def in_ball(s):
         return s.dist <= radius + 1e-12
@@ -295,9 +331,9 @@ def construct(problem):
     eps1 = eps2 = min_u = cut = np.inf
     max_du = -np.inf
 
-    def u_slab(s, ball, du, d2u, sig_u):
+    def u_slab(s, ball, u_core, du, d2u, sig_u):
         nonlocal negative, eps1, eps2, cut, max_du, min_u
-        u_flat = u[s.core].ravel()
+        u_flat = u_core.ravel()
         negative &= not np.any(u_flat[ball & (s.dist < radius - h)] >= 0)
         eps1 = np.minimum(eps1, np.min(sig_u[:, p]))
         if n > 1 and p > 1:
@@ -322,8 +358,8 @@ def construct(problem):
         min_u = np.minimum(min_u, np.min(u_flat[ball]))
 
     _admissible_pass(
-        u, axis, h, p, in_ball, "defining function u is not admissible at a grid node",
-        u_slab,
+        lambda s: u[s.read], n, axis, h, p, in_ball,
+        "defining function u is not admissible at a grid node", u_slab,
     )
     if not negative:
         raise ConstructionError("u must be negative inside the ball")
@@ -332,16 +368,16 @@ def construct(problem):
 
     C1 = max_dpsi = max_psi = -np.inf
 
-    def psi_slab(s, ball, dpsi, _, __):
+    def psi_slab(s, ball, psi_core, dpsi, _, __):
         nonlocal C1, max_dpsi, max_psi
-        psi_flat = psi[s.core].ravel()[ball]
-        phi = problem.phi_tilde(_slab_points(axis, n, s, ball), psi_flat)
+        psi_flat = psi_core.ravel()[ball]
+        phi = problem.phi_tilde(_slab_points(axis, n, s.core, ball), psi_flat)
         C1 = np.maximum(C1, np.max(phi))
         max_dpsi = np.maximum(max_dpsi, np.max(np.linalg.norm(dpsi, axis=0)))
         max_psi = np.maximum(max_psi, np.max(np.abs(psi_flat) ** alpha))
 
     _admissible_pass(
-        psi, axis, h, p, in_ball,
+        _evaluated_planes(problem.psi, axis, n), n, axis, h, p, in_ball,
         "extension psi leaves the closed cone at a grid node", psi_slab, closed=True,
     )
     # a numpy scalar, so C1**p overflows to inf (rejected below) instead of raising
@@ -362,25 +398,30 @@ def construct(problem):
             A = C2 ** (1.0 / alpha) + (
                 4.0 / eps1 * C1 / B * np.exp(-B * min_u)
             ) ** (1.0 / (1.0 - alpha))
-        # v = psi + A (e^{B u} - 1), in u's memory
+        # v = psi + A (e^{B u} - 1) in u's memory, psi added slab by slab below
         v = np.multiply(B, u, out=u)
         np.exp(v, out=v)
         v -= 1.0
         v *= A
-        v += psi
-    del u, psi
-    finite_v = all(
-        np.all(np.isfinite(v[s.core].ravel()[in_ball(s)])) for s in _slabs(axis, n)
-    )
+    del u
+
+    def add_psi(s):
+        psi = _plane_values(problem.psi, axis, n, s.core)
+        v_core = v[s.core]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_core += psi
+        return np.all(np.isfinite(v_core.ravel()[in_ball(s)]))
+
+    finite_v = all(add_psi(s) for s in _slabs(axis, n))
     if not (np.isfinite(A) and np.isfinite(B) and finite_v):
         raise ConstructionError(f"the construction overflows (A = {A}, B = {B})")
 
     worst = np.inf
 
-    def v_slab(s, nodes, dv, _, sig_v):
+    def v_slab(s, nodes, v_core, dv, _, sig_v):
         nonlocal worst
-        v_flat = v[s.core].ravel()[nodes]
-        phi = problem.phi_tilde(_slab_points(axis, n, s, nodes), v_flat)
+        v_flat = v_core.ravel()[nodes]
+        phi = problem.phi_tilde(_slab_points(axis, n, s.core, nodes), v_flat)
         # where |Dv| overflows the slack is -inf, a reported violation,
         # unless a later slab fails the cone check; neither case warns
         with np.errstate(over="ignore", invalid="ignore"):
@@ -388,7 +429,8 @@ def construct(problem):
             worst = np.minimum(worst, np.min(sig_v[:, p] ** (1.0 / p) - rhs))
 
     _admissible_pass(
-        v, axis, h, p, trusted, "constructed v loses admissibility at a grid node", v_slab
+        lambda s: v[s.read], n, axis, h, p, trusted,
+        "constructed v loses admissibility at a grid node", v_slab,
     )
     return SubsolutionResult(float(A), float(B), eps1, eps2, v, float(worst))
 

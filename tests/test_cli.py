@@ -518,6 +518,31 @@ def test_solve_u_dependent_problem_reports_raw_residual(tmp_path):
     assert np.max(np.abs(sol.values - 2.0 * np.log(1.0 / 0.6))) <= 1e-9
 
 
+def test_solve_reports_the_residual_of_its_solution(tmp_path):
+    # from a perturbed start the residuals come from Newton's last
+    # linearization, and from the solution itself, which already meets
+    # tol, they are computed afresh; either way they are the saved
+    # solution's, bit for bit
+    spec, grid, ustar = manufactured_problem((16, 16), p=2)
+    problem = os.path.join(tmp_path, "problem.json")
+    save_problem_json(problem, spec)
+    start = os.path.join(tmp_path, "u0.csv")
+    save_grid_csv(start, GridFn(grid, 1.1 * ustar.values))
+    sol_path = os.path.join(tmp_path, "sol.csv")
+    iterations = []
+    for name, initial in (("newton.json", start), ("converged.json", sol_path)):
+        status, rep = run(
+            tmp_path, name, "solve", "--problem", problem,
+            "--initial", initial, "--solution", sol_path,
+        )
+        assert status == 0
+        iterations.append(rep["results"]["iterations"])
+        res = solver.residual_field(load_grid_csv(sol_path), spec).values
+        assert rep["results"]["final_residual"] == solver.residual_norm(res, spec)
+        assert rep["results"]["raw_residual"] == float(np.max(np.abs(res)))
+    assert iterations[0] > 0 and iterations[1] == 0
+
+
 def test_solve_requires_a_problem(tmp_path, capsys):
     assert main(["solve"]) == 2
 

@@ -272,7 +272,7 @@ def test_slabs_cover_the_grid(n, res, monkeypatch):
     pts, dist, _ = ball_grid(1.0, res, n)
     slabs = list(_slabs(axis, n))
     assert [s.core for s in slabs] == [slice(lo, min(lo + 2, res)) for lo in range(0, res, 2)]
-    assert np.array_equal(np.concatenate([_slab_points(axis, n, s) for s in slabs]), pts)
+    assert np.array_equal(np.concatenate([_slab_points(axis, n, s.core) for s in slabs]), pts)
     assert np.array_equal(np.concatenate([s.dist for s in slabs]), dist)
     for s in slabs:
         assert s.read == slice(max(0, s.core.start - 3), min(res, s.core.stop + 3))
@@ -281,10 +281,12 @@ def test_slabs_cover_the_grid(n, res, monkeypatch):
 
 
 def test_construct_memory_is_bounded():
-    # the three whole fields at 97^3 take 21 MB, and one slab of 6 planes
-    # with its derivatives, minors and eigenvalues brings the peak to 25 MB;
-    # holding two slabs and differentiating the halo planes along every
-    # axis peaked at 51 MB, every stage's whole-grid arrays at once at 169 MB
+    # the one whole field at 97^3 (u, then v in its place) takes 7.3 MB, and
+    # one slab of 6 planes with psi on its 12 read planes, its derivatives,
+    # minors and eigenvalues brings the peak to 18.6 MB; holding psi as a
+    # whole field as well peaked at 25.6 MB, holding two slabs and
+    # differentiating the halo planes along every axis at 51 MB, every
+    # stage's whole-grid arrays at once at 169 MB
     prob = BallProblem(
         n=3, radius=1.0, resolution=97, p=2, alpha=0.5,
         psi=zero_field, phi_tilde=const_phi(0.1), u=ball_u,
@@ -296,19 +298,62 @@ def test_construct_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert out.worst_slack >= 0.0
-    assert peak <= 32 * 2**20
+    assert peak <= 22 * 2**20
+
+
+def test_construct_holds_one_whole_field(monkeypatch):
+    # in units of one 65^3 field: u (then v) and one slab of 2 planes peak
+    # at 1.96; psi held as a second whole field peaked at 2.89
+    res = 65
+    monkeypatch.setattr(subsolution, "SLAB_NODES", 2 * res**2)
+    prob = BallProblem(
+        n=3, radius=1.0, resolution=res, p=2, alpha=0.5,
+        psi=zero_field, phi_tilde=const_phi(0.1), u=ball_u,
+    )
+    tracemalloc.start()
+    try:
+        construct(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * 8 * res**3
+
+
+@pytest.mark.parametrize("n, res", [(2, 33), (3, 17)])
+@pytest.mark.parametrize("planes", [1, 2, 3, None])
+def test_construct_evaluates_psi_at_most_twice_per_node(n, res, planes, monkeypatch):
+    """psi meets each grid node at most twice: once in psi's cone check,
+    whose slabs share their halo planes, and once when v is formed."""
+    if planes is not None:
+        monkeypatch.setattr(subsolution, "SLAB_NODES", planes * res ** (n - 1))
+    counts = np.zeros((res,) * n, dtype=int)
+
+    def counting_psi(pts):
+        np.add.at(counts, tuple(np.rint((pts.T + 1.0) * (res - 1) / 2).astype(int)), 1)
+        return tilted_psi(pts)
+
+    prob = BallProblem(
+        n=n, radius=1.0, resolution=res, p=2, alpha=0.5,
+        psi=counting_psi, phi_tilde=const_phi(0.1), u=bowl_u,
+    )
+    construct(prob)
+    assert counts.min() >= 1
+    assert counts.max() <= 2
 
 
 def test_construct_frees_each_slab_before_the_next(monkeypatch):
-    """No array that a slab's derivatives, minors, eigenvalues or
-    phi_tilde produced is alive when the next slab is differentiated, in
-    any of the three passes."""
+    """No array that a slab's derivatives, minors, eigenvalues, phi_tilde
+    or psi produced, and none of psi's read planes but the slab's own, is
+    alive when the next slab is differentiated, in any of the three
+    passes."""
     live, alive_at_start = [], []
 
     def tracked(f, starts_slab=False):
         def call(*args, **kwargs):
             if starts_slab:
-                alive_at_start.append(sum(ref() is not None for ref in live))
+                alive_at_start.append(
+                    sum(ref() is not None and ref() is not args[0] for ref in live)
+                )
             out = f(*args, **kwargs)
             live.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,)))
             return out
@@ -319,10 +364,14 @@ def test_construct_frees_each_slab_before_the_next(monkeypatch):
     )
     for name in ("classify_matrices", "jacobi_eigh", "_minor_bounds"):
         monkeypatch.setattr(subsolution, name, tracked(getattr(subsolution, name)))
+    evaluated_planes = subsolution._evaluated_planes
+    monkeypatch.setattr(
+        subsolution, "_evaluated_planes", lambda *args: tracked(evaluated_planes(*args))
+    )
     monkeypatch.setattr(subsolution, "SLAB_NODES", 2 * 17**2)
     prob = BallProblem(
         n=3, radius=1.0, resolution=17, p=2, alpha=0.5,
-        psi=tilted_psi, phi_tilde=tracked(const_phi(0.1)), u=bowl_u,
+        psi=tracked(tilted_psi), phi_tilde=tracked(const_phi(0.1)), u=bowl_u,
     )
     construct(prob)
     # 2-plane slabs: 9 hold ball nodes (u's and psi's passes), 7 hold
