@@ -95,7 +95,8 @@ class SubsolutionResult:
 # each side: d0(d0 f) reads f two planes away, and at the box's edge plane
 # the one-sided formula reads d0 f at planes 0..2, whose central value at
 # plane 2 needs plane 3.  Only d0 f and d0(d0 f) are taken on the halo, so a
-# small slab adds little derivative work.
+# small slab adds little derivative work.  The same halo bounds the span a
+# slab reads along every other axis (_crop).
 SLAB_NODES = 2**16
 SLAB_HALO = 3
 
@@ -136,7 +137,9 @@ def _slab_points(axis, n, planes, rows=None):
     for k, m in enumerate(mesh):
         pts[..., k] = m
     pts = pts.reshape(-1, n)
-    return pts if rows is None else pts[rows]
+    # take gathers whole rows; a boolean index of the (m, n) array is 3-4x
+    # slower
+    return pts if rows is None else pts.take(np.flatnonzero(rows), axis=0)
 
 
 def _plane_values(f, axis, n, planes):
@@ -165,6 +168,35 @@ def _evaluated_planes(f, axis, n):
     return planes
 
 
+def _crop(field, mask):
+    """The view of field, a slab's read planes, and the flat mask over its
+    core planes, both cut on every axis k >= 1 to the span from the first
+    to the last selected node, widened by SLAB_HALO on each side and
+    clipped to the grid.  np.gradient is local: a selected node at least
+    SLAB_HALO nodes from an interior cut reads only central values, which
+    the cut leaves as they were, and where the span meets a face of the
+    grid the one-sided formulas are the whole field's.  So box_grad_hess
+    gives the same values at the selected nodes, in the same order."""
+    grid = mask.reshape((-1,) + field.shape[1:])
+    cut = (slice(None),)
+    for k in range(1, field.ndim):
+        span = np.flatnonzero(grid.any(axis=tuple(j for j in range(field.ndim) if j != k)))
+        cut += (slice(max(0, span[0] - SLAB_HALO), span[-1] + 1 + SLAB_HALO),)
+    return field[cut], grid[cut].ravel()
+
+
+def _zero_slab(n, m):
+    """What box_grad_hess and classify_matrices give at m nodes whose
+    stencils read only zeros: gradient (n, m) and Hessian (n, n, m) zero,
+    region codes (m,) 1, since a zero Hessian is on the cone's boundary,
+    and matrix_sigmas (m, n + 1) 1, 0, ..., 0.  A zero's sign can differ
+    from the stencils' where the field holds -0.0; no cone check or visit
+    reads it."""
+    sigmas = np.zeros((m, n + 1))
+    sigmas[:, 0] = 1.0
+    return np.zeros((n, m)), np.zeros((n, n, m)), np.ones(m, dtype=int), sigmas
+
+
 def _admissible_pass(planes, n, axis, h, p, select, message, visit, closed=False):
     """Cone check of a field's Hessians at the nodes select(slab) picks,
     slab by slab, planes(slab) giving the field on the slab's read planes:
@@ -175,11 +207,14 @@ def _admissible_pass(planes, n, axis, h, p, select, message, visit, closed=False
     A sigma_q that overflows raises at once, naming its node: a verdict on
     inf is no verdict on the Hessian, and it outranks a node outside the
     cone, as in one check over every node.  box_grad_hess reads the slab's
-    planes plus halo and differentiates along the other axes on the core
-    planes only; np.gradient's formulas are elementwise, so its values are
-    those of the whole field.  The field may overflow where no stencil at a
-    selected node reads it.  Each slab's arrays are freed before the next
-    slab is differentiated, so visit must keep none of them."""
+    planes plus halo, cut on the other axes to the selected nodes' span
+    plus halo (_crop), and differentiates along the other axes on the core
+    planes only; np.gradient's formulas are local, so its values are those
+    of the whole field.  Where that cut field is zero at every node, the
+    stencils and minors are skipped for their known values (_zero_slab).
+    The field may overflow where no stencil at a selected node reads it.
+    Each slab's arrays are freed before the next slab is differentiated,
+    so visit must keep none of them."""
     bad = None
     for s in _slabs(axis, n):
         mask = select(s)
@@ -191,13 +226,18 @@ def _admissible_pass(planes, n, axis, h, p, select, message, visit, closed=False
         # planes(s), after this slab's): dropped at the end of their own
         # slab, they left the heap's top free, and the allocator handed it
         # back to the system to fault it in again (3x the page faults)
-        grad = hess = codes = sigmas = outside = field = None
+        grad = hess = codes = sigmas = outside = field = part = cut = None
         field = planes(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad, hess = box_grad_hess(field, h, mask, s.inner)
-            codes, sigmas = classify_matrices(
-                np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p)
-            )
+        part, cut = _crop(field, mask)
+        # NaN is not zero: any() is true on it
+        if not part.any():
+            grad, hess, codes, sigmas = _zero_slab(n, len(nodes))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                grad, hess = box_grad_hess(part, h, cut, s.inner)
+                codes, sigmas = classify_matrices(
+                    np.moveaxis(hess, -1, 0), ConeSpec(len(hess), p)
+                )
         if not np.isfinite(sigmas).all():
             finite = np.all(np.isfinite(sigmas), axis=-1)
             raise ConstructionError(
@@ -300,11 +340,15 @@ def construct(problem):
     slab, so psi meets each node at most twice.  Only d0 f and d0(d0 f)
     are taken on the slab's planes plus SLAB_HALO on each side; every
     other derivative, the minors and the eigenvalues are taken on the core
-    planes only.  Every global quantity is a min or a max over nodes, so
-    no result depends on the slabs, and the first fault is the one a
-    single pass over every node raises, in the order: u's cone check,
-    u < 0 inside, psi's closed-cone check, overflow of A, B or v, v's cone
-    check.
+    planes only.  Along every other axis a slab is cut to the span of the
+    nodes its pass selects, plus SLAB_HALO on each side, and a slab whose
+    cut field is zero (psi = 0 everywhere, say) skips its stencils and
+    minors for their known values: np.gradient is local, so neither rule
+    changes a value any check reads.  Every global quantity is a min or a
+    max over nodes, so no result depends on the slabs, and the first fault
+    is the one a single pass over every node raises, in the order: u's
+    cone check, u < 0 inside, psi's closed-cone check, overflow of A, B or
+    v, v's cone check.
     """
     n, p, alpha, radius = problem.n, problem.p, problem.alpha, problem.radius
     axis = np.linspace(-radius, radius, problem.resolution)

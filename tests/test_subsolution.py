@@ -1,6 +1,7 @@
 """Tests for the exponential-bump subsolution and the key lemma."""
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from phessian import subsolution
 from phessian.cone import ConeSpec, classify
 from phessian.errors import AdmissibilityError, ConstructionError, InputError
 from phessian.solver import ball_grid, box_grad_hess
-from phessian.spectral import jacobi_eigh
+from phessian.spectral import classify_matrices, jacobi_eigh
 from phessian.subsolution import (
     BallProblem,
     KeyLemmaConfig,
@@ -22,7 +23,15 @@ from phessian.subsolution import (
     key_lemma_check,
     key_lemma_sweep,
 )
-from phessian.subsolution import _level_crossing, _minor_bounds, _slab_points, _slabs
+from phessian.subsolution import (
+    SLAB_HALO,
+    _crop,
+    _level_crossing,
+    _minor_bounds,
+    _slab_points,
+    _slabs,
+    _zero_slab,
+)
 from phessian.symfun import sigma, sigma_ray_coeffs
 
 from oracles import sigma_brute
@@ -218,16 +227,16 @@ def slab_runs(monkeypatch, prob):
 
 @pytest.mark.parametrize("n, res", [(1, 17), (1, 41), (2, 17), (2, 33), (3, 9), (3, 17)])
 def test_construct_is_slab_invariant(n, res, monkeypatch):
-    for p in range(1, n + 1):
+    for p, psi in itertools.product(range(1, n + 1), (tilted_psi, zero_field)):
         prob = BallProblem(
             n=n, radius=1.0, resolution=res, p=p, alpha=0.5,
-            psi=tilted_psi, phi_tilde=const_phi(0.1), u=bowl_u,
+            psi=psi, phi_tilde=const_phi(0.1), u=bowl_u,
         )
         *slabbed, whole = slab_runs(monkeypatch, prob)
         assert whole.worst_slack >= 0.0
         for out in slabbed:
             for key in ("A", "B", "eps1", "eps2", "worst_slack"):
-                assert getattr(out, key) == getattr(whole, key), (p, key)
+                assert getattr(out, key) == getattr(whole, key), (p, psi, key)
             assert np.array_equal(out.v, whole.v)
 
 
@@ -278,6 +287,102 @@ def test_slabs_cover_the_grid(n, res, monkeypatch):
         assert s.read == slice(max(0, s.core.start - 3), min(res, s.core.stop + 3))
         assert range(res)[s.read][s.inner] == range(res)[s.core]
         assert s.first == s.core.start * res ** (n - 1)
+        rows = s.dist <= 1.0
+        assert np.array_equal(
+            _slab_points(axis, n, s.core, rows), _slab_points(axis, n, s.core)[rows]
+        )
+
+
+def crop_masks(s, res, n, rng):
+    """Flat masks over the core planes of slab s of the grid res^n: the
+    ball, the trusted nodes, a random scatter, one face of each axis k >= 1,
+    and single nodes at and near the grid's faces and corners."""
+    shape = (s.core.stop - s.core.start,) + (res,) * (n - 1)
+    h = 2.0 / (res - 1)
+    masks = [s.dist <= 1.0 + 1e-12, s.dist <= 1.0 - 2 * h, rng.random(s.dist.shape) < 0.05]
+    for k in range(1, n):
+        face = np.zeros(shape, dtype=bool)
+        face[(slice(None),) * k + (-1,)] = True
+        masks.append(face.ravel())
+    spots = (0, 1, 4, res - 5, res - 1)
+    for i, node in enumerate(itertools.product(spots, repeat=n - 1)):
+        single = np.zeros(shape, dtype=bool)
+        single[(i % shape[0],) + node] = True
+        masks.append(single.ravel())
+    return masks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("planes", [1, 2, 3])
+def test_crop_keeps_the_selected_derivatives(n, planes, monkeypatch):
+    """box_grad_hess on the slab _crop cuts equals box_grad_hess on the
+    slab's whole read planes at the selected nodes, bit for bit, on a field
+    whose every stencil rounds differently; a single node's cut spans at
+    most 2 SLAB_HALO + 1 nodes on each axis k >= 1."""
+    res = 11
+    monkeypatch.setattr(subsolution, "SLAB_NODES", planes * res ** (n - 1))
+    rng = np.random.default_rng(10 * n + planes)
+    axis = np.linspace(-1.0, 1.0, res)
+    h = axis[1] - axis[0]
+    field = np.exp(rng.standard_normal((res,) * n))
+    for s in _slabs(axis, n):
+        for mask in crop_masks(s, res, n, rng):
+            if not mask.any():
+                continue
+            part, cut = _crop(field[s.read], mask)
+            whole = box_grad_hess(field[s.read], h, mask, s.inner)
+            for got, want in zip(box_grad_hess(part, h, cut, s.inner), whole):
+                assert np.array_equal(got, want)
+            if np.count_nonzero(mask) == 1:
+                assert max(part.shape[1:], default=1) <= 2 * SLAB_HALO + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_zero_slab_is_what_the_stencils_give(n):
+    """The stencils and minors of a field of +0, -0 or both give
+    _zero_slab's arrays, at every p."""
+    res = 6
+    rng = np.random.default_rng(n)
+    mask = rng.random(2 * res ** (n - 1)) < 0.5
+    signs = rng.random((res,) * n) < 0.5
+    zeros = _zero_slab(n, np.count_nonzero(mask))
+    for field in (np.zeros(signs.shape), np.full(signs.shape, -0.0), np.where(signs, -0.0, 0.0)):
+        grad, hess = box_grad_hess(field, 0.1, mask, slice(2, 4))
+        for p in range(1, n + 1):
+            codes, sigmas = classify_matrices(np.moveaxis(hess, -1, 0), ConeSpec(n, p))
+            for got, want in zip((grad, hess, codes, sigmas), zeros):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("psi, differentiated", [(zero_field, False), (tilted_psi, True)])
+def test_construct_differentiates_no_zero_psi(psi, differentiated, monkeypatch):
+    """psi's cone check runs no stencil on a zero psi; u's and v's still
+    do, as does psi's on a nonzero psi."""
+    passes, calls = [], []
+    admissible_pass, grad_hess = subsolution._admissible_pass, subsolution.box_grad_hess
+
+    def labelled(planes, n, axis, h, p, select, message, visit, closed=False):
+        passes.append(message.split()[0])
+        return admissible_pass(planes, n, axis, h, p, select, message, visit, closed)
+
+    def counted(*args):
+        calls.append(passes[-1])
+        return grad_hess(*args)
+
+    monkeypatch.setattr(subsolution, "_admissible_pass", labelled)
+    monkeypatch.setattr(subsolution, "box_grad_hess", counted)
+    monkeypatch.setattr(subsolution, "SLAB_NODES", 2 * 17**2)
+    prob = BallProblem(
+        n=3, radius=1.0, resolution=17, p=2, alpha=0.5,
+        psi=psi, phi_tilde=const_phi(0.1), u=bowl_u,
+    )
+    construct(prob)
+    # 2-plane slabs: 9 hold ball nodes (u's and psi's passes), 7 hold
+    # trusted nodes (v's pass)
+    assert passes == ["defining", "extension", "constructed"]
+    assert calls.count("defining") == 9 and calls.count("constructed") == 7
+    assert calls.count("extension") == (9 if differentiated else 0)
 
 
 def test_construct_memory_is_bounded():
@@ -345,15 +450,17 @@ def test_construct_frees_each_slab_before_the_next(monkeypatch):
     """No array that a slab's derivatives, minors, eigenvalues, phi_tilde
     or psi produced, and none of psi's read planes but the slab's own, is
     alive when the next slab is differentiated, in any of the three
-    passes."""
+    passes.  The field box_grad_hess differentiates, and the read planes
+    it is cut from, are the slab's own."""
     live, alive_at_start = [], []
 
     def tracked(f, starts_slab=False):
         def call(*args, **kwargs):
             if starts_slab:
-                alive_at_start.append(
-                    sum(ref() is not None and ref() is not args[0] for ref in live)
-                )
+                own = (args[0], args[0].base)
+                alive_at_start.append(sum(
+                    ref() is not None and all(ref() is not a for a in own) for ref in live
+                ))
             out = f(*args, **kwargs)
             live.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,)))
             return out
