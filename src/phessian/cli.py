@@ -109,7 +109,10 @@ def _parse_band(text):
 
 
 def _emit(report, output):
-    text = json.dumps(_jsonable(report), indent=1, sort_keys=True) + "\n"
+    """Write the report as strict JSON: a non-finite number raises
+    ValueError instead of printing as NaN or Infinity."""
+    text = json.dumps(_jsonable(report), indent=1, sort_keys=True,
+                      allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)

@@ -252,10 +252,12 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     For a candidate M, every trial builds an admissible sorted mu with
     mu_n in [M, 1.5M] and sigma_p(mu) inside sigma_band (a scaled random
     shape for the first n-1 entries), plus a random unit complex w, and
-    evaluates the order-p inequality with constant (p+1)^2.  M is bisected
-    over [eps, 1e6] for the smallest value with no residual below
-    -1e-10; every evaluated (M, worst residual) is kept in the result's
-    history.  Deterministic for a fixed seed.
+    evaluates the order-p inequality with constant (p+1)^2 on the trials
+    whose mu lies in the open cone (residual_batch).  M is bisected over
+    [eps, 1e6] for the smallest value with no residual below -1e-10; every
+    evaluated (M, worst residual) is kept in the result's history.  An M
+    with no admissible trial raises SearchFailureError naming it, as do
+    violations at 1e6.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -263,7 +265,7 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         # sigma_1(mu) >= mu_n >= M leaves the band unreachable once M
         # exceeds it; the search is ill-posed
         raise InputError("threshold search needs p >= 2")
-    r, c, weight = validate_mode(n, "small_mu1", tau, eps, p=p)
+    validate_mode(n, "small_mu1", tau, eps, p=p)
     spec_full = ConeSpec(n, p)
     shapes, targets, tops, w = _draw_trials(n, p, sigma_band, trials, seed)
     history = []
@@ -274,11 +276,14 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         mu = np.concatenate([t[:, None] * shapes, mu_n[:, None]], axis=-1)
         mu = np.sort(mu, axis=-1)
         ok = classify_batch(mu, spec_full) == 2
-        lhs, rhs = _evaluate_batch(mu, w, r, c, weight, tau, eps)
-        res = np.where(ok, (lhs - rhs).real, np.inf)
+        if not ok.any():
+            raise SearchFailureError(
+                f"no admissible trial at M = {M:.3e}: nothing to check there"
+            )
+        res = residual_batch(mu[ok], w[ok], "small_mu1", tau, eps, p=p)
         i = int(np.argmin(res))
         history.append((M, float(res[i])))
-        return float(res[i]), (mu[i], w[i])
+        return float(res[i]), (mu[ok][i], w[ok][i])
 
     lo, hi = float(eps), 1e6
     worst_hi, witness_hi = worst_at(hi)
@@ -309,9 +314,9 @@ def _hypothesis_root(P, e, c, k):
     """
     lin, const = 2.0 * e / c, 2.0 * P / c
 
-    def newton(x, lin, const):
+    def newton(x):
         return x - (x**k + lin * x - const) / (k * x ** (k - 1) + lin)
-    return newton_descent(np.minimum(P / e, const ** (1.0 / k)), newton, lin, const)
+    return newton_descent(np.minimum(P / e, const ** (1.0 / k)), newton)
 
 
 def sample_hypothesis_points(n, tau, eps, a, count, rng):

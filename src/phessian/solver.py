@@ -34,14 +34,20 @@ from math import gamma, hypot, inf, isfinite, pi, sqrt
 
 import numpy as np
 
-from .cone import ConeSpec, classify_batch
+from .cone import ConeSpec
 from .errors import (
     AdmissibilityError,
     InputError,
     NonconvergenceError,
     VerificationError,
 )
-from .spectral import jacobi_eigh, matrix_root_grad, require_matrix_cone
+from .spectral import (
+    classify_matrices,
+    jacobi_eigh,
+    matrix_root_grad,
+    matrix_sigmas,
+    require_matrix_cone,
+)
 
 # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
 KRYLOV_RTOL = 1e-8
@@ -886,6 +892,8 @@ def pseudo_check(u, cfg, spec):
     Supersolution side (only on nodes where lam(D^2(u - ubar)) + delta2*1
     stays in the closed positive cone and |d(u - ubar)| <= delta2):
         sigma_n(lam(delta2 I + D^2(u - ubar))) <= M2.
+    The gate and sigma_n come from the minors of delta2 I + D^2(u - ubar)
+    (classify_matrices); lam_1(F) is the one eigensolve.
     """
     grid = u.grid
     d = grid.d
@@ -905,16 +913,14 @@ def pseudo_check(u, cfg, spec):
     sub_slack = lhs - rhs
 
     # the stencils are linear and negation is exact: D^2(u - ubar) bit for bit
-    Hmat = np.moveaxis(-d2diff, (0, 1), (-2, -1)).reshape(-1, d, d)
-    lam_diff = jacobi_eigh(Hmat)
-    shifted = lam_diff + cfg.delta2
-    gate_cone = classify_batch(shifted, ConeSpec(d, d)) >= 1
+    shifted = np.moveaxis(-d2diff, (0, 1), (-2, -1)).reshape(-1, d, d)
+    shifted += cfg.delta2 * np.eye(d)
+    codes, sigmas = classify_matrices(shifted, ConeSpec(d, d))
     grad_gate = (
         np.sqrt(np.sum(ddiff**2, axis=0)).ravel() <= cfg.delta2
     )
-    mask = gate_cone & grad_gate
-    sigma_n = np.prod(shifted, axis=-1)
-    super_slack = np.where(mask, cfg.M2 - sigma_n, np.inf)
+    mask = (codes >= 1) & grad_gate
+    super_slack = np.where(mask, cfg.M2 - sigmas[:, d], np.inf)
 
     return PseudoReport(
         worst_sub_slack=float(np.min(sub_slack)),
@@ -1005,7 +1011,7 @@ def alexandrov_check(prob, quad_tol=0.02):
         ok = np.min(g, axis=1) >= g[np.arange(len(g)), own[c]] - 1e-10
         contact[candidates[c][ok]] = True
 
-    dets = np.linalg.det(np.moveaxis(hess[..., contact], -1, 0))
+    dets = matrix_sigmas(np.moveaxis(hess[..., contact], -1, 0))[:, n]
     rhs = float(np.sum(np.maximum(dets, 0.0)) * h**n)
     lhs = float(unit_ball_volume(n) * prob.eps**n / prob.d**n)
     if not lhs <= rhs * (1.0 + quad_tol) + 1e-12:

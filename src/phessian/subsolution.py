@@ -41,7 +41,6 @@ from .symfun import (
     _as_values,
     newton_descent,
     sigma,
-    sigma_planes,
     sigma_ray_coeffs,
     sigma_root_grad,
 )
@@ -497,10 +496,11 @@ def _level_crossing(base, xi, p, target):
     sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
     only real roots, is increasing and convex past the largest, and meets
     the target there once.  Newton from Fujiwara's root bound decreases onto
-    that crossing (newton_descent, on entry planes of the rays).  Values
-    come from the moved vector, since the monomial form cancels far from
-    t = 0.  A ray with sigma_p(xi) = 0 (outside the rows' domain) has no
-    finite starting bound and raises ValueError up front.
+    that crossing (newton_descent).  Values come from sigma_p of the moved
+    vector base + t xi, since the monomial form cancels far from t = 0;
+    slopes from the monomial form by Horner.  A ray with sigma_p(xi) = 0
+    (outside the rows' domain) has no finite starting bound and raises
+    ValueError up front.
     """
     c = sigma_ray_coeffs(p, base, xi)
     flat = np.flatnonzero(c[..., p] == 0.0)
@@ -513,23 +513,14 @@ def _level_crossing(base, xi, p, target):
     k = np.arange(1, p + 1)
     bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
     bounds[..., -1] *= 0.5 ** (1.0 / p)
-    t = 2.0 * np.max(bounds, axis=-1)
-    shape, n = t.shape, np.shape(xi)[-1]
-    # flat planes: slopes (p, m), ray entries (n, m), targets (m,)
-    slope = np.moveaxis(c[..., 1:] * k, -1, 0).reshape(p, -1)
-    base, xi = (
-        np.ascontiguousarray(np.moveaxis(np.broadcast_to(v, shape + (n,)), -1, 0))
-        .reshape(n, -1)
-        for v in (base, xi)
-    )
-    target = np.broadcast_to(target, shape).reshape(-1)
+    slope = c[..., 1:] * k
 
-    def newton(t, base, xi, slope, target):
-        dg = slope[-1]
+    def newton(t):
+        dg = slope[..., -1]
         for j in range(p - 2, -1, -1):
-            dg = dg * t + slope[j]
-        return t - (sigma_planes(p, base + t * xi) - target) / dg
-    return newton_descent(t.reshape(-1), newton, base, xi, slope, target).reshape(shape)
+            dg = dg * t + slope[..., j]
+        return t - (sigma(p, base + t[..., None] * xi) - target) / dg
+    return newton_descent(2.0 * np.max(bounds, axis=-1), newton)
 
 
 # A ray is decided at its ball-exit point x only when sigma_p(x) exceeds a^p

@@ -15,25 +15,19 @@ one pass over contiguous memory instead of a strided one over every row's
 short last axis.  Results come back as np.moveaxis views, entries on the
 last axis again.  Every element sees the same operations in the same order
 as in the row-major layout, so values are identical bit for bit.  The
-minors and pair minors build their masked copies directly as planes, and
-callers that hold their vectors as planes (the level-crossing Newton of
-subsolution) evaluate them with sigma_planes; all share the one
-recurrence.
+minors and pair minors build their masked copies directly as planes and
+share the one recurrence.
 """
 
 import numpy as np
-
-
-def _require_finite(a):
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector entries must be finite")
 
 
 def _as_values(mu):
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 0 or mu.shape[-1] == 0:
         raise ValueError("vector must have length n >= 1")
-    _require_finite(mu)
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("vector entries must be finite")
     return mu
 
 
@@ -61,27 +55,17 @@ def _sigma_planes(p, planes):
     return _prefix(planes, p)[p]
 
 
-def sigma_planes(p, planes):
-    """sigma_p of the entry planes (n,) + batch, shape batch: the vectors
-    np.moveaxis(planes, 0, -1), entries checked finite as in sigma."""
-    _require_finite(planes)
-    return _sigma_planes(p, planes)
-
-
-def newton_descent(x, step, *planes):
-    """Newton x <- step(x, *planes) per row from the starts x (1-D) while it
-    decreases x, the planes holding the rows still descending on their last
-    axis.  A settled row would repeat its step exactly: it keeps its value
-    and is dropped for good, the only time the planes are copied."""
-    out, rows = x.copy(), np.arange(x.size)
-    while rows.size:
-        nxt = step(x, *planes)
-        out[rows] = x
-        keep = np.flatnonzero(nxt < x)
-        if keep.size < rows.size:
-            rows, nxt, *planes = (v.take(keep, -1) for v in (rows, nxt, *planes))
-        x = nxt
-    return out
+def newton_descent(x, step):
+    """Newton x <- step(x) per entry of the starts x while it decreases the
+    entry.  An entry whose step does not decrease it keeps its value, and
+    since that step would repeat exactly it never moves again: every entry
+    steps until none descends."""
+    while True:
+        nxt = step(x)
+        down = nxt < x
+        if not down.any():
+            return x
+        x = np.where(down, nxt, x)
 
 
 def sigma_all(mu):

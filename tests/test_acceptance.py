@@ -498,6 +498,36 @@ CLI_CASES = [
 ]
 
 
+# find-m runs whose upper bracket M = 1e6 has no admissible trial: a search
+# failure, not a pass
+VACUOUS_FIND_M = [
+    ["find-m", "--n", "4", "--p", "3", "--tau", "0.5", "--eps", "0.001",
+     "--sigma", "0.1:10", "--trials", "2000", "--seed", "42"],
+    ["find-m", "--n", "5", "--p", "4", "--tau", "0.5", "--sigma", "0.01:100",
+     "--trials", "1000", "--seed", "1"],
+]
+
+
+def _strict_json(path):
+    """The report at path, parsed with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"{path}: non-finite number {name}")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path):
+    out = os.path.join(tmp_path, "report.json")
+    for case in CLI_CASES:
+        assert cli_main(case + ["--output", out]) == 0, case[0]
+        assert _strict_json(out)["subcommand"] == case[0]
+    for case in VACUOUS_FIND_M:
+        assert cli_main(case + ["--output", out]) == 1
+        violation = _strict_json(out)["violation"]
+        assert violation["kind"] == "search_failure"
+        assert "no admissible trial at M = 1.000e+06" in violation["detail"]
+
+
 def _strip_walltime(path):
     with open(path, "rb") as fh:
         return b"\n".join(

@@ -378,6 +378,13 @@ def test_find_m(tmp_path):
     assert history[-1] == [rep["results"]["M_hat"], rep["results"]["worst_residual"]]
 
 
+def test_emit_refuses_nonfinite_numbers(tmp_path):
+    out = os.path.join(tmp_path, "bad.json")
+    with pytest.raises(ValueError):
+        cli._emit({"results": {"worst": [1.0, np.inf]}}, out)
+    assert not os.path.exists(out)
+
+
 def test_subsolution(tmp_path):
     status, rep = run(
         tmp_path, "sub.json", "subsolution", "--n", "2", "--p", "2",

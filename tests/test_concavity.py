@@ -14,7 +14,7 @@ from phessian.concavity import (
     sample_hypothesis_points,
 )
 from phessian.cone import ZERO_BAND, ConeSpec, classify, sample_admissible
-from phessian.errors import AdmissibilityError
+from phessian.errors import AdmissibilityError, SearchFailureError
 from phessian.symfun import sigma, sigma_trunc
 
 from oracles import sigma_brute
@@ -370,6 +370,14 @@ def test_find_threshold_history_records_every_bisection_step(monkeypatch):
         assert M == 0.5 * (lo + hi)
         lo, hi = (lo, M) if worst >= VIOLATION_TOL else (M, hi)
     assert hi == out.M_hat and 24.0 < out.M_hat <= 37.0
+
+
+def test_find_threshold_without_admissible_trials_fails():
+    # every trial at M = 1e6 lies on the cone's boundary band: the upper
+    # bracket would check nothing, so the search fails there by name
+    message = r"no admissible trial at M = 1\.000e\+06"
+    with pytest.raises(SearchFailureError, match=message):
+        find_threshold(4, 3, 0.5, 0.001, (0.1, 10.0), 200, seed=42)
 
 
 def test_find_threshold_finite_and_deterministic():

@@ -47,6 +47,26 @@ def test_library_imports_only_numpy_and_stdlib():
     assert found == []
 
 
+def test_linear_algebra_only_in_spectral():
+    # the eigensolve, the Cholesky congruence and sigma_q of a matrix field
+    # each live once, in spectral.py; elsewhere np.linalg serves norms only
+    found = []
+    for module in MODULES:
+        if module == "spectral.py":
+            continue
+        path = os.path.join(PACKAGE, module)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                found.append(f"{module}:{node.lineno}: from {node.module}")
+            elif (isinstance(node, ast.Attribute) and node.attr != "norm"
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "linalg"):
+                found.append(f"{module}:{node.lineno}: linalg.{node.attr}")
+    assert found == []
+
+
 def traced_functions():
     """(layer, function) pairs of the TRACED table in perfbench/tracer.py,
     read from its syntax tree: the file is neither imported nor run."""

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from phessian.symfun import (
     identity_residuals,
+    newton_descent,
     sigma,
     sigma_all,
     sigma_minors,
     sigma_pair_minors,
-    sigma_planes,
     sigma_ray_coeffs,
     sigma_root_grad,
     sigma_trunc,
@@ -68,17 +68,59 @@ def test_sigma_batched_matches_scalar():
         assert batched[i] == sigma(2, mu[i])
 
 
-def test_sigma_planes_matches_sigma():
-    # entry planes (n,) + batch give sigma of the moved-back vectors bit for
-    # bit, and a non-finite entry fails sigma's input check
-    rng = np.random.default_rng(5)
-    mu = rng.uniform(-5, 5, (6, 7, 4))
-    planes = np.ascontiguousarray(np.moveaxis(mu, -1, 0))
-    for p in range(-1, 6):
-        assert np.array_equal(sigma_planes(p, planes), sigma(p, mu)), p
-    planes[2, 3, 1] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        sigma_planes(2, planes)
+def sqrt_newton(x, c):
+    """Newton's step for x^2 = c: from above sqrt(c) it decreases onto it."""
+    return 0.5 * (x + c / x)
+
+
+def recorded(c):
+    """sqrt_newton for c, with every x it is called on kept in .calls."""
+    def step(x):
+        step.calls.append(x.copy())
+        return sqrt_newton(x, c)
+    step.calls = []
+    return step
+
+
+def test_newton_descent_keeps_a_start_that_does_not_descend():
+    # from below sqrt(c) the first step goes up: those rows return their
+    # starts unchanged while the others descend
+    x = np.array([1.0, 50.0, 0.5, 3.0])
+    c = np.array([4.0, 4.0, 9.0, 9.0])
+    out = newton_descent(x, lambda x: sqrt_newton(x, c))
+    assert out[0] == 1.0 and out[2] == 0.5
+    assert out[1] == pytest.approx(2.0, rel=1e-15)
+    assert out[3] == 3.0  # the root itself: its step repeats it
+
+
+def test_newton_descent_batch_matches_rows_alone():
+    # rows that settle after 1 to about 20 steps give the same bits alone
+    # and in one batch
+    rng = np.random.default_rng(6)
+    c = rng.uniform(0.1, 10.0, 40)
+    x = np.sqrt(c) * 10.0 ** rng.uniform(0.0, 6.0, 40)
+    step = recorded(c)
+    out = newton_descent(x, step)
+    alone = np.array([newton_descent(x[i : i + 1], recorded(c[i : i + 1]))[0]
+                      for i in range(len(x))])
+    assert np.array_equal(out, alone)
+    moves = np.sum(np.diff(np.array(step.calls), axis=0) != 0, axis=0)
+    assert moves.min() <= 4 and moves.max() >= 20
+
+
+def test_newton_descent_settled_row_never_moves_again():
+    # once a row's step fails to decrease it, the row keeps that value in
+    # every later call, however long the other rows descend
+    c = np.array([4.0, 2.0, 7.0])
+    x = np.array([2.5, 1e8, 1e3])
+    step = recorded(c)
+    out = newton_descent(x, step)
+    calls = np.array(step.calls)
+    for row in range(len(x)):
+        seen = calls[:, row]
+        settled = np.flatnonzero(sqrt_newton(seen, c[row]) >= seen)[0]
+        assert np.all(seen[settled:] == out[row])
+        assert np.all(np.diff(seen[: settled + 1]) < 0)
 
 
 def test_sigma_all_consistent():
