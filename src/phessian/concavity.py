@@ -49,7 +49,7 @@ class ThresholdResult:
     trials: int
     worst_residual: float
     seed: int
-    history: tuple  # (M, worst residual) of every evaluated M, in call order
+    history: tuple  # (M, worst residual, admissible trials) per M, in call order
 
 
 def validate_mode(n, mode, tau, eps, a=None, p=None):
@@ -254,10 +254,10 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     shape for the first n-1 entries), plus a random unit complex w, and
     evaluates the order-p inequality with constant (p+1)^2 on the trials
     whose mu lies in the open cone (residual_batch).  M is bisected over
-    [eps, 1e6] for the smallest value with no residual below -1e-10; every
-    evaluated (M, worst residual) is kept in the result's history.  An M
-    with no admissible trial raises SearchFailureError naming it, as do
-    violations at 1e6.  Deterministic for a fixed seed.
+    [eps, 1e6] for the smallest value with no residual below -1e-10; the
+    history keeps (M, worst residual, admissible trials) of every M tried.
+    An M with no admissible trial raises SearchFailureError naming it, as
+    do violations at 1e6.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -282,7 +282,7 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
             )
         res = residual_batch(mu[ok], w[ok], "small_mu1", tau, eps, p=p)
         i = int(np.argmin(res))
-        history.append((M, float(res[i])))
+        history.append((M, float(res[i]), int(np.count_nonzero(ok))))
         return float(res[i]), (mu[ok][i], w[ok][i])
 
     lo, hi = float(eps), 1e6
@@ -351,11 +351,10 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
         take = len(good)
         empty_rounds = 0 if take else empty_rounds + 1
         if empty_rounds == 100:
-            # [x*, P/e) lies inside the classifier's zero band (a - beta
-            # tiny): no draw can pass the filter
+            # a - beta at the rounding level leaves [x*, P/e) too narrow to resolve
             raise InputError(
                 f"no hypothesis point passed the cone-and-bound test in 100 "
-                f"rounds at n={n}, tau={tau}, eps={eps}, a={a}"
+                f"rounds at n={n}, tau={tau}, eps={eps}, a={a}: a - beta too small"
             )
         if take:
             mus[k : k + take] = good

@@ -3,7 +3,8 @@ the classical inequality families (Newton-Maclaurin, Maclaurin, and the
 technical inequalities for sorted admissible vectors).
 
 One classifier decides every region test, so classify, classify_batch,
-require_cone, cone_distance and sample_admissible agree verdict for verdict.
+require_cone, cone_distance and sample_admissible agree verdict for verdict;
+a sign of sigma_q counts only where it clears its rounding bound (_regions).
 """
 
 import functools
@@ -13,13 +14,11 @@ from math import comb
 import numpy as np
 
 from .errors import AdmissibilityError, InputError
-from .symfun import _as_values, sigma_all, sigma_minors
+from .symfun import _as_values, _level_crossing, _prefix, sigma_all, sigma_minors
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 OUTSIDE = "outside"
-ZERO_BAND = 1e-12
-DISTANCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class ConeVerdict:
 
 def _region_codes(sigs, tau):
     """Region codes (2 interior, 1 boundary, 0 outside) from sigma_1..sigma_p
-    and their zero bands tau: |sigma_q| <= tau_q counts as zero.  Reduces
+    and their rounding bounds tau: |sigma_q| <= tau_q counts as zero.  Reduces
     over q column by column: np.all over a short last axis is slow on long
     batches."""
     interior = closed = True
@@ -53,26 +52,43 @@ def _region_codes(sigs, tau):
     return np.where(interior, 2, np.where(boundary, 1, 0))
 
 
+def _rounding(n, q):
+    """2(n + q) eps.  The prefix recurrence rounds each monomial of sigma_q
+    of n entries at most n + q - 1 times, so it and its sigma_q(|mu|) err
+    by at most gamma_{n+q-1} sigma_q(|mu|), gamma_k = k u / (1 - k u),
+    u = eps / 2 (Higham 2002, ch. 3): this covers both four times over."""
+    return 2 * (n + q) * np.finfo(float).eps
+
+
 def _regions(mu, p):
-    """Region codes and sigma_1..sigma_p, batched.  |sigma_q| <= ZERO_BAND *
-    max(1, ||mu||_inf^q) counts as zero, so verdicts respect the cone's
-    scale invariance.  A row whose sigma_q or band overflows (entries
-    beyond about 1e100) is decided on mu / ||mu||_inf with band ZERO_BAND,
-    the same verdict; its sigma values stay as computed.  ||mu||_inf is
-    taken column by column, as in _region_codes."""
-    scale = np.abs(mu[..., 0])
-    for k in range(1, mu.shape[-1]):
-        scale = np.maximum(scale, np.abs(mu[..., k]))
-    scale = np.maximum(1.0, scale)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigs = sigma_all(mu)[..., 1 : p + 1]
-        tau = ZERO_BAND * np.maximum(1.0, scale[..., None] ** np.arange(1, p + 1))
-    codes = _region_codes(sigs, tau)
-    finite = np.isfinite(sigs) & np.isfinite(tau)
-    if not finite.all():
-        huge = ~np.all(finite, axis=-1)
-        codes[huge] = _regions(mu[huge] / scale[huge][..., None], p)[0]
-    return codes, sigs
+    """Region codes and sigma_1..sigma_p, batched: a sign counts only where
+    |sigma_q| clears tau_q = _rounding(n, q) sigma_q(|mu|).  Both sums run
+    on the entry planes of mu 2^-e, e the frexp exponent of ||mu||_inf:
+    nothing overflows, a power of two scales no verdict, and sigma_q(|mu
+    2^-e|) <= C(n, q), so a row clearing that cap's bound needs no second
+    sum.  Each underflow errs by at most 2^-1075, with total weight
+    (n + 2) 2^(n-1) per sum, so tau_q adds (n + 2) 2^(n+1-1074); the zero
+    vector is boundary.  The sigma values come back through ldexp,
+    sigma_all(mu)'s bits wherever neither pass under- or overflows."""
+    n = mu.shape[-1]
+    planes = np.moveaxis(mu, -1, 0)
+    top = functools.reduce(np.maximum, (np.abs(x) for x in planes))
+    e = np.frexp(top)[1]
+    unit = np.ldexp(planes, -e, out=np.empty(planes.shape))
+    sigs = _prefix(unit, p)[1:]
+    q = np.arange(1, p + 1, dtype=e.dtype).reshape((p,) + (1,) * e.ndim)
+    coef = _rounding(n, q)
+    tiny = np.ldexp(n + 2.0, n + 1 - 1074)
+    cap = coef * np.array([comb(n, k) for k in range(p + 1)])[q] + tiny
+    tau = np.broadcast_to(cap, sigs.shape)
+    near = np.any(np.abs(sigs) <= tau, axis=0)
+    if near.any():
+        tau = tau.copy()
+        tau[:, near] = _prefix(np.abs(unit[:, near]), p)[1:] * coef.reshape(p, 1) + tiny
+    codes = _region_codes(np.moveaxis(sigs, 0, -1), np.moveaxis(tau, 0, -1))
+    with np.errstate(over="ignore"):
+        np.ldexp(sigs, e * q, out=sigs)
+    return codes, np.moveaxis(sigs, 0, -1)
 
 
 def classify(mu, spec):
@@ -112,24 +128,17 @@ def require_cone(mu, spec, name="mu", closed=False):
 def cone_distance(mu, spec):
     """Infimum t* >= 0 with mu + t*1_n in the cone for every t > t*.
 
-    Batched like sigma.  Each row bisects against classify_batch until its
-    bracket is DISTANCE_TOL wide; vectors in the closed cone return 0.  The
-    exact largest root of sigma_p(mu + t1) is no substitute: the zero band
-    moves the classified interior up to ~1e-6 further along the ray.
+    Batched like sigma; a single vector is a batch of one.  Gamma_p is
+    sigma_p's hyperbolicity cone around 1_n (Garding 1959), so t* is the
+    largest root of sigma_p(mu + t1), clamped at 0 (_level_crossing).  Rows
+    that classify_batch puts in the closed cone return exactly 0.
     """
     mu = _as_values(mu)
-    outside = classify_batch(mu, spec) == 0
-    lo = np.zeros(mu.shape[:-1])
-    hi = np.where(outside, spec.n * np.max(np.abs(mu), axis=-1) + 1.0, 0.0)
-    while True:
-        mid = 0.5 * (lo + hi)
-        # past t ~ 1e6 adjacent floats are more than DISTANCE_TOL apart
-        active = (hi - lo > DISTANCE_TOL) & (lo < mid) & (mid < hi)
-        if not np.any(active):
-            return float(hi) if hi.ndim == 0 else hi
-        ok = classify_batch(mu + mid[..., None], spec) == 2
-        hi = np.where(active & ok, mid, hi)
-        lo = np.where(active & ~ok, mid, lo)
+    rows = mu.reshape(-1, mu.shape[-1])
+    t = np.zeros(len(rows))
+    out = np.flatnonzero(classify_batch(rows, spec) == 0)
+    t[out] = np.maximum(_level_crossing(rows[out], np.ones(spec.n), spec.p, 0.0), 0.0)
+    return float(t[0]) if mu.ndim == 1 else t.reshape(mu.shape[:-1])
 
 
 def _batch_of_one(report):

@@ -12,9 +12,9 @@ the sum of the q x q principal minors of M (matrix_sigmas), and the
 gradient of sigma_q(lam(M)) in M is the Newton tensor T_{q-1}(M)
 (newton_tensor), from which matrix_root_grad forms the gradient F of
 sigma_p^{1/p}.  classify_matrices decides cone membership of lam(M) from
-the minors and sends only the rows inside the zero band's annulus through
-the eigensolver; require_matrix_cone raises at the first matrix outside
-the cone.
+the minors' signs where they clear the minors' rounding, and from the
+eigenvalues, widened by eigvalsh's error, elsewhere; require_matrix_cone
+raises at the first matrix outside the cone.
 
 On top of the map sit the closed-form first and second derivatives of
 lam_q and of sigma_p(lam) at (A, B) = (I, D) with D diagonal and the
@@ -22,10 +22,11 @@ batched linearization matrix F^{jk} of sigma_p^{1/p} under a metric.
 """
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .cone import ConeSpec, ZERO_BAND, _region_codes, classify_batch
+from .cone import ConeSpec, classify_batch
 from .errors import AdmissibilityError, DegenerateSpectrumError
 from .symfun import sigma_minors, sigma_pair_minors
 
@@ -79,9 +80,10 @@ def jacobi_eigh(M):
     return np.linalg.eigvalsh(np.ascontiguousarray(M, dtype=float))
 
 
-# |sigma_q| error allowed per unit of |M|_F^q between the minor and the
-# eigenvalue evaluations of sigma_q(lam(M)); both stay below 1e-13 for d <= 8
-MINOR_ROUNDING = 1e-10
+# eigvalsh's error per eigenvalue per unit of |M|_F, with room: backward stable
+# (LAPACK Users' Guide, section 4.7), it erred by at most 5.0 eps |M|_F against
+# mpmath on 4,500 random, double-root and near-identity 3 x 3 matrices
+EIGH_ROUNDING = 64 * np.finfo(float).eps
 
 # smallest eigenvalue gap at which spectral_derivs forms hess_lambda
 GAP_TOL = 1e-6
@@ -154,38 +156,54 @@ def matrix_root_grad(M, sigmas, p):
     return scale[..., None, None] * newton_tensor(M, sigmas, p - 1)
 
 
+def _decision_bounds(d, p):
+    """B_1..B_p: where |sigma_q(lam(M))| from the minors exceeds B_q |M|_F^q
+    its sign is exact.  Faddeev-LeVerrier rounds k = q (2d + 2) times on the
+    way to sigma_q, so it errs by at most gamma_k = k u / (1 - k u), u =
+    eps / 2, times its run on |M| with every sign dropped, at most d
+    C(d+q-1, q-1) |M|_F^q / q (less for the closed forms, d <= 3).  B_q is
+    twice that."""
+    u = np.finfo(float).eps / 2
+    bounds = []
+    for q in range(1, p + 1):
+        k = q * (2 * d + 2)
+        bounds.append(2 * k * u / (1 - k * u) * d * comb(d + q - 1, q - 1) / q)
+    return bounds
+
+
 def classify_matrices(M, spec):
     """Region codes of lam(M) (2 interior, 1 boundary, 0 outside) for
     symmetric M (batch + (d, d)), with the matrix_sigmas of every row.
 
-    The codes are those of classify_batch(jacobi_eigh(M), spec).  Its zero
-    band scales with max|lam|, which minors do not give; max|lam| lies in
-    [|M|_F/sqrt(d), |M|_F].  A row is decided from its minors when every
-    |sigma_q|, q <= p, lies more than the rounding allowance
-    MINOR_ROUNDING |M|_F^q outside the band's whole range, since then every
-    threshold in that range gives one verdict.  The other rows (|sigma_q|
-    in the band's annulus) go through the eigensolver.
+    A row is decided by its minors' signs when every |sigma_q|, q <= p,
+    exceeds B_q |M|_F^q (_decision_bounds) plus the smallest normal float.
+    The others, bar exact zero matrices (boundary), go through jacobi_eigh,
+    whose eigenvalues lie within EIGH_ROUNDING |M|_F <= s = EIGH_ROUNDING
+    sqrt(d) max|lam| of the exact ones.  As Gamma_p + the closed positive
+    orthant lies in Gamma_p, lam(M) is interior where classify_batch puts
+    the spectrum minus s 1_d inside, outside where it puts the spectrum plus
+    s 1_d outside, else boundary: no verdict contradicts the exact signs.
     """
     M = np.asarray(M, dtype=float)
-    p = spec.p
+    d, p = M.shape[-1], spec.p
     sigmas = matrix_sigmas(M)
-    sig = sigmas[..., 1 : p + 1]
     norm = np.sqrt(np.einsum("...jk,...jk->...", M, M))
-    # |M|_F^q as a running product, one plane per q; the rounding allowance
-    # is far wider than its last bits
-    power = 1.0
-    hi = np.empty((p,) + norm.shape)
-    decided = True
-    for q in range(p):
+    power = 1.0  # |M|_F^q, one plane per q
+    decided = positive = True
+    for q, b in enumerate(_decision_bounds(d, p), 1):
         power = power * norm
-        lo = ZERO_BAND * np.maximum(1.0, power / np.sqrt(spec.n) ** (q + 1))
-        hi[q] = ZERO_BAND * np.maximum(1.0, power)
-        slack = MINOR_ROUNDING * power
-        size = np.abs(sig[..., q])
-        decided = decided & ((size < lo - slack) | (size > hi[q] + slack))
-    codes = _region_codes(sig, np.moveaxis(hi, 0, -1))
-    if not np.all(decided):
-        codes[~decided] = classify_batch(jacobi_eigh(M[~decided]), spec)
+        decided = decided & (np.abs(sigmas[..., q]) > b * power + np.finfo(float).tiny)
+        positive = positive & (sigmas[..., q] > 0)
+    codes = np.where(decided, 2 * positive, 1)
+    flat = M.reshape(-1, d, d)
+    hard = np.flatnonzero(~decided)
+    hard = hard[flat[hard].any(axis=(-2, -1))]  # exact zeros stay boundary
+    if hard.size:
+        lam = jacobi_eigh(flat[hard])
+        slack = EIGH_ROUNDING * np.sqrt(d) * np.max(np.abs(lam), axis=-1, keepdims=True)
+        inside = classify_batch(lam - slack, spec) == 2
+        outside = classify_batch(lam + slack, spec) == 0
+        codes.reshape(-1)[hard] = np.where(inside, 2, np.where(outside, 0, 1))
     return codes, sigmas
 
 

@@ -33,17 +33,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cone import ConeSpec, _regions, require_cone
+from .cone import ConeSpec, _regions, _rounding, require_cone
 from .errors import ConstructionError, InputError
 from .solver import box_grad_hess
-from .spectral import classify_matrices, jacobi_eigh
-from .symfun import (
-    _as_values,
-    newton_descent,
-    sigma,
-    sigma_ray_coeffs,
-    sigma_root_grad,
-)
+from .spectral import EIGH_ROUNDING, classify_matrices, jacobi_eigh
+from .symfun import _as_values, _level_crossing, sigma, sigma_root_grad
 
 
 @dataclass(frozen=True)
@@ -252,24 +246,6 @@ def _admissible_pass(planes, n, axis, h, p, select, message, visit, closed=False
         raise ConstructionError(message, node=bad)
 
 
-# construct eigensolves a Hessian H for eps2 only where the interval
-# _minor_bounds puts around its computed sigma_k(lam(H)|n), k = p - 1, may
-# hold the minimum.  The interval encloses the exact value, widened by
-# EIGH_ROUNDING k C(n-1, k) |H|_F^k for the rounding of the computed one.
-# eigvalsh is backward stable: each computed eigenvalue lies within a small
-# multiple of eps |H|_2 of the exact one (LAPACK Users' Guide, section 4.7);
-# against mpmath its error was at most 5.0 eps |H|_F on 4,500 random,
-# double-root and near-identity 3 x 3 matrices.  sigma_k moves by at most
-# C(n-2, k-1) |H|_F^{k-1} per unit of each of its n - 1 eigenvalues, and
-# (n - 1) C(n-2, k-1) = k C(n-1, k); so the margin leaves 64 eps |H|_F per
-# eigenvalue for LAPACK's error, sigma's recurrence (about 2(n - 1) eps
-# C(n-1, k) |H|_F^k) and the bound's own arithmetic (a few eps of its terms).
-# A blanket allowance such as MINOR_ROUNDING would prune nothing: a quadratic
-# u's values tie to within 5.5e-13 at 97^3, where this margin keeps 4.6% of
-# the nodes, 256 eps about 40% and an absolute 1e-13 98%.
-EIGH_ROUNDING = 64 * np.finfo(float).eps
-
-
 def _minor_bounds(hess, trace, k):
     """Lower and upper ends (m,) of an interval that holds the computed
     sigma_k(lam|n), the top eigenvalue left out, of each of the m Hessians H
@@ -283,7 +259,8 @@ def _minor_bounds(hess, trace, k):
     C(m, k) q^k - C(m-1, k-1) q^{k-1} beta + sum_{j=2..k} C(m-j, k-j)
     q^{k-j} sigma_j(y), and Maclaurin bounds |sigma_j(y)| by
     C(m, j) (b / sqrt m)^j.  The interval is widened by
-    EIGH_ROUNDING k C(m, k) |H|_F^k, |H|_F^2 = b^2 + n q^2.
+    EIGH_ROUNDING k C(m, k) |H|_F^k, |H|_F^2 = b^2 + n q^2: eigvalsh's
+    error times sigma_k's slope, at most C(m-1, k-1) |H|_F^{k-1} each.
     """
     n = len(hess)
     m = n - 1
@@ -489,53 +466,6 @@ class KeyLemmaConfig:
     nu: np.ndarray
 
 
-def _level_crossing(base, xi, p, target):
-    """Largest t with sigma_p(base + t xi) = target per ray (rows xi > 0,
-    target > 0; base, xi and target broadcast over the rays).
-
-    sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
-    only real roots, is increasing and convex past the largest, and meets
-    the target there once.  Newton from Fujiwara's root bound decreases onto
-    that crossing (newton_descent).  Values come from sigma_p of the moved
-    vector base + t xi, since the monomial form cancels far from t = 0;
-    slopes from the monomial form by Horner.  A ray with sigma_p(xi) = 0
-    (outside the rows' domain) has no finite starting bound and raises
-    ValueError up front.
-    """
-    c = sigma_ray_coeffs(p, base, xi)
-    flat = np.flatnonzero(c[..., p] == 0.0)
-    if flat.size:
-        raise ValueError(
-            f"sigma_p(xi) = 0 on ray {flat[0]}: Fujiwara's bound, where the "
-            f"crossing's Newton starts, is not finite"
-        )
-    c[..., 0] -= target
-    k = np.arange(1, p + 1)
-    bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
-    bounds[..., -1] *= 0.5 ** (1.0 / p)
-    slope = c[..., 1:] * k
-
-    def newton(t):
-        dg = slope[..., -1]
-        for j in range(p - 2, -1, -1):
-            dg = dg * t + slope[..., j]
-        return t - (sigma(p, base + t[..., None] * xi) - target) / dg
-    return newton_descent(2.0 * np.max(bounds, axis=-1), newton)
-
-
-# A ray is decided at its ball-exit point x only when sigma_p(x) exceeds a^p
-# by more than EXIT_MARGIN R^p.  The prefix recurrence forms each of
-# sigma_p's C(n, p) products of entries with at most 2n roundings, so its
-# value is within about 2n eps sigma_p(|x|) <= 2n C(n, p) eps ||x||_inf^p of
-# the exact one (eps = 2.2e-16), and ||x||_inf <= |x| = R: under 1e-11 R^p
-# for n <= 10 and under 1e-10 R^p for n <= 16.  The crossing Newton stops
-# where its computed sigma_p - a^p turns non-positive, which is then within
-# that rounding of the exact crossing; the exit point and the norms of the
-# crossings carry only eps R more.  So where the margin holds, both the
-# exact crossing and the one the Newton would compute lie before the exit,
-# and the ray's verdict, inside, is the one the Newton gives.
-EXIT_MARGIN = 1e-9
-
 # key_lemma_sweep samples and decides the rays of whole configs together,
 # at least one config and otherwise at most this many rays at a time.
 KEY_LEMMA_RAYS = 2**13
@@ -554,10 +484,10 @@ def _rays_that_may_escape(base, base_norm, xi, p, a, R):
     sigma_p(x) > a^p the largest crossing of {sigma_p = a^p} comes before
     t_R, and the crossing, clamped at 0, lies on the segment from base to
     x, inside the ball.  The rays decided so are those where x classifies
-    interior and sigma_p(x) clears a^p by the rounding margin
-    EXIT_MARGIN R^p; every other ray, and every ray when |base| >= R, is
-    left to the crossing Newton.  The per-config scalars are those of a
-    single config, broadcast.
+    interior and sigma_p(x) exceeds a^p by 2 _rounding(n, p) C(n, p) R^p,
+    twice its rounding bound at |x| = R (the Newton stops within one of the
+    crossing); every other ray, and every ray when |base| >= R, is left to
+    the Newton.  The per-config scalars are those of a single config.
     """
     # a config with |base| >= R keeps every ray; its exit points are those
     # of a stand-in base 0 and radial 0, so they cannot overflow
@@ -567,8 +497,9 @@ def _rays_that_may_escape(base, base_norm, xi, p, a, R):
         np.sqrt(r - b) * np.sqrt(r + b) if ok else 0.0
         for b, r, ok in zip(base_norm, R, inside)
     ]
+    margin = 2 * _rounding(base.shape[-1], p) * comb(base.shape[-1], p)
     with np.errstate(over="ignore"):
-        level = [a_c**p + EXIT_MARGIN * np.float64(r) ** p for a_c, r in zip(a, R)]
+        level = [a_c**p + margin * np.float64(r) ** p for a_c, r in zip(a, R)]
     # |base| < 1.4e154 where its norm is finite, so the exit points are
     # finite up to R = the largest float; b + reach xi is formed in place
     along = (xi @ base[..., None])[..., 0]

@@ -45,6 +45,20 @@ def _prefix(planes, top):
     return e
 
 
+def _prefix_slope(planes, slopes, p):
+    """sigma_p of the entry planes (n,) + batch, p >= 1, _prefix's bit for
+    bit, and its derivative along the planes slopes: the tangent."""
+    e, de = np.zeros((2, p + 1) + planes.shape[1:])
+    e[0] = 1.0
+    for k, (x, v) in enumerate(zip(planes, slopes)):
+        for j in range(min(k + 1, p), 1, -1):
+            de[j] += v * e[j - 1] + x * de[j - 1]
+            e[j] += x * e[j - 1]
+        de[1] += v  # v e[0] + x de[0], e[0] = 1, de[0] = 0
+        e[1] += x
+    return e[p], de[p]
+
+
 def _sigma_planes(p, planes):
     """sigma_p of the entry planes (n,) + batch, shape batch: 1 if p = 0,
     0 if p < 0 or p > n."""
@@ -157,6 +171,42 @@ def sigma_ray_coeffs(p, base, xi):
             e[1, 1] += x
             e[1, 0] += b
     return np.moveaxis(e[p], 0, -1)
+
+
+def _level_crossing(base, xi, p, target):
+    """Largest t with sigma_p(base + t xi) = target per ray (rows xi > 0,
+    target >= 0; base, xi and target broadcast over the rays).
+
+    sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
+    only real roots, is increasing and convex past the largest, and meets
+    the target there once.  Newton from Fujiwara's root bound decreases onto
+    that crossing (newton_descent), linearly at a multiple root.  Values
+    and slopes come from the moved vector base + t xi (_prefix_slope): the
+    monomial form cancels far from t = 0 and, in slopes, near a multiple
+    root.  A step is taken only where the slope is positive and finite.  A ray with
+    sigma_p(xi) = 0 (outside the rows' domain) has no finite starting bound
+    and raises ValueError up front.
+    """
+    c = sigma_ray_coeffs(p, base, xi)
+    flat = np.flatnonzero(c[..., p] == 0.0)
+    if flat.size:
+        raise ValueError(
+            f"sigma_p(xi) = 0 on ray {flat[0]}: Fujiwara's bound, where the "
+            f"crossing's Newton starts, is not finite"
+        )
+    c[..., 0] -= target
+    k = np.arange(1, p + 1)
+    bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
+    bounds[..., -1] *= 0.5 ** (1.0 / p)
+    b, v = (np.moveaxis(np.broadcast_to(a, c.shape[:-1] + xi.shape[-1:]), -1, 0).copy()
+            for a in (base, xi))
+
+    def newton(t):
+        g, dg = _prefix_slope(b + t * v, v, p)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = t - (g - target) / dg
+        return np.where((dg > 0) & np.isfinite(step), step, t)
+    return newton_descent(2.0 * np.max(bounds, axis=-1), newton)
 
 
 def sigma_root_grad(p, mu):

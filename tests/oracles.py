@@ -1,6 +1,7 @@
 """Independent oracles shared by the tests.  They live outside the package
 they check, so no package code can come to rely on them."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,62 @@ def sigma_brute(p, mu):
     if p < 0 or p > n:
         return 0.0
     return float(sum(np.prod([mu[i] for i in c]) for c in combinations(range(n), p)))
+
+
+def rotate(rng, lam):
+    """Q diag(lam) Q^T for a random orthogonal Q, symmetrized."""
+    Q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+    M = Q @ np.diag(lam) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+def with_sigma(head, p, target):
+    """head (batched on the last axis) plus one last entry x with
+    sigma_p(head, x) = target up to rounding: sigma_p(head, x) =
+    sigma_p(head) + x sigma_{p-1}(head)."""
+    head = np.asarray(head, dtype=float)
+
+    def sig(q):
+        return np.apply_along_axis(lambda row: sigma_brute(q, row), -1, head)
+
+    x = (target - sig(p)) / sig(p - 1)
+    return np.concatenate([head, np.expand_dims(x, -1)], axis=-1)
+
+
+def sigma_exact(mu):
+    """sigma_0(mu), ..., sigma_n(mu) of the floats mu as exact rationals
+    (fractions.Fraction): the prefix recurrence without rounding."""
+    e = [Fraction(1)] + [Fraction(0)] * len(mu)
+    for k, x in enumerate(map(Fraction, map(float, mu))):
+        for j in range(k + 1, 0, -1):
+            e[j] += x * e[j - 1]
+    return e
+
+
+def matrix_sigma_exact(M):
+    """sigma_0(lam(M)), ..., sigma_d(lam(M)) of a symmetric float matrix M
+    as exact rationals: Faddeev-LeVerrier without rounding,
+    q sigma_q = tr(M T_{q-1}), T_q = sigma_q I - M T_{q-1}, T_0 = I."""
+    d = len(M)
+    A = [[Fraction(float(x)) for x in row] for row in M]
+    out = [Fraction(1)]
+    T = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for q in range(1, d + 1):
+        MT = [[sum(A[i][k] * T[k][j] for k in range(d)) for j in range(d)]
+              for i in range(d)]
+        out.append(sum(MT[i][i] for i in range(d)) / q)
+        T = [[out[q] * (i == j) - MT[i][j] for j in range(d)] for i in range(d)]
+    return out
+
+
+def exact_region(sigmas, p):
+    """2 if sigma_1..sigma_p are all positive, 0 if one is negative, 1
+    otherwise: the region of the open, complement of the closed, and the
+    boundary of the cone of order p."""
+    signs = [s > 0 for s in sigmas[1 : p + 1]]
+    if all(signs):
+        return 2
+    return 0 if any(s < 0 for s in sigmas[1 : p + 1]) else 1
 
 
 def roll_grad(f, h):

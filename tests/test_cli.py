@@ -374,8 +374,9 @@ def test_find_m(tmp_path):
     assert np.isfinite(rep["results"]["M_hat"])
     assert rep["results"]["worst_residual"] >= -1e-10
     history = rep["results"]["history"]
-    assert [M for M, _ in history] == [1e6, 1.0]
-    assert history[-1] == [rep["results"]["M_hat"], rep["results"]["worst_residual"]]
+    assert [M for M, _, _ in history] == [1e6, 1.0]
+    assert history[-1][:2] == [rep["results"]["M_hat"], rep["results"]["worst_residual"]]
+    assert [k for _, _, k in history] == [200, 150]
 
 
 def test_emit_refuses_nonfinite_numbers(tmp_path):

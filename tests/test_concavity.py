@@ -13,7 +13,7 @@ from phessian.concavity import (
     residual_batch,
     sample_hypothesis_points,
 )
-from phessian.cone import ZERO_BAND, ConeSpec, classify, sample_admissible
+from phessian.cone import ConeSpec, _rounding, classify, sample_admissible
 from phessian.errors import AdmissibilityError, SearchFailureError
 from phessian.symfun import sigma, sigma_trunc
 
@@ -273,7 +273,9 @@ def test_large_mode_random_sweep():
 def test_sampled_interval_is_the_hypothesis_slice():
     # on the slice of fixed positive entries mu' = (mid, mu_n), the sampler
     # draws x = -mu_1 from [x*, P/e); hypothesis_check must flip exactly at
-    # both ends (the top end moves in by the classifier's zero band)
+    # both ends (the top end moves in by the classifier's rounding bound,
+    # _rounding(n, n - 1) sigma_{n-1}(|mu|), sigma_{n-1}(|mu|) = 2P at
+    # x = P/e)
     rng = np.random.default_rng(21)
     for _ in range(200):
         n = int(rng.integers(3, 8))
@@ -288,7 +290,7 @@ def test_sampled_interval_is_the_hypothesis_slice():
         )[0]
         hi = P / e
         d = 1e-6 * (hi - lo)
-        band = ZERO_BAND * mu_n ** (n - 1) / e
+        band = _rounding(n, n - 1) * 2 * P / e
 
         def holds(x):
             return hypothesis_check(ConcavityInstance(
@@ -334,25 +336,27 @@ def test_large_mode_sampler_validates_before_drawing(n, tau, eps, a, count):
 
 
 def test_large_mode_sampler_raises_on_empty_interval():
-    # a - beta = 1e-12 squeezes [x*, P/e) into the classifier's zero band
+    # a - beta = eps squeezes [x*, P/e) below the classifier's rounding
+    # bound
     with pytest.raises(ValueError, match="100 rounds"):
-        sample_hypothesis_points(3, 0.0, 1.0, 1.0 + 1e-12, 10,
+        sample_hypothesis_points(3, 0.0, 1.0, np.nextafter(1.0, 2.0), 10,
                                  np.random.default_rng(0))
 
 
-def check_history(out):
+def check_history(out, trials):
     assert 2 <= len(out.history) <= 42
     assert out.history[0][0] == 1e6
-    accepted = [M for M, worst in out.history if worst >= VIOLATION_TOL]
+    accepted = [M for M, worst, _ in out.history if worst >= VIOLATION_TOL]
     assert accepted[-1] == out.M_hat
-    assert dict(out.history)[out.M_hat] == out.worst_residual
+    assert {M: worst for M, worst, _ in out.history}[out.M_hat] == out.worst_residual
+    assert all(type(k) is int and 1 <= k <= trials for _, _, k in out.history)
 
 
 def test_find_threshold_history_without_bisection():
     # the inequality already holds at M = eps: two evaluations, no bisection
     out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
-    check_history(out)
-    assert [M for M, _ in out.history] == [1e6, 1.0]
+    check_history(out, 200)
+    assert [M for M, _, _ in out.history] == [1e6, 1.0]
 
 
 def test_find_threshold_history_records_every_bisection_step(monkeypatch):
@@ -363,21 +367,42 @@ def test_find_threshold_history_records_every_bisection_step(monkeypatch):
 
     monkeypatch.setattr(concavity, "_evaluate_batch", fake)
     out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 50, seed=3)
-    check_history(out)
+    check_history(out, 50)
     assert len(out.history) == 42
     lo, hi = 1.0, 1e6
-    for M, worst in out.history[2:]:
+    for M, worst, _ in out.history[2:]:
         assert M == 0.5 * (lo + hi)
         lo, hi = (lo, M) if worst >= VIOLATION_TOL else (M, hi)
     assert hi == out.M_hat and 24.0 < out.M_hat <= 37.0
 
 
-def test_find_threshold_without_admissible_trials_fails():
-    # every trial at M = 1e6 lies on the cone's boundary band: the upper
-    # bracket would check nothing, so the search fails there by name
+def test_find_threshold_without_admissible_trials_fails(monkeypatch):
+    # a classifier that puts every trial on the boundary: the upper bracket
+    # would check nothing, so the search fails there by name
+    def boundary(mu, spec):
+        return np.ones(mu.shape[:-1], dtype=int)
+
+    monkeypatch.setattr(concavity, "classify_batch", boundary)
     message = r"no admissible trial at M = 1\.000e\+06"
     with pytest.raises(SearchFailureError, match=message):
         find_threshold(4, 3, 0.5, 0.001, (0.1, 10.0), 200, seed=42)
+
+
+def test_find_threshold_counts_admissible_trials(monkeypatch):
+    # trials the classifier rejects are neither evaluated nor counted
+    real = concavity.classify_batch
+    kept = []
+
+    def every_other(mu, spec):
+        codes = real(mu, spec)
+        codes[1::2] = 0
+        kept.append(int(np.sum(codes == 2)))
+        return codes
+
+    monkeypatch.setattr(concavity, "classify_batch", every_other)
+    out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
+    assert [k for _, _, k in out.history] == kept
+    assert kept[0] == 100 and 0 < kept[1] < 100
 
 
 def test_find_threshold_finite_and_deterministic():

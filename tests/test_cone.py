@@ -90,6 +90,16 @@ def test_cone_distance_hand_cases():
     assert sigma(1, np.array([-2.0, 1.0, 1.0]) + t) > 0
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cone_distance_at_tied_roots(n):
+    # sigma_p(-1_n + t1) = C(n, p) (t - 1)^p: a p-fold root, where a slope
+    # from the monomial form cancels to rounding noise near t = 1
+    for p in range(2, n + 1):
+        assert cone_distance(-np.ones(n), ConeSpec(n, p)) == pytest.approx(1.0, abs=1e-9)
+    # sigma_3(mu + t1) = (t - 2)^2 (t + 1), a double root at 2
+    assert cone_distance([-2.0, -2.0, 1.0], ConeSpec(3, 3)) == pytest.approx(2.0, abs=1e-9)
+
+
 def test_cone_distance_shift_is_interior():
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -260,14 +270,14 @@ def test_cone_distance_batch_matches_rows():
 
 
 def test_cone_distance_far_outside_terminates():
-    # at t ~ 1e6 and beyond adjacent floats are more than the bisection
-    # tolerance apart; the search must still stop at an interior shift
+    # far out, where adjacent floats of t are 1e-9 apart, the shift is the
+    # largest root of sigma_2(mu + t) = (1 + t)(3t + 1 - 2e7), and a shift
+    # just past it is interior
     spec = ConeSpec(3, 2)
     mu = np.array([-1e7, 1.0, 1.0])
     t = cone_distance(mu, spec)
-    assert classify(mu + t, spec).region == "interior"
-    # sigma_2(mu + t) = (1 + t)(3t + 1 - 2e7)
-    assert t == pytest.approx((2e7 - 1.0) / 3.0, rel=1e-9)
+    assert t == pytest.approx((2e7 - 1.0) / 3.0, rel=1e-15)
+    assert classify(mu + t * (1 + 1e-12), spec).region == "interior"
 
 
 def _maclaurin_oracle(mu, p):

@@ -7,11 +7,11 @@ from unittest import mock
 import numpy as np
 
 from phessian import spectral
-from phessian.cone import ZERO_BAND, ConeSpec, classify_batch, sample_admissible
+from phessian.cone import ConeSpec, classify_batch, sample_admissible
 from phessian.errors import AdmissibilityError, DegenerateSpectrumError
 from phessian.spectral import (
-    MINOR_ROUNDING,
     Pencil,
+    _decision_bounds,
     classify_matrices,
     eigs,
     jacobi_eigh,
@@ -23,6 +23,7 @@ from phessian.spectral import (
 )
 from phessian.symfun import sigma, sigma_all, sigma_root_grad
 
+from oracles import exact_region, matrix_sigma_exact, rotate, with_sigma
 from paper_checks import midpoint_concavity_check, schur_horn_check, weyl_check
 
 
@@ -132,29 +133,10 @@ class TestJacobi(unittest.TestCase):
                 assert abs(got - minors) <= 1e-10 * max(1.0, abs(minors)), (n, k)
 
 
-def rotate(rng, lam):
-    """Q diag(lam) Q^T for a random orthogonal Q, symmetrized."""
-    Q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
-    M = Q @ np.diag(lam) @ Q.T
-    return 0.5 * (M + M.T)
-
-
-def with_sigma(head, p, target):
-    """head plus one last entry x with sigma_p(head, x) = target:
-    sigma_p(head, x) = sigma_p(head) + x sigma_{p-1}(head)."""
-    x = (target - sigma(p, head)) / sigma(p - 1, head)
-    return np.append(head, x)
-
-
-def band_range(lam, p):
-    """(lo, hi, slack) per q = 1..p of classify_matrices at a matrix with
-    spectrum lam: the zero band for max|lam| anywhere in
-    [|M|_F/sqrt(d), |M|_F], and the rounding allowance."""
-    norm = np.linalg.norm(lam)
-    q = np.arange(1, p + 1)
-    lo = ZERO_BAND * max(1.0, norm / np.sqrt(len(lam))) ** q
-    hi = ZERO_BAND * max(1.0, norm) ** q
-    return lo, hi, MINOR_ROUNDING * norm**q
+def decision_edge(lam, p):
+    """|sigma_p| below which classify_matrices sends a matrix with spectrum
+    lam through the eigensolver: B_p |M|_F^p plus the smallest normal."""
+    return _decision_bounds(len(lam), p)[-1] * np.linalg.norm(lam) ** p + np.finfo(float).tiny
 
 
 class TestMinorPath(unittest.TestCase):
@@ -185,7 +167,7 @@ class TestMinorPath(unittest.TestCase):
                                    [1.0, 15.0, 85.0, 225.0, 274.0, 120.0])
 
     def fuzz_batch(self, rng, d, p):
-        """Random, zero, rank-deficient, boundary and band-annulus rows."""
+        """Random, zero, rank-deficient, boundary and undecided rows."""
         rows = [rand_sym(rng, d, s) for s in (1e-6, 1e-2, 1.0, 1e2, 1e6) for _ in range(8)]
         rows += [np.zeros((d, d))] * 3
         for r in range(d):
@@ -196,24 +178,29 @@ class TestMinorPath(unittest.TestCase):
             head = scale * rng.uniform(1.0, 2.0, d - 1)
             if d > 1:
                 rows.append(rotate(rng, with_sigma(head, p, 0.0)))   # on the boundary
-                lam = with_sigma(head, p, 0.0)
-                lo, hi, _ = band_range(lam, p)
-                rows.append(rotate(rng, with_sigma(head, p, 0.5 * (lo[-1] + hi[-1]))))
-                rows.append(rotate(rng, with_sigma(head, p, -0.5 * (lo[-1] + hi[-1]))))
+                edge = decision_edge(with_sigma(head, p, 0.0), p)
+                rows.append(rotate(rng, with_sigma(head, p, 0.5 * edge)))
+                rows.append(rotate(rng, with_sigma(head, p, -0.5 * edge)))
             rows.append(rotate(rng, scale * sample_admissible(d, p, 1, rng)[0]))
         return np.stack(rows)
 
     def test_classifier_matches_eigen_path(self):
+        # every verdict the classifier gives agrees with the eigenvalue
+        # classifier, and the random rows, far from the cone's boundary,
+        # are all decided; rows at the rounding level may be boundary where
+        # classify_batch of the computed spectrum guesses a side
         rng = np.random.default_rng(41)
         for d in range(1, 7):
             for p in range(1, d + 1):
                 M = self.fuzz_batch(rng, d, p)
                 codes, sigmas = classify_matrices(M, ConeSpec(d, p))
                 ref = classify_batch(jacobi_eigh(M), ConeSpec(d, p))
-                np.testing.assert_array_equal(codes, ref, err_msg=f"d={d} p={p}")
+                decided = codes != 1
+                np.testing.assert_array_equal(codes[decided], ref[decided], err_msg=f"d={d} p={p}")
+                np.testing.assert_array_equal(codes[:40], ref[:40], err_msg=f"d={d} p={p}")
                 np.testing.assert_array_equal(sigmas, matrix_sigmas(M))
                 single = [int(classify_matrices(m, ConeSpec(d, p))[0]) for m in M]
-                np.testing.assert_array_equal(single, ref)
+                np.testing.assert_array_equal(single, codes)
 
     def test_plane_major_view_is_bit_identical(self):
         # construct passes np.moveaxis(hess, -1, 0) of a (d, d, m) Hessian;
@@ -244,64 +231,54 @@ class TestMinorPath(unittest.TestCase):
         return codes, (seen[0] if seen else np.empty((0,) + M.shape[1:]))
 
     def test_annulus_rows_take_the_fallback(self):
+        # rows whose |sigma_p| lies below the decision edge, on the boundary
+        # or half the edge to either side, go through the eigensolver; rows
+        # a thousand edges clear, I and the zero matrix do not.  Every
+        # verdict given takes the exact signs of the float matrix
         rng = np.random.default_rng(42)
         for d, p in ((2, 2), (3, 2), (3, 3), (4, 2), (5, 4)):
             spec = ConeSpec(d, p)
             rows, annulus = [], []
             for scale in (1e-2, 1.0, 30.0, 1e3):
                 head = scale * rng.uniform(1.0, 2.0, d - 1)
-                lo, hi, slack = band_range(with_sigma(head, p, 0.0), p)
-                targets = {
-                    # inside the band's range of thresholds
-                    0.5 * (lo[-1] + hi[-1]): True,
-                    -0.5 * (lo[-1] + hi[-1]): True,
-                    # outside it, but within the rounding allowance
-                    hi[-1] + 0.5 * slack[-1]: True,
-                    # below it: decided as zero unless within the allowance
-                    0.5 * lo[-1]: lo[-1] - slack[-1] < 0.5 * lo[-1],
-                    # clear of both
-                    1e3 * (hi[-1] + slack[-1]): False,
-                    -1e3 * (hi[-1] + slack[-1]): False,
-                }
-                for target, expect in targets.items():
+                edge = decision_edge(with_sigma(head, p, 0.0), p)
+                for target, expect in ((0.0, True), (0.5 * edge, True), (-0.5 * edge, True),
+                                       (1e3 * edge, False), (-1e3 * edge, False)):
                     rows.append(rotate(rng, with_sigma(head, p, target)))
                     annulus.append(expect)
             rows.append(np.eye(d))
             rows.append(np.zeros((d, d)))
             annulus += [False, False]
-            M = np.stack(rows)
+            M, annulus = np.stack(rows), np.array(annulus)
             codes, seen = self.fallback_rows(M, spec)
-            np.testing.assert_array_equal(seen, M[np.array(annulus)], err_msg=f"d={d} p={p}")
-            np.testing.assert_array_equal(codes, classify_batch(jacobi_eigh(M), spec))
+            np.testing.assert_array_equal(seen, M[annulus], err_msg=f"d={d} p={p}")
+            exact = np.array([exact_region(matrix_sigma_exact(m), p) for m in M])
+            decided = codes != 1
+            np.testing.assert_array_equal(codes[decided], exact[decided], err_msg=f"d={d} p={p}")
+            self.assertTrue(np.all(decided[:-1] | annulus[:-1]), (d, p))
 
     def test_rows_at_both_band_edges(self):
-        # |sigma_p| 1% of the rounding allowance on either side of the
-        # undecided range's edges lo - slack and hi + slack, still far wider
-        # than rounding in the minors: rows just inside go through the
-        # eigensolver, rows just outside are decided from the minors, and
-        # every code agrees with the eigenvalue classifier.  The lower edge
-        # is positive only for |M|_F^p < 1e-2, hence the small scales.
+        # |sigma_p| 10% of the decision edge inside or outside either edge,
+        # +-B_p |M|_F^p: rows just inside go through the eigensolver, rows
+        # just outside are decided from the minors, with the exact signs of
+        # the float matrix
         rng = np.random.default_rng(45)
         for d, p in ((2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (5, 4)):
             spec = ConeSpec(d, p)
             rows, inside = [], []
-            for scale in (0.2 * 1e-2 ** (1.0 / p) / d, 1e-2, 1.0, 30.0):
+            for scale in (1e-2, 1.0, 30.0):
                 head = scale * rng.uniform(1.0, 2.0, d - 1)
-                lo, hi, slack = band_range(with_sigma(head, p, 0.0), p)
-                step = 0.01 * slack[-1]
-                near = {hi[-1] + slack[-1] - step: False, hi[-1] + slack[-1] + step: True}
-                if lo[-1] - slack[-1] > 0:
-                    near.update({lo[-1] - slack[-1] + step: False,
-                                 lo[-1] - slack[-1] - step: True})
-                for target, outside in near.items():
+                edge = decision_edge(with_sigma(head, p, 0.0), p)
+                for factor, outside in ((0.9, False), (1.1, True)):
                     for sign in (1.0, -1.0):
-                        rows.append(rotate(rng, with_sigma(head, p, sign * target)))
+                        rows.append(rotate(rng, with_sigma(head, p, sign * factor * edge)))
                         inside.append(not outside)
-            self.assertGreater(len(rows), 8 * 2, (d, p))   # some lower edge exists
-            M = np.stack(rows)
+            M, inside = np.stack(rows), np.array(inside)
             codes, seen = self.fallback_rows(M, spec)
-            np.testing.assert_array_equal(seen, M[np.array(inside)], err_msg=f"d={d} p={p}")
-            np.testing.assert_array_equal(codes, classify_batch(jacobi_eigh(M), spec))
+            np.testing.assert_array_equal(seen, M[inside], err_msg=f"d={d} p={p}")
+            exact = np.array([exact_region(matrix_sigma_exact(m), p) for m in M[~inside]])
+            np.testing.assert_array_equal(codes[~inside], exact, err_msg=f"d={d} p={p}")
+            self.assertNotIn(1, exact)
 
     def test_zero_matrix_is_boundary_without_eigensolve(self):
         for d in range(1, 6):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phessian import subsolution
-from phessian.cone import ConeSpec, classify
+from phessian.cone import ConeSpec, _rounding, classify
 from phessian.errors import AdmissibilityError, ConstructionError, InputError
 from phessian.solver import ball_grid, box_grad_hess
 from phessian.spectral import classify_matrices, jacobi_eigh
@@ -26,13 +26,12 @@ from phessian.subsolution import (
 from phessian.subsolution import (
     SLAB_HALO,
     _crop,
-    _level_crossing,
     _minor_bounds,
     _slab_points,
     _slabs,
     _zero_slab,
 )
-from phessian.symfun import sigma, sigma_ray_coeffs
+from phessian.symfun import _level_crossing, sigma, sigma_minors, sigma_ray_coeffs
 
 from oracles import sigma_brute
 from paper_checks import matrix_form_sides, rank_one_sigma
@@ -761,9 +760,9 @@ def test_key_lemma_exit_points_at_the_largest_radius(newton_rays):
 
 
 def test_key_lemma_exit_inside_margin_goes_to_newton(newton_rays):
-    # one ray, with a^p set against sigma_p at its exit point x: within
-    # EXIT_MARGIN R^p of it the crossing Newton decides, below that the exit
-    # point does
+    # one ray, with a^p set against sigma_p at its exit point x: within the
+    # margin 2 _rounding(n, p) C(n, p) R^p of it the crossing Newton
+    # decides, below that the exit point does
     n, p, R, delta, seed = 3, 2, 5.0, 0.5, 3
     mu = np.array([1.0, 1.5, 2.0])
     base = mu - delta
@@ -771,7 +770,7 @@ def test_key_lemma_exit_inside_margin_goes_to_newton(newton_rays):
     along = xi @ base
     exit_point = base + (-along + np.sqrt(along**2 - base @ base + R**2)) * xi
     level = sigma(p, exit_point)
-    margin = subsolution.EXIT_MARGIN * R**p
+    margin = 2 * _rounding(n, p) * comb(n, p) * R**p
     for shift, newton in ((0.0, [1]), (0.5 * margin, [1]), (-0.5 * margin, [1]),
                           (-2.0 * margin, []), (2.0 * margin, [1])):
         cfg = KeyLemmaConfig(n=n, p=p, delta=delta, R=R, a=(level + shift) ** (1 / p),
@@ -952,7 +951,8 @@ def test_level_crossing_against_brute_force():
 
 def dense_crossing(base, xi, p, a):
     """The crossing Newton of _level_crossing on the whole batch, every row
-    every step, with the number of steps each row descends."""
+    every step, with the number of steps each row descends.  Its slope is
+    sum_i xi_i sigma_{p-1}(x|i) at x = base + t xi, from the minors."""
     target = a**p
     c = sigma_ray_coeffs(p, base, xi)
     c[..., 0] -= target
@@ -962,8 +962,9 @@ def dense_crossing(base, xi, p, a):
     t = 2.0 * np.max(bounds, axis=-1)
     steps = np.zeros(t.shape, dtype=int)
     while True:
-        g = sigma(p, base + t[..., None] * xi) - target
-        dg = np.polynomial.polynomial.polyval(t, (c[..., 1:] * k).T, tensor=False)
+        x = base + t[..., None] * xi
+        g = sigma(p, x) - target
+        dg = np.sum(xi * sigma_minors(p - 1, x), axis=-1)
         step = t - g / dg
         down = step < t
         if not np.any(down):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phessian.symfun import (
+    _prefix_slope,
     identity_residuals,
     newton_descent,
     sigma,
@@ -290,6 +291,22 @@ def test_sigma_ray_coeffs_match_brute_force():
                 want = sigma_brute(p, b + t * x)
                 got = np.polynomial.polynomial.polyval(t, c)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def test_prefix_slope_is_sigma_and_its_derivative():
+    # the value is sigma's bit for bit, the slope sum_i xi_i sigma_{p-1}(x|i)
+    # and the t^1 coefficient of t -> sigma_p(x + t xi)
+    rng = np.random.default_rng(34)
+    for n in range(1, 8):
+        for p in range(1, n + 1):
+            x = rng.choice([0.0, -0.0, 1.0, -2.0, 0.5], (40, n))
+            x[20:] = rng.uniform(-3.0, 3.0, (20, n))
+            xi = rng.uniform(0.0, 2.0, (40, n))
+            value, slope = _prefix_slope(x.T, xi.T, p)
+            assert value.tobytes() == sigma(p, x).tobytes(), (n, p)
+            for ref in (np.sum(xi * sigma_minors(p - 1, x), axis=-1),
+                        sigma_ray_coeffs(p, x, xi)[:, 1]):
+                np.testing.assert_allclose(slope, ref, rtol=1e-12, atol=1e-12)
 
 
 def ray_coeffs_by_products(p, base, xi):
