@@ -270,7 +270,7 @@ def cmd_spectral_derivs(args):
     return results, violation
 
 
-@_subcommand("concavity-fuzz", tol=-1e-9)
+@_subcommand("concavity-fuzz")
 def cmd_concavity_fuzz(args):
     rng = np.random.default_rng([args.seed, args.n])
     if args.mu_n_min is not None:
@@ -281,9 +281,7 @@ def cmd_concavity_fuzz(args):
         if not 0.0 <= args.mu_n_min < np.inf:
             raise InputError("--mu-n-min must be finite and non-negative")
     if args.mode == "large_mu1":
-        mus, ws = sample_hypothesis_points(
-            args.n, args.tau, args.eps, args.a, args.trials, rng
-        )
+        mus = sample_hypothesis_points(args.n, args.tau, args.eps, args.a, args.trials, rng)
         guaranteed = True
     else:
         r, _, _ = validate_mode(
@@ -292,25 +290,20 @@ def cmd_concavity_fuzz(args):
         mus = np.sort(sample_admissible(args.n, r, args.trials, rng), axis=1)
         if args.mu_n_min is not None:
             mus[:, -1] += args.mu_n_min
-        z = rng.normal(size=(args.trials, args.n)) + 1j * rng.normal(
-            size=(args.trials, args.n)
-        )
-        ws = z / np.linalg.norm(z, axis=1, keepdims=True)
         # without a certified eigenvalue threshold the sweep is exploratory
         guaranteed = False
-    res = residual_batch(
-        mus, ws, args.mode, args.tau, args.eps, a=args.a, p=args.p
-    )
-    i = int(np.argmin(res))
+    lam, bound = residual_batch(mus, args.mode, args.tau, args.eps, a=args.a, p=args.p)
     results = {
-        "min_residual": float(res[i]),
+        "min_residual": float(lam.min()),
+        "undetermined": int(np.count_nonzero(np.abs(lam) <= bound)),
         "guaranteed_regime": guaranteed,
-        "trials": int(len(res)),
+        "trials": int(len(lam)),
     }
     violation = None
-    if guaranteed and res[i] < args.tol:
-        violation = {"mu": mus[i], "w_re": ws[i].real, "w_im": ws[i].imag,
-                     "residual": float(res[i])}
+    violated = np.where(lam < -bound, lam, np.inf)
+    if guaranteed and np.isfinite(violated).any():
+        i = int(np.argmin(violated))
+        violation = {"mu": mus[i], "residual": float(lam[i]), "bound": float(bound[i])}
     return results, violation
 
 

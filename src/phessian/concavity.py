@@ -15,6 +15,7 @@ Three modes of one inequality family are covered, all of the shape
 * ``theorem``:    r = n-1, c = n^2, weight (1-tau); the combined
   statement, again for mu_n >= M.
 
+lhs - rhs = w* Q(mu) w (_form), decided for every w by residual_batch.
 ``find_threshold`` estimates the unspecified M empirically by bisection
 over randomized trials with sigma_r pinned to a band.
 """
@@ -23,19 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, classify_batch, cone_distance, require_cone
+from .cone import ConeSpec, _rounding, classify_batch, cone_distance, require_cone
 from .errors import InputError, SearchFailureError
+from .spectral import EIGH_ROUNDING, jacobi_eigh
 from .symfun import _as_values, newton_descent, sigma, sigma_minors, sigma_pair_minors
-
-VIOLATION_TOL = -1e-10
 
 
 @dataclass(frozen=True)
 class ConcavityInstance:
-    """One (mu, w) evaluation point plus the mode and its parameters."""
+    """One mu plus the mode and its parameters."""
 
     mu: np.ndarray
-    w: object          # complex array-like
     tau: float
     eps: float
     mode: str          # large_mu1 | small_mu1 | theorem
@@ -49,7 +48,7 @@ class ThresholdResult:
     trials: int
     worst_residual: float
     seed: int
-    history: tuple  # (M, worst residual, admissible trials) per M, in call order
+    history: tuple  # (M, worst residual, admissible, undetermined) per M, in call order
 
 
 def validate_mode(n, mode, tau, eps, a=None, p=None):
@@ -85,35 +84,57 @@ def validate_mode(n, mode, tau, eps, a=None, p=None):
     return params
 
 
-def _evaluate_batch(mu, w, r, c, weight, tau, eps):
-    """Both sides of the inequality for batches mu (B,n), w complex (B,n).
+def _form(mu, r, c, weight, tau, eps):
+    """Q(mu), with lhs - rhs = w* Q w, and a majorant Qa of its rounding,
+    per row of sorted mu (B, n) in the open cone of order r:
 
-    Returns (lhs, rhs) as complex arrays; the imaginary parts are
-    roundoff from the Hermitian forms and should be negligible.
-    """
-    minors = sigma_minors(r - 1, mu)
-    S = sigma_pair_minors(r - 2, mu)
-    wc = np.conj(w)
-    cross = np.einsum("...jk,...j,...k->...", S, w, wc)
-    lhs = -cross - (1.0 - tau) / mu[..., -1] * minors[..., -1] * np.abs(
-        w[..., -1]
-    ) ** 2
+        Q  = (c/s) m m^T - S + diag_{j<n}(weight m_j / d_j) - ((1-tau)/mu_n) m_n e_n e_n^T,
+        Qa = (c/s)(rho |m||m|^T + 2 ma ma^T) + Sa + diag_{j<n}(weight ma_j k_j / d_j)
+             + ((1-tau)/mu_n) ma_n e_n e_n^T,
 
-    s_r = sigma(r, mu)
-    lin = np.einsum("...j,...j->...", minors, w)
-    denom = mu[..., -1:] + eps - mu[..., :-1]
-    tail = np.sum(
-        weight * minors[..., :-1] * np.abs(w[..., :-1]) ** 2 / denom, axis=-1
-    )
-    rhs = -(c / s_r) * np.abs(lin) ** 2 - tail
-    return lhs, rhs
+    m = sigma_{r-1}(mu|.), S = sigma_{r-2}(mu|jk), s = sigma_r(mu); ma and
+    sa are m and s at |mu|, and Sa_jk = min(sigma_{r-2}(|mu| | j),
+    sigma_{r-2}(|mu| | k)) >= sigma_{r-2}(|mu| | jk) off the diagonal, where
+    S is exactly 0; rho = sa/s, d_j = mu_n
+    + eps - mu_j, k_j = (mu_n + eps + |mu_j|)/d_j.  The computed Q is within
+    2g Qa of Q, g = _rounding(n, r), u = eps/2: the prefix recurrence puts
+    m, S, s within g/4 of their values at |mu| (cone._rounding), so 1/s
+    errs by g rho/3 (as require_cone keeps g rho < 1) and (c/s) m m^T by
+    g/4 (c/s)(ma|m|^T + |m|ma^T + 4/3 rho |m||m|^T), second-order terms
+    within g/4 (c/s) ma ma^T; d_j errs by 2u(mu_n + eps + |mu_j|); the
+    parameters and the products, quotients and sums forming an entry add
+    8u <= 2g/3 relative to Qa.  So each term errs by less than g times its
+    part of Qa, and 2g leaves room for the rounding of Qa itself."""
+    top, absmu = mu[..., -1:], np.abs(mu)
+    m, ma = sigma_minors(r - 1, mu), sigma_minors(r - 1, absmu)
+    sa2 = sigma_minors(r - 2, absmu)
+    s, sa = sigma(r, mu)[..., None, None], sigma(r, absmu)[..., None, None]
+    mm = m[..., :, None] * m[..., None, :]
+    Q = c / s * mm - sigma_pair_minors(r - 2, mu)
+    Qa = (c / s * (sa / s * np.abs(mm) + 2 * ma[..., :, None] * ma[..., None, :])
+          + np.minimum(sa2[..., :, None], sa2[..., None, :]) * (1.0 - np.eye(mu.shape[-1])))
+    d = top + eps - mu[..., :-1]
+    idx = np.arange(mu.shape[-1] - 1)
+    Q[..., idx, idx] += weight * m[..., :-1] / d
+    Qa[..., idx, idx] += weight * ma[..., :-1] / d * ((top + eps + absmu[..., :-1]) / d)
+    Q[..., -1, -1] -= (1.0 - tau) / top[..., 0] * m[..., -1]
+    Qa[..., -1, -1] += (1.0 - tau) / top[..., 0] * ma[..., -1]
+    return Q, Qa
 
 
-def _checked_sides(mu, w, mode, tau, eps, a, p):
-    """Real (lhs, rhs) per row of mu after checking the mode's parameters
-    and every row: mu sorted ascending and in the open cone of the mode's
-    order, w finite and shaped like mu, and the imaginary parts of both
-    sides at roundoff level.  A bad row raises, naming the first."""
+def residual_batch(mu, mode, tau, eps, a=None, p=None):
+    """(lam, bound) per row of mu (B, n): the worst residual over every w in
+    C^n, per unit of sum_j |Q_jj| |w_j|^2, and the bound deciding its sign.
+    The mode's parameters and every row (sorted, in the open cone of the
+    mode's order) are checked first; the first bad row raises.
+
+    lam = lambda_min(D Q D), D = diag(|Q_jj|^{-1/2}) (1 where Q_jj = 0): by
+    Sylvester's law of inertia it has the sign of lambda_min(Q), which the
+    raw eigenvalue of a Q spread over many orders cannot resolve.  By Weyl's
+    inequality it is within bound = EIGH_ROUNDING |DQD|_F + 2g |D Qa D|_F of
+    its exact value (_form; EIGH_ROUNDING's room covers forming D Q D).  A
+    row holds where lam > bound, is violated where lam < -bound, and is
+    undetermined otherwise."""
     mu = _as_values(mu)
     n = mu.shape[-1]
     r, c, weight = validate_mode(n, mode, tau, eps, a=a, p=p)
@@ -122,40 +143,26 @@ def _checked_sides(mu, w, mode, tau, eps, a, p):
         row = mu[np.unravel_index(np.argmax(unsorted), unsorted.shape)]
         raise ValueError(f"mu = {row} must be sorted ascending")
     require_cone(mu, ConeSpec(n, r))
-    w = np.asarray(w, dtype=complex)
-    if w.shape != mu.shape:
-        raise ValueError(f"w must have the shape {mu.shape} of mu")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w entries must be finite")
-    lhs, rhs = _evaluate_batch(mu, w, r, c, weight, tau, eps)
-    size = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    if np.any(np.maximum(np.abs(lhs.imag), np.abs(rhs.imag)) > 1e-10 * size):
-        raise ArithmeticError("Hermitian form produced a non-real value")
-    return lhs.real, rhs.real
-
-
-def residual_batch(mu, w, mode, tau, eps, a=None, p=None):
-    """Residuals lhs - rhs of the mode's inequality per row of mu (B, n)
-    and complex w (B, n), every row checked as by evaluate."""
-    lhs, rhs = _checked_sides(mu, w, mode, tau, eps, a, p)
-    return lhs - rhs
+    Q, Qa = _form(mu, r, c, weight, tau, eps)
+    diag = np.abs(np.diagonal(Q, axis1=-2, axis2=-1))
+    D = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    DD = D[..., :, None] * D[..., None, :]
+    A, Aa = DD * Q, DD * Qa
+    lam = jacobi_eigh(A)[..., 0]
+    bound = (EIGH_ROUNDING * np.sqrt(np.einsum("...jk,...jk->...", A, A))
+             + 2 * _rounding(n, r) * np.sqrt(np.einsum("...jk,...jk->...", Aa, Aa)))
+    return lam, bound
 
 
 def evaluate(inst):
-    """(lhs, rhs, residual = lhs - rhs) of the mode's inequality at inst.
-
-    residual_batch's checked path on a batch of one: it raises where
-    residual_batch would, and its residual equals the matching row of any
-    batch bit for bit.
-    """
+    """(lam, bound) of residual_batch at inst.mu, a batch of one: it raises
+    where residual_batch would, and its floats equal the matching row of
+    any batch bit for bit."""
     mu = _as_values(inst.mu)
     if mu.ndim != 1:
         raise ValueError("mu must be a single vector")
-    lhs, rhs = _checked_sides(
-        mu[None], np.asarray(inst.w, dtype=complex)[None], inst.mode,
-        inst.tau, inst.eps, inst.a, inst.p,
-    )
-    return float(lhs[0]), float(rhs[0]), float(lhs[0] - rhs[0])
+    lam, bound = residual_batch(mu[None], inst.mode, inst.tau, inst.eps, inst.a, inst.p)
+    return float(lam[0]), float(bound[0])
 
 
 def _hypothesis_rows(mu, tau, eps, a):
@@ -194,70 +201,66 @@ def _draw_trials(n, p, sigma_band, trials, seed):
 
     Each trial gets its own RNG stream keyed by (seed, index), so trial i
     is identical no matter how many trials run in total; shrinking the
-    trial count can only remove potential violations.
+    trial count can only remove potential violations.  A trial's n + 1
+    uniforms give its shape in [-0.5, 1.5]^{n-1}, its target in sigma_band
+    and its top entry's place in [M, 1.5M].
     """
-    shapes = np.empty((trials, n - 1))
-    targets = np.empty(trials)
-    tops = np.empty(trials)
-    w = np.empty((trials, n), dtype=complex)
+    u = np.array([np.random.default_rng([seed, i]).random(n + 1) for i in range(trials)])
     lo_s, hi_s = sigma_band
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        shapes[i] = rng.uniform(-0.5, 1.5, n - 1)
-        targets[i] = rng.uniform(lo_s, hi_s)
-        tops[i] = rng.uniform()
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        w[i] = z / np.linalg.norm(z)
-    if p >= 2:
-        # shift each (n-1)-entry shape into the open cone of order p-1 so
-        # appending a large positive top entry keeps the full vector
-        # admissible
-        shift = cone_distance(shapes, ConeSpec(n - 1, p - 1))
-        shapes = shapes + (shift + 0.05)[:, None]
-    else:
-        shapes = np.abs(shapes) + 0.05
-    return shapes, targets, tops, w
+    # shift each (n-1)-entry shape into the open cone of order p-1 >= 1 so
+    # appending a large positive top entry keeps the full vector admissible
+    shapes = -0.5 + 2.0 * u[:, :-2]
+    shapes += (cone_distance(shapes, ConeSpec(n - 1, p - 1)) + 0.05)[:, None]
+    return shapes, lo_s + (hi_s - lo_s) * u[:, -2], u[:, -1]
 
 
-def _solve_scale(shapes, targets, mu_n, p):
-    """Batched bisection for t > 0 with
+def _trial_points(shapes, targets, tops, M, p):
+    """(mu, checked) per trial at the threshold M: mu = sort(t shape, mu_n),
+    mu_n in [M, 1.5M], with the smallest t > 0 solving
 
-        sigma_p(t*shape, mu_n) = t^p sigma_p(shape)
-                                 + mu_n t^{p-1} sigma_{p-1}(shape) = target.
-    """
-    sp = sigma(p, shapes)
-    spm1 = sigma(p - 1, shapes)
+        f(t) = sigma_p(mu) = t^p sigma_p(shape) + mu_n t^{p-1} sigma_{p-1}(shape) = target
+
+    by bisection, and checked where that t exists and mu lies in the open
+    cone of order p.  As sigma_{p-1}(shape) > 0, f increases on t > 0 up
+    to t* = -(p-1) mu_n sigma_{p-1} / (p sigma_p) (infinity where
+    sigma_p(shape) >= 0) and falls after, so a target above f(t*) is
+    unreachable; below t*, f(t) >= t^{p-1} mu_n sigma_{p-1} / p, so the
+    bracket's top min(t*, (p target / (mu_n sigma_{p-1}))^{1/(p-1)}) lies
+    within a factor p^{1/(p-1)} <= 2 of t."""
+    mu_n = M * (1.0 + 0.5 * tops)
+    sp, spm1 = sigma(p, shapes), sigma(p - 1, shapes)
 
     def f(t):
         return t**p * sp + mu_n * t ** (p - 1) * spm1 - targets
 
-    hi = np.full_like(targets, 1e-6)
-    for _ in range(80):
-        bad = f(hi) < 0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, 2 * hi, hi)
+    with np.errstate(divide="ignore"):
+        peak = np.where(sp < 0, -(p - 1) * mu_n * spm1 / (p * sp), np.inf)
+    hi = np.minimum(peak, (p * targets / (mu_n * spm1)) ** (1.0 / (p - 1)))
+    checked = f(hi) >= 0
     lo = np.zeros_like(hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         ok = f(mid) >= 0
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
-    return hi
+    mu = np.sort(np.concatenate([hi[:, None] * shapes, mu_n[:, None]], axis=-1), axis=-1)
+    checked[checked] = classify_batch(mu[checked], ConeSpec(mu.shape[-1], p)) == 2
+    return mu, checked
 
 
 def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     """Empirical threshold M_hat for the mu_n >= M modes by bisection.
 
-    For a candidate M, every trial builds an admissible sorted mu with
-    mu_n in [M, 1.5M] and sigma_p(mu) inside sigma_band (a scaled random
-    shape for the first n-1 entries), plus a random unit complex w, and
-    evaluates the order-p inequality with constant (p+1)^2 on the trials
-    whose mu lies in the open cone (residual_batch).  M is bisected over
-    [eps, 1e6] for the smallest value with no residual below -1e-10; the
-    history keeps (M, worst residual, admissible trials) of every M tried.
-    An M with no admissible trial raises SearchFailureError naming it, as
-    do violations at 1e6.  Deterministic for a fixed seed.
+    At a candidate M each trial scales a random shape for the first n-1
+    entries so that mu, with mu_n in [M, 1.5M], has sigma_p(mu) inside
+    sigma_band.  residual_batch checks the order-p inequality with constant
+    (p+1)^2 for every w on the trials whose target is reachable and whose
+    mu is in the open cone (_trial_points).  M passes when no trial is
+    decided violated and one is decided; the smallest passing M in [eps,
+    1e6] is bisected for, and the history keeps (M, worst residual,
+    admissible, undetermined trials) per M tried.  An M with no admissible
+    trial or none decided raises SearchFailureError naming it, as do
+    violations at 1e6.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise InputError("need at least one trial")
@@ -266,44 +269,43 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
         # exceeds it; the search is ill-posed
         raise InputError("threshold search needs p >= 2")
     validate_mode(n, "small_mu1", tau, eps, p=p)
-    spec_full = ConeSpec(n, p)
-    shapes, targets, tops, w = _draw_trials(n, p, sigma_band, trials, seed)
+    shapes, targets, tops = _draw_trials(n, p, sigma_band, trials, seed)
     history = []
 
-    def worst_at(M):
-        mu_n = M * (1.0 + 0.5 * tops)
-        t = _solve_scale(shapes, targets, mu_n, p)
-        mu = np.concatenate([t[:, None] * shapes, mu_n[:, None]], axis=-1)
-        mu = np.sort(mu, axis=-1)
-        ok = classify_batch(mu, spec_full) == 2
+    def violation(M):
+        """mu of the worst trial decided violated at M; None if M passes."""
+        mu, ok = _trial_points(shapes, targets, tops, M, p)
         if not ok.any():
             raise SearchFailureError(
                 f"no admissible trial at M = {M:.3e}: nothing to check there"
             )
-        res = residual_batch(mu[ok], w[ok], "small_mu1", tau, eps, p=p)
-        i = int(np.argmin(res))
-        history.append((M, float(res[i]), int(np.count_nonzero(ok))))
-        return float(res[i]), (mu[ok][i], w[ok][i])
+        lam, bound = residual_batch(mu[ok], "small_mu1", tau, eps, p=p)
+        undetermined = int(np.count_nonzero(np.abs(lam) <= bound))
+        history.append((M, float(lam.min()), int(lam.size), undetermined))
+        if undetermined == lam.size:
+            raise SearchFailureError(
+                f"every admissible trial at M = {M:.3e} is undetermined: "
+                f"rounding decides none of them"
+            )
+        bad = np.where(lam < -bound, lam, np.inf)
+        return mu[ok][np.argmin(bad)] if np.isfinite(bad).any() else None
 
     lo, hi = float(eps), 1e6
-    worst_hi, witness_hi = worst_at(hi)
-    if worst_hi < VIOLATION_TOL:
+    witness = violation(hi)
+    if witness is not None:
         raise SearchFailureError(
             f"violations persist at M = {hi:.3e}: worst residual "
-            f"{worst_hi:.3e}",
-            counterexample=witness_hi,
+            f"{history[-1][1]:.3e}",
+            counterexample=witness,
         )
-    worst_lo, _ = worst_at(lo)
-    if worst_lo >= VIOLATION_TOL:
-        return ThresholdResult(lo, trials, worst_lo, seed, tuple(history))
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        worst_mid, _ = worst_at(mid)
-        if worst_mid >= VIOLATION_TOL:
-            hi, worst_hi = mid, worst_mid
-        else:
-            lo = mid
-    return ThresholdResult(hi, trials, worst_hi, seed, tuple(history))
+    if violation(lo) is None:
+        hi = lo
+    else:
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if violation(mid) is None else (mid, hi)
+    worst = next(w for M, w, _, _ in history if M == hi)
+    return ThresholdResult(hi, trials, worst, seed, tuple(history))
 
 
 def _hypothesis_root(P, e, c, k):
@@ -320,7 +322,7 @@ def _hypothesis_root(P, e, c, k):
 
 
 def sample_hypothesis_points(n, tau, eps, a, count, rng):
-    """Random (mu, w) pairs satisfying the large_mu1 hypotheses.
+    """Random mu (count, n) satisfying the large_mu1 hypotheses.
 
     mu_n is drawn above its bound and the middle entries in [0.1, 1] mu_n.
     With mu' = (mid, mu_n), x = -mu_1, P = sigma_{n-1}(mu') and
@@ -335,7 +337,6 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
         raise InputError("count must be at least 1")
     beta = (1.0 - tau) / (1.0 + tau)
     mus = np.empty((count, n))
-    ws = np.empty((count, n), dtype=complex)
     k = 0
     empty_rounds = 0
     while k < count:
@@ -356,9 +357,6 @@ def sample_hypothesis_points(n, tau, eps, a, count, rng):
                 f"no hypothesis point passed the cone-and-bound test in 100 "
                 f"rounds at n={n}, tau={tau}, eps={eps}, a={a}: a - beta too small"
             )
-        if take:
-            mus[k : k + take] = good
-            z = rng.normal(size=(take, n)) + 1j * rng.normal(size=(take, n))
-            ws[k : k + take] = z / np.linalg.norm(z, axis=-1, keepdims=True)
-            k += take
-    return mus, ws
+        mus[k : k + take] = good
+        k += take
+    return mus

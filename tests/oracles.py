@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 
+from phessian.symfun import sigma, sigma_minors, sigma_pair_minors
+
 
 def sigma_brute(p, mu):
     """Subset-enumeration oracle for sigma_p; exponential, test use only."""
@@ -49,11 +51,11 @@ def sigma_exact(mu):
 
 
 def matrix_sigma_exact(M):
-    """sigma_0(lam(M)), ..., sigma_d(lam(M)) of a symmetric float matrix M
-    as exact rationals: Faddeev-LeVerrier without rounding,
-    q sigma_q = tr(M T_{q-1}), T_q = sigma_q I - M T_{q-1}, T_0 = I."""
+    """sigma_0(lam(M)), ..., sigma_d(lam(M)) of a symmetric matrix M of
+    floats or Fractions as exact rationals: Faddeev-LeVerrier without
+    rounding, q sigma_q = tr(M T_{q-1}), T_q = sigma_q I - M T_{q-1}, T_0 = I."""
     d = len(M)
-    A = [[Fraction(float(x)) for x in row] for row in M]
+    A = [[Fraction(x) for x in row] for row in M]
     out = [Fraction(1)]
     T = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
     for q in range(1, d + 1):
@@ -72,6 +74,48 @@ def exact_region(sigmas, p):
     if all(signs):
         return 2
     return 0 if any(s < 0 for s in sigmas[1 : p + 1]) else 1
+
+
+def concavity_sides(mu, w, r, c, weight, tau, eps):
+    """Both sides of the concavity inequality (phessian.concavity) for
+    batches mu (B, n) and complex w (B, n), term by term at the given w, as
+    complex arrays whose imaginary parts are rounding."""
+    minors = sigma_minors(r - 1, mu)
+    S = sigma_pair_minors(r - 2, mu)
+    wc = np.conj(w)
+    cross = np.einsum("...jk,...j,...k->...", S, w, wc)
+    lhs = -cross - (1.0 - tau) / mu[..., -1] * minors[..., -1] * np.abs(
+        w[..., -1]
+    ) ** 2
+    lin = np.einsum("...j,...j->...", minors, w)
+    denom = mu[..., -1:] + eps - mu[..., :-1]
+    tail = np.sum(
+        weight * minors[..., :-1] * np.abs(w[..., :-1]) ** 2 / denom, axis=-1
+    )
+    rhs = -(c / sigma(r, mu)) * np.abs(lin) ** 2 - tail
+    return lhs, rhs
+
+
+def concavity_form_exact(mu, r, c, weight, tau, eps):
+    """The form Q(mu) of the concavity inequality, lhs - rhs = w* Q w, at
+    the floats mu and parameters, as a list of rows of exact rationals."""
+    c, weight, tau, eps = (Fraction(float(x)) for x in (c, weight, tau, eps))
+    mu = [float(x) for x in mu]
+    n = len(mu)
+
+    def minor(q, *drop):
+        rest = [x for i, x in enumerate(mu) if i not in drop]
+        return sigma_exact(rest)[q] if q >= 0 else 0
+
+    m = [minor(r - 1, j) for j in range(n)]
+    lead = c / sigma_exact(mu)[r]
+    top = Fraction(mu[-1])
+    Q = [[lead * m[j] * m[k] - (minor(r - 2, j, k) if j != k else 0) for k in range(n)]
+         for j in range(n)]
+    for j in range(n - 1):
+        Q[j][j] += weight * m[j] / (top + eps - Fraction(mu[j]))
+    Q[-1][-1] -= (1 - tau) / top * m[-1]
+    return Q
 
 
 def roll_grad(f, h):

@@ -300,8 +300,8 @@ def test_04_concavity_inequalities():
         beta = (1 - tau) / (1 + tau)
         a = beta + a_frac * (n - 1 - beta)
         rng = np.random.default_rng([404, n, int(tau * 100), int(a_frac * 3)])
-        mus, ws = sample_hypothesis_points(n, tau, 1.0, a, per, rng)
-        res = residual_batch(mus, ws, "large_mu1", tau, 1.0, a=a)
+        mus = sample_hypothesis_points(n, tau, 1.0, a, per, rng)
+        res, _ = residual_batch(mus, "large_mu1", tau, 1.0, a=a)
         assert np.min(res) >= -1e-9, (n, tau, a, float(np.min(res)))
         total += len(res)
     assert total >= 10**5
@@ -527,7 +527,7 @@ def test_reports_are_strict_json(tmp_path):
         assert cli_main(case + ["--output", out]) == 0
         results = _strict_json(out)["results"]
         assert math.isfinite(results["M_hat"])
-        M, _, admissible = results["history"][0]
+        M, _, admissible, _ = results["history"][0]
         assert M == 1e6 and admissible == int(case[case.index("--trials") + 1])
 
 

@@ -313,6 +313,7 @@ def test_concavity_fuzz_guaranteed_mode(tmp_path):
     assert status == 0
     assert rep["results"]["guaranteed_regime"] is True
     assert rep["results"]["min_residual"] >= -1e-9
+    assert rep["results"]["undetermined"] == 0 and rep["violation"] is None
 
 
 @pytest.mark.parametrize("extra", [
@@ -374,9 +375,10 @@ def test_find_m(tmp_path):
     assert np.isfinite(rep["results"]["M_hat"])
     assert rep["results"]["worst_residual"] >= -1e-10
     history = rep["results"]["history"]
-    assert [M for M, _, _ in history] == [1e6, 1.0]
+    assert [M for M, _, _, _ in history] == [1e6, 1.0]
     assert history[-1][:2] == [rep["results"]["M_hat"], rep["results"]["worst_residual"]]
-    assert [k for _, _, k in history] == [200, 150]
+    assert [k for _, _, k, _ in history] == [200, 150]
+    assert 0 < history[0][3] < 200 and history[1][3] == 0
 
 
 def test_emit_refuses_nonfinite_numbers(tmp_path):

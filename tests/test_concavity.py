@@ -5,7 +5,6 @@ import pytest
 
 import phessian.concavity as concavity
 from phessian.concavity import (
-    VIOLATION_TOL,
     ConcavityInstance,
     evaluate,
     find_threshold,
@@ -17,7 +16,31 @@ from phessian.cone import ConeSpec, _rounding, classify, sample_admissible
 from phessian.errors import AdmissibilityError, SearchFailureError
 from phessian.symfun import sigma, sigma_trunc
 
-from oracles import sigma_brute
+from oracles import concavity_sides, sigma_brute
+
+
+def modes(n):
+    """(mode, tau, parameters) of every mode the evaluator serves at n."""
+    out = [("theorem", 0.25, {}), ("small_mu1", 0.25, {"p": 1}),
+           ("small_mu1", 0.5, {"p": 2})]
+    if n >= 3:
+        out.append(("large_mu1", 0.0, {"a": 1.5}))
+    return out
+
+
+def mode_rows(rng, n, mode, tau, kw, count):
+    """count sorted rows the mode's hypotheses admit."""
+    if mode == "large_mu1":
+        return sample_hypothesis_points(n, tau, 1.0, kw["a"], count, rng)
+    r, _, _ = concavity.validate_mode(n, mode, tau, 1.0, **kw)
+    return np.sort(sample_admissible(n, r, count, rng), axis=1)
+
+
+def diagonal(mu, mode, tau, kw):
+    """|Q_jj| of the mode's form at the rows mu (eps = 1)."""
+    r, c, weight = concavity.validate_mode(mu.shape[-1], mode, tau, 1.0, **kw)
+    Q, _ = concavity._form(mu, r, c, weight, tau, 1.0)
+    return np.abs(np.diagonal(Q, axis1=-2, axis2=-1))
 
 
 def brute_sides(mu, w, r, c, weight, tau, eps):
@@ -41,25 +64,18 @@ def brute_sides(mu, w, r, c, weight, tau, eps):
     return lhs, rhs
 
 
-def test_theorem_mode_zero_w():
-    inst = ConcavityInstance(
-        mu=[0.5, 1.0, 6.0], w=[0.0, 0.0, 0.0], tau=0.5, eps=1.0, mode="theorem"
-    )
-    lhs, rhs, res = evaluate(inst)
-    assert lhs == 0.0 and rhs == 0.0 and res == 0.0
-
-
 def test_large_mode_hand_instance():
     inst = ConcavityInstance(
-        mu=[-1.0, 1.3, 5.0], w=[1.0, 0.0, 0.0], tau=0.0, eps=1.0,
-        mode="large_mu1", a=2.0,
+        mu=[-1.0, 1.3, 5.0], tau=0.0, eps=1.0, mode="large_mu1", a=2.0,
     )
     assert hypothesis_check(inst)
-    lhs, rhs, res = evaluate(inst)
-    assert res >= 0.0
+    lam, bound = evaluate(inst)
+    assert lam > bound
 
 
 def test_matches_brute_loop():
+    # w* Q w of the package's form is lhs - rhs of the direct loop, and so
+    # is the batched oracle's
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = int(rng.integers(3, 6))
@@ -71,69 +87,93 @@ def test_matches_brute_loop():
             ("large_mu1", n - 1, 1.0, 2 * 1.5 / (n - 1), {"a": 1.5}),
         ]:
             tau = 0.0 if mode == "large_mu1" else 0.25
-            weight = 2 * 1.5 / (n - 1) if mode == "large_mu1" else 1 - tau
-            inst = ConcavityInstance(
-                mu=mu, w=w, tau=tau, eps=1.0, mode=mode, **kw
-            )
-            lhs, rhs, res = evaluate(inst)
+            Q, _ = concavity._form(mu[None], r, c, weight, tau, 1.0)
             blhs, brhs = brute_sides(mu, w, r, c, weight, tau, 1.0)
-            assert abs(lhs - blhs.real) <= 1e-10 * max(1, abs(blhs))
-            assert abs(rhs - brhs.real) <= 1e-10 * max(1, abs(brhs))
+            lhs, rhs = concavity_sides(mu[None], w[None], r, c, weight, tau, 1.0)
+            size = max(1, abs(blhs), abs(brhs))
+            assert abs(np.conj(w) @ Q[0] @ w - (blhs - brhs)) <= 1e-10 * size
+            assert abs(lhs[0] - blhs) <= 1e-10 * size
+            assert abs(rhs[0] - brhs) <= 1e-10 * size
             assert abs(blhs.imag) <= 1e-12 * max(1, abs(blhs))
 
 
-def test_w_scaling_quadratic():
-    rng = np.random.default_rng(1)
-    mu = np.array([0.5, 1.0, 2.0, 8.0])
-    w = rng.normal(size=4) + 1j * rng.normal(size=4)
-    base = evaluate(
-        ConcavityInstance(mu=mu, w=w, tau=0.5, eps=1.0, mode="theorem")
-    )[2]
-    for cscale in (2.0, 0.3, 1.7 - 0.4j):
-        scaled = evaluate(
-            ConcavityInstance(mu=mu, w=cscale * w, tau=0.5, eps=1.0, mode="theorem")
-        )[2]
-        assert scaled == pytest.approx(abs(cscale) ** 2 * base, rel=1e-10)
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluator_is_bounded_by_the_scaled_eigenvalue(n):
+    # at any w, lhs - rhs >= (lam - bound) sum_j |Q_jj| |w_j|^2
+    rng = np.random.default_rng(30 + n)
+    for mode, tau, kw in modes(n):
+        r, c, weight = concavity.validate_mode(n, mode, tau, 1.0, **kw)
+        mus = mode_rows(rng, n, mode, tau, kw, 50)
+        lam, bound = residual_batch(mus, mode, tau, 1.0, **kw)
+        diag = diagonal(mus, mode, tau, kw)
+        for scale in (1.0, 1e-3, 1e3):
+            w = scale * (rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n)))
+            lhs, rhs = concavity_sides(mus, w, r, c, weight, tau, 1.0)
+            floor = (lam - bound) * np.sum(diag * np.abs(w) ** 2, axis=-1)
+            assert np.all((lhs - rhs).real >= floor), (mode, kw)
 
 
-def test_real_w_agrees_with_degenerate_complex():
-    rng = np.random.default_rng(2)
-    mu = np.sort(rng.uniform(0.2, 4.0, 4))
-    wre = rng.normal(size=4)
-    r1 = evaluate(
-        ConcavityInstance(mu=mu, w=wre, tau=0.25, eps=1.0, mode="theorem")
-    )[2]
-    r2 = evaluate(
-        ConcavityInstance(
-            mu=mu, w=wre + 0j, tau=0.25, eps=1.0, mode="theorem"
-        )
-    )[2]
-    assert abs(r1 - r2) <= 1e-13 * max(1.0, abs(r1))
+def sphere(n, k):
+    """Points of the unit sphere in R^n: k angles on the half circle for
+    n = 2, a k x 2k grid of angles for n = 3."""
+    if n == 2:
+        t = np.linspace(0.0, np.pi, k, endpoint=False)
+        return np.stack([np.cos(t), np.sin(t)], axis=-1)
+    t, f = np.meshgrid(np.linspace(0.0, np.pi, k), np.linspace(0.0, 2 * np.pi, 2 * k))
+    return np.stack([np.sin(t) * np.cos(f), np.sin(t) * np.sin(f), np.cos(t)],
+                    axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dense_sweep_of_w_reaches_the_scaled_eigenvalue(n):
+    # w = D v, v on the unit sphere and D = diag(|Q_jj|^{-1/2}), so lhs -
+    # rhs = v^T D Q D v: the oracle's smallest value over a dense sweep,
+    # refined three times around its minimum, is lam to 1e-6 of the unit
+    # diagonal, and no value lies below lam by more than rounding
+    rng = np.random.default_rng(40 + n)
+    for mode, tau, kw in modes(n):
+        r, c, weight = concavity.validate_mode(n, mode, tau, 1.0, **kw)
+        mus = mode_rows(rng, n, mode, tau, kw, 4)
+        lam, bound = residual_batch(mus, mode, tau, 1.0, **kw)
+        scales = diagonal(mus, mode, tau, kw) ** -0.5
+        for mu, want, slack, d in zip(mus, lam, bound, scales):
+            v, width, low = sphere(n, 400), np.pi, np.inf
+            for _ in range(4):
+                w = v * d
+                lhs, rhs = concavity_sides(np.broadcast_to(mu, w.shape), w, r, c,
+                                           weight, tau, 1.0)
+                res = (lhs - rhs).real
+                low = min(low, res.min())
+                width /= 20.0
+                v = v[np.argmin(res)] + width * rng.uniform(-1.0, 1.0, (4000, n))
+                v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            assert low >= want - slack, (mode, kw)
+            assert low - want <= 1e-6 * max(1.0, abs(want)), (mode, kw, low, want)
 
 
 def test_preconditions():
     with pytest.raises(ValueError, match="sorted"):
         evaluate(
             ConcavityInstance(
-                mu=[2.0, 1.0, 3.0], w=[1, 0, 0], tau=0.5, eps=1.0, mode="theorem"
+                mu=[2.0, 1.0, 3.0], tau=0.5, eps=1.0, mode="theorem"
             )
         )
     with pytest.raises(AdmissibilityError):
         evaluate(
             ConcavityInstance(
-                mu=[-3.0, 1.0, 2.0], w=[1, 0, 0], tau=0.5, eps=1.0, mode="theorem"
+                mu=[-3.0, 1.0, 2.0], tau=0.5, eps=1.0, mode="theorem"
             )
         )
     with pytest.raises(ValueError, match="tau"):
         evaluate(
             ConcavityInstance(
-                mu=[0.5, 1.0, 3.0], w=[1, 0, 0], tau=0.9, eps=1.0, mode="theorem"
+                mu=[0.5, 1.0, 3.0], tau=0.9, eps=1.0, mode="theorem"
             )
         )
     with pytest.raises(ValueError, match="mode"):
         evaluate(
             ConcavityInstance(
-                mu=[0.5, 1.0, 3.0], w=[1, 0, 0], tau=0.5, eps=1.0, mode="bogus"
+                mu=[0.5, 1.0, 3.0], tau=0.5, eps=1.0, mode="bogus"
             )
         )
 
@@ -141,30 +181,22 @@ def test_preconditions():
 def test_residual_batch_rejects_bad_rows():
     rng = np.random.default_rng(5)
     mus = np.sort(sample_admissible(4, 3, 5, rng), axis=1)
-    ws = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-    residual_batch(mus, ws, "theorem", 0.25, 1.0)
+    residual_batch(mus, "theorem", 0.25, 1.0)
     # positive rows lie in every cone, so only the order check sees these;
     # the error names the first bad row
     unsorted = mus.copy()
     unsorted[1] = unsorted[1, ::-1]
     unsorted[3] = unsorted[3, [1, 0, 2, 3]]
     with pytest.raises(ValueError, match="sorted") as exc:
-        residual_batch(unsorted, ws, "theorem", 0.25, 1.0)
+        residual_batch(unsorted, "theorem", 0.25, 1.0)
     assert str(unsorted[1]) in str(exc.value)
     assert str(unsorted[3]) not in str(exc.value)
     outside = mus.copy()
     outside[1, 0] = -10.0 * outside[1, -1]
     outside[3, :2] = -10.0 * outside[3, -1]
     with pytest.raises(AdmissibilityError) as exc:
-        residual_batch(outside, ws, "theorem", 0.25, 1.0)
+        residual_batch(outside, "theorem", 0.25, 1.0)
     assert np.array_equal(exc.value.lam, outside[1])
-    for bad in (np.nan, np.inf):
-        w_bad = ws.copy()
-        w_bad[2, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            residual_batch(mus, w_bad, "theorem", 0.25, 1.0)
-    with pytest.raises(ValueError, match="shape"):
-        residual_batch(mus, ws[:, :3], "theorem", 0.25, 1.0)
 
 
 def test_evaluate_is_residual_batch_row():
@@ -175,18 +207,11 @@ def test_evaluate_is_residual_batch_row():
             ("small_mu1", 0.25, {"p": 2}),
             ("large_mu1", 0.0, {"a": 1.5}),
         ]:
-            if mode == "large_mu1":
-                mus, ws = sample_hypothesis_points(n, tau, 1.0, kw["a"], 20, rng)
-            else:
-                r = n - 1 if mode == "theorem" else kw["p"]
-                mus = np.sort(sample_admissible(n, r, 20, rng), axis=1)
-                ws = rng.normal(size=(20, n)) + 1j * rng.normal(size=(20, n))
-            res = residual_batch(mus, ws, mode, tau, 1.0, **kw)
-            for mu, w, want in zip(mus, ws, res):
-                lhs, rhs, got = evaluate(ConcavityInstance(
-                    mu=mu, w=w, tau=tau, eps=1.0, mode=mode, **kw
-                ))
-                assert got == want and lhs - rhs == want, (n, mode)
+            mus = mode_rows(rng, n, mode, tau, kw, 20)
+            lam, bound = residual_batch(mus, mode, tau, 1.0, **kw)
+            for mu, want in zip(mus, zip(lam, bound)):
+                inst = ConcavityInstance(mu=mu, tau=tau, eps=1.0, mode=mode, **kw)
+                assert evaluate(inst) == want, (n, mode)
 
 
 def reference_hypotheses(mu, tau, eps, a):
@@ -210,7 +235,7 @@ def test_hypothesis_check_is_the_batched_row_test():
         tau, eps = 0.25, 1.0
         beta = (1 - tau) / (1 + tau)
         a = beta + 0.5 * (n - 1 - beta)
-        good, _ = sample_hypothesis_points(n, tau, eps, a, 30, rng)
+        good = sample_hypothesis_points(n, tau, eps, a, 30, rng)
         pos = good[:, 1:]
         P, e = sigma(n - 1, pos), sigma(n - 2, pos)
         x_lo = concavity._hypothesis_root(P, e, a - beta, n - 1)
@@ -227,7 +252,7 @@ def test_hypothesis_check_is_the_batched_row_test():
             batch = concavity._hypothesis_rows(rows, tau, eps, a)
             for mu, got in zip(rows, batch):
                 inst = ConcavityInstance(
-                    mu=mu, w=None, tau=tau, eps=eps, mode="large_mu1", a=a
+                    mu=mu, tau=tau, eps=eps, mode="large_mu1", a=a
                 )
                 assert hypothesis_check(inst) == got
                 assert reference_hypotheses(mu, tau, eps, a) == got
@@ -238,16 +263,16 @@ def test_hypothesis_check_is_the_batched_row_test():
 
 def test_hypothesis_check_examples():
     good = ConcavityInstance(
-        mu=[-1.0, 1.3, 5.0], w=None, tau=0.0, eps=1.0, mode="large_mu1", a=2.0
+        mu=[-1.0, 1.3, 5.0], tau=0.0, eps=1.0, mode="large_mu1", a=2.0
     )
     assert hypothesis_check(good)
     # mu_1 not negative enough
     bad = ConcavityInstance(
-        mu=[-0.1, 5.0, 5.0], w=None, tau=0.0, eps=1.0, mode="large_mu1", a=2.0
+        mu=[-0.1, 5.0, 5.0], tau=0.0, eps=1.0, mode="large_mu1", a=2.0
     )
     assert not hypothesis_check(bad)
     outside = ConcavityInstance(
-        mu=[-3.0, 1.0, 5.0], w=None, tau=0.0, eps=1.0, mode="large_mu1", a=2.0
+        mu=[-3.0, 1.0, 5.0], tau=0.0, eps=1.0, mode="large_mu1", a=2.0
     )
     assert not hypothesis_check(outside)
 
@@ -258,16 +283,13 @@ def test_large_mode_random_sweep():
         for tau, a_frac in [(0.0, 1.0 / 3.0), (0.25, 2.0 / 3.0), (0.5, 0.5)]:
             beta = (1 - tau) / (1 + tau)
             a = beta + a_frac * (n - 1 - beta)
-            mus, ws = sample_hypothesis_points(n, tau, 1.0, a, 500, rng)
-            for mu, w in zip(mus, ws):
-                inst = ConcavityInstance(
-                    mu=mu, w=w, tau=tau, eps=1.0, mode="large_mu1", a=a
-                )
+            mus = sample_hypothesis_points(n, tau, 1.0, a, 500, rng)
+            for mu in mus:
+                inst = ConcavityInstance(mu=mu, tau=tau, eps=1.0, mode="large_mu1", a=a)
                 assert hypothesis_check(inst)
-            res = residual_batch(
-                mus, ws, "large_mu1", tau, 1.0, a=a
-            )
-            assert res.min() >= -1e-9, (n, tau, a, res.min())
+            lam, bound = residual_batch(mus, "large_mu1", tau, 1.0, a=a)
+            assert lam.min() >= -1e-9, (n, tau, a, lam.min())
+            assert not np.any(lam < -bound), (n, tau, a)
 
 
 def test_sampled_interval_is_the_hypothesis_slice():
@@ -294,7 +316,7 @@ def test_sampled_interval_is_the_hypothesis_slice():
 
         def holds(x):
             return hypothesis_check(ConcavityInstance(
-                mu=np.append(-x, pos), w=None, tau=tau, eps=1.0,
+                mu=np.append(-x, pos), tau=tau, eps=1.0,
                 mode="large_mu1", a=a,
             ))
 
@@ -313,8 +335,7 @@ def test_large_mode_sampler_keeps_almost_every_candidate(monkeypatch):
         return real(mu, spec)
 
     monkeypatch.setattr(concavity, "classify_batch", counting)
-    mus, _ = sample_hypothesis_points(5, 0.0, 1.0, 2.5, 1000,
-                                      np.random.default_rng(0))
+    mus = sample_hypothesis_points(5, 0.0, 1.0, 2.5, 1000, np.random.default_rng(0))
     assert len(mus) == 1000
     assert sum(rows) <= 1050
 
@@ -346,34 +367,62 @@ def test_large_mode_sampler_raises_on_empty_interval():
 def check_history(out, trials):
     assert 2 <= len(out.history) <= 42
     assert out.history[0][0] == 1e6
-    accepted = [M for M, worst, _ in out.history if worst >= VIOLATION_TOL]
-    assert accepted[-1] == out.M_hat
-    assert {M: worst for M, worst, _ in out.history}[out.M_hat] == out.worst_residual
-    assert all(type(k) is int and 1 <= k <= trials for _, _, k in out.history)
+    assert {M: worst for M, worst, _, _ in out.history}[out.M_hat] == out.worst_residual
+    assert all(type(k) is int and 1 <= k <= trials for _, _, k, _ in out.history)
+    assert all(type(u) is int and 0 <= u < k for _, _, k, u in out.history)
 
 
 def test_find_threshold_history_without_bisection():
     # the inequality already holds at M = eps: two evaluations, no bisection
     out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
     check_history(out, 200)
-    assert [M for M, _, _ in out.history] == [1e6, 1.0]
+    assert [M for M, _, _, _ in out.history] == [1e6, 1.0]
+
+
+def fake_form(coupling, majorant):
+    """A _form replacement: Q = I + coupling(mu) (e_1 e_2^T + e_2 e_1^T),
+    so lam = 1 - |coupling|, and Qa = majorant in every entry."""
+    def form(mu, r, c, weight, tau, eps):
+        Q = np.broadcast_to(np.eye(mu.shape[-1]), mu.shape + mu.shape[-1:]).copy()
+        Q[:, 0, 1] = Q[:, 1, 0] = coupling(mu)
+        return Q, np.full(Q.shape, majorant)
+    return form
 
 
 def test_find_threshold_history_records_every_bisection_step(monkeypatch):
-    # a synthetic inequality that fails exactly while the largest entry
-    # mu_n sits below 37 forces all 40 bisection steps
-    def fake(mu, w, r, c, weight, tau, eps):
-        return mu[..., -1] - 37.0 + 0j, np.zeros(len(mu), dtype=complex)
-
-    monkeypatch.setattr(concavity, "_evaluate_batch", fake)
+    # a synthetic form, indefinite exactly while the largest entry mu_n
+    # sits below 37, forces all 40 bisection steps
+    monkeypatch.setattr(concavity, "_form", fake_form(lambda mu: 37.0 / mu[:, -1], 0.0))
     out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 50, seed=3)
     check_history(out, 50)
     assert len(out.history) == 42
     lo, hi = 1.0, 1e6
-    for M, worst, _ in out.history[2:]:
+    for M, worst, _, _ in out.history[2:]:
         assert M == 0.5 * (lo + hi)
-        lo, hi = (lo, M) if worst >= VIOLATION_TOL else (M, hi)
+        lo, hi = (lo, M) if worst > 0 else (M, hi)
     assert hi == out.M_hat and 24.0 < out.M_hat <= 37.0
+
+
+def test_find_threshold_with_every_trial_undetermined_fails(monkeypatch):
+    # a rounding majorant that swamps every eigenvalue decides nothing, so
+    # the upper bracket checks nothing and the search fails there by name
+    monkeypatch.setattr(concavity, "_form", fake_form(lambda mu: 0.5, 1e20))
+    message = r"every admissible trial at M = 1\.000e\+06 is undetermined"
+    with pytest.raises(SearchFailureError, match=message):
+        find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 50, seed=3)
+
+
+def test_find_threshold_violation_names_its_worst_trial(monkeypatch):
+    # lam = -mu_n / 1e6 at the upper bracket: every trial is violated, and
+    # the counterexample is the one with the largest mu_n
+    fake = fake_form(lambda mu: 1.0 + mu[:, -1] / 1e6, 0.0)
+    monkeypatch.setattr(concavity, "_form", fake)
+    with pytest.raises(SearchFailureError, match="violations persist") as exc:
+        find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
+    shapes, targets, tops = concavity._draw_trials(3, 2, (0.5, 2.0), 200, 42)
+    mu, ok = concavity._trial_points(shapes, targets, tops, 1e6, 2)
+    worst = mu[ok][np.argmax(mu[ok][:, -1])]
+    np.testing.assert_array_equal(exc.value.counterexample, worst)
 
 
 def test_find_threshold_without_admissible_trials_fails(monkeypatch):
@@ -401,7 +450,7 @@ def test_find_threshold_counts_admissible_trials(monkeypatch):
 
     monkeypatch.setattr(concavity, "classify_batch", every_other)
     out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
-    assert [k for _, _, k in out.history] == kept
+    assert [k for _, _, k, _ in out.history] == kept
     assert kept[0] == 100 and 0 < kept[1] < 100
 
 
@@ -432,16 +481,27 @@ def test_find_threshold_validates_inputs():
 
 
 def test_threshold_point_example():
-    # after the search, points at the threshold with random w stay clean
+    # after the search, a point just above the threshold holds for every w
     out = find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=11)
-    rng = np.random.default_rng(12)
     mu = np.array([0.5, 1.0, out.M_hat + 1.0])
     assert sigma(2, mu) > 0
-    for _ in range(100):
-        z = rng.normal(size=3) + 1j * rng.normal(size=3)
-        res = evaluate(
-            ConcavityInstance(
-                mu=mu, w=z / np.linalg.norm(z), tau=0.5, eps=1.0, mode="theorem"
-            )
-        )[2]
-        assert res >= -1e-10
+    lam, bound = evaluate(ConcavityInstance(mu=mu, tau=0.5, eps=1.0, mode="theorem"))
+    assert lam > bound
+
+
+def test_unreachable_targets_are_skipped():
+    # at M = 1, f(t) = t^p sigma_p + mu_n t^{p-1} sigma_{p-1} peaks at t*
+    # where sigma_p(shape) < 0: a trial whose target lies above f(t*) is
+    # never checked, and every other trial's mu has sigma_p(mu) = target
+    for n, p in [(3, 2), (4, 3), (5, 4)]:
+        shapes, targets, tops = concavity._draw_trials(n, p, (0.5, 2.0), 1000, 42)
+        mu, checked = concavity._trial_points(shapes, targets, tops, 1.0, p)
+        mu_n = 1.0 + 0.5 * tops
+        sp, spm1 = sigma(p, shapes), sigma(p - 1, shapes)
+        peak = -(p - 1) * mu_n * spm1 / (p * np.where(sp < 0, sp, -1.0))
+        top = peak**p * sp + mu_n * peak ** (p - 1) * spm1
+        reachable = (sp >= 0) | (top >= targets)
+        assert not np.any(checked & ~reachable), (n, p)
+        assert np.any(~reachable) and np.any(reachable & (sp < 0)), (n, p)
+        np.testing.assert_allclose(sigma(p, mu[reachable]), targets[reachable],
+                                   rtol=1e-12)

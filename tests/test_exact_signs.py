@@ -1,14 +1,20 @@
-"""Cone verdicts against exact rational signs, and the inputs a fixed zero
-band once misclassified."""
+"""Cone and concavity verdicts against exact rational signs, and the
+inputs a fixed zero band once misclassified."""
 
 import numpy as np
 import pytest
 
-from phessian.cone import ConeSpec, classify_batch, cone_distance, require_cone
+import phessian.concavity as concavity
+from phessian.cone import (
+    ConeSpec, classify_batch, cone_distance, require_cone, sample_admissible,
+)
 from phessian.solver import EquationSpec, GridFn, TorusGrid, newton_solve
 from phessian.spectral import classify_matrices, require_matrix_cone
 
-from oracles import exact_region, matrix_sigma_exact, rotate, sigma_exact, with_sigma
+from oracles import (
+    concavity_form_exact, exact_region, matrix_sigma_exact, rotate, sigma_exact,
+    with_sigma,
+)
 
 
 def batches(rng, n, p, rows):
@@ -72,3 +78,85 @@ def test_small_conformal_constant_is_solved_at_once(c):
     sol, trace = newton_solve(spec, GridFn(grid, np.zeros(grid.sizes)), tol=1e-9)
     assert trace == []
     np.testing.assert_array_equal(sol.values, 0.0)
+
+
+def find_m_rows(n, p, tau, eps, band, seed):
+    """The checked trials of find_threshold's search at M = eps, 64, 1e3
+    and 1e6, 300 trials each."""
+    shapes, targets, tops = concavity._draw_trials(n, p, band, 300, seed)
+    rows = []
+    for M in (eps, 64.0, 1e3, 1e6):
+        mu, checked = concavity._trial_points(shapes, targets, tops, M, p)
+        rows.append(mu[checked])
+    return np.concatenate(rows)
+
+
+def sorted_admissible(n, p, seed):
+    """300 sorted rows of sample_admissible."""
+    return np.sort(sample_admissible(n, p, 300, np.random.default_rng(seed)), axis=1)
+
+
+def crossing_rows(rng, n, p, tau):
+    """small_mu1 rows bisected onto the zero of their residual: mu_n is
+    raised until lam turns positive, and both floats of the last bracket
+    are kept, so the exact signs of lambda_min(Q) are mixed."""
+    mu = np.sort(sample_admissible(n, p, 100, rng), axis=1)
+    mu = mu[concavity.residual_batch(mu, "small_mu1", tau, 1.0, p=p)[0] < 0]
+    lo, hi = np.zeros(len(mu)), np.full(len(mu), 1e3)
+
+    def raised(t):
+        out = mu.copy()
+        out[:, -1] += t
+        return out
+
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        held = concavity.residual_batch(raised(mid), "small_mu1", tau, 1.0, p=p)[0] > 0
+        lo, hi = np.where(held, lo, mid), np.where(held, mid, hi)
+    keep = hi < 1e3
+    return np.concatenate([raised(lo)[keep], raised(hi)[keep]])
+
+
+# name -> (rows, mode, tau, eps, parameters)
+CONCAVITY_BATCHES = {
+    # the benchmark's concavity-fuzz rows
+    "large_mu1": lambda: (concavity.sample_hypothesis_points(
+        5, 0.0, 1.0, 2.5, 1000, np.random.default_rng([1, 5])),
+        "large_mu1", 0.0, 1.0, {"a": 2.5}),
+    "find_m_readme": lambda: (find_m_rows(3, 2, 0.5, 1.0, (0.5, 2.0), 42),
+                              "small_mu1", 0.5, 1.0, {"p": 2}),
+    "find_m_tiny_sigma_4": lambda: (find_m_rows(4, 3, 0.5, 0.001, (0.1, 10.0), 42),
+                                    "small_mu1", 0.5, 0.001, {"p": 3}),
+    "find_m_tiny_sigma_5": lambda: (find_m_rows(5, 4, 0.5, 1.0, (0.01, 100.0), 1),
+                                    "small_mu1", 0.5, 1.0, {"p": 4}),
+    "small_mu1": lambda: (sorted_admissible(5, 2, 290), "small_mu1", 0.25, 1.0, {"p": 2}),
+    "theorem": lambda: (sorted_admissible(4, 3, 291), "theorem", 0.25, 1.0, {}),
+    "crossing": lambda: (crossing_rows(np.random.default_rng(292), 6, 2, 0.25),
+                         "small_mu1", 0.25, 1.0, {"p": 2}),
+}
+
+
+@pytest.mark.parametrize("batch", CONCAVITY_BATCHES)
+def test_concavity_verdicts_never_contradict_exact_signs(batch):
+    # lambda_min(Q) > 0 exactly when lam(Q) lies in Gamma_n, with Q formed
+    # in rationals from the float rows.  Every crossing row is checked, and
+    # their exact signs are mixed; of the other batches, the 40 decided rows
+    # nearest their bound.
+    mu, mode, tau, eps, kw = CONCAVITY_BATCHES[batch]()
+    n = mu.shape[-1]
+    lam, bound = concavity.residual_batch(mu, mode, tau, eps, **kw)
+    r, c, weight = concavity.validate_mode(n, mode, tau, eps, **kw)
+    if batch == "crossing":
+        rows = np.arange(len(mu))
+    else:
+        rows = np.flatnonzero(np.abs(lam) > bound)
+        assert rows.size
+        rows = rows[np.argsort(np.abs(lam[rows]) / bound[rows])[:40]]
+    exact = np.array([
+        exact_region(matrix_sigma_exact(concavity_form_exact(row, r, c, weight, tau, eps)), n)
+        for row in mu[rows]
+    ])
+    held, violated = lam[rows] > bound[rows], lam[rows] < -bound[rows]
+    assert np.all(exact[held] == 2) and np.all(exact[violated] == 0)
+    if batch == "crossing":
+        assert 0 < np.count_nonzero(exact == 2) < len(rows)
