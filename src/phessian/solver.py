@@ -35,18 +35,9 @@ from math import gamma, hypot, inf, isfinite, pi, sqrt
 import numpy as np
 
 from .cone import ConeSpec
-from .errors import (
-    AdmissibilityError,
-    InputError,
-    NonconvergenceError,
-    VerificationError,
-)
+from .errors import AdmissibilityError, InputError, NonconvergenceError, VerificationError
 from .spectral import (
-    classify_matrices,
-    jacobi_eigh,
-    matrix_root_grad,
-    matrix_sigmas,
-    require_matrix_cone,
+    classify_matrices, jacobi_eigh, matrix_root_grad, matrix_sigmas, require_matrix_cone,
 )
 
 # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
@@ -208,28 +199,32 @@ def box_grad_hess(f, h, mask=None, core=slice(None)):
     each mixed partial d_j(d_i f), j >= i, taken once.  Returns the
     gradient (n, m) and the Hessian (n, n, m) at the m nodes of the axis-0
     planes f[core] selected by the flat boolean mask over those planes
-    (every node in row-major order when mask is None): component-major,
-    the (d, d) + nodes layout of periodic_hess, one contiguous plane per
-    component.  np.moveaxis(hess, -1, 0) is the (m, n, n) batch of
-    matrices.
+    (every node in row-major order when mask is None): component-major
+    like periodic_hess, one contiguous plane per component;
+    np.moveaxis(hess, -1, 0) is the (m, n, n) batch of matrices.
 
-    Only d0 f and d0(d0 f) read the planes outside core; every derivative
-    along an axis j >= 1 is taken on the core planes alone.  np.gradient's
-    formulas along such an axis are elementwise in axis 0, so the values
-    are those of the whole field."""
+    d0 f alone reads all of f, d0(d0 f) the core planes and one more on
+    each side (3 at least, so a face's one-sided formula is the whole
+    field's), every other derivative the core planes only: the stencils
+    are local, so the values are the whole field's."""
+    def d(g, k):
+        return np.gradient(g, h, axis=k, edge_order=2)
+
     n = f.ndim
-    d0 = np.gradient(f, h, axis=0, edge_order=2)
+    d0 = d(f, 0)
+    a, b, _ = core.indices(len(f))
+    lo = max(0, min(a - 1, len(f) - 3))
     part = f[core]
     nodes = slice(None) if mask is None else mask
     m = part.size if mask is None else np.count_nonzero(mask)
     grad = np.empty((n, m))
     hess = np.empty((n, n, m))
-    hess[0, 0] = np.gradient(d0, h, axis=0, edge_order=2)[core].ravel()[nodes]
+    hess[0, 0] = d(d0[lo:max(b + 1, lo + 3)], 0)[a - lo:b - lo].ravel()[nodes]
     for i in range(n):
-        gi = d0[core] if i == 0 else np.gradient(part, h, axis=i, edge_order=2)
+        gi = d0[core] if i == 0 else d(part, i)
         grad[i] = gi.ravel()[nodes]
         for j in range(max(i, 1), n):
-            hess[i, j] = np.gradient(gi, h, axis=j, edge_order=2).ravel()[nodes]
+            hess[i, j] = d(gi, j).ravel()[nodes]
             hess[j, i] = hess[i, j]
     return grad, hess
 

@@ -44,15 +44,16 @@ from .symfun import _as_values, _level_crossing, sigma, sigma_root_grad
 class BallProblem:
     """Ball-domain data for the exponential-bump construction.
 
-    psi, u are callables taking an (N, n) array of points; phi_tilde takes
-    (points, t) with t an (N,) array.  All three must be pointwise: the
-    value at a row depends on that row alone (of points and t), since
-    construct evaluates them on one slab of grid planes at a time.  u must
-    be a defining function of the ball (negative inside, zero on the
-    boundary) with admissible Hessian; psi needs lam(D^2 psi) in the closed
-    cone.  u is evaluated first, into a whole field.  psi is evaluated slab
-    by slab, in its cone check and again when v is formed, so an exception
-    that psi raises surfaces in its cone check, after any fault of u's.
+    psi, u are callables taking an (N, n) array of points, column-major
+    (each coordinate one contiguous column); phi_tilde takes (points, t)
+    with t an (N,) array.  All three must be pointwise: the value at a row
+    depends on that row alone (of points and t), since construct evaluates
+    them on one slab of grid planes at a time.  u must be a defining
+    function of the ball (negative inside, zero on the boundary) with
+    admissible Hessian; psi needs lam(D^2 psi) in the closed cone.  u is
+    evaluated first, into a whole field.  psi is evaluated slab by slab, in
+    its cone check and again when v is formed, so an exception that psi
+    raises surfaces in its cone check, after any fault of u's.
     """
 
     n: int
@@ -83,14 +84,19 @@ class SubsolutionResult:
     worst_slack: float
 
 
-# construct runs its per-node stages on slabs of axis-0 planes holding about
-# this many nodes (at least one plane), read with SLAB_HALO planes more on
-# each side: d0(d0 f) reads f two planes away, and at the box's edge plane
-# the one-sided formula reads d0 f at planes 0..2, whose central value at
-# plane 2 needs plane 3.  Only d0 f and d0(d0 f) are taken on the halo, so a
-# small slab adds little derivative work.  The same halo bounds the span a
-# slab reads along every other axis (_crop).
-SLAB_NODES = 2**16
+# construct runs its per-node stages on slabs of axis-0 planes holding
+# about this many nodes, round(SLAB_NODES / plane) planes but at least one,
+# read with SLAB_HALO planes more on each side: d0(d0 f) reads f two planes
+# away, and at the box's edge plane the one-sided formula reads d0 f at
+# planes 0..2, whose central value at plane 2 needs plane 3.  Only d0 f
+# runs over the whole halo and d0(d0 f) over one plane of it, so a thin
+# slab adds little derivative work.  2^15 gives 97^3 3-plane slabs: its
+# 6-plane slabs under 2^16 peaked 5.1 MiB higher (17.2 against 12.1 MiB
+# traced).  Rounding rather than flooring gives 129^3 2-plane slabs: a
+# floor's 1-plane slabs took a warm construct from 0.62 to 0.76 s (2-vCPU
+# x86_64).  The same halo bounds the span a slab reads along every other
+# axis (_crop).
+SLAB_NODES = 2**15
 SLAB_HALO = 3
 
 
@@ -102,37 +108,40 @@ class _Slab(NamedTuple):
     dist: np.ndarray   # distances of the core nodes to the origin
 
 
+def _slab_planes(res, n):
+    """The core planes (slices) of the slabs of the grid res^n, in order."""
+    step = max(1, round(SLAB_NODES / res ** (n - 1)))
+    return [slice(lo, min(lo + step, res)) for lo in range(0, res, step)]
+
+
 def _slabs(axis, n):
     """The slabs of the grid axis^n, in row-major node order.  dist sums
     the squares in axis order, as np.linalg.norm does for n < 8."""
     res = len(axis)
-    plane = res ** (n - 1)
-    step = max(1, SLAB_NODES // plane)
     sq = axis * axis
-    for lo in range(0, res, step):
-        hi = min(lo + step, res)
+    for core in _slab_planes(res, n):
+        lo, hi = core.start, core.stop
         dist = sq[lo:hi].reshape((-1,) + (1,) * (n - 1))
         for k in range(1, n):
             dist = dist + sq.reshape((-1,) + (1,) * (n - 1 - k))
         a = max(0, lo - SLAB_HALO)
         yield _Slab(
-            slice(lo, hi), slice(a, min(res, hi + SLAB_HALO)), slice(lo - a, hi - a),
-            lo * plane, np.sqrt(dist).ravel(),
+            core, slice(a, min(res, hi + SLAB_HALO)), slice(lo - a, hi - a),
+            lo * res ** (n - 1), np.sqrt(dist).ravel(),
         )
 
 
 def _slab_points(axis, n, planes, rows=None):
     """Grid points (m, n) of the nodes on the axis-0 planes `planes` (a
     slice) in row-major node order, or of those the flat mask rows
-    selects."""
-    mesh = np.meshgrid(axis[planes], *([axis] * (n - 1)), indexing="ij", sparse=True)
-    pts = np.empty(np.broadcast_shapes(*(m.shape for m in mesh)) + (n,))
-    for k, m in enumerate(mesh):
-        pts[..., k] = m
-    pts = pts.reshape(-1, n)
-    # take gathers whole rows; a boolean index of the (m, n) array is 3-4x
-    # slower
-    return pts if rows is None else pts.take(np.flatnonzero(rows), axis=0)
+    selects; column-major, each coordinate one contiguous column."""
+    coords = [axis[planes]] + [axis] * (n - 1)
+    if rows is None:
+        cols = np.meshgrid(*coords, indexing="ij", sparse=True)
+    else:
+        index = np.unravel_index(np.flatnonzero(rows), tuple(map(len, coords)))
+        cols = [c[i] for c, i in zip(coords, index)]
+    return np.stack(np.broadcast_arrays(*cols)).reshape(n, -1).T
 
 
 def _plane_values(f, axis, n, planes):
@@ -180,14 +189,15 @@ def _crop(field, mask):
 
 def _zero_slab(n, m):
     """What box_grad_hess and classify_matrices give at m nodes whose
-    stencils read only zeros: gradient (n, m) and Hessian (n, n, m) zero,
-    region codes (m,) 1, since a zero Hessian is on the cone's boundary,
-    and matrix_sigmas (m, n + 1) 1, 0, ..., 0.  A zero's sign can differ
-    from the stencils' where the field holds -0.0; no cone check or visit
-    reads it."""
-    sigmas = np.zeros((m, n + 1))
-    sigmas[:, 0] = 1.0
-    return np.zeros((n, m)), np.zeros((n, n, m)), np.ones(m, dtype=int), sigmas
+    stencils read only zeros, as read-only broadcast views: gradient (n, m)
+    and Hessian (n, n, m) zero, region codes (m,) 1, since a zero Hessian
+    is on the cone's boundary, and matrix_sigmas (m, n + 1) 1, 0, ..., 0.
+    A zero's sign can differ from the stencils' where the field holds
+    -0.0; no cone check or visit reads it."""
+    sigmas = np.zeros(n + 1)
+    sigmas[0] = 1.0
+    return (np.broadcast_to(0.0, (n, m)), np.broadcast_to(0.0, (n, n, m)),
+            np.broadcast_to(1, m), np.broadcast_to(sigmas, (m, n + 1)))
 
 
 def _admissible_pass(planes, n, axis, h, p, select, message, visit, closed=False):
@@ -309,34 +319,36 @@ def construct(problem):
 
     Memory: one whole field (u, then v in its place) plus one slab alive
     at a time; every per-node stage runs on a slab of planes =
-    max(1, SLAB_NODES // res^(n-1)) axis-0 planes, and each slab's arrays
-    are freed before the next slab is differentiated.  psi is never held
-    whole: its cone check evaluates it on each slab's planes plus halo,
-    copying the planes the previous slab shared, and v adds it slab by
-    slab, so psi meets each node at most twice.  Only d0 f and d0(d0 f)
-    are taken on the slab's planes plus SLAB_HALO on each side; every
-    other derivative, the minors and the eigenvalues are taken on the core
-    planes only.  Along every other axis a slab is cut to the span of the
-    nodes its pass selects, plus SLAB_HALO on each side, and a slab whose
-    cut field is zero (psi = 0 everywhere, say) skips its stencils and
-    minors for their known values: np.gradient is local, so neither rule
-    changes a value any check reads.  Every global quantity is a min or a
-    max over nodes, so no result depends on the slabs, and the first fault
-    is the one a single pass over every node raises, in the order: u's
-    cone check, u < 0 inside, psi's closed-cone check, overflow of A, B or
-    v, v's cone check.
+    max(1, round(SLAB_NODES / res^(n-1))) axis-0 planes, and each slab's
+    arrays are freed before the next slab is differentiated.  psi is never
+    held whole: its cone check evaluates it on each slab's planes plus
+    halo, copying the planes the previous slab shared, and v adds it slab
+    by slab, so psi meets each node at most twice.  Only d0 f is taken on
+    the slab's planes plus SLAB_HALO on each side, and d0(d0 f) on the core
+    planes plus one on each side; every other derivative, the minors and
+    the eigenvalues are taken on the core planes only.  Along every other
+    axis a slab is cut to the span of the nodes its pass selects, plus
+    SLAB_HALO on each side, and a slab whose cut field is zero (psi = 0
+    everywhere, say) skips its stencils and minors for read-only views of
+    their known values: np.gradient is local, so neither rule changes a
+    value any check reads.  The callables get the points of the nodes a
+    pass reads, and only those, column-major.  Every global quantity is a
+    min or a max over nodes, so no result depends on the slabs, and the
+    first fault is the one a single pass over every node raises, in the
+    order: u's cone check, u < 0 inside, psi's closed-cone check, overflow
+    of A, B or v, v's cone check.
     """
     n, p, alpha, radius = problem.n, problem.p, problem.alpha, problem.radius
     axis = np.linspace(-radius, radius, problem.resolution)
     h = axis[1] - axis[0]
     u = np.empty((problem.resolution,) * n)
-    for s in _slabs(axis, n):
+    for planes in _slab_planes(problem.resolution, n):
         # each slab's points are dropped after the next slab's are
         # allocated, as _admissible_pass drops its arrays: dropped at the
         # end of their own slab, they took this loop from 3.5k page faults
         # to 13k at 97^3
-        pts = _slab_points(axis, n, s.core)
-        u[s.core] = problem.u(pts).reshape(u[s.core].shape)
+        pts = _slab_points(axis, n, planes)
+        u[planes] = problem.u(pts).reshape(u[planes].shape)
     del pts
 
     def in_ball(s):

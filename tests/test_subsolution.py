@@ -292,6 +292,37 @@ def test_slabs_cover_the_grid(n, res, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("res, n, planes", [(97, 3, 3), (129, 3, 2), (65, 3, 8), (9, 1, 2**15)])
+def test_slab_planes_round_the_node_budget(res, n, planes, monkeypatch):
+    """round(SLAB_NODES / plane) planes a slab, at least one, and k planes
+    when SLAB_NODES is k planes."""
+    cores = subsolution._slab_planes(res, n)
+    assert [c.stop - c.start for c in cores[:-1]] == [min(planes, res)] * (len(cores) - 1)
+    for k in (1, 2, 5):
+        monkeypatch.setattr(subsolution, "SLAB_NODES", k * res ** (n - 1))
+        assert subsolution._slab_planes(res, n)[0] == slice(0, min(k, res))
+    monkeypatch.setattr(subsolution, "SLAB_NODES", 1)
+    assert subsolution._slab_planes(res, n)[0] == slice(0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slab_points_build_only_the_selected_rows(n):
+    """The points of a mask's rows are those rows of every point, bit for
+    bit, column-major with each coordinate one contiguous column."""
+    rng = np.random.default_rng(n)
+    axis = np.linspace(-1.0, 1.0, 7) + rng.uniform(-0.01, 0.01, 7)
+    planes = slice(2, 5)
+    every = _slab_points(axis, n, planes)
+    m = 3 * 7 ** (n - 1)
+    assert every.shape == (m, n)
+    for rows in (np.zeros(m, bool), np.ones(m, bool), rng.random(m) < 0.3):
+        pts = _slab_points(axis, n, planes, rows)
+        assert pts.shape == (np.count_nonzero(rows), n)
+        assert np.array_equal(pts, every[rows])
+        for got in (pts, every):
+            assert all(got[:, k].flags.c_contiguous for k in range(n))
+
+
 def crop_masks(s, res, n, rng):
     """Flat masks over the core planes of slab s of the grid res^n: the
     ball, the trusted nodes, a random scatter, one face of each axis k >= 1,
@@ -354,6 +385,19 @@ def test_zero_slab_is_what_the_stencils_give(n):
                 assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_slab_is_read_only_views(n):
+    """_zero_slab's arrays are read-only views of a few values, equal to
+    the arrays they stand for."""
+    m = 50
+    sigmas = np.zeros((m, n + 1))
+    sigmas[:, 0] = 1.0
+    want = np.zeros((n, m)), np.zeros((n, n, m)), np.ones(m, dtype=int), sigmas
+    for got, ref in zip(_zero_slab(n, m), want):
+        assert not got.flags.writeable and got.base is not None
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("psi, differentiated", [(zero_field, False), (tilted_psi, True)])
 def test_construct_differentiates_no_zero_psi(psi, differentiated, monkeypatch):
     """psi's cone check runs no stencil on a zero psi; u's and v's still
@@ -386,9 +430,10 @@ def test_construct_differentiates_no_zero_psi(psi, differentiated, monkeypatch):
 
 def test_construct_memory_is_bounded():
     # the one whole field at 97^3 (u, then v in its place) takes 7.3 MB, and
-    # one slab of 6 planes with psi on its 12 read planes, its derivatives,
-    # minors and eigenvalues brings the peak to 18.6 MB; holding psi as a
-    # whole field as well peaked at 25.6 MB, holding two slabs and
+    # one slab of 3 planes with its 9 read planes, its derivatives, minors
+    # and eigenvalues brings the peak to 12.1 MiB; slabs of 6 planes, which
+    # read 12 and took d0(d0 f) on all of them, peaked at 17.8 MiB, holding
+    # psi as a whole field as well at 25.6 MB, holding two slabs and
     # differentiating the halo planes along every axis at 51 MB, every
     # stage's whole-grid arrays at once at 169 MB
     prob = BallProblem(
@@ -402,7 +447,26 @@ def test_construct_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert out.worst_slack >= 0.0
-    assert peak <= 22 * 2**20
+    assert peak <= 14 * 2**20
+
+
+@pytest.mark.parametrize("res", [65, 97])
+def test_construct_slab_working_set_is_bounded(res):
+    # above the one whole field, a slab takes about 24 doubles per core
+    # node at either size (8 planes at 65^3, 3 at 97^3): its read planes,
+    # d0 f, the Hessian planes, minors, eigenvalues and points
+    prob = BallProblem(
+        n=3, radius=1.0, resolution=res, p=2, alpha=0.5,
+        psi=zero_field, phi_tilde=const_phi(0.1), u=ball_u,
+    )
+    core = subsolution._slab_planes(res, 3)[0]
+    tracemalloc.start()
+    try:
+        construct(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * res**3 <= 27 * 8 * (core.stop - core.start) * res**2
 
 
 def test_construct_holds_one_whole_field(monkeypatch):
