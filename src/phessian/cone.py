@@ -105,17 +105,18 @@ def classify_batch(mu, spec):
     """Vectorized region codes for a batch of vectors.
 
     Returns an integer array: 2 interior, 1 boundary, 0 outside, the same
-    verdicts as classify.
+    verdicts as classify.  ValueError unless the rows have length n.
     """
-    return _regions(_as_values(mu), spec.p)[0]
+    mu = _as_values(mu)
+    if mu.shape[-1] != spec.n:
+        raise ValueError(f"expected a vector of length {spec.n}")
+    return _regions(mu, spec.p)[0]
 
 
 def require_cone(mu, spec, name="mu", closed=False):
     """Raise AdmissibilityError unless mu lies in the open cone (the closed
     cone when closed).  Batched: the error names the first row that fails."""
     mu = _as_values(mu)
-    if mu.shape[-1] != spec.n:
-        raise ValueError(f"expected a vector of length {spec.n}")
     bad = classify_batch(mu, spec) < (1 if closed else 2)
     if np.any(bad):
         row = mu[np.unravel_index(np.argmax(bad), bad.shape)]
@@ -130,8 +131,10 @@ def cone_distance(mu, spec):
 
     Batched like sigma; a single vector is a batch of one.  Gamma_p is
     sigma_p's hyperbolicity cone around 1_n (Garding 1959), so t* is the
-    largest root of sigma_p(mu + t1), clamped at 0 (_level_crossing).  Rows
-    that classify_batch puts in the closed cone return exactly 0.
+    largest root of sigma_p(mu + t1), clamped at 0 (_level_crossing: its
+    Newton starts at -min(mu), that root itself when p = n, and runs on mu
+    scaled by a power of two, so no entry size overflows it).  Rows that
+    classify_batch puts in the closed cone return exactly 0.
     """
     mu = _as_values(mu)
     rows = mu.reshape(-1, mu.shape[-1])

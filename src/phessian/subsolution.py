@@ -526,15 +526,16 @@ def _fits_the_rays(mu, delta, a, n, p):
     """Mask over configs (rows of mu; delta, a per row) whose rays cannot
     overflow: sigma_p stays finite wherever the sweep evaluates it.
 
-    With base = mu - delta 1 and S = max(|base|_inf, a), write base = xi r
-    entrywise, |r_i| <= S / min(xi).  The coefficients of sigma_p(base +
-    t xi) - a^p in t then satisfy |c_{p-k}| <= C(p, k) (S / min xi)^k c_p,
-    so Fujiwara's bound B <= 2 p S / min(xi).  The crossing Newton starts
-    at B and descends onto a root, so |t| <= B throughout.  _ray_verdicts
-    draws entries of at least 1e-3 / (1.001 sqrt n), so every entry the
-    sweep forms is at most X = (1 + 2002 p sqrt n) S, and each partial sum
-    of the minor recurrence or of the Newton slope at most 4^n X^p; the
-    power is at least 2 so that |base|^2 fits too."""
+    With base = mu - delta 1 and S = max(|base|_inf, a), the crossing
+    Newton starts at max_i(-base_i / xi_i) + (a^p / sigma_p(xi))^(1/p) <=
+    2 S / min(xi), as sigma_p(xi) >= min(xi)^p, and descends onto a
+    crossing in the closed Gamma_1, where t >= -sigma_1(base) / sigma_1(xi)
+    >= -S / min(xi).  _ray_verdicts draws entries of at least 1e-3 / (1.001
+    sqrt n), so every entry the sweep forms is at most (1 + 2002 sqrt n) S
+    <= X = (1 + 2002 p sqrt n) S, and each partial sum of the minor
+    recurrence or of the Newton slope at most 4^n X^p; the power is at
+    least 2 so that |base|^2 fits too.  X is a factor p looser than this
+    bound needs."""
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.max(np.abs(mu - delta[:, None]), axis=-1)
         X = (1.0 + 2002.0 * p * np.sqrt(n)) * np.maximum(base, a)

@@ -155,58 +155,46 @@ def sigma_pair_minors(p, mu):
     return out
 
 
-def sigma_ray_coeffs(p, base, xi):
-    """Coefficients c_0..c_p (ascending, batch + (p+1,)) of t -> sigma_p(base
-    + t xi), p >= 0: the prefix recurrence with polynomial entries, O(n p^2)
-    per ray.  base and xi broadcast against each other."""
-    base, xi = np.broadcast_arrays(_as_values(base), _as_values(xi))
-    e = np.zeros((p + 1, p + 1) + base.shape[:-1])  # e[j, k]: t^k of sigma_j
-    e[0, 0] = 1.0
-    for k in range(base.shape[-1]):
-        b, x = base[..., k], xi[..., k]
-        for j in range(min(k + 1, p), 1, -1):
-            e[j, 1:] += x * e[j - 1, :-1]
-            e[j] += b * e[j - 1]
-        if p:  # e[0] = (1, 0, ..., 0): adding its products changes no bit
-            e[1, 1] += x
-            e[1, 0] += b
-    return np.moveaxis(e[p], 0, -1)
-
-
 def _level_crossing(base, xi, p, target):
     """Largest t with sigma_p(base + t xi) = target per ray (rows xi > 0,
     target >= 0; base, xi and target broadcast over the rays).
 
-    sigma_p is hyperbolic along xi in Gamma_n: t -> sigma_p(base + t xi) has
-    only real roots, is increasing and convex past the largest, and meets
-    the target there once.  Newton from Fujiwara's root bound decreases onto
-    that crossing (newton_descent), linearly at a multiple root.  Values
-    and slopes come from the moved vector base + t xi (_prefix_slope): the
-    monomial form cancels far from t = 0 and, in slopes, near a multiple
-    root.  A step is taken only where the slope is positive and finite.  A ray with
-    sigma_p(xi) = 0 (outside the rows' domain) has no finite starting bound
-    and raises ValueError up front.
+    From t0 = max_i(-base_i / xi_i) on, the ray lies in the closed positive
+    orthant, inside the closed Gamma_p: at or past the largest root of t ->
+    sigma_p(base + t xi) (hyperbolic along xi in Gamma_n), where it is
+    increasing and convex, and at least s^p sigma_p(xi) at t0 + s (sigma_p
+    is monotone on the orthant).  So Newton from t0 + s*, s* = (target /
+    sigma_p(xi))^(1/p), decreases onto the crossing (newton_descent),
+    linearly at a multiple root; where s* = 0 and t0 is the root it stops
+    at once.  Values and slopes come from the moved vector base + t xi
+    (_prefix_slope), so a multiple root is found to the last bits.  A step
+    is taken only where the slope is positive and finite.  Each ray runs on
+    base, target and t scaled by 2^-e, e the frexp exponent of
+    max(|base|_inf, s*), as cone._regions scales: nothing overflows, and
+    the bits are those of the unscaled run wherever it neither over- nor
+    underflows.  A ray with an entry xi_i <= 0 has no finite start and
+    raises ValueError up front.
     """
-    c = sigma_ray_coeffs(p, base, xi)
-    flat = np.flatnonzero(c[..., p] == 0.0)
+    base, xi = np.broadcast_arrays(_as_values(base), _as_values(xi))
+    flat = np.flatnonzero(~np.all(xi > 0, axis=-1))
     if flat.size:
         raise ValueError(
-            f"sigma_p(xi) = 0 on ray {flat[0]}: Fujiwara's bound, where the "
-            f"crossing's Newton starts, is not finite"
+            f"xi has an entry <= 0 on ray {flat[0]}: its start, where the ray "
+            f"enters the positive orthant, is not finite"
         )
-    c[..., 0] -= target
-    k = np.arange(1, p + 1)
-    bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
-    bounds[..., -1] *= 0.5 ** (1.0 / p)
-    b, v = (np.moveaxis(np.broadcast_to(a, c.shape[:-1] + xi.shape[-1:]), -1, 0).copy()
-            for a in (base, xi))
+    b, v = (np.moveaxis(a, -1, 0).copy() for a in (base, xi))
+    s = (target / _sigma_planes(p, v)) ** (1.0 / p)
+    e = np.frexp(np.maximum(np.max(np.abs(base), axis=-1), s))[1]
+    np.ldexp(b, -e, out=b)
+    level = np.ldexp(target, -p * e)
 
     def newton(t):
         g, dg = _prefix_slope(b + t * v, v, p)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = t - (g - target) / dg
+            step = t - (g - level) / dg
         return np.where((dg > 0) & np.isfinite(step), step, t)
-    return newton_descent(2.0 * np.max(bounds, axis=-1), newton)
+    start = np.max(-b / v, axis=0) + np.ldexp(s, -e)
+    return np.ldexp(newton_descent(start, newton), e)
 
 
 def sigma_root_grad(p, mu):
@@ -245,8 +233,8 @@ def identity_residuals(p, mu, expansion_indices=None):
     * ``square_weighted_minor_sum``
         sum_k mu_k^2 sigma_p(mu|k) = sigma_1 sigma_{p+1} - (p+2) sigma_{p+2}
     * ``expansion``            the full multi-index expansion of sigma_p for
-                               the supplied distinct index list (default: all
-                               of 1..n)
+                               the supplied non-empty distinct index list
+                               (default: all of 1..n)
     * ``minor_difference_{j1}_{j2}``
         sigma_{p-1}(mu|j1) - sigma_{p-1}(mu|j2)
             = (mu_{j2} - mu_{j1}) sigma_{p-2}(mu|j1 j2)
@@ -277,8 +265,8 @@ def identity_residuals(p, mu, expansion_indices=None):
         idx = list(range(1, n + 1))
     else:
         idx = _check_indices(expansion_indices, n)
-        if len(idx) != len(set(idx)):
-            raise ValueError("expansion indices must be distinct")
+        if not idx or len(idx) != len(set(idx)):
+            raise ValueError("expansion indices must be non-empty and distinct")
     m = len(idx)
     prod = np.ones(mu.shape[:-1])
     rhs = np.asarray(

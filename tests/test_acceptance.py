@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from phessian.cli import main as cli_main
 from phessian.concavity import find_threshold, residual_batch, sample_hypothesis_points
@@ -518,6 +519,7 @@ def _strict_json(path):
         return json.loads(fh.read(), parse_constant=refuse)
 
 
+@pytest.mark.filterwarnings("error")
 def test_reports_are_strict_json(tmp_path):
     out = os.path.join(tmp_path, "report.json")
     for case in CLI_CASES:

@@ -305,6 +305,17 @@ def test_spectral_derivs_clean(tmp_path):
     assert rep["results"]["max_gradient_error"] <= 1e-6
 
 
+def test_spectral_derivs_checks_a_trial_outside_the_cone(tmp_path):
+    # the one draw has sigma_2 < 0; the gradient formula holds there too, so
+    # it is checked, not skipped with an error of 0
+    status, rep = run(
+        tmp_path, "sd.json", "spectral-derivs", "--n", "2", "--p", "2",
+        "--trials", "1", "--seed", "0",
+    )
+    assert status == 0
+    assert 0 < rep["results"]["max_gradient_error"] <= 1e-6
+
+
 def test_concavity_fuzz_guaranteed_mode(tmp_path):
     status, rep = run(
         tmp_path, "cf.json", "concavity-fuzz", "--mode", "large_mu1",

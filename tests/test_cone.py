@@ -6,6 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from phessian import symfun
 from phessian.cone import (
     ConeSpec,
     _region_codes,
@@ -77,6 +78,17 @@ def test_huge_entries_keep_their_codes(scale):
         for row, code in zip(scale * mu, want):
             assert classify(row, spec).region == ("outside", "boundary", "interior")[code]
         require_cone(scale * mu[want == 2], spec)
+        k = int(np.log2(scale))
+        for e in (k, -k):
+            np.testing.assert_array_equal(cone_distance(np.ldexp(mu, e), spec),
+                                          np.ldexp(cone_distance(mu, spec), e))
+    # sigma_2(mu + t1) = 3t^2 - scale^2: the crossing Newton runs on mu
+    # scaled by a power of two, so its finite root does not overflow
+    mu, spec = scale * np.array([1.0, -1.0, 0.0]), ConeSpec(3, 2)
+    t = cone_distance(mu, spec)
+    assert t == pytest.approx(scale / np.sqrt(3.0), rel=1e-15)
+    codes = classify_batch(mu + np.array([[1 - 1e-9], [1 + 1e-9]]) * t, spec)
+    np.testing.assert_array_equal(codes, [0, 2])
 
 
 def test_cone_distance_hand_cases():
@@ -98,6 +110,36 @@ def test_cone_distance_at_tied_roots(n):
         assert cone_distance(-np.ones(n), ConeSpec(n, p)) == pytest.approx(1.0, abs=1e-9)
     # sigma_3(mu + t1) = (t - 2)^2 (t + 1), a double root at 2
     assert cone_distance([-2.0, -2.0, 1.0], ConeSpec(3, 3)) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, p", [(7, 7), (5, 3), (5, 5)])
+def test_tied_row_costs_its_batch_no_newton_pass(monkeypatch, n, p):
+    # Newton converges only linearly onto -1_n's p-fold root; it starts
+    # there, so the row settles at once instead of holding its batch
+    passes, prefix_slope = [], symfun._prefix_slope
+
+    def counted(*args):
+        passes.append(None)
+        return prefix_slope(*args)
+    monkeypatch.setattr(symfun, "_prefix_slope", counted)
+    spec = ConeSpec(n, p)
+    mus = np.random.default_rng(9).uniform(-1.0, 10.0, (500, n))
+    tied = np.concatenate([-np.ones((1, n)), mus[1:]])
+    counts = []
+    for batch in (mus, tied):
+        passes.clear()
+        t = cone_distance(batch, spec)
+        counts.append(len(passes))
+        if p == n:  # the start is the root: max(0, -min mu) exactly
+            np.testing.assert_array_equal(t, np.maximum(0.0, -batch.min(axis=-1)))
+    assert 0 < counts[1] <= counts[0]
+
+
+def test_wrong_length_is_rejected():
+    spec = ConeSpec(3, 2)
+    for call in (classify_batch, cone_distance, require_cone):
+        with pytest.raises(ValueError, match="length 3"):
+            call(np.array([[1.0, -5.0, 2.0, 3.0]]), spec)
 
 
 def test_cone_distance_shift_is_interior():

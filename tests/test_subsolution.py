@@ -31,7 +31,7 @@ from phessian.subsolution import (
     _slabs,
     _zero_slab,
 )
-from phessian.symfun import _level_crossing, sigma, sigma_minors, sigma_ray_coeffs
+from phessian.symfun import _level_crossing, _prefix_slope, sigma
 
 from oracles import sigma_brute
 from paper_checks import matrix_form_sides, rank_one_sigma
@@ -1015,20 +1015,19 @@ def test_level_crossing_against_brute_force():
 
 def dense_crossing(base, xi, p, a):
     """The crossing Newton of _level_crossing on the whole batch, every row
-    every step, with the number of steps each row descends.  Its slope is
-    sum_i xi_i sigma_{p-1}(x|i) at x = base + t xi, from the minors."""
+    every step, unscaled, from t0 + s* (where the ray enters the positive
+    orthant, plus (target / sigma_p(xi))^(1/p)), with the number of steps
+    each row descends.  Its slope is the tangent's: the minors' sum_i xi_i
+    sigma_{p-1}(x|i) rounds differently, and at p < n its Newton stops an
+    ulp or two away on 1-3% of rays.  The tangent itself is checked against
+    the minors in test_prefix_slope_is_sigma_and_its_derivative."""
     target = a**p
-    c = sigma_ray_coeffs(p, base, xi)
-    c[..., 0] -= target
-    k = np.arange(1, p + 1)
-    bounds = np.abs(c[..., p - k] / c[..., p, None]) ** (1.0 / k)
-    bounds[..., -1] *= 0.5 ** (1.0 / p)
-    t = 2.0 * np.max(bounds, axis=-1)
+    t = np.max(-base / xi, axis=-1) + (target / sigma(p, xi)) ** (1.0 / p)
     steps = np.zeros(t.shape, dtype=int)
     while True:
         x = base + t[..., None] * xi
-        g = sigma(p, x) - target
-        dg = np.sum(xi * sigma_minors(p - 1, x), axis=-1)
+        g, dg = _prefix_slope(x.T, xi.T, p)
+        g = g - target
         step = t - g / dg
         down = step < t
         if not np.any(down):
@@ -1043,10 +1042,10 @@ def test_level_crossing_active_set_is_exact():
     # key_lemma_check), ordered so each half loses its settled rows at
     # other steps than the whole batch does
     rng = np.random.default_rng(62)
-    n, p, a = 3, 3, 1.0
+    n, p, a = 4, 3, 1.0
     xi = rng.uniform(0.0, 1.0, (4000, n)) + 1e-3
     xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
-    low = np.array([-0.8, 0.5, 2.0])
+    low = np.array([-0.8, 0.5, 2.0, 1.0])
     _, steps = dense_crossing(low, xi, p, a)
     fast, slow = xi[steps <= 6][:60], xi[steps >= 15]
     assert len(fast) == 60 and len(slow) >= 10
@@ -1067,7 +1066,7 @@ def test_level_crossing_active_set_is_exact():
 
 @pytest.mark.filterwarnings("error")
 def test_level_crossing_rejects_nonfinite_iterate():
-    # sigma_2(xi) = 0 on the last ray: its Fujiwara bound would be inf; the
+    # xi_2 = xi_3 = 0 on the last ray: its start would not be finite; the
     # ray is named and rejected before that division, with no warning
     rng = np.random.default_rng(63)
     xi = rng.uniform(0.0, 1.0, (50, 3)) + 1e-3

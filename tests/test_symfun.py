@@ -13,7 +13,6 @@ from phessian.symfun import (
     sigma_all,
     sigma_minors,
     sigma_pair_minors,
-    sigma_ray_coeffs,
     sigma_root_grad,
     sigma_trunc,
 )
@@ -194,6 +193,9 @@ def test_expansion_with_partial_index_list():
 def test_expansion_rejects_repeats():
     with pytest.raises(ValueError, match="distinct"):
         identity_residuals(2, [1.0, 2.0, 3.0], expansion_indices=[1, 1])
+    # the expansion needs one index: with none it would report a residual
+    with pytest.raises(ValueError, match="non-empty"):
+        identity_residuals(2, [1.0, 2.0, 3.0], expansion_indices=[])
 
 
 def _brute_scale(p, mu):
@@ -273,29 +275,9 @@ def test_sigma_root_grad_single_is_batch_of_one():
                 assert f1 == f[i] and np.array_equal(g1, grad[i]), (n, p, i)
 
 
-def test_sigma_ray_coeffs_match_brute_force():
-    # the coefficients of t -> sigma_p(base + t xi), evaluated at random t,
-    # against subset enumeration of the moved vector
-    rng = np.random.default_rng(31)
-    for _ in range(60):
-        n = int(rng.integers(1, 8))
-        p = int(rng.integers(0, n + 2))
-        base = rng.uniform(-3.0, 3.0, (4, n))
-        xi = rng.uniform(-2.0, 2.0, (4, n))
-        coeffs = sigma_ray_coeffs(p, base, xi)
-        assert coeffs.shape == (4, p + 1)
-        for b, x, c in zip(base, xi, coeffs):
-            single = sigma_ray_coeffs(p, b, x)
-            assert np.array_equal(single, c)
-            for t in rng.uniform(-2.0, 2.0, 3):
-                want = sigma_brute(p, b + t * x)
-                got = np.polynomial.polynomial.polyval(t, c)
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-
 def test_prefix_slope_is_sigma_and_its_derivative():
     # the value is sigma's bit for bit, the slope sum_i xi_i sigma_{p-1}(x|i)
-    # and the t^1 coefficient of t -> sigma_p(x + t xi)
+    # and sum_i xi_i sigma_{p-1} of x without entry i by subset enumeration
     rng = np.random.default_rng(34)
     for n in range(1, 8):
         for p in range(1, n + 1):
@@ -304,39 +286,7 @@ def test_prefix_slope_is_sigma_and_its_derivative():
             xi = rng.uniform(0.0, 2.0, (40, n))
             value, slope = _prefix_slope(x.T, xi.T, p)
             assert value.tobytes() == sigma(p, x).tobytes(), (n, p)
-            for ref in (np.sum(xi * sigma_minors(p - 1, x), axis=-1),
-                        sigma_ray_coeffs(p, x, xi)[:, 1]):
+            brute = [sum(v[i] * sigma_brute(p - 1, np.delete(r, i)) for i in range(n))
+                     for r, v in zip(x, xi)]
+            for ref in (np.sum(xi * sigma_minors(p - 1, x), axis=-1), brute):
                 np.testing.assert_allclose(slope, ref, rtol=1e-12, atol=1e-12)
-
-
-def ray_coeffs_by_products(p, base, xi):
-    """sigma_ray_coeffs's recurrence with its j = 1 update written as the
-    products with e[0] = (1, 0, ..., 0), as for every other j."""
-    base, xi = np.broadcast_arrays(np.asarray(base, float), np.asarray(xi, float))
-    e = np.zeros((p + 1, p + 1) + base.shape[:-1])
-    e[0, 0] = 1.0
-    for k in range(base.shape[-1]):
-        b, x = base[..., k], xi[..., k]
-        for j in range(min(k + 1, p), 0, -1):
-            e[j, 1:] += x * e[j - 1, :-1]
-            e[j] += b * e[j - 1]
-    return np.moveaxis(e[p], 0, -1)
-
-
-def test_sigma_ray_coeffs_sign_of_zero():
-    # entries +-0.0 and values that cancel to zero, all-zero rays and bases:
-    # bit for bit (signs of zero included) the recurrence that adds the
-    # products with e[0]
-    rng = np.random.default_rng(33)
-    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0])
-    for n in range(1, 9):
-        for p in range(0, n + 2):
-            base = rng.choice(values, (80, n))
-            xi = rng.choice(values, (80, n))
-            base[:4] = [[0.0], [-0.0], [0.0], [-0.0]]
-            xi[2:6] = [[0.0], [-0.0], [-0.0], [0.0]]
-            got = sigma_ray_coeffs(p, base, xi)
-            want = ray_coeffs_by_products(p, base, xi)
-            assert got.shape == want.shape == (80, p + 1)
-            assert got.tobytes() == want.tobytes(), (n, p)
-            assert np.any(np.signbit(base)) and np.any(np.signbit(xi))
