@@ -485,111 +485,99 @@ def cmd_pseudo_check(args):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# name -> (help, body, takes --seed, options as (flag, add_argument
+# keywords)); every subcommand also takes --output
+SUBCOMMANDS = {
+    "identities": ("fuzz the sigma identity family", cmd_identities, True, [
+        ("--n", {"default": "3..8", "help": "dimension or range like 3..8"}),
+        ("--trials", {"type": int, "default": 1000}),
+    ]),
+    "cone": ("Maclaurin and technical inequality sweep", cmd_cone, True, [
+        ("--n", {"type": int, "default": 4}),
+        ("--p", {"type": int, "default": 2}),
+        ("--trials", {"type": int, "default": 1000}),
+    ]),
+    "spectral-derivs": ("derivative formulas vs finite differences",
+                        cmd_spectral_derivs, True, [
+        ("--n", {"type": int, "default": 4}),
+        ("--p", {"type": int, "default": 2}),
+        ("--trials", {"type": int, "default": 100}),
+    ]),
+    "concavity-fuzz": ("concavity inequality sweeps", cmd_concavity_fuzz, True, [
+        ("--mode", {"choices": ("large_mu1", "small_mu1", "theorem"),
+                    "default": "large_mu1"}),
+        ("--n", {"type": int, "default": 3}),
+        ("--p", {"type": int, "default": None}),
+        ("--tau", {"type": float, "default": 0.0}),
+        ("--eps", {"type": float, "default": 1.0}),
+        ("--a", {"type": float, "default": None}),
+        ("--mu-n-min", {"type": float, "default": None}),
+        ("--trials", {"type": int, "default": 1000}),
+    ]),
+    "find-m": ("bisect the eigenvalue threshold", cmd_find_m, True, [
+        ("--n", {"type": int, "required": True}),
+        ("--p", {"type": int, "required": True}),
+        ("--tau", {"type": float, "required": True}),
+        ("--eps", {"type": float, "default": 1.0}),
+        ("--sigma", {"default": "0.5:2", "help": "target band lo:hi"}),
+        ("--trials", {"type": int, "default": 1000}),
+    ]),
+    "subsolution": ("exponential-bump subsolution on a ball", cmd_subsolution, False, [
+        ("--n", {"type": int, "default": 2}),
+        ("--p", {"type": int, "default": 2}),
+        ("--alpha", {"type": float, "default": 0.5}),
+        ("--phi", {"type": float, "default": 0.1}),
+        ("--radius", {"type": float, "default": 1.0}),
+        ("--resolution", {"type": int, "default": 65}),
+    ]),
+    "key-lemma": ("level-set comparison lemma sweep", cmd_key_lemma, True, [
+        ("--n", {"type": int, "default": 3}),
+        ("--p", {"type": int, "default": 2}),
+        ("--trials", {"type": int, "default": 100}),
+        ("--R", {"type": float, "default": 60.0}),
+        ("--directions", {"type": int, "default": 500}),
+    ]),
+    "solve": ("damped Newton on the periodic problem", cmd_solve, True, [
+        ("--problem", {"default": None, "help": "equation JSON path"}),
+        ("--initial", {"default": None, "help": "initial grid CSV path"}),
+        ("--manufactured", {"type": int, "default": None,
+                            "help": "grid size for the built-in test problem"}),
+        ("--p", {"type": int, "default": 2}),
+        ("--tol", {"type": float, "default": 1e-9}),
+        ("--perturb", {"type": float, "default": 0.05}),
+        ("--solution", {"default": None, "help": "write solution CSV here"}),
+    ]),
+    "alexandrov": ("contact-set measure estimate", cmd_alexandrov, False, [
+        ("--case", {"choices": ("quadratic", "quartic", "cosh"), "default": "quadratic"}),
+        ("--d", {"type": float, "default": 1.0}),
+        ("--eps", {"type": float, "default": 0.5}),
+        ("--resolution", {"type": int, "default": 65}),
+    ]),
+    "pseudo-check": ("pseudo-solution necessary conditions", cmd_pseudo_check, False, [
+        ("--size", {"type": int, "default": 32}),
+        ("--p", {"type": int, "default": 2}),
+        ("--delta1", {"type": float, "default": 0.1}),
+        ("--M1", {"type": float, "default": 10.0}),
+        ("--delta2", {"type": float, "default": 0.5}),
+        ("--M2", {"type": float, "default": 1.0}),
+    ]),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phessian",
         description="Verification toolkit for p-Hessian equations.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, seed=True):
+    for name, (help_, body, seed, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.add_argument("--output", default=None, help="report path (default stdout)")
         if seed:
             p.add_argument("--seed", type=_seed, default=0)
-
-    p = sub.add_parser("identities", help="fuzz the sigma identity family")
-    p.add_argument("--n", default="3..8", help="dimension or range like 3..8")
-    p.add_argument("--trials", type=int, default=1000)
-    common(p)
-    p.set_defaults(func=cmd_identities)
-
-    p = sub.add_parser("cone", help="Maclaurin and technical inequality sweep")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--trials", type=int, default=1000)
-    common(p)
-    p.set_defaults(func=cmd_cone)
-
-    p = sub.add_parser("spectral-derivs", help="derivative formulas vs finite differences")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
-    common(p)
-    p.set_defaults(func=cmd_spectral_derivs)
-
-    p = sub.add_parser("concavity-fuzz", help="concavity inequality sweeps")
-    p.add_argument("--mode", choices=("large_mu1", "small_mu1", "theorem"),
-                   default="large_mu1")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--mu-n-min", type=float, default=None)
-    p.add_argument("--trials", type=int, default=1000)
-    common(p)
-    p.set_defaults(func=cmd_concavity_fuzz)
-
-    p = sub.add_parser("find-m", help="bisect the eigenvalue threshold")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--sigma", default="0.5:2", help="target band lo:hi")
-    p.add_argument("--trials", type=int, default=1000)
-    common(p)
-    p.set_defaults(func=cmd_find_m)
-
-    p = sub.add_parser("subsolution", help="exponential-bump subsolution on a ball")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--phi", type=float, default=0.1)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--resolution", type=int, default=65)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_subsolution)
-
-    p = sub.add_parser("key-lemma", help="level-set comparison lemma sweep")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--R", type=float, default=60.0)
-    p.add_argument("--directions", type=int, default=500)
-    common(p)
-    p.set_defaults(func=cmd_key_lemma)
-
-    p = sub.add_parser("solve", help="damped Newton on the periodic problem")
-    p.add_argument("--problem", default=None, help="equation JSON path")
-    p.add_argument("--initial", default=None, help="initial grid CSV path")
-    p.add_argument("--manufactured", type=int, default=None,
-                   help="grid size for the built-in test problem")
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--perturb", type=float, default=0.05)
-    p.add_argument("--solution", default=None, help="write solution CSV here")
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("alexandrov", help="contact-set measure estimate")
-    p.add_argument("--case", choices=("quadratic", "quartic", "cosh"),
-                   default="quadratic")
-    p.add_argument("--d", type=float, default=1.0)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--resolution", type=int, default=65)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_alexandrov)
-
-    p = sub.add_parser("pseudo-check", help="pseudo-solution necessary conditions")
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--delta1", type=float, default=0.1)
-    p.add_argument("--M1", type=float, default=10.0)
-    p.add_argument("--delta2", type=float, default=0.5)
-    p.add_argument("--M2", type=float, default=1.0)
-    common(p, seed=False)
-    p.set_defaults(func=cmd_pseudo_check)
-
+        p.set_defaults(func=body)
     return parser
 
 

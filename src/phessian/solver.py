@@ -37,7 +37,8 @@ import numpy as np
 from .cone import ConeSpec
 from .errors import AdmissibilityError, InputError, NonconvergenceError, VerificationError
 from .spectral import (
-    classify_matrices, jacobi_eigh, matrix_root_grad, matrix_sigmas, require_matrix_cone,
+    classify_matrices, extreme_eigenvalues, jacobi_eigh, matrix_root_grad, matrix_sigmas,
+    require_matrix_cone,
 )
 
 # lgmres stops once |b - J s| <= KRYLOV_RTOL |b| in each Newton step
@@ -309,33 +310,31 @@ def _broadcast_field(param, shape):
 def _coefficient_A(spec, u, du):
     """A matrix field plus its t- and alpha-derivatives.
 
-    Returns (A (shape+(d,d)), A_t (shape or None), A_alpha (shape+(d,)
-    or None)); the derivative entries multiply the identity (all catalog
-    A fields with u-dependence are conformal).
+    Returns (A, A_t (shape or None), A_alpha (shape+(d,) or None)); the
+    derivative entries multiply the identity (all catalog A fields with
+    u-dependence are conformal).  A is None for the zero field, the factor
+    c (a scalar or a shape field) of A = c I for a diagonal one, and the
+    spec's own shape+(d,d) array, read only, for "stored".
     """
     shape = u.shape
     d = u.ndim
     kind = spec.A_field[0]
-    A = np.zeros(shape + (d, d))
-    eye = np.arange(d)
     if kind == "zero":
-        return A, None, None
+        return None, None, None
     if kind == "conformal":
-        A[..., eye, eye] = spec.A_field[1]
-        return A, None, None
+        return spec.A_field[1], None, None
     if kind == "paper_example":
         phi_tilde = _broadcast_field(spec.A_field[1], shape)
         grad_sq = np.sum(du**2, axis=0)
         psi = 1.0 - np.exp(u) - phi_tilde * grad_sq
-        A[..., eye, eye] = psi[..., None]
         A_t = -np.exp(u)
         A_alpha = -2.0 * phi_tilde[..., None] * np.moveaxis(du, 0, -1)
-        return A, A_t, A_alpha
+        return psi, A_t, A_alpha
     if kind == "stored":
         stored = np.asarray(spec.A_field[1], dtype=float)
         if stored.shape != shape + (d, d):
             raise InputError("stored A field has the wrong shape")
-        return stored.copy(), None, None
+        return stored, None, None
 
 
 def _rhs_phi(spec, u, du):
@@ -364,19 +363,37 @@ def _rhs_phi(spec, u, du):
 # ---------------------------------------------------------------------------
 # residual, admissibility, linearization data
 
-def _hessian_argument(u_vals, grid, spec):
-    h = grid.h
-    du = periodic_grad(u_vals, h)
-    d2u = periodic_hess(u_vals, h)
+def _matrices(planes):
+    """The matrices (shape+(d,d)) of component-major planes ((d,d)+shape),
+    as a view."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+def _add_coefficient_A(spec, u_vals, du, hess):
+    """hess (D^2 u, component-major planes) += A(du, u) in place, then
+    (A_t, A_alpha) as _coefficient_A gives them: a diagonal A joins the
+    diagonal planes only, and a zero A none."""
     A, A_t, A_alpha = _coefficient_A(spec, u_vals, du)
-    B = A + np.moveaxis(d2u, (0, 1), (-2, -1))
-    return du, d2u, B, A_t, A_alpha
+    if np.ndim(A) == hess.ndim:
+        hess += np.moveaxis(A, (-2, -1), (0, 1))
+    elif A is not None:
+        for i in range(len(hess)):
+            hess[i, i] += A
+    return A_t, A_alpha
+
+
+def _hessian_argument(u_vals, grid, spec):
+    """(du, B, A_t, A_alpha): B = A(du, u) + D^2 u as component-major planes
+    (d, d)+shape, formed in periodic_hess's own memory."""
+    du = periodic_grad(u_vals, grid.h)
+    B = periodic_hess(u_vals, grid.h)
+    return (du, B) + _add_coefficient_A(spec, u_vals, du, B)
 
 
 def _lambda_field(u_vals, grid, spec):
-    """du, D^2 u and the nodewise eigenvalues (N, d) of A(du, u) + D^2 u."""
-    du, d2u, B, _, _ = _hessian_argument(u_vals, grid, spec)
-    return du, d2u, jacobi_eigh(B.reshape(-1, grid.d, grid.d))
+    """du and the nodewise eigenvalues (N, d) of A(du, u) + D^2 u."""
+    du, B, _, _ = _hessian_argument(u_vals, grid, spec)
+    return du, jacobi_eigh(_matrices(B).reshape(-1, grid.d, grid.d))
 
 
 def admissible(u, spec):
@@ -386,7 +403,7 @@ def admissible(u, spec):
     eigenvalue vector; None when ok.
     """
     try:
-        require_matrix_cone(_hessian_argument(u.values, u.grid, spec)[2], spec.p)
+        require_matrix_cone(_matrices(_hessian_argument(u.values, u.grid, spec)[1]), spec.p)
     except AdmissibilityError as exc:
         return False, {"node": exc.node, "lam": exc.lam}
     return True, None
@@ -394,8 +411,8 @@ def admissible(u, spec):
 
 def residual_field(u, spec):
     """Nodewise sigma_p^{1/p}(lam(A + D^2 u)) - phi(du, u)."""
-    du, _, B, _, _ = _hessian_argument(u.values, u.grid, spec)
-    lhs = require_matrix_cone(B, spec.p)[..., spec.p] ** (1.0 / spec.p)
+    du, B, _, _ = _hessian_argument(u.values, u.grid, spec)
+    lhs = require_matrix_cone(_matrices(B), spec.p)[..., spec.p] ** (1.0 / spec.p)
     phi, _, _ = _rhs_phi(spec, u.values, du)
     return GridFn(u.grid, lhs - phi)
 
@@ -403,48 +420,54 @@ def residual_field(u, spec):
 def _linearization_data(u, spec):
     """Everything Newton needs at the current iterate.
 
-    Returns (residual values, F field shape+(d,d), G field (d,)+shape,
-    H field shape, G_A, admissibility margin min sigma_p) where the
-    Jacobian action on s is
+    Returns (residual values, F field shape+(d,d), G field (d,)+shape or
+    None, H field shape or None, G_A, admissibility margin min sigma_p)
+    where the Jacobian action on s is
 
-        J s = sum_jk F^{jk} d2s_jk + sum_m G_m ds_m + H s.
+        J s = sum_jk F^{jk} d2s_jk + sum_m G_m ds_m + H s,
 
-    F is matrix_root_grad of the operator argument B = A + D^2 u: no
-    eigenvectors.  G_A (d,)+shape is the coefficient part of G,
-    F^{jk} dA_jk/dalpha_m, and None when A does not depend on du.
+    a term that is None being absent: G is None unless A or phi depends on
+    du, H unless either depends on u.  F is matrix_root_grad of the
+    operator argument B = A + D^2 u: no eigenvectors.  B is formed in
+    periodic_hess's component-major planes (_hessian_argument), and at
+    p = 2 F in B's memory, so F is then the view _matrices of its planes;
+    above p = 2 it is the Newton tensor's last product, matrix-major.
+    G_A (d,)+shape is the coefficient part of G, F^{jk} dA_jk/dalpha_m,
+    and None when A does not depend on du.
     """
-    grid = u.grid
     p = spec.p
-    du, _, B, A_t, A_alpha = _hessian_argument(u.values, grid, spec)
+    du, B, A_t, A_alpha = _hessian_argument(u.values, u.grid, spec)
+    B = _matrices(B)
     sigmas = require_matrix_cone(B, p)
     F = matrix_root_grad(B, sigmas, p)
+    del B
     sp = sigmas[..., p]
 
     phi, phi_t, phi_alpha = _rhs_phi(spec, u.values, du)
     res = sp ** (1.0 / p) - phi
 
-    trace_F = np.einsum("...jj->...", F)
-    G = np.zeros((grid.d,) + grid.sizes)
-    H = np.zeros(grid.sizes)
-    G_A = None
+    G = H = G_A = None
+    if A_alpha is not None or A_t is not None:
+        trace_F = np.einsum("...jj->...", F)
     if A_alpha is not None:
         # dA_jk/dalpha_m = A_alpha[..., m] * delta_jk
-        G_A = np.moveaxis(A_alpha, -1, 0) * trace_F
-        G += G_A
-    if A_t is not None:
-        H += A_t * trace_F
+        G = G_A = np.moveaxis(A_alpha, -1, 0) * trace_F
     if phi_alpha is not None:
-        G -= np.moveaxis(phi_alpha, -1, 0)
+        phi_alpha = np.moveaxis(phi_alpha, -1, 0)
+        G = -phi_alpha if G is None else G - phi_alpha
+    if A_t is not None:
+        H = A_t * trace_F
     if phi_t is not None:
-        H -= phi_t
+        H = -phi_t if H is None else H - phi_t
     return res, F, G, H, G_A, float(np.min(sp))
 
 
 def _jacobian_stencil(F, G, H, h, shape):
     """J s = sum_jk F^{jk} d2s_jk + sum_m G_m ds_m + H s on the grid of the
     given shape, as the weights of its central-difference stencil, built
-    once from F, G and H (fields, or constants that broadcast), which need
-    not stay alive after it:
+    once from F, G and H (fields, or constants that broadcast; G or H None
+    when its term is absent, and then its weights and passes are skipped),
+    which need not stay alive after it:
 
         centre      c    = H - 2 sum_j F_jj/h_j^2     on s(x)
         axis j      a_j  = F_jj/h_j^2                 on s(x+e_j) + s(x-e_j)
@@ -452,17 +475,17 @@ def _jacobian_stencil(F, G, H, h, shape):
         axes j < k  f_jk = (F_jk + F_kj)/(4 h_j h_k)  on s(x+e_j+e_k) - s(x+e_j-e_k)
                                                          - s(x-e_j+e_k) + s(x-e_j-e_k)
 
-    1 + 2d + d(d-1)/2 weights in all.  Returns the operator as a map of
-    fields: each call copies s once into a preallocated wrapped array
-    (_wrap) and sums weighted _shifted views of it through one preallocated
-    temporary, so it builds no gradient or Hessian of s; the result is a
-    new array.  It agrees with F:periodic_hess(s) + G.periodic_grad(s) + H s
-    up to rounding.
+    1 + 2d + d(d-1)/2 weights in all, d fewer without G.  Returns the
+    operator as a map of fields: each call copies s once into a
+    preallocated wrapped array (_wrap) and sums weighted _shifted views of
+    it through one preallocated temporary, so it builds no gradient or
+    Hessian of s; the result is a new array.  It agrees with
+    F:periodic_hess(s) + G.periodic_grad(s) + H s up to rounding.
     """
     d = len(shape)
     a = [F[..., j, j] / h[j] ** 2 for j in range(d)]
-    g = [G[j] / (2.0 * h[j]) for j in range(d)]
-    centre = H - 2.0 * sum(a)
+    g = None if G is None else [G[j] / (2.0 * h[j]) for j in range(d)]
+    centre = -2.0 * sum(a) if H is None else H - 2.0 * sum(a)
     f = [(F[..., j, k] + F[..., k, j]) / (4.0 * h[j] * h[k])
          for j in range(d) for k in range(j + 1, d)]
     wrapped = np.empty(tuple(n + 2 for n in shape))
@@ -477,9 +500,10 @@ def _jacobian_stencil(F, G, H, h, shape):
     def apply(s):
         _wrap(s, wrapped)
         out = centre * s
-        for (plus, minus), aj, gj in zip(axis_views, a, g):
-            out += np.multiply(np.add(plus, minus, out=tmp), aj, out=tmp)
-            out += np.multiply(np.subtract(plus, minus, out=tmp), gj, out=tmp)
+        for j, (plus, minus) in enumerate(axis_views):
+            out += np.multiply(np.add(plus, minus, out=tmp), a[j], out=tmp)
+            if g is not None:
+                out += np.multiply(np.subtract(plus, minus, out=tmp), g[j], out=tmp)
         for (pp, pm, mp, mm), fjk in zip(pair_views, f):
             np.subtract(pp, pm, out=tmp)
             np.subtract(tmp, mp, out=tmp)
@@ -499,29 +523,31 @@ def _fourier_preconditioner(F, G, H, h):
     the operator the Newton matvec applies wherever F, G and H are
     constant.  Off the zero mode the symbol's real part is negative for SPD
     F and H <= 0.  A zero symbol (the constant mode under the zero-mean
-    gauge, where H = 0) spans the kernel and is dropped.  Returns the
-    inverse as a map of raveled fields; it holds one complex half-spectrum
-    and no reference to F, G or H.
+    gauge, where H = 0) spans the kernel and is dropped.  G or H None is an
+    absent term, as in _jacobian_stencil.  Returns the inverse as a map of
+    raveled fields; it holds one complex half-spectrum, which each call
+    multiplies in place of a copy, and no reference to F, G or H.
     """
-    shape = H.shape
+    shape = F.shape[:-2]
     d = len(shape)
     axes = tuple(range(d))
     impulse = np.zeros(shape)
     impulse.flat[0] = 1.0
-    Fbar = F.reshape(-1, d, d).mean(axis=0)
-    Gbar = G.reshape(d, -1).mean(axis=1)
-    Hbar = H.mean()
+    Fbar = F.mean(axis=axes)
+    Gbar = None if G is None else G.reshape(d, -1).mean(axis=1)
+    Hbar = None if H is None else H.mean()
     symbol = np.fft.rfftn(_jacobian_stencil(Fbar, Gbar, Hbar, h, shape)(impulse))
     # the stencil annihilates constants, but the FFT's summation order
     # leaves about 1e-15 at the zero mode: under the gauge (H = 0) that would
     # be a 1e15 gain on the kernel instead of a dropped mode
-    symbol.flat[0] = Hbar
+    symbol.flat[0] = 0.0 if H is None else Hbar
     inverse = np.zeros_like(symbol)
     np.divide(1.0, symbol, out=inverse, where=symbol != 0)
 
     def apply(r):
         rhat = np.fft.rfftn(r.reshape(shape), axes=axes)
-        return np.fft.irfftn(rhat * inverse, s=shape, axes=axes).ravel()
+        rhat *= inverse
+        return np.fft.irfftn(rhat, s=shape, axes=axes).ravel()
 
     return apply
 
@@ -659,15 +685,17 @@ def lgmres(matvec, b, M, rtol, maxiter, inner_m=30):
 def newton_solve(spec, u0, tol=1e-9, max_iters=30):
     """Damped Newton with admissibility-preserving line search, under the
     zero-mean gauge when the equation does not depend on u (see _gauge).
-    Each accepted linearization becomes the Jacobian's stencil
-    (_jacobian_stencil) and its Fourier preconditioner, the inverse of the
-    same stencil with F, G and H frozen at their means
-    (_fourier_preconditioner); F, G, H and the residual field are dropped
-    before the linear solve, and the stencil and the preconditioner before
-    the line search, which holds one candidate's linearization at a time.
-    Each linear solve is lgmres, right-preconditioned, and stops on the
-    true residual.  The linear solve makes no BLAS call:
-    its inner products are numpy reductions and its matvecs are stencils
+    Each linearization (_linearization_data) allocates only what it keeps:
+    B and, at p = 2, F in D^2 u's component-major planes, and no G or H
+    where no catalog term feeds them.  Each accepted one becomes the
+    Jacobian's stencil (_jacobian_stencil) and its Fourier preconditioner,
+    the inverse of the same stencil with F, G and H frozen at their means
+    (_fourier_preconditioner), both skipping an absent G or H; F, G, H and
+    the residual field are dropped before the linear solve, and the
+    stencil and the preconditioner before the line search, which holds one
+    candidate's linearization at a time.  Each linear solve is lgmres,
+    right-preconditioned, and stops on the true residual.  The linear
+    solve makes no BLAS call: its inner products are numpy reductions and its matvecs are stencils
     and FFTs, so the trace and the solution are the same under any number
     of BLAS threads.
 
@@ -786,14 +814,22 @@ class MonitorReport:
 
 
 def monitors(u, spec):
-    grid = u.grid
-    du, d2u, lam = _lambda_field(u.values, grid, spec)
+    """Extremes of u, |du|, |D^2 u|_F and the eigenvalues of A(du, u) +
+    D^2 u over the nodes.  A joins D^2 u in its own planes once |D^2 u|_F
+    is read, and the eigenvalue extremes come from extreme_eigenvalues:
+    those of an eigensolve at every node, bit for bit, with only the nodes
+    that could hold them solved."""
+    du = periodic_grad(u.values, u.grid.h)
+    B = periodic_hess(u.values, u.grid.h)
+    max_hess = float(np.max(np.sqrt(np.sum(B**2, axis=(0, 1)))))
+    _add_coefficient_A(spec, u.values, du, B)
+    max_lambda_n, min_lambda_1 = extreme_eigenvalues(B)
     return MonitorReport(
         osc_u=float(np.max(u.values) - np.min(u.values)),
         max_grad=float(np.max(np.sqrt(np.sum(du**2, axis=0)))),
-        max_hess=float(np.max(np.sqrt(np.sum(d2u**2, axis=(0, 1))))),
-        max_lambda_n=float(np.max(lam[:, -1])),
-        min_lambda_1=float(np.min(lam[:, 0])),
+        max_hess=max_hess,
+        max_lambda_n=max_lambda_n,
+        min_lambda_1=min_lambda_1,
     )
 
 
@@ -826,7 +862,7 @@ def auxiliary_field(u, ubar, spec, aux, kind):
     """
     grid = u.grid
     if kind == "second_order":
-        du, _, lam = _lambda_field(u.values, grid, spec)
+        du, lam = _lambda_field(u.values, grid, spec)
         lam_n = lam[:, -1].reshape(grid.sizes)
         if np.any(lam_n <= -1.0):
             bad = tuple(np.argwhere(lam_n <= -1.0)[0].tolist())
@@ -1161,7 +1197,9 @@ def manufactured_problem(sizes, p=2, amplitude=0.2):
     ConeSpec(d, p)
     grid = TorusGrid(sizes)
     ustar = amplitude * np.prod(np.cos(grid.meshgrid()), axis=0)
-    B = np.eye(d) + np.moveaxis(fourier_hess(ustar, grid.h), (0, 1), (-2, -1))
-    phi = require_matrix_cone(B, p)[..., p] ** (1.0 / p)
+    B = fourier_hess(ustar, grid.h)
+    for i in range(d):
+        B[i, i] += 1.0
+    phi = require_matrix_cone(_matrices(B), p)[..., p] ** (1.0 / p)
     spec = EquationSpec(p=p, A_field=("conformal", 1.0), rhs=("stored", phi))
     return spec, grid, GridFn(grid, ustar)

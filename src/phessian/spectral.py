@@ -14,7 +14,9 @@ gradient of sigma_q(lam(M)) in M is the Newton tensor T_{q-1}(M)
 sigma_p^{1/p}.  classify_matrices decides cone membership of lam(M) from
 the minors' signs where they clear the minors' rounding, and from the
 eigenvalues, widened by eigvalsh's error, elsewhere; require_matrix_cone
-raises at the first matrix outside the cone.
+raises at the first matrix outside the cone.  extreme_eigenvalues gives
+the extremes of a batch's spectra by bound and verify, eigensolving only
+the matrices whose trace and deviatoric norm (spread) let them hold one.
 
 On top of the map sit the closed-form first and second derivatives of
 lam_q and of sigma_p(lam) at (A, B) = (I, D) with D diagonal and the
@@ -85,15 +87,99 @@ def jacobi_eigh(M):
 # mpmath on 4,500 random, double-root and near-identity 3 x 3 matrices
 EIGH_ROUNDING = 64 * np.finfo(float).eps
 
+
+def spread(planes, trace=None):
+    """(q, b, norm) for the matrices M of the component-major planes
+    (d, d)+batch: q = tr M / d, the deviatoric norm b = |M - qI|_F and
+    norm = |M|_F = sqrt(b^2 + d q^2), each of shape batch; trace, when
+    given, is tr M summed over the diagonal in order, as matrix_sigmas
+    sums it.  top_range(d) turns q and b into an interval for the top
+    eigenvalue.
+
+    Rounding, wherever |M|_F is finite and at least 1e-140 (below, squares
+    underflow by more): with u = eps/2, gamma_k = k u / (1 - k u),
+    nu = |M|_F and k = d (d + 1) / 2 squares in b^2,
+      * the in-order trace errs by gamma_{d-1} sum |M_ii| <= gamma_{d-1}
+        sqrt(d) nu, so q by dq <= gamma_d nu / sqrt(d);
+      * each M_ii - q differs from its exact value by dq + u |M_ii - q|, so
+        the vector whose norm is b moves by sqrt(d) dq + u b <= (gamma_d +
+        u) nu, and summing its k squares and the square root add gamma_{k+2}
+        of it;
+      * top_range's c is a division and a square root off (gamma_2),
+        c <= 1, and the product c b, its sum with q and a sum with a
+        multiple of nu round once each on values at most 2 nu (|q| <=
+        nu / sqrt(d), b <= nu).
+    So an end q +- c b, with a multiple of norm added, errs by at most
+    gamma_{k+3d+16} nu, the computed norm's own error in the multiple
+    included.
+    """
+    d = len(planes)
+    q = (sum(planes[i, i] for i in range(d)) if trace is None else trace) / d
+    b = sum(np.square(planes[i, i] - q) for i in range(d))
+    for i in range(d):
+        for j in range(i + 1, d):
+            b += 2.0 * np.square(planes[i, j])
+    norm = np.sqrt(b + d * q * q)
+    return q, np.sqrt(b, out=b), norm
+
+
+def top_range(d):
+    """(c_lo, c_hi) with lam_d(M) - q in [c_lo b, c_hi b] for every
+    symmetric d x d matrix M, q and b as spread gives them.  The deviatoric
+    part's eigenvalues x sum to 0 and have |x| = b, so the largest, t,
+    leaves the others -t to share: b^2 >= t^2 + t^2 / (d - 1) bounds it
+    above, and x = (t, ..., t, -(d-1) t), |x|^2 = d (d-1) t^2, is the
+    least it can be.  At d = 1, b = 0 and lam_1 = q."""
+    if d == 1:
+        return 0.0, 0.0
+    return 1.0 / np.sqrt(d * (d - 1)), np.sqrt((d - 1) / d)
+
+
+def extreme_eigenvalues(planes):
+    """(max lam_d, min lam_1) over the symmetric matrices of the
+    component-major planes (d, d)+batch, equal bit for bit to the extremes
+    of jacobi_eigh over every matrix, by bound and verify: each computed
+    lam_d lies in q + [c_lo b, c_hi b] (top_range) and each lam_1, the top
+    eigenvalue of -M negated, in q - [c_hi b, c_lo b], widened by
+    (EIGH_ROUNDING + gamma_{k+3d+16}) |M|_F, eigvalsh's error and the ends'
+    own (spread, k = d (d + 1) / 2).  Only the matrices whose
+    interval reaches the best lower (upper) end are eigensolved, with every
+    one whose interval is not finite or whose |M|_F is below 1e-140;
+    LAPACK solves each matrix on its own, so the extremes of those are the
+    extremes of all.  The bound fields are formed one or two at a time."""
+    d = len(planes)
+    flat = planes.reshape(d, d, -1)
+    c_lo, c_hi = top_range(d)
+    k = d * (d + 1) // 2 + 3 * d + 16
+    u = np.finfo(float).eps / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, b, widen = spread(flat)
+        bounded = (widen >= 1e-140) & (widen < np.inf)
+        widen *= EIGH_ROUNDING + k * u / (1 - k * u)
+        keep = ~bounded
+        # lam_d in c b + q, and -lam_1 in c b - q, for c in [c_lo, c_hi]
+        for shift in (np.add, np.subtract):
+            near = np.multiply(b, c_lo)
+            shift(near, q, out=near)
+            near -= widen
+            cut = np.max(near, where=bounded, initial=-np.inf)
+            far = shift(np.multiply(b, c_hi, out=near), q, out=near)
+            far += widen
+            keep |= far >= cut
+    lam = jacobi_eigh(np.moveaxis(flat, -1, 0)[np.flatnonzero(keep)])
+    return float(np.max(lam[:, -1])), float(np.min(lam[:, 0]))
+
+
 # smallest eigenvalue gap at which spectral_derivs forms hess_lambda
 GAP_TOL = 1e-6
 
 
-def _identity_minus(s, MT):
-    """s I - MT for a batch of scalars s and matrices MT."""
-    out = -MT
-    idx = np.arange(MT.shape[-1])
-    out[..., idx, idx] += s[..., None]
+def _identity_minus(s, MT, out=None):
+    """s I - MT for a batch of scalars s and matrices MT, in out when given
+    (MT itself, say: each entry is read only where it is written)."""
+    out = np.negative(MT, out=out)
+    for i in range(MT.shape[-1]):
+        out[..., i, i] += s
     return out
 
 
@@ -133,17 +219,20 @@ def matrix_sigmas(M):
     return out
 
 
-def newton_tensor(M, sigmas, k):
+def newton_tensor(M, sigmas, k, out=None):
     """Newton tensor T_k(M) = sum_{i<=k} (-1)^i sigma_{k-i}(lam(M)) M^i
     (batch + (d, d)), the gradient in M of sigma_{k+1}(lam(M)) (Reilly
     1973); sigmas are matrix_sigmas(M).  Horner form
-    T_0 = I, T_j = sigma_j I - M T_{j-1}.
+    T_0 = I, T_j = sigma_j I - M T_{j-1}, each T_j, j >= 2, formed in the
+    memory of its product M T_{j-1}.  At k = 1 the result is written to out
+    when given, which may be M itself: T_1 = sigma_1 I - M is elementwise.
     """
     if k == 0:
         return np.broadcast_to(np.eye(M.shape[-1]), M.shape)
-    T = _identity_minus(sigmas[..., 1], M)
+    T = _identity_minus(sigmas[..., 1], M, out if k == 1 else None)
     for j in range(2, k + 1):
-        T = _identity_minus(sigmas[..., j], M @ T)
+        T = M @ T
+        _identity_minus(sigmas[..., j], T, T)
     return T
 
 
@@ -151,9 +240,14 @@ def matrix_root_grad(M, sigmas, p):
     """Gradient in M of sigma_p^{1/p}(lam(M)) for symmetric M (batch +
     (d, d)) with lam(M) in the open cone: (1/p) sigma_p^{1/p-1} T_{p-1}(M),
     with sigmas = matrix_sigmas(M) and T the Newton tensor.  No
-    eigenvectors."""
-    scale = (1.0 / p) * sigmas[..., p] ** (1.0 / p - 1.0)
-    return scale[..., None, None] * newton_tensor(M, sigmas, p - 1)
+    eigenvectors.  M is consumed: at p = 2 the result is formed in M's own
+    memory (T_1 is elementwise in M), above p = 2 in the last product's."""
+    scale = ((1.0 / p) * sigmas[..., p] ** (1.0 / p - 1.0))[..., None, None]
+    if p == 1:
+        return scale * newton_tensor(M, sigmas, 0)
+    T = newton_tensor(M, sigmas, p - 1, out=M)
+    T *= scale
+    return T
 
 
 def _decision_bounds(d, p):

@@ -36,7 +36,7 @@ import numpy as np
 from .cone import ConeSpec, _regions, _rounding, require_cone
 from .errors import ConstructionError, InputError
 from .solver import box_grad_hess
-from .spectral import EIGH_ROUNDING, classify_matrices, jacobi_eigh
+from .spectral import EIGH_ROUNDING, classify_matrices, jacobi_eigh, spread, top_range
 from .symfun import _as_values, _level_crossing, sigma, sigma_root_grad
 
 
@@ -262,31 +262,26 @@ def _minor_bounds(hess, trace, k):
     of hess (n, n, m), whose traces are trace; (-inf, inf) where the
     interval is not finite or |H|_F is too small for its arithmetic.
 
-    With q = tr H / n, the deviatoric part H - qI has Frobenius norm b and
-    eigenvalues x summing to 0, so its top one, beta = lam_n - q, lies in
-    [b / sqrt(n m), b sqrt(m / n)] (m = n - 1).  The other eigenvalues are
-    q + y with sum(y) = -beta and |y| <= b, so sigma_k(lam|n) =
-    C(m, k) q^k - C(m-1, k-1) q^{k-1} beta + sum_{j=2..k} C(m-j, k-j)
-    q^{k-j} sigma_j(y), and Maclaurin bounds |sigma_j(y)| by
-    C(m, j) (b / sqrt m)^j.  The interval is widened by
+    With q = tr H / n and b = |H - qI|_F (spectral.spread), the top
+    eigenvalue beta = lam_n - q of the deviatoric part lies in [c_lo b,
+    c_hi b] = [b / sqrt(n m), b sqrt(m / n)] (m = n - 1, top_range).  The
+    other eigenvalues are q + y with sum(y) = -beta and |y| <= b, so
+    sigma_k(lam|n) = C(m, k) q^k - C(m-1, k-1) q^{k-1} beta +
+    sum_{j=2..k} C(m-j, k-j) q^{k-j} sigma_j(y), and Maclaurin bounds
+    |sigma_j(y)| by C(m, j) (b / sqrt m)^j.  The interval is widened by
     EIGH_ROUNDING k C(m, k) |H|_F^k, |H|_F^2 = b^2 + n q^2: eigvalsh's
     error times sigma_k's slope, at most C(m-1, k-1) |H|_F^{k-1} each.
     """
     n = len(hess)
     m = n - 1
+    c_lo, c_hi = top_range(n)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        q = trace / n
-        b2 = sum(np.square(hess[i, i] - q) for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                b2 += 2.0 * np.square(hess[i, j])
-        b = np.sqrt(b2)
-        norm = np.sqrt(b2 + n * q * q)
-        # beta's term about the middle of beta's range, b sqrt(n / m) / 2,
-        # give or take its half-width b (m - 1) / (2 sqrt(n m))
+        q, b, norm = spread(hess, trace)
+        # beta's term about the middle of beta's range, give or take its
+        # half-width
         slope = comb(m - 1, k - 1) * q ** (k - 1)
-        center = comb(m, k) * q**k - slope * b * (np.sqrt(n / m) / 2)
-        radius = np.abs(slope) * b * ((m - 1) / (2 * np.sqrt(n * m)))
+        center = comb(m, k) * q**k - slope * b * ((c_lo + c_hi) / 2)
+        radius = np.abs(slope) * b * ((c_hi - c_lo) / 2)
         radius += EIGH_ROUNDING * k * comb(m, k) * norm**k
         for j in range(2, k + 1):
             radius += comb(m - j, k - j) * comb(m, j) * np.abs(q) ** (k - j) * (

@@ -491,6 +491,21 @@ def test_solve_manufactured(tmp_path):
     assert sol.grid.sizes == (32, 32)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_newton_counts_at_the_benchmark_argv(tmp_path, seed):
+    # the benchmark's solve: three Newton steps of nine matvecs each, and no
+    # halving, so a faster step is a cheaper step, not a different one
+    status, rep = run(tmp_path, "solve.json", "solve", "--manufactured", "128",
+                      "--tol", "1e-12", "--seed", str(seed))
+    assert status == 0
+    trace = rep["results"]["trace"]
+    assert rep["results"]["iterations"] == len(trace) == 3
+    assert [rec["krylov_iters"] for rec in trace] == [9, 9, 9]
+    assert [rec["backtracks"] for rec in trace] == [0, 0, 0]
+    assert all(0.0 < rec["linear_residual"] <= 1e-8 for rec in trace)
+    assert rep["results"]["final_residual"] <= 1e-12
+
+
 def test_solve_overflowing_start_is_admissibility_failure(tmp_path):
     # the minors of a start near 1e300 overflow: the start counts as
     # outside the cone, and nothing warns on the way

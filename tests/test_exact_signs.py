@@ -117,8 +117,21 @@ def crossing_rows(rng, n, p, tau):
     return np.concatenate([raised(lo)[keep], raised(hi)[keep]])
 
 
+def near_boundary_rows(rng, rows):
+    """Sorted rows (-a, b, c), a < b < 2a, a hair inside Gamma_2: c sits
+    1e-7..1e-5 relatively above ab / (b - a), where sigma_2 = bc - a(b + c)
+    vanishes, so sigma_2(|mu|) / sigma_2 is near 1e6 and so is the rounding
+    of sigma_2, and of Q, relative to their values."""
+    a = rng.uniform(1.0, 10.0, rows)
+    b = a * rng.uniform(1.1, 1.9, rows)
+    c = a * b / (b - a) * (1.0 + 10.0 ** rng.uniform(-7.0, -5.0, rows))
+    return np.stack([-a, b, c], axis=1)
+
+
 # name -> (rows, mode, tau, eps, parameters)
 CONCAVITY_BATCHES = {
+    "near_boundary": lambda: (near_boundary_rows(np.random.default_rng(293), 40),
+                              "small_mu1", 0.25, 1.0, {"p": 2}),
     # the benchmark's concavity-fuzz rows
     "large_mu1": lambda: (concavity.sample_hypothesis_points(
         5, 0.0, 1.0, 2.5, 1000, np.random.default_rng([1, 5])),
@@ -160,3 +173,36 @@ def test_concavity_verdicts_never_contradict_exact_signs(batch):
     assert np.all(exact[held] == 2) and np.all(exact[violated] == 0)
     if batch == "crossing":
         assert 0 < np.count_nonzero(exact == 2) < len(rows)
+
+
+def test_concavity_bound_covers_the_forming_error():
+    # By Weyl, lam = lambda_min(A), A the computed D Q D, is within
+    # EIGH_ROUNDING |A|_F + |A - D Q D|_F of lambda_min(D Q D), Q the exact
+    # form of the float row and D the computed scaling: the bound must
+    # cover both, the second taken in rationals.  On these rows the
+    # forming error is far above the eigensolver's allowance, so only the
+    # bound's 2 g |D Qa D|_F term covers it
+    from fractions import Fraction
+
+    from phessian.spectral import EIGH_ROUNDING
+
+    mu, mode, tau, eps, kw = CONCAVITY_BATCHES["near_boundary"]()
+    n = mu.shape[-1]
+    lam, bound = concavity.residual_batch(mu, mode, tau, eps, **kw)
+    r, c, weight = concavity.validate_mode(n, mode, tau, eps, **kw)
+    Q, _ = concavity._form(mu, r, c, weight, tau, eps)
+    # residual_batch's own scaling and product, bit for bit
+    diag = np.abs(np.diagonal(Q, axis1=-2, axis2=-1))
+    D = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    A = D[..., :, None] * D[..., None, :] * Q
+    eigh = EIGH_ROUNDING * np.sqrt(np.einsum("...jk,...jk->...", A, A))
+    beyond = 0
+    for row, Ai, Di, e, b in zip(mu, A, D, eigh, bound):
+        Qx = concavity_form_exact(row, r, c, weight, tau, eps)
+        Dx = [Fraction(float(x)) for x in Di]
+        err2 = sum((Fraction(float(Ai[j, k])) - Dx[j] * Dx[k] * Qx[j][k]) ** 2
+                   for j in range(n) for k in range(n))
+        slack = Fraction(float(b)) - Fraction(float(e))
+        assert slack > 0 and slack * slack >= err2
+        beyond += err2 > Fraction(float(e)) ** 2
+    assert beyond > len(mu) // 2

@@ -9,7 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from phessian import solver
+from phessian import solver, spectral
 from phessian.errors import AdmissibilityError, InputError, NonconvergenceError
 from phessian.solver import (
     CATALOG,
@@ -42,6 +42,7 @@ from phessian.solver import (
     smooth_perturbation,
     unit_ball_volume,
 )
+from phessian.spectral import jacobi_eigh
 from phessian.symfun import sigma
 
 from oracles import roll_grad, roll_hess, roll_jacobian
@@ -333,6 +334,29 @@ class TestNewton:
             tracemalloc.stop()
         assert len(trace) >= 2
         assert peak <= 32 * 8 * 64 * 64
+
+    @pytest.mark.parametrize("sizes, p, fields", [((64, 64), 2, 15), ((16, 16, 16), 3, 36)])
+    def test_linearization_peak_memory_is_bounded_in_fields(self, sizes, p, fields):
+        # the traced peak of one linearization, in grid fields of 8 N bytes:
+        # B is formed in D^2 u's planes and, at p = 2, F in B's.  With a
+        # zero A field, a matrix-major copy of B, and F, G and H as new
+        # arrays, the peaks were 24.1 and 58.1; a matrix-major copy of B
+        # alone adds d^2 fields
+        import tracemalloc
+
+        from phessian.solver import _linearization_data
+
+        spec, grid, ustar = manufactured_problem(sizes, p=p)
+        bump = smooth_perturbation(grid, np.random.default_rng(1), 0.01)
+        u = GridFn(grid, ustar.values + bump)
+        _linearization_data(u, spec)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            _linearization_data(u, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fields * 8 * u.values.size
 
     def test_restart_at_solution_takes_no_steps(self):
         spec, grid, ustar = manufactured_problem((32, 32), p=2)
@@ -726,7 +750,70 @@ class TestLgmres:
             )
 
 
+def every_node_extremes(u, spec):
+    """(max lam_n, min lam_1) of A + D^2 u from an eigensolve at every
+    node, each matrix formed matrix-major as A + D^2 u."""
+    d = u.grid.d
+    A = _coefficient_A(spec, u.values, periodic_grad(u.values, u.grid.h))[0]
+    if A is None or np.ndim(A) < d + 2:  # zero, or the factor c of A = c I
+        A = np.multiply.outer(0.0 if A is None else A, np.eye(d))
+    B = A + np.moveaxis(periodic_hess(u.values, u.grid.h), (0, 1), (-2, -1))
+    lam = jacobi_eigh(B.reshape(-1, d, d))
+    return float(np.max(lam[:, -1])), float(np.min(lam[:, 0]))
+
+
+def monitor_states():
+    """name -> (u, spec) for the eigenvalue-extreme oracle."""
+    out = {}
+    for sizes, p in (((64, 64), 2), ((12, 12, 12), 3), ((8,) * 5, 3), ((16,), 1)):
+        spec, grid, ustar = manufactured_problem(sizes, p=p)
+        bump = smooth_perturbation(grid, np.random.default_rng(len(sizes)), 0.01)
+        out[f"manufactured_{len(sizes)}d"] = (GridFn(grid, ustar.values + bump), spec)
+        out[f"manufactured_{len(sizes)}d_exact"] = (ustar, spec)
+    grid = TorusGrid((16, 16))
+    out["constant"] = (GridFn(grid, np.full(grid.sizes, 0.7)),
+                       EquationSpec(p=2, A_field=("conformal", 2.0), rhs=("constant", 1.0)))
+    out["zero"] = (GridFn(grid, np.full(grid.sizes, 0.7)),
+                   EquationSpec(p=2, A_field=("zero",), rhs=("constant", 1.0)))
+    x1, x2 = grid.meshgrid()
+    out["paper_example_A"] = (GridFn(grid, -0.5 + 0.05 * np.cos(x1) * np.cos(x2)),
+                              EquationSpec(p=2, A_field=("paper_example", 0.1),
+                                           rhs=("constant", 0.2)))
+    spec, grid, ustar = manufactured_problem((32, 32), p=2)
+    spike = ustar.values.copy()
+    spike[5, 9] += 3.0
+    out["spike"] = (GridFn(grid, spike), spec)
+    x1, x2 = grid.meshgrid()
+    a = 1.0 + 0.9 * np.sin(x1) * np.cos(2.0 * x2)
+    A = np.zeros(grid.sizes + (2, 2))
+    A[..., 0, 0], A[..., 1, 1] = a, 1.0 / a
+    out["stored"] = (GridFn(grid, 0.2 * np.cos(x1) * np.cos(x2)),
+                     EquationSpec(p=2, A_field=("stored", A), rhs=("constant", 1.0)))
+    return out
+
+
+MONITOR_STATES = monitor_states()
+
+
 class TestMonitors:
+    @pytest.mark.parametrize("name", MONITOR_STATES)
+    def test_eigenvalue_extremes_equal_every_node_eigensolve(self, name, monkeypatch):
+        # bound and verify: the extremes are those of an eigensolve at every
+        # node, bit for bit, ties (constant), d = 1 and a spike included;
+        # off the ties only a few nodes are solved
+        u, spec = MONITOR_STATES[name]
+        solved = []
+
+        def spy(M):
+            solved.append(len(M))
+            return jacobi_eigh(M)
+
+        monkeypatch.setattr(spectral, "jacobi_eigh", spy)
+        rep = monitors(u, spec)
+        assert (rep.max_lambda_n, rep.min_lambda_1) == every_node_extremes(u, spec)
+        if name.startswith("manufactured_2d") or name == "spike":
+            assert sum(solved) <= u.values.size // 100
+
     def test_constant_state(self):
         grid = TorusGrid((16, 16))
         u = GridFn(grid, np.full(grid.sizes, 0.7))
@@ -1189,8 +1276,14 @@ class TestSerialization:
         spec = EquationSpec(p=2, **{"A_field" if side == "A" else "rhs": entry})
         evaluate = _coefficient_A if side == "A" else _rhs_phi
         value = evaluate(spec, u, periodic_grad(u, grid.h))[0]
-        assert value.shape == grid.sizes + ((2, 2) if side == "A" else ())
-        assert np.all(np.isfinite(value))
+        # A: None when zero, the factor c of A = c I when diagonal
+        shape = {"zero": None, "conformal": (), "paper_example": grid.sizes,
+                 "stored": grid.sizes + (2, 2)}[kind] if side == "A" else grid.sizes
+        if shape is None:
+            assert value is None
+        else:
+            assert np.shape(value) == shape
+            assert np.all(np.isfinite(value))
 
     @pytest.mark.parametrize("blob, named", [
         ({"A": {"kind": "zero"}}, "lacks the key 'p'"),

@@ -20,6 +20,8 @@ from phessian.spectral import (
     newton_tensor,
     require_matrix_cone,
     spectral_derivs,
+    spread,
+    top_range,
 )
 from phessian.symfun import sigma, sigma_all, sigma_root_grad
 
@@ -607,6 +609,28 @@ class TestMidpointConcavity(unittest.TestCase):
     def test_bad_t_rejected(self):
         with self.assertRaises(ValueError):
             midpoint_concavity_check(np.eye(2), np.eye(2), np.eye(2), 1, 1.5)
+
+
+class TestTopRange(unittest.TestCase):
+    def test_interval_holds_the_top_eigenvalue_and_is_tight(self):
+        # lam_d - q lies in [c_lo b, c_hi b] on random symmetric matrices,
+        # up to eigvalsh's error, and the extremal spectra (t, .., t,
+        # -(d-1) t) and (d-1, -1, .., -1) reach its ends
+        rng = np.random.default_rng(77)
+        for d in range(1, 7):
+            X = rng.normal(size=(300, d, d)) * 10.0 ** rng.uniform(-3, 3, (300, 1, 1))
+            M = X + np.swapaxes(X, -1, -2)
+            M[0] = np.diag([1.0] * (d - 1) + [-(d - 1.0)]) + 0.5 * np.eye(d)
+            M[1] = np.diag([-1.0] * (d - 1) + [d - 1.0]) - 2.0 * np.eye(d)
+            q, b, norm = spread(np.moveaxis(M, 0, -1))
+            np.testing.assert_allclose(norm, np.sqrt(np.sum(M * M, axis=(1, 2))), rtol=1e-14)
+            c_lo, c_hi = top_range(d)
+            top = jacobi_eigh(M)[:, -1] - q
+            slack = 1e-13 * norm
+            self.assertTrue(np.all(top >= c_lo * b - slack))
+            self.assertTrue(np.all(top <= c_hi * b + slack))
+            self.assertLessEqual(abs(top[0] - c_lo * b[0]), slack[0])
+            self.assertLessEqual(abs(top[1] - c_hi * b[1]), slack[1])
 
 
 if __name__ == "__main__":
