@@ -15,10 +15,11 @@ print(f"mu = {mu}")
 print(f"sigma_{p}(mu) = {sigma(p, mu):.6f}")
 print(f"sigma_{p}(mu | 1) = {sigma_trunc(p, mu, [1]):.6f}  (first entry removed)")
 
-# The identity family should vanish to roundoff at any real vector.
-res = identity_residuals(p, mu)
-worst = max(abs(v) for v in res.values())
-print(f"\n{len(res)} identities evaluated, worst residual {worst:.2e}")
+# The identity family should vanish to roundoff at any real vector: each
+# residual stays below its rounding bound.
+res, bound = identity_residuals(p, mu)
+worst = max(res[k] / bound[k] for k in res)
+print(f"\n{len(res)} identities evaluated, worst residual/bound {worst:.2e}")
 
 # Cone membership: mu above is admissible; flipping a sign pushes it out.
 spec = ConeSpec(n, p)
@@ -30,6 +31,7 @@ print(f"cone_distance of the bad vector = {cone_distance(bad, spec):.4f}"
       "  (smallest diagonal shift that re-enters the cone)")
 
 # Newton-Maclaurin quotient family: every slack is nonnegative inside.
-rep = maclaurin_report(mu, spec)
+rep, bound = maclaurin_report(mu, spec)
 print(f"\nMaclaurin family: {len(rep)} inequalities, "
-      f"min slack {min(rep.values()):.3e}")
+      f"min slack {min(rep.values()):.3e}, "
+      f"all above their rounding bound: {all(rep[k] > bound[k] for k in rep)}")

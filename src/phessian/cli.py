@@ -22,7 +22,7 @@ from .concavity import (
     sample_hypothesis_points,
     validate_mode,
 )
-from .cone import ConeSpec, maclaurin_report, sample_admissible, tech_ineq_report
+from .cone import ConeSpec, maclaurin_report, sample_admissible, tech_ineq_report, verdict
 from .errors import (
     AdmissibilityError,
     ConstructionError,
@@ -162,7 +162,7 @@ def _subcommand(name, **fixed):
 # ---------------------------------------------------------------------------
 # subcommands
 
-@_subcommand("identities", tol=1e-10)
+@_subcommand("identities")
 def cmd_identities(args):
     dims = _parse_range(args.n)
     _require_trials(args)
@@ -172,22 +172,18 @@ def cmd_identities(args):
         for p in range(1, n + 1):
             rng = np.random.default_rng([args.seed, n, p])
             mu = rng.uniform(-3.0, 3.0, (args.trials, n))
-            res = identity_residuals(p, mu)
-            worst_name, worst = None, 0.0
-            worst_case = None
-            for name, vals in res.items():
-                vals = np.atleast_1d(np.asarray(vals))
-                i = int(np.argmax(np.abs(vals)))
-                if abs(vals[i]) > worst:
-                    worst = float(abs(vals[i]))
-                    worst_name = name
-                    worst_case = mu[i] if len(vals) == len(mu) else mu[0]
-            results[f"n{n}_p{p}"] = {"max_residual": worst, "identity": worst_name}
-            if worst > args.tol and violation is None:
-                violation = {
-                    "n": n, "p": p, "identity": worst_name,
-                    "mu": worst_case, "residual": worst,
-                }
+            residual, bound = identity_residuals(p, mu)
+            names = list(residual)
+            residual, bound = (np.stack([d[k] for k in names], axis=-1)
+                               for d in (residual, bound))
+            counts, _, first = verdict(bound - residual, 0.0)
+            worst = int(np.argmax(residual))
+            results[f"n{n}_p{p}"] = {"max_residual": float(residual.flat[worst]),
+                                     "identity": names[worst % len(names)], **counts}
+            if first is not None and violation is None:
+                i, k = divmod(first, len(names))
+                violation = {"n": n, "p": p, "identity": names[k], "mu": mu[i],
+                             "residual": residual[i, k], "bound": bound[i, k]}
     return results, violation
 
 
@@ -198,39 +194,33 @@ def _require_trials(args):
         raise InputError("--trials must be at least 1")
 
 
-RATIO_KEYS = ("ratio_minor_constant", "ratio_mu1_constant")
-# technical inequalities that hold with equality somewhere in the cone (at
-# p = n, top_minor is 0 for every vector): flagged only below -tol
-NONSTRICT_KEYS = ("minor_chain_min_gap", "top_minor", "trace_lower", "amgm_gap")
-
-
-@_subcommand("cone", tol=1e-10)
+@_subcommand("cone")
 def cmd_cone(args):
     spec = ConeSpec(args.n, args.p)
     rng = np.random.default_rng([args.seed, args.n, args.p])
     samples = np.sort(sample_admissible(args.n, args.p, args.trials, rng), axis=1)
-    mac = np.min(list(maclaurin_report(samples, spec).values()), axis=0)
-    # per sample, the events in the order they are reported: the Maclaurin
-    # slack first, then each technical key
-    events = [("maclaurin", mac, mac < -args.tol)]
-    ratios = {}
-    if args.p >= 2:
-        for k, v in tech_ineq_report(samples, spec).items():
-            if k in RATIO_KEYS:
-                ratios[k] = max(0.0, float(np.max(v)))
-            else:
-                hit = v < -args.tol if k in NONSTRICT_KEYS else v <= 0
-                events.append((k, v, hit))
+    # per sample, the rows in the order they are reported: the Maclaurin
+    # keys first, then each technical key; the ratios have no bound
+    slack, bound = maclaurin_report(samples, spec)
+    tech = tech_ineq_report(samples, spec) if args.p >= 2 else ({}, {})
+    slack.update(tech[0])
+    bound.update(tech[1])
+    keys = list(bound)
+    # (samples, keys), no key at n = 1
+    counts, _, first = verdict(*(np.transpose([d[k] for k in keys]) for d in (slack, bound)))
     violation = None
-    failing = np.any([hit for _, _, hit in events], axis=0)
-    if np.any(failing):
-        i = int(np.argmax(failing))
-        kind, slack, _ = next(e for e in events if e[2][i])
-        violation = {"kind": kind, "mu": samples[i], "slack": slack[i]}
+    if first is not None:
+        i, k = divmod(first, len(keys))
+        key = keys[k]
+        violation = {"kind": "maclaurin" if isinstance(key, tuple) else key, "key": key,
+                     "mu": samples[i], "slack": slack[key][i], "bound": bound[key][i]}
+    mac = [float(np.min(slack[k])) for k in keys if isinstance(k, tuple)]
     results = {
-        "maclaurin_min_slack": float(np.min(mac)),
-        "technical_min_slacks": {k: float(np.min(v)) for k, v, _ in events[1:]},
-        "empirical_constants": ratios,
+        "maclaurin_min_slack": min(mac, default=None),
+        "technical_min_slacks": {k: float(np.min(slack[k])) for k in tech[1]},
+        "empirical_constants": {k: max(0.0, float(np.max(x)))
+                                for k, x in tech[0].items() if k not in tech[1]},
+        **counts,
     }
     return results, violation
 
@@ -291,17 +281,17 @@ def cmd_concavity_fuzz(args):
         # without a certified eigenvalue threshold the sweep is exploratory
         guaranteed = False
     lam, bound = residual_batch(mus, args.mode, args.tau, args.eps, a=args.a, p=args.p)
+    counts, worst, first = verdict(lam, bound)
     results = {
-        "min_residual": float(lam.min()),
-        "undetermined": int(np.count_nonzero(np.abs(lam) <= bound)),
+        "min_residual": float(lam[worst]),
+        **counts,
         "guaranteed_regime": guaranteed,
         "trials": int(len(lam)),
     }
     violation = None
-    violated = np.where(lam < -bound, lam, np.inf)
-    if guaranteed and np.isfinite(violated).any():
-        i = int(np.argmin(violated))
-        violation = {"mu": mus[i], "residual": float(lam[i]), "bound": float(bound[i])}
+    if guaranteed and first is not None:
+        violation = {"mu": mus[first], "residual": float(lam[first]),
+                     "bound": float(bound[first])}
     return results, violation
 
 
@@ -358,7 +348,7 @@ def cmd_subsolution(args):
     return results, violation
 
 
-@_subcommand("key-lemma", tol=-1e-9)
+@_subcommand("key-lemma")
 def cmd_key_lemma(args):
     _require_trials(args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
@@ -372,28 +362,26 @@ def cmd_key_lemma(args):
             a=rng.uniform(0.5, 2.0), mu=mu, nu=nu,
         ))
     checks = key_lemma_sweep(cfgs, args.directions, range(args.trials))
-    verified = 0
-    failed = 0
-    worst = np.inf
-    violation = None
+    ok = np.array([c[2] for c in checks])
+    verified, failed = np.flatnonzero(ok), np.flatnonzero(~ok)
+    slack = np.array([c[0] - c[1] for c in checks])[verified]
+    counts, worst, first = verdict(slack, np.array([c[4] for c in checks])[verified])
     first_failure = None
-    for i, (cfg, (lhs, rhs, ok, escape)) in enumerate(zip(cfgs, checks)):
-        if not ok:
-            failed += 1
-            if first_failure is None:
-                first_failure = {"case": i, "direction": escape[0],
-                                 "norm": escape[1]}
-            continue
-        verified += 1
-        worst = min(worst, lhs - rhs)
-        if lhs - rhs < args.tol and violation is None:
-            violation = {"mu": cfg.mu, "nu": cfg.nu, "delta": cfg.delta, "a": cfg.a,
-                         "lhs": lhs, "rhs": rhs}
+    if failed.size:
+        direction, norm = checks[failed[0]][3]
+        first_failure = {"case": int(failed[0]), "direction": direction, "norm": norm}
+    violation = None
+    if first is not None:
+        i = verified[first]
+        cfg, (lhs, rhs, _, _, bound) = cfgs[i], checks[i]
+        violation = {"mu": cfg.mu, "nu": cfg.nu, "delta": cfg.delta, "a": cfg.a,
+                     "lhs": lhs, "rhs": rhs, "bound": bound}
     results = {
-        "verified": verified,
-        "hypothesis_failed": failed,
+        "verified": len(verified),
+        "hypothesis_failed": len(failed),
         "first_failure": first_failure,
-        "min_slack": None if verified == 0 else float(worst),
+        "min_slack": None if worst is None else float(slack[worst]),
+        **counts,
     }
     return results, violation
 

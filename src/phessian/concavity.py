@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import ConeSpec, _rounding, classify_batch, cone_distance, require_cone
+from .cone import (
+    ConeSpec, _rounding, classify_batch, cone_distance, require_cone, verdict,
+)
 from .errors import InputError, SearchFailureError
 from .spectral import EIGH_ROUNDING, jacobi_eigh
 from .symfun import _as_values, newton_descent, sigma, sigma_minors, sigma_pair_minors
@@ -273,22 +275,21 @@ def find_threshold(n, p, tau, eps, sigma_band, trials, seed):
     history = []
 
     def violation(M):
-        """mu of the worst trial decided violated at M; None if M passes."""
+        """mu of the first trial decided violated at M; None if M passes."""
         mu, ok = _trial_points(shapes, targets, tops, M, p)
         if not ok.any():
             raise SearchFailureError(
                 f"no admissible trial at M = {M:.3e}: nothing to check there"
             )
         lam, bound = residual_batch(mu[ok], "small_mu1", tau, eps, p=p)
-        undetermined = int(np.count_nonzero(np.abs(lam) <= bound))
-        history.append((M, float(lam.min()), int(lam.size), undetermined))
-        if undetermined == lam.size:
+        counts, worst, first = verdict(lam, bound)
+        history.append((M, float(lam[worst]), int(lam.size), counts["undetermined"]))
+        if counts["undetermined"] == lam.size:
             raise SearchFailureError(
                 f"every admissible trial at M = {M:.3e} is undetermined: "
                 f"rounding decides none of them"
             )
-        bad = np.where(lam < -bound, lam, np.inf)
-        return mu[ok][np.argmin(bad)] if np.isfinite(bad).any() else None
+        return None if first is None else mu[ok][first]
 
     lo, hi = float(eps), 1e6
     witness = violation(hi)

@@ -9,12 +9,16 @@ a sign of sigma_q counts only where it clears its rounding bound (_regions).
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 import numpy as np
 
 from .errors import AdmissibilityError, InputError
-from .symfun import _as_values, _level_crossing, _prefix, sigma_all, sigma_minors
+from .symfun import (
+    _as_values, _level_crossing, _prefix, _Rounded, _rounded, _rounding, sigma_all,
+    sigma_minors,
+)
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -50,14 +54,6 @@ def _region_codes(sigs, tau):
         closed = closed & (sigs[..., q] >= -tau[..., q])
     boundary = (np.abs(sigs[..., -1]) <= tau[..., -1]) & closed
     return np.where(interior, 2, np.where(boundary, 1, 0))
-
-
-def _rounding(n, q):
-    """2(n + q) eps.  The prefix recurrence rounds each monomial of sigma_q
-    of n entries at most n + q - 1 times, so it and its sigma_q(|mu|) err
-    by at most gamma_{n+q-1} sigma_q(|mu|), gamma_k = k u / (1 - k u),
-    u = eps / 2 (Higham 2002, ch. 3): this covers both four times over."""
-    return 2 * (n + q) * np.finfo(float).eps
 
 
 def _regions(mu, p):
@@ -144,6 +140,25 @@ def cone_distance(mu, spec):
     return float(t[0]) if mu.ndim == 1 else t.reshape(mu.shape[:-1])
 
 
+def verdict(value, bound):
+    """The verdict on rows of a check, each a value and the bound on its
+    rounding, flattened in C order: a row holds where value > bound, is
+    violated where value < -bound and is undetermined otherwise, as is
+    every row whose value or bound is not finite.
+
+    Returns (counts, worst, first): the number of rows of each kind under
+    the keys held, violated and undetermined, the row of the smallest
+    value (a NaN counting as the largest) and the first violated row (None
+    without rows, or without a violated one)."""
+    value, bound = (np.ravel(a) for a in np.broadcast_arrays(value, bound))
+    finite = np.isfinite(value) & np.isfinite(bound)
+    held = int(np.count_nonzero(finite & (value > bound)))
+    bad = np.flatnonzero(finite & (value < -bound))
+    counts = {"held": held, "violated": bad.size, "undetermined": value.size - held - bad.size}
+    worst = int(np.argmin(np.where(np.isnan(value), np.inf, value))) if value.size else None
+    return counts, worst, int(bad[0]) if bad.size else None
+
+
 def _batch_of_one(report):
     """Run a batched report on a single vector as a batch of one, so a
     single vector's floats equal its row in any batch bit for bit."""
@@ -152,20 +167,31 @@ def _batch_of_one(report):
         mu = _as_values(mu)
         if mu.ndim > 1:
             return report(mu, spec)
-        return {k: float(v[0]) for k, v in report(mu[None], spec).items()}
+        return tuple({k: float(v[0]) for k, v in part.items()}
+                     for part in report(mu[None], spec))
 
     return functools.wraps(report)(run)
 
 
+def _sigmas(q, mu):
+    """sigma_q(mu) of the orders q (an array), along the last axis."""
+    return sigma_all(mu)[..., q]
+
+
 @_batch_of_one
 def maclaurin_report(mu, spec):
-    """Slacks of the generalized Newton-Maclaurin family.
+    """(slack, bound) of the generalized Newton-Maclaurin family.
 
-    For every admissible (j, k, l, m) -- 0 <= k < j <= p+1, 0 <= m < l <= p,
-    l <= j, m <= k -- returns RHS - LHS of the normalized-quotient inequality
+    For every (j, k, l, m) with 0 <= k < j <= p+1, 0 <= m < l <= p, l <= j,
+    m <= k and (j, k) != (l, m) -- where the two sides coincide -- slack is
+    RHS - LHS of the normalized-quotient inequality
 
         (sigma_j / C(n,j)) / (sigma_k / C(n,k))
-            <= [ (sigma_l / C(n,l)) / (sigma_m / C(n,m)) ]^{(j-k)/(l-m)}.
+            <= [ (sigma_l / C(n,l)) / (sigma_m / C(n,m)) ]^{(j-k)/(l-m)}
+
+    and bound the bound on its rounding: each sigma_q within _rounding(n,
+    q) sigma_q(|mu|), carried through the quotients and the power, pow's
+    own rounding and that of its exponent included (_Rounded).
 
     Batched: a key maps to a float for a single vector and to an array over
     the batch otherwise.  Precondition: every row in the open cone.
@@ -173,26 +199,28 @@ def maclaurin_report(mu, spec):
     n, p = spec.n, spec.p
     require_cone(mu, spec)
     top = min(n, p + 1)
-    norm = sigma_all(mu)[..., : top + 1] / [comb(n, q) for q in range(top + 1)]
-    out = {}
-    for j in range(1, top + 1):
-        for k in range(0, j):
-            lhs = norm[..., j] / norm[..., k]
-            for l in range(1, min(j, p) + 1):
-                for m in range(0, min(l, k + 1)):
-                    rhs = (norm[..., l] / norm[..., m]) ** ((j - k) / (l - m))
-                    out[(j, k, l, m)] = rhs - lhs
-    return out
+    q = np.arange(top + 1)
+    norm = _rounded(_sigmas, q, mu) / np.array([comb(n, k) for k in q])
+    quotient = functools.cache(lambda a, b: norm[..., a] / norm[..., b])
+    slack, bound = {}, {}
+    for key in product(range(top + 1), repeat=4):
+        j, k, l, m = key
+        if k < j and m < l <= min(j, p) and m <= k and (j, k) != (l, m):
+            s = quotient(l, m) ** ((j - k) / (l - m)) - quotient(j, k)
+            slack[key], bound[key] = s.value, 2 * s.err
+    return slack, bound
 
 
 @_batch_of_one
 def tech_ineq_report(mu, spec):
-    """Slack/ratio report for the technical inequalities at sorted admissible mu.
+    """(value, bound) of the technical inequalities at sorted admissible mu.
 
-    Strict inequalities are reported as slacks (must be > 0 or >= 0); the two
-    inequalities whose constants are only known to exist are reported as
-    realized ratios so callers can track empirical suprema.  Batched like
-    maclaurin_report.
+    Each inequality is reported as a slack that is positive where it holds,
+    with the bound on its rounding (_Rounded, from each sigma_q's
+    _rounding); the two inequalities whose constants are only known to
+    exist are reported as realized ratios so callers can track empirical
+    suprema.  They are checks of nothing, so bound has no key for them.
+    Batched like maclaurin_report.
     Precondition: every row sorted ascending, p >= 2, every row in the open
     cone.
     """
@@ -203,37 +231,38 @@ def tech_ineq_report(mu, spec):
         raise ValueError("mu must be sorted ascending")
     require_cone(mu, spec)
 
-    sigs = sigma_all(mu)
+    sigs = _rounded(_sigmas, np.arange(n + 1), mu)
     sp, spm1 = sigs[..., p], sigs[..., p - 1]
-    spp1 = sigs[..., p + 1] if p < n else np.zeros_like(sp)
-    minors = sigma_minors(p - 1, mu)
+    spp1 = sigs.value[..., p + 1] if p < n else np.zeros_like(sp.value)
+    minors = _rounded(sigma_minors, p - 1, mu)
+    x = _Rounded(mu, np.zeros(mu.shape))
 
     out = {}
-    out["partial_sum"] = np.sum(mu[..., : n - p + 1], axis=-1)
-    out["top_spread"] = (n - p) * mu[..., n - p] + mu[..., 0]
-    out["min_entry"] = mu[..., 0] + (n - p) / (p * (n - 1)) * np.sum(
-        mu[..., 1:], axis=-1
-    )
-    out["sigma_pm1_lower"] = spm1 - np.prod(mu[..., n - p + 1 :], axis=-1)
-    out["minor_chain_min_gap"] = np.min(-np.diff(minors, axis=-1), axis=-1)
+    out["partial_sum"] = x[..., : n - p + 1].sum()
+    out["top_spread"] = (n - p) * x[..., n - p] + x[..., 0]
+    out["min_entry"] = x[..., 0] + (n - p) / (p * (n - 1)) * x[..., 1:].sum()
+    out["sigma_pm1_lower"] = spm1 - x[..., n - p + 1 :].prod()
+    out["minor_chain_min_gap"] = (minors[..., :-1] - minors[..., 1:]).min()
     out["minor_positive"] = minors[..., -1]
-    out["top_minor"] = mu[..., -1] * minors[..., -1] - p / n * sp
+    out["top_minor"] = x[..., -1] * minors[..., -1] - p / n * sp
 
     pref = sp ** (1.0 / p - 1.0)
     terms = pref[..., None] * minors / p
-    out["trace_lower"] = np.sum(terms, axis=-1) - comb(n, p) ** (1.0 / p)
-    out["amgm_gap"] = np.sum(terms, axis=-1) - n * np.prod(terms, axis=-1) ** (
-        1.0 / n
-    )
+    total = terms.sum()
+    out["trace_lower"] = total - _Rounded(comb(n, p)) ** (1.0 / p)
+    out["amgm_gap"] = total - n * terms.prod() ** (1.0 / n)
+    value = {k: v.value for k, v in out.items()}
+    bound = {k: 2 * v.err for k, v in out.items()}
 
     # realized constants: C such that the displayed inequality holds with
     # equality for this mu (empirical suprema are tracked by the caller)
-    out["ratio_minor_constant"] = 1.0 / (
-        pref * minors[..., -1] * (pref * spm1) ** (p - 1)
+    pref, minors, sp = pref.value, minors.value, sp.value
+    value["ratio_minor_constant"] = 1.0 / (
+        pref * minors[..., -1] * (pref * spm1.value) ** (p - 1)
     )
     denom = np.maximum(sp ** (1.0 / p), np.maximum(-spp1, 0.0) ** (1.0 / (p + 1)))
-    out["ratio_mu1_constant"] = np.where(mu[..., 0] >= 0, 0.0, -mu[..., 0] / denom)
-    return out
+    value["ratio_mu1_constant"] = np.where(mu[..., 0] >= 0, 0.0, -mu[..., 0] / denom)
+    return value, bound
 
 
 def sample_admissible(n, p, count, rng):

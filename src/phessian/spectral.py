@@ -358,19 +358,19 @@ class SpectralDerivs:
 
     grad_lambda: np.ndarray      # (n, n, n)
     grad_lambda_A: np.ndarray    # (n, n, n)
-    hess_lambda: np.ndarray      # (n, n, n, n, n); NaN blocks when skipped
+    hess_lambda: np.ndarray      # (n, n, n, n, n)
     grad_sigma: np.ndarray       # (n, n)
     grad_sigma_A: np.ndarray     # (n, n)
     hess_sigma: np.ndarray       # (n, n, n, n)
 
 
-def spectral_derivs(p, D, skip_degenerate=False):
+def spectral_derivs(p, D):
     """Derivative formulas at the diagonal point (A, B) = (I, diag(D)).
 
     hess_lambda needs every eigenvalue it references to be simple (gap >=
-    GAP_TOL); with skip_degenerate the offending q-blocks are filled with
-    NaN instead of raising.  The sigma blocks use the minor closed forms,
-    finite at ties, so they carry no gap requirement.
+    GAP_TOL); DegenerateSpectrumError names the first pair that is not.
+    The sigma blocks use the minor closed forms, finite at ties, so they
+    carry no gap requirement.
     """
     mu = np.asarray(D, dtype=float)
     if mu.ndim != 1:
@@ -392,9 +392,6 @@ def spectral_derivs(p, D, skip_degenerate=False):
         gaps[s] = np.inf
         if np.min(gaps) < GAP_TOL:
             other = int(np.argmin(gaps))
-            if skip_degenerate:
-                hess_lambda[q] = np.nan
-                continue
             raise DegenerateSpectrumError(
                 f"eigenvalue gap {np.min(gaps):.3e} below {GAP_TOL:.1e} "
                 f"between entries {s + 1} and {other + 1}",

@@ -37,7 +37,7 @@ from .cone import ConeSpec, _regions, _rounding, require_cone
 from .errors import ConstructionError, InputError
 from .solver import box_grad_hess
 from .spectral import EIGH_ROUNDING, classify_matrices, jacobi_eigh, spread, top_range
-from .symfun import _as_values, _level_crossing, sigma, sigma_root_grad
+from .symfun import _as_values, _level_crossing, _root_grad, sigma
 
 
 @dataclass(frozen=True)
@@ -618,7 +618,7 @@ def _ray_verdicts(cfgs, seeds, base, base_norm, directions, p):
 
 
 def key_lemma_sweep(cfgs, directions, seeds):
-    """(lhs, rhs, hypothesis_ok, escape) of the key lemma with f =
+    """(lhs, rhs, hypothesis_ok, escape, bound) of the key lemma with f =
     sigma_p^{1/p} for each config of cfgs, which share n and p, the rays of
     cfgs[i] drawn from default_rng(seeds[i]).
 
@@ -634,6 +634,20 @@ def key_lemma_sweep(cfgs, directions, seeds):
     config so large that sigma_p could overflow along its rays
     (_fits_the_rays).
 
+    bound bounds the rounding of lhs - rhs = g.(mu - nu) - (delta sum g -
+    (R + |b|) min g + a - f), b = mu - delta 1, g = grad f(nu) and f =
+    f(nu) within eg and ef of their exact values (_root_grad).  With w =
+    (n + 6) eps, u = eps/2, it is twice
+
+        sum (eg + w|g|)|mu - nu| + delta (sum eg + w sum|g|)
+            + (R + |b|)(max eg + w min|g|) + ef + w (a + f + |lhs| + |rhs|):
+
+    mu - nu rounds by u, the dot product by gamma_n (Higham 2002, ch. 3),
+    sum g by gamma_{n-1}, |b| (b rounded, then a dot product and a root) by
+    (n + 2) eps and R + |b| by u; min g is within max eg of its exact
+    value; each product and each of the four sums and differences forming
+    rhs and lhs - rhs adds u, and doubling covers the second-order terms.
+
     The configs' scalars are computed one config at a time, their cone
     checks and gradients in one batch, and their rays whole configs at a
     time, up to KEY_LEMMA_RAYS rays (at least one config) per pass: each
@@ -644,16 +658,23 @@ def key_lemma_sweep(cfgs, directions, seeds):
     if not cfgs:
         return []
     mu, nu = _key_lemma_inputs(cfgs, directions)
-    p = cfgs[0].p
-    f_nu, grad = sigma_root_grad(p, nu)
-    base = mu - np.array([cfg.delta for cfg in cfgs])[:, None]
+    n, p = mu.shape[-1], cfgs[0].p
+    f, g = _root_grad(p, nu)
+    delta, R, a = (np.array([getattr(cfg, k) for cfg in cfgs]) for k in ("delta", "R", "a"))
+    base = mu - delta[:, None]
     base_norm, sides = [], []
-    for cfg, b, g, m, v, f in zip(cfgs, base, grad, mu, nu, f_nu):
+    for cfg, b, gc, m, v, fc in zip(cfgs, base, g.value, mu, nu, f.value):
         base_norm.append(float(np.linalg.norm(b)))
         sides.append((
-            float(np.dot(g, m - v)),
-            float(cfg.delta * np.sum(g) - (cfg.R + base_norm[-1]) * np.min(g) + cfg.a - f),
+            float(np.dot(gc, m - v)),
+            float(cfg.delta * np.sum(gc) - (cfg.R + base_norm[-1]) * np.min(gc) + cfg.a - fc),
         ))
+    w = (n + 6) * np.finfo(float).eps
+    grad, eg = np.abs(g.value), g.err
+    bound = 2 * (np.sum((eg + w * grad) * np.abs(mu - nu), axis=-1)
+                 + delta * (np.sum(eg, axis=-1) + w * np.sum(grad, axis=-1))
+                 + (R + base_norm) * (np.max(eg, axis=-1) + w * np.min(grad, axis=-1))
+                 + f.err + w * (a + np.abs(f.value) + np.abs(np.array(sides)).sum(axis=-1)))
     step = max(1, KEY_LEMMA_RAYS // directions)
     verdicts = []
     for lo in range(0, len(cfgs), step):
@@ -661,10 +682,10 @@ def key_lemma_sweep(cfgs, directions, seeds):
         verdicts += _ray_verdicts(
             cfgs[chunk], seeds[chunk], base[chunk], base_norm[chunk], directions, p
         )
-    return [side + verdict for side, verdict in zip(sides, verdicts)]
+    return [side + verdict + (float(b),) for side, verdict, b in zip(sides, verdicts, bound)]
 
 
 def key_lemma_check(cfg, directions=10**4, seed=0):
-    """(lhs, rhs, hypothesis_ok, escape) of the key lemma at cfg: the batch
-    of one of key_lemma_sweep."""
+    """(lhs, rhs, hypothesis_ok, escape, bound) of the key lemma at cfg: the
+    batch of one of key_lemma_sweep."""
     return key_lemma_sweep([cfg], directions, [seed])[0]

@@ -69,6 +69,109 @@ def _sigma_planes(p, planes):
     return _prefix(planes, p)[p]
 
 
+def _rounding(n, q):
+    """2(n + q) eps.  The prefix recurrence rounds each monomial of sigma_q
+    of n entries at most n + q - 1 times, so it and its sigma_q(|mu|) err
+    by at most gamma_{n+q-1} sigma_q(|mu|), gamma_k = k u / (1 - k u),
+    u = eps / 2 (Higham 2002, ch. 3): this covers both four times over."""
+    return 2 * (n + q) * np.finfo(float).eps
+
+
+class _Rounded:
+    """A computed value and err, a bound on its distance to the exact value
+    of the same expression at the float inputs: running error analysis
+    (Higham 2002, sec. 3.3).  The arithmetic computes the value as plain
+    numpy does, operand for operand, so it is that expression's bit for
+    bit; each result's err adds eps |z| for its own rounding (a correctly
+    rounded result z is within u / (1 - u) < eps |z| of its exact value) to
+    what its operands' errs propagate:
+
+        x +- y      ex + ey
+        x y         |x| ey + |y| ex + ex ey
+        x / y       (|z| ey + ex) / (|y| - ey), infinite unless |y| > ey
+        x ** e      |z| (eps + expm1(|e| (eps |log x| - log1p(-ex/x))))
+        sum(x)      sum ex + (m - 1) eps sum |x|, m terms in any order
+        prod(x)     prod(|x| + ex) sum(ex / (|x| + ex)) + (m - 1) eps |z|
+        min(x)      max ex
+
+    The power's eps is a second ulp for pow itself, and its expm1 bounds
+    expm1(a) + expm1(b) (expm1 is superadditive on a, b >= 0): a = eps |e
+    log x| for the exponent e, within eps |e| of a rational one, and b =
+    -|e| log1p(-ex/x) for a base known to relative ex/x, as |(1 + d)^e -
+    1| <= (1 - r)^-|e| - 1 for |d| <= r < 1.  Where a bound is undefined
+    (x <= ex under a power) err is not finite, so no verdict holds there.
+
+    An int or array operand is exact; a float one is a constant rounded
+    once.  An array that is indexed carries an err of its own shape.  err
+    itself is rounded, by a factor 1 - O(u) per operation: 2 err, the
+    bound a check reports, covers that and the 1 + O(u) factors left out
+    above."""
+
+    def __init__(self, value, err=0.0):
+        self.value, self.err = value, err
+
+    def _result(self, z, err):
+        return _Rounded(z, err + np.finfo(float).eps * np.abs(z))
+
+    def __getitem__(self, i):
+        return _Rounded(self.value[i], self.err[i])
+
+    def __add__(self, y):
+        v, e = _parts(y)
+        return self._result(self.value + v, self.err + e)
+
+    def __sub__(self, y):
+        v, e = _parts(y)
+        return self._result(self.value - v, self.err + e)
+
+    def __mul__(self, y):
+        v, e = _parts(y)
+        return self._result(self.value * v, np.abs(self.value) * e + np.abs(v) * self.err
+                            + self.err * e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, y):
+        v, e = _parts(y)
+        z, den = self.value / v, np.abs(v) - e
+        num = np.abs(z) * e + self.err
+        return self._result(z, np.divide(num, den, out=np.full(num.shape, np.inf),
+                                         where=den > 0))
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def __pow__(self, e):
+        x, z, eps = self.value, self.value**e, np.finfo(float).eps
+        rel = eps + np.expm1(abs(e) * (eps * np.abs(np.log(x)) - np.log1p(-self.err / x)))
+        return self._result(z, np.abs(z) * rel)
+
+    def sum(self):
+        x, eps = self.value, np.finfo(float).eps
+        return _Rounded(np.sum(x, axis=-1),
+                        np.sum(self.err + (x.shape[-1] - 1) * eps * np.abs(x), axis=-1))
+
+    def prod(self):
+        a, z = np.abs(self.value) + self.err, np.prod(self.value, axis=-1)
+        share = np.divide(self.err, a, out=np.zeros(a.shape), where=a > 0)
+        return _Rounded(z, np.prod(a, axis=-1) * np.sum(share, axis=-1)
+                        + (a.shape[-1] - 1) * np.finfo(float).eps * np.abs(z))
+
+    def min(self):
+        return _Rounded(np.min(self.value, axis=-1), np.max(self.err, axis=-1))
+
+
+def _rounded(f, q, mu):
+    """f(q, mu), f a prefix recurrence of order q (sigma, sigma_minors or a
+    selection of sigma_all), as _Rounded within _rounding(n, q) f(q, |mu|)."""
+    return _Rounded(f(q, mu), _rounding(mu.shape[-1], q) * f(q, np.abs(mu)))
+
+
+def _parts(y):
+    """(value, err) of an operand of _Rounded arithmetic."""
+    if isinstance(y, _Rounded):
+        return y.value, y.err
+    return y, np.finfo(float).eps * abs(y) if isinstance(y, float) else 0.0
+
+
 def newton_descent(x, step):
     """Newton x <- step(x) per entry of the starts x while it decreases the
     entry.  An entry whose step does not decrease it keeps its value, and
@@ -203,91 +306,98 @@ def sigma_root_grad(p, mu):
         df/dmu_j = (1/p) sigma_p^{1/p-1} sigma_{p-1}(mu|j).
 
     A single vector is a batch of one, so it matches its row in any batch
-    bit for bit.
+    bit for bit.  The values of _root_grad.
     """
     mu = _as_values(mu)
-    rows = mu[None] if mu.ndim == 1 else mu
-    sp = sigma(p, rows)
-    grad = (1.0 / p) * sp[..., None] ** (1.0 / p - 1.0) * sigma_minors(p - 1, rows)
-    f = sp ** (1.0 / p)
+    f, grad = (x.value for x in _root_grad(p, mu[None] if mu.ndim == 1 else mu))
     return (f[0], grad[0]) if mu.ndim == 1 else (f, grad)
 
 
-def _residual(lhs, rhs):
-    """|lhs - rhs|, relative once either side exceeds 1 in magnitude."""
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return np.abs(lhs - rhs) / scale
+def _root_grad(p, rows):
+    """(f, grad f) of sigma_root_grad at rows (B, n) as _Rounded: sigma_p
+    and the minors within their _rounding of the exact values, carried
+    through the powers and products."""
+    sp, minors = _rounded(sigma, p, rows), _rounded(sigma_minors, p - 1, rows)
+    return sp ** (1.0 / p), (1.0 / p) * sp[..., None] ** (1.0 / p - 1.0) * minors
+
+
+def _identity_sides(p, mu, idx):
+    """name -> (lhs, rhs) of each identity of identity_residuals at the
+    batch mu, both sides sums of products with positive coefficients.  An
+    identity whose sides both vanish identically is left out: the three
+    weighted sums at p = n and the minor differences at p = 0."""
+    n = mu.shape[-1]
+    sp = sigma(p, mu)
+    minors = sigma_minors(p, mu)
+    lower = sigma_minors(p - 1, mu)
+    out = {f"recurrence_j{j + 1}": (sp, mu[..., j] * lower[..., j] + minors[..., j])
+           for j in range(n)}
+    if p < n:
+        out["minor_sum"] = (minors.sum(axis=-1), (n - p) * sp)
+        out["weighted_minor_sum"] = ((mu * minors).sum(axis=-1), (p + 1) * sigma(p + 1, mu))
+        out["square_weighted_minor_sum"] = (
+            (mu**2 * minors).sum(axis=-1) + (p + 2) * sigma(p + 2, mu),
+            sigma(1, mu) * sigma(p + 1, mu),
+        )
+    rhs = 0.0
+    for q in range(len(idx) + 1):
+        rhs = rhs + np.prod(mu[..., [j - 1 for j in idx[:q]]], axis=-1) * sigma_trunc(
+            p - q, mu, idx[: q + 1])
+    out["expansion"] = (sp, rhs)
+    pairs = sigma_pair_minors(p - 2, mu)
+    for j1 in range(n if p else 0):
+        for j2 in range(j1 + 1, n):
+            out[f"minor_difference_{j1 + 1}_{j2 + 1}"] = tuple(
+                lower[..., a] + mu[..., a] * pairs[..., j1, j2] for a in (j1, j2)
+            )
+    return out
 
 
 def identity_residuals(p, mu, expansion_indices=None):
-    """Residuals of the full identity family at (p, mu).
+    """(residual, bound) of the full identity family at (p, mu), 0 <= p <= n.
 
-    Returns a map name -> residual (scalar for a single vector, array for a
-    batch).  Covered identities:
+    Each is a map name -> value (a float for a single vector, an array for
+    a batch): residual = |lhs - rhs| and the bound it stays below wherever
+    the identity holds.  Covered identities, each written as two sides with
+    positive coefficients:
 
     * ``recurrence_j{j}``      sigma_p = mu_j sigma_{p-1}(mu|j) + sigma_p(mu|j)
     * ``minor_sum``            sum_k sigma_p(mu|k) = (n-p) sigma_p
     * ``weighted_minor_sum``   sum_k mu_k sigma_p(mu|k) = (p+1) sigma_{p+1}
     * ``square_weighted_minor_sum``
-        sum_k mu_k^2 sigma_p(mu|k) = sigma_1 sigma_{p+1} - (p+2) sigma_{p+2}
+        sum_k mu_k^2 sigma_p(mu|k) + (p+2) sigma_{p+2} = sigma_1 sigma_{p+1}
     * ``expansion``            the full multi-index expansion of sigma_p for
                                the supplied non-empty distinct index list
                                (default: all of 1..n)
     * ``minor_difference_{j1}_{j2}``
-        sigma_{p-1}(mu|j1) - sigma_{p-1}(mu|j2)
-            = (mu_{j2} - mu_{j1}) sigma_{p-2}(mu|j1 j2)
+        sigma_{p-1}(mu|j1) + mu_{j1} sigma_{p-2}(mu|j1 j2)
+            = sigma_{p-1}(mu|j2) + mu_{j2} sigma_{p-2}(mu|j1 j2)
+
+    The bound is gamma_K (lhs + rhs)(|mu|), both sides evaluated at |mu| by
+    the same code in the same batched call (Higham 2002, ch. 3).  Each
+    monomial of a side is rounded at most K = 2n + p + 1 times: n + q - 1
+    in a sigma_q or minor of n entries (_rounding), one per product or sum
+    of two terms, n - 1 in a sum of n terms (any order), and m <= n in the
+    expansion's sum and products of m entries; the square-weighted sum's
+    left side, with 2n + p + 1, is the deepest.  So each computed side is
+    within gamma_K of its value at |mu|, and lhs = rhs exactly.  The
+    coefficient _rounding(n, n + p + 1) = 4 K u is gamma_K four times over,
+    which covers the rounding of the residual and of the bound themselves.
+    Underflow is outside this model; an identity whose sides vanish, as
+    most do at the zero vector, has residual = bound = 0.
     """
     mu = _as_values(mu)
     n = mu.shape[-1]
-    single = mu.ndim == 1
-
-    sp = sigma(p, mu)
-    out = {}
-
-    minors = sigma_minors(p, mu)
-    lower = sigma_minors(p - 1, mu)
-    for j in range(1, n + 1):
-        rhs = mu[..., j - 1] * lower[..., j - 1] + minors[..., j - 1]
-        out[f"recurrence_j{j}"] = _residual(sp, rhs)
-
-    out["minor_sum"] = _residual(minors.sum(axis=-1), (n - p) * sp)
-    out["weighted_minor_sum"] = _residual(
-        (mu * minors).sum(axis=-1), (p + 1) * sigma(p + 1, mu)
-    )
-    out["square_weighted_minor_sum"] = _residual(
-        (mu**2 * minors).sum(axis=-1),
-        sigma(1, mu) * sigma(p + 1, mu) - (p + 2) * sigma(p + 2, mu),
-    )
-
     if expansion_indices is None:
         idx = list(range(1, n + 1))
     else:
         idx = _check_indices(expansion_indices, n)
         if not idx or len(idx) != len(set(idx)):
             raise ValueError("expansion indices must be non-empty and distinct")
-    m = len(idx)
-    prod = np.ones(mu.shape[:-1])
-    rhs = np.asarray(
-        np.prod(mu[..., [j - 1 for j in idx]], axis=-1)
-        * sigma_trunc(p - m, mu, idx)
-        + sigma_trunc(p, mu, idx[:1]),
-        dtype=float,
-    )
-    for q in range(1, m):
-        prod = prod * mu[..., idx[q - 1] - 1]
-        rhs = rhs + prod * sigma_trunc(p - q, mu, idx[: q + 1])
-    out["expansion"] = _residual(sp, rhs)
-
-    pairs = sigma_pair_minors(p - 2, mu)
-    for j1 in range(1, n + 1):
-        for j2 in range(j1 + 1, n + 1):
-            lhs = lower[..., j1 - 1] - lower[..., j2 - 1]
-            rhs = (mu[..., j2 - 1] - mu[..., j1 - 1]) * pairs[..., j1 - 1, j2 - 1]
-            out[f"minor_difference_{j1}_{j2}"] = _residual(lhs, rhs)
-
-    if single:
-        out = {k: float(v) for k, v in out.items()}
-    return out
-
+    sides = _identity_sides(p, np.stack([mu, np.abs(mu)]), idx)
+    coef = _rounding(n, n + p + 1)
+    residual = {k: np.abs(lhs[0] - rhs[0]) for k, (lhs, rhs) in sides.items()}
+    bound = {k: coef * (lhs[1] + rhs[1]) for k, (lhs, rhs) in sides.items()}
+    if mu.ndim == 1:
+        return tuple({k: float(v) for k, v in d.items()} for d in (residual, bound))
+    return residual, bound

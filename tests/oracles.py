@@ -1,8 +1,10 @@
 """Independent oracles shared by the tests.  They live outside the package
 they check, so no package code can come to rely on them."""
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -157,3 +159,17 @@ def roll_jacobian(s, F, G, H, h):
     out += np.einsum("m...,m...->...", G, roll_grad(s, h))
     out += H * s
     return out
+
+
+def subset_sigmas(mu, drop=()):
+    """sigma_0, ..., sigma_m of the floats mu, the entries at the indices
+    drop left out, as exact rationals: subset enumeration in Fraction."""
+    x = [Fraction(float(v)) for i, v in enumerate(mu) if i not in drop]
+    return [sum((prod(c) for c in combinations(x, q)), Fraction(0))
+            for q in range(len(x) + 1)]
+
+
+def to_decimal(x):
+    """A Fraction or float as a Decimal at the current precision."""
+    x = Fraction(x)
+    return Decimal(x.numerator) / Decimal(x.denominator)

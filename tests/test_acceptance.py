@@ -55,10 +55,11 @@ def test_01_identity_suite():
         for p in range(1, n + 1):
             rng = np.random.default_rng([101, n, p])
             mu = rng.uniform(-3.0, 3.0, (10**4, n))
-            res = identity_residuals(p, mu)
+            res, bound = identity_residuals(p, mu)
             for name, vals in res.items():
                 worst = float(np.max(np.abs(vals)))
                 assert worst <= 1e-10, (n, p, name, worst)
+                assert np.all(vals < bound[name]), (n, p, name)
     assert time.perf_counter() - t0 <= 10.0
 
 
@@ -89,7 +90,7 @@ def test_02_inequality_suite():
     for n, p in [(3, 2), (4, 2), (4, 3), (5, 3)]:
         rng = np.random.default_rng([202, n, p])
         mus = sample_admissible(n, p, per, rng)
-        rep = maclaurin_report(mus, ConeSpec(n, p))
+        rep, _ = maclaurin_report(mus, ConeSpec(n, p))
         worst = np.min(list(rep.values()), axis=0)
         i = int(np.argmin(worst))
         assert worst[i] >= -1e-10, (n, p, mus[i], worst[i])
@@ -98,7 +99,7 @@ def test_02_inequality_suite():
     for n, p in [(3, 2), (4, 2), (4, 3), (5, 3)]:
         rng = np.random.default_rng([203, n, p])
         spec = ConeSpec(n, p)
-        rep = tech_ineq_report(np.sort(sample_admissible(n, p, per, rng), axis=1), spec)
+        rep, _ = tech_ineq_report(np.sort(sample_admissible(n, p, per, rng), axis=1), spec)
         for key in ("partial_sum", "top_spread", "min_entry",
                     "sigma_pm1_lower", "minor_positive"):
             assert np.all(rep[key] > 0), (n, p, key)
@@ -371,7 +372,7 @@ def test_06_key_lemma():
             n=n, p=p, delta=rng.uniform(0.1, 1.0), R=60.0,
             a=rng.uniform(0.5, 2.0), mu=rng.uniform(-1.0, 4.0, n), nu=nu,
         )
-        lhs, rhs, ok, _ = key_lemma_check(cfg, directions=2000, seed=attempts)
+        lhs, rhs, ok, _, _ = key_lemma_check(cfg, directions=2000, seed=attempts)
         if not ok:
             continue
         verified += 1

@@ -82,14 +82,17 @@ def test_cone_reports_constants(tmp_path):
 
 def _planted(report, plants, seen):
     """report with slacks overwritten: plants is [(key or None, row, value)],
-    None meaning one Maclaurin key; the batch it ran on goes into seen."""
+    None meaning the first Maclaurin key; the batch it ran on and the
+    bounds go into seen."""
 
     def fake(mus, spec):
         seen["mus"] = mus
-        rep = {k: np.array(v) for k, v in report(mus, spec).items()}
+        slack, bound = report(mus, spec)
+        slack = {k: np.array(v) for k, v in slack.items()}
         for key, row, value in plants:
-            rep[key or next(iter(rep))][row] = value
-        return rep
+            slack[key or next(iter(slack))][row] = value
+        seen.setdefault("bound", {}).update(bound)
+        return slack, bound
 
     return fake
 
@@ -111,24 +114,39 @@ def test_cone_violation_is_first_event_in_sample_order(
     monkeypatch.setattr(cli, "maclaurin_report",
                         _planted(cli.maclaurin_report, mac_plants, seen))
     monkeypatch.setattr(cli, "tech_ineq_report",
-                        _planted(cli.tech_ineq_report, tech_plants, {}))
+                        _planted(cli.tech_ineq_report, tech_plants, seen))
     status, rep = run(
         tmp_path, "cv.json", "cone", "--n", "4", "--p", "2", "--trials", "10",
         "--seed", "1",
     )
     assert status == 1
-    assert rep["violation"] == {"kind": kind, "mu": seen["mus"][3].tolist(),
-                                "slack": slack}
+    key = next(iter(seen["bound"])) if kind == "maclaurin" else kind
+    assert rep["violation"] == {
+        "kind": kind, "key": list(key) if kind == "maclaurin" else key,
+        "mu": seen["mus"][3].tolist(), "slack": slack, "bound": seen["bound"][key][3]}
     for _, _, value in mac_plants:
         assert rep["results"]["maclaurin_min_slack"] == value
     for key, _, value in tech_plants:
         assert rep["results"]["technical_min_slacks"][key] == value
 
 
+def test_cone_without_a_check_key_is_clean(tmp_path):
+    # at n = 1 the one Maclaurin key has coinciding sides and p < 2 leaves
+    # no technical key: no row is checked, and none is reported violated
+    status, rep = run(
+        tmp_path, "c1.json", "cone", "--n", "1", "--p", "1", "--trials", "5",
+    )
+    assert status == 0
+    assert rep["results"] == {
+        "maclaurin_min_slack": None, "technical_min_slacks": {},
+        "empirical_constants": {}, "held": 0, "violated": 0, "undetermined": 0,
+    }
+
+
 @pytest.mark.parametrize("n, p, seed", [(2, 2, 9), (7, 7, 5)])
 def test_cone_at_p_equal_n_is_clean(tmp_path, n, p, seed):
     # top_minor = mu_n sigma_{n-1}(mu|n) - sigma_n is 0 for every vector at
-    # p = n: a non-strict inequality is flagged only below -tol
+    # p = n: its rows are undetermined, never violated
     status, rep = run(
         tmp_path, "cpn.json", "cone", "--n", str(n), "--p", str(p),
         "--trials", "300", "--seed", str(seed),
@@ -738,6 +756,4 @@ def test_report_embeds_full_config(tmp_path):
         tmp_path, "cfg.json", "cone", "--n", "3", "--p", "2", "--trials", "50",
         "--seed", "11",
     )
-    assert rep["config"] == {
-        "n": 3, "p": 2, "trials": 50, "seed": 11, "tol": 1e-10
-    }
+    assert rep["config"] == {"n": 3, "p": 2, "trials": 50, "seed": 11}

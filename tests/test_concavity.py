@@ -412,17 +412,18 @@ def test_find_threshold_with_every_trial_undetermined_fails(monkeypatch):
         find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 50, seed=3)
 
 
-def test_find_threshold_violation_names_its_worst_trial(monkeypatch):
+def test_find_threshold_violation_names_its_first_trial(monkeypatch):
     # lam = -mu_n / 1e6 at the upper bracket: every trial is violated, and
-    # the counterexample is the one with the largest mu_n
+    # the counterexample is the first checked trial, not the one with the
+    # largest mu_n (the worst)
     fake = fake_form(lambda mu: 1.0 + mu[:, -1] / 1e6, 0.0)
     monkeypatch.setattr(concavity, "_form", fake)
     with pytest.raises(SearchFailureError, match="violations persist") as exc:
         find_threshold(3, 2, 0.5, 1.0, (0.5, 2.0), 200, seed=42)
     shapes, targets, tops = concavity._draw_trials(3, 2, (0.5, 2.0), 200, 42)
     mu, ok = concavity._trial_points(shapes, targets, tops, 1e6, 2)
-    worst = mu[ok][np.argmax(mu[ok][:, -1])]
-    np.testing.assert_array_equal(exc.value.counterexample, worst)
+    assert np.argmax(mu[ok][:, -1]) > 0
+    np.testing.assert_array_equal(exc.value.counterexample, mu[ok][0])
 
 
 def test_find_threshold_without_admissible_trials_fails(monkeypatch):

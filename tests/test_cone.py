@@ -17,6 +17,7 @@ from phessian.cone import (
     require_cone,
     sample_admissible,
     tech_ineq_report,
+    verdict,
 )
 from phessian.errors import AdmissibilityError, InputError
 from phessian.symfun import sigma
@@ -162,14 +163,14 @@ def test_boundary_verdict_sigma_signs():
 
 
 def test_maclaurin_hand_case():
-    rep = maclaurin_report([1.0, 2.0, 3.0], ConeSpec(3, 2))
+    rep, _ = maclaurin_report([1.0, 2.0, 3.0], ConeSpec(3, 2))
     assert rep[(2, 1, 1, 0)] == pytest.approx(2.0 - 11.0 / 6.0)
     assert rep[(2, 0, 1, 0)] == pytest.approx(4.0 - 11.0 / 3.0)
 
 
 def test_maclaurin_equality_at_diagonal():
     for n, p in [(3, 2), (4, 3), (5, 5)]:
-        rep = maclaurin_report(np.ones(n), ConeSpec(n, p))
+        rep, _ = maclaurin_report(np.ones(n), ConeSpec(n, p))
         assert all(abs(s) <= 1e-12 for s in rep.values())
 
 
@@ -178,25 +179,25 @@ def test_maclaurin_random_nonnegative():
     for n, p in [(3, 2), (4, 2), (5, 3), (6, 4)]:
         mus = sample_admissible(n, p, 100, rng)
         for mu in mus:
-            rep = maclaurin_report(mu, ConeSpec(n, p))
+            rep, _ = maclaurin_report(mu, ConeSpec(n, p))
             assert min(rep.values()) >= -1e-10
 
 
 def test_tech_ineq_hand_case():
-    rep = tech_ineq_report([1.0, 2.0, 3.0], ConeSpec(3, 2))
+    rep, _ = tech_ineq_report([1.0, 2.0, 3.0], ConeSpec(3, 2))
     # mu_n sigma_{p-1}(mu|n) - (p/n) sigma_p = 9 - 22/3
     assert rep["top_minor"] == pytest.approx(9.0 - 2.0 / 3.0 * 11.0)
     assert rep["minor_positive"] > 0
 
 
 def test_tech_ineq_symmetric_point():
-    rep = tech_ineq_report(np.ones(4), ConeSpec(4, 2))
+    rep, _ = tech_ineq_report(np.ones(4), ConeSpec(4, 2))
     assert rep["minor_chain_min_gap"] == pytest.approx(0.0, abs=1e-14)
     assert rep["minor_positive"] > 0
 
 
 def test_tech_ineq_negative_first_entry():
-    rep = tech_ineq_report([-0.2, 1.0, 3.0], ConeSpec(3, 2))
+    rep, _ = tech_ineq_report([-0.2, 1.0, 3.0], ConeSpec(3, 2))
     # (ii): -0.2 > -(1/4)*4 = -1
     assert rep["min_entry"] == pytest.approx(-0.2 + 0.25 * 4.0)
     assert rep["min_entry"] > 0
@@ -223,7 +224,7 @@ def test_tech_ineq_random_strict():
     for n, p in [(3, 2), (4, 3), (5, 2), (6, 5)]:
         mus = sample_admissible(n, p, 100, rng)
         for mu in mus:
-            rep = tech_ineq_report(np.sort(mu), ConeSpec(n, p))
+            rep, _ = tech_ineq_report(np.sort(mu), ConeSpec(n, p))
             for name in strict:
                 assert rep[name] > 0, (n, p, name)
             assert rep["minor_chain_min_gap"] >= -1e-12
@@ -328,7 +329,7 @@ def _maclaurin_oracle(mu, p):
     q = [sigma_brute(i, mu) / comb(n, i) for i in range(n + 1)]
     out = {}
     for j, k, l, m in product(range(n + 1), repeat=4):
-        if k < j <= min(p + 1, n) and m < l <= min(p, j) and m <= k:
+        if k < j <= min(p + 1, n) and m < l <= min(p, j) and m <= k and (j, k) != (l, m):
             lhs = q[j] / q[k]
             rhs = (q[l] / q[m]) ** ((j - k) / (l - m))
             out[(j, k, l, m)] = (rhs - lhs, max(1.0, abs(lhs), abs(rhs)))
@@ -379,8 +380,8 @@ def test_batched_reports_match_brute_force_oracle():
         for p in range(1, n + 1):
             spec = ConeSpec(n, p)
             mus = np.sort(sample_admissible(n, p, 12, rng), axis=1)
-            mac = maclaurin_report(mus, spec)
-            tech = tech_ineq_report(mus, spec) if p >= 2 else None
+            mac, _ = maclaurin_report(mus, spec)
+            tech = tech_ineq_report(mus, spec)[0] if p >= 2 else None
             for i, mu in enumerate(mus):
                 expected = _maclaurin_oracle(mu, p)
                 assert set(mac) == set(expected), (n, p)
@@ -402,13 +403,13 @@ def test_batch_of_one_is_bit_identical_to_batch_row():
             mus = np.sort(sample_admissible(n, p, 9, rng), axis=1)
             reports = [maclaurin_report] + ([tech_ineq_report] if p >= 2 else [])
             for report in reports:
-                batch = report(mus, spec)
+                batches = report(mus, spec)
                 for i, mu in enumerate(mus):
-                    single = report(mu, spec)
-                    assert single.keys() == batch.keys()
-                    for key, value in single.items():
-                        assert type(value) is float
-                        assert value == batch[key][i], (report.__name__, n, p, key)
+                    for single, batch in zip(report(mu, spec), batches):
+                        assert single.keys() == batch.keys()
+                        for key, value in single.items():
+                            assert type(value) is float
+                            assert value == batch[key][i], (report.__name__, n, p, key)
 
 
 def test_batched_reports_keep_leading_shape():
@@ -416,10 +417,10 @@ def test_batched_reports_keep_leading_shape():
     spec = ConeSpec(5, 3)
     mus = np.sort(sample_admissible(5, 3, 12, rng), axis=1).reshape(3, 4, 5)
     for report in (maclaurin_report, tech_ineq_report):
-        flat = report(mus.reshape(12, 5), spec)
-        for key, value in report(mus, spec).items():
-            assert value.shape == (3, 4)
-            assert np.array_equal(value.ravel(), flat[key])
+        for flat, part in zip(report(mus.reshape(12, 5), spec), report(mus, spec)):
+            for key, value in part.items():
+                assert value.shape == (3, 4)
+                assert np.array_equal(value.ravel(), flat[key])
 
 
 def test_require_cone_batch_names_first_bad_row():
@@ -461,3 +462,29 @@ def test_batched_report_preconditions_cover_every_row():
         assert np.array_equal(info.value.lam, outside[5])
     with pytest.raises(ValueError, match="p >= 2"):
         tech_ineq_report(mus, ConeSpec(4, 1))
+
+
+# value, bound, (held, violated, undetermined), worst row, first violated row
+VERDICT_TABLE = [
+    # a row at +bound or -bound is undetermined, as is one between them
+    ([1.0, -1.0, 0.5, 2.0], [1.0, 1.0, 1.0, 1.0], (1, 0, 3), 1, None),
+    # the first violated row in row order, not the worst one
+    ([3.0, -2.0, -5.0, 0.0], [1.0, 1.0, 1.0, 1.0], (1, 2, 1), 2, 1),
+    # a non-finite value or bound never holds, nor is it violated
+    ([np.inf, np.nan, 2.0, -np.inf, 2.0, -3.0], [1.0, 1.0, np.inf, 1.0, np.nan, 1.0],
+     (0, 1, 5), 3, 5),
+    # a bound of 0 leaves the sign: exact zeros are undetermined
+    ([1e-300, -1e-300, 0.0, -0.0], 0.0, (1, 1, 2), 1, 1),
+    # rows of a 2-D check run in C order
+    ([[1.0, -3.0], [-4.0, 2.0]], 1.0, (1, 2, 1), 2, 1),
+    ([], [], (0, 0, 0), None, None),
+]
+
+
+@pytest.mark.parametrize("value, bound, counts, worst, first", VERDICT_TABLE)
+def test_verdict_contract(value, bound, counts, worst, first):
+    got, got_worst, got_first = verdict(np.array(value), np.array(bound))
+    assert (got["held"], got["violated"], got["undetermined"]) == counts
+    assert sum(got.values()) == np.size(value)
+    assert all(type(v) is int for v in got.values())
+    assert (got_worst, got_first) == (worst, first)

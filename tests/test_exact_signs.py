@@ -1,19 +1,28 @@
-"""Cone and concavity verdicts against exact rational signs, and the
-inputs a fixed zero band once misclassified."""
+"""Cone, concavity, identity, inequality and key-lemma verdicts against
+exact rational signs, and the inputs a fixed zero band once misclassified."""
+
+import dataclasses
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
 
 import phessian.concavity as concavity
+from phessian import symfun
 from phessian.cone import (
-    ConeSpec, classify_batch, cone_distance, require_cone, sample_admissible,
+    ConeSpec, classify_batch, cone_distance, maclaurin_report, require_cone,
+    sample_admissible, tech_ineq_report, verdict,
 )
 from phessian.solver import EquationSpec, GridFn, TorusGrid, newton_solve
 from phessian.spectral import classify_matrices, require_matrix_cone
+from phessian.subsolution import KeyLemmaConfig, key_lemma_check, key_lemma_sweep
+from phessian.symfun import identity_residuals
 
 from oracles import (
     concavity_form_exact, exact_region, matrix_sigma_exact, rotate, sigma_exact,
-    with_sigma,
+    subset_sigmas, to_decimal, with_sigma,
 )
 
 
@@ -206,3 +215,193 @@ def test_concavity_bound_covers_the_forming_error():
         assert slack > 0 and slack * slack >= err2
         beyond += err2 > Fraction(float(e)) ** 2
     assert beyond > len(mu) // 2
+
+
+# ---------------------------------------------------------------------------
+# identities, Maclaurin and technical inequalities, key lemma: every value
+# lies within its bound of the exact value at the float inputs, computed by
+# subset enumeration in rationals (Decimal at 60 digits where a root or a
+# fractional power enters), and no verdict contradicts the exact sign
+
+def identity_value(name, p, mu):
+    """The exact common value of both sides of an identity at mu."""
+    n, s = len(mu), subset_sigmas(mu)
+
+    def sig(q):
+        return s[q] if 0 <= q <= n else 0
+
+    if name.startswith("recurrence") or name == "expansion":
+        return sig(p)
+    if name == "minor_sum":
+        return (n - p) * sig(p)
+    if name == "weighted_minor_sum":
+        return (p + 1) * sig(p + 1)
+    if name == "square_weighted_minor_sum":
+        return sig(1) * sig(p + 1)
+    a, b = (int(t) - 1 for t in name.split("_")[2:])
+    pair = subset_sigmas(mu, (a, b))
+    return (subset_sigmas(mu, (a,))[p - 1]
+            + Fraction(float(mu[a])) * (pair[p - 2] if p >= 2 else 0))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_identity_sides_lie_within_their_bound(n):
+    rng = np.random.default_rng(300 + n)
+    for p in range(1, n + 1):
+        mu = batches(rng, n, p, 4 if n == 6 else 8)
+        residual, bound = identity_residuals(p, mu)
+        sides = symfun._identity_sides(p, mu, list(range(1, n + 1)))
+        assert sides.keys() == residual.keys()
+        for name, (lhs, rhs) in sides.items():
+            counts, _, _ = verdict(bound[name] - residual[name], 0.0)
+            assert counts["violated"] == 0, (n, p, name)
+            for row, l, r, b in zip(mu, lhs, rhs, bound[name]):
+                x = identity_value(name, p, row)
+                assert abs(Fraction(l) - x) + abs(Fraction(r) - x) <= Fraction(b), (
+                    n, p, name, row)
+
+
+def maclaurin_exact(mu, key):
+    """(sign, Decimal value) of the exact Maclaurin slack of key at mu: the
+    sign from integer powers, (N_l/N_m)^a against (N_j/N_k)^b."""
+    n, s = len(mu), subset_sigmas(mu)
+    N = [s[q] / comb(n, q) for q in range(n + 1)]
+    j, k, l, m = key
+    x, y, a, b = N[l] / N[m], N[j] / N[k], j - k, l - m
+    sign = 1 if y <= 0 else (x**a > y**b) - (x**a < y**b)
+    return sign, to_decimal(x) ** (Decimal(a) / Decimal(b)) - to_decimal(y)
+
+
+def tech_exact(mu, p, key):
+    """(sign, Decimal value) of the exact technical slack key at sorted mu;
+    trace_lower and amgm_gap take their signs from integer powers."""
+    n = len(mu)
+    x = [Fraction(float(v)) for v in mu]
+    s = subset_sigmas(mu)
+    m = [subset_sigmas(mu, (j,))[p - 1] for j in range(n)]
+    if key in ("trace_lower", "amgm_gap"):
+        root = [to_decimal(v) for v in (s[p], sum(m))]
+        terms = root[0] ** (Decimal(1) / p - 1) / p
+        if key == "trace_lower":
+            sign = (sum(m) / p) ** p - comb(n, p) * s[p] ** (p - 1)
+            value = terms * root[1] - Decimal(comb(n, p)) ** (Decimal(1) / p)
+        else:
+            sign = (sum(m) / n) ** n - prod(m)
+            value = terms * (root[1] - n * to_decimal(prod(m)) ** (Decimal(1) / n))
+        return (sign > 0) - (sign < 0), value
+    value = {
+        "partial_sum": sum(x[: n - p + 1]),
+        "top_spread": (n - p) * x[n - p] + x[0],
+        "min_entry": x[0] + Fraction(n - p, p * (n - 1)) * sum(x[1:]),
+        "sigma_pm1_lower": s[p - 1] - prod(x[n - p + 1:]),
+        "minor_chain_min_gap": min(m[j] - m[j + 1] for j in range(n - 1)),
+        "minor_positive": m[-1],
+        "top_minor": x[-1] * m[-1] - Fraction(p, n) * s[p],
+    }[key]
+    return (value > 0) - (value < 0), to_decimal(value)
+
+
+def rounding_level_rows(rng, n, rows):
+    """Sorted rows at which the Maclaurin and technical slacks vanish, or
+    nearly: c 1_n, where every Maclaurin slack and the minor gaps, top_minor,
+    trace_lower and amgm_gap are exactly 0, and 1_n plus noise of 1e-9."""
+    equal = np.outer([1.0, 3.0, 0.1, 1e-3], np.ones(n))
+    noisy = np.sort(1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (rows, n)), axis=1)
+    return np.concatenate([equal, noisy])
+
+
+def near_boundary(rng, n, p, rows):
+    """Sorted rows a relative 1e-7..1e-5 inside the cone of order p past
+    cone_distance: sigma_p is small against sigma_p(|mu|), so its rounding,
+    carried through the quotients and powers, dominates the bounds."""
+    mu = rng.uniform(-1.0, 10.0, (rows, n))
+    mu += (cone_distance(mu, ConeSpec(n, p))
+           + 10.0 ** rng.uniform(-7.0, -5.0, rows) * np.max(np.abs(mu), axis=1))[:, None]
+    return np.sort(mu[classify_batch(mu, ConeSpec(n, p)) == 2], axis=1)
+
+
+def check_rows(value, bound, exact):
+    """No verdict contradicts the exact sign, and each value lies within its
+    bound of the exact one; returns the number of rows that hold."""
+    counts, _, _ = verdict(value, bound)
+    held = 0
+    for v, b, (sign, x) in zip(value, bound, exact):
+        assert abs(Decimal(float(v)) - x) <= Decimal(float(b)), (v, b, x)
+        assert not (v > b and sign <= 0) and not (v < -b and sign >= 0), (v, b, sign)
+        held += v > b
+    assert held == counts["held"]
+    return held
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 5), (6, 4)])
+def test_cone_report_bounds_never_contradict_exact_signs(n, p):
+    rng = np.random.default_rng(310 + 10 * n + p)
+    sampled = sorted_admissible(n, p, 320 + n)[:30]
+    level = np.concatenate([rounding_level_rows(rng, n, 20), near_boundary(rng, n, p, 20)])
+    spec = ConeSpec(n, p)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        reports = [maclaurin_report] + ([tech_ineq_report] if p >= 2 else [])
+        for report in reports:
+            for mu, decided in ((sampled, True), (level, False)):
+                slack, bound = report(mu, spec)
+                for key, b in bound.items():
+                    exact = [maclaurin_exact(row, key) if report is maclaurin_report
+                             else tech_exact(row, p, key) for row in mu]
+                    held = check_rows(slack[key], b, exact)
+                    # the sampled rows are far from equality: all decided
+                    # (top_minor at p = n is 0 for every vector); at the
+                    # rounding level Maclaurin's are not
+                    if decided:
+                        assert held == sum(sign > 0 for sign, _ in exact), (key, held)
+                    elif report is maclaurin_report:
+                        assert held < len(mu), (key, held)
+                    # c 1_n: an exact 0 is never decided
+                    zero = [row for row, (sign, _) in enumerate(exact[:4]) if sign == 0]
+                    assert decided or not np.any(np.abs(slack[key][zero]) > b[zero])
+
+
+def key_lemma_exact(cfg):
+    """lhs - rhs of the key lemma at cfg in Decimal at the context's
+    precision: g and f from subset sigmas, |mu - delta 1| from a root."""
+    n, p = cfg.n, cfg.p
+    s = subset_sigmas(cfg.nu)
+    m = [to_decimal(subset_sigmas(cfg.nu, (j,))[p - 1]) for j in range(n)]
+    sp = to_decimal(s[p])
+    f = sp ** (Decimal(1) / p)
+    g = [sp ** (Decimal(1) / p - 1) * mj / p for mj in m]
+    mu, nu = ([Decimal(float(v)) for v in x] for x in (cfg.mu, cfg.nu))
+    delta, R, a = (Decimal(float(v)) for v in (cfg.delta, cfg.R, cfg.a))
+    norm = sum((v - delta) ** 2 for v in mu).sqrt()
+    lhs = sum(gj * (u - v) for gj, u, v in zip(g, mu, nu))
+    return lhs - (delta * sum(g) - (R + norm) * min(g) + a - f)
+
+
+def key_lemma_configs(rng, n, p, count):
+    """The CLI's draws, and as many again with a set so that lhs = rhs up
+    to rounding: their exact signs are mixed."""
+    cfgs = [KeyLemmaConfig(n=n, p=p, delta=rng.uniform(0.1, 1.0), R=60.0,
+                           a=rng.uniform(0.5, 2.0), mu=rng.uniform(-1.0, 4.0, n),
+                           nu=rng.uniform(0.2, 3.0, n)) for _ in range(count)]
+    level = []
+    for cfg in cfgs:
+        lhs, rhs, _, _, _ = key_lemma_check(cfg, directions=1)
+        a = cfg.a + lhs - rhs
+        if a > 0:
+            level.append(dataclasses.replace(cfg, a=a))
+    return cfgs, level
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 2), (4, 3)])
+def test_key_lemma_bound_never_contradicts_exact_signs(n, p):
+    cfgs, level = key_lemma_configs(np.random.default_rng(330 + n), n, p, 40)
+    assert len(level) > 10
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for batch, decided in ((cfgs, True), (level, False)):
+            rows = key_lemma_sweep(batch, 1, range(len(batch)))
+            slack = np.array([lhs - rhs for lhs, rhs, _, _, _ in rows])
+            bound = np.array([row[4] for row in rows])
+            exact = [key_lemma_exact(cfg) for cfg in batch]
+            held = check_rows(slack, bound, [((x > 0) - (x < 0), x) for x in exact])
+            assert held == len(batch) if decided else held < len(batch)

@@ -122,3 +122,19 @@ def test_cli_turns_input_errors_into_exit_2_in_one_place():
     parsers = {"_parse_range", "_parse_band", "_seed"}
     assert [f for f, t in handlers if t == "ValueError" and f not in parsers] == []
     assert [f for f, t in handlers if t in ("", "Exception", "BaseException")] == []
+
+
+def test_no_subcommand_fixes_a_tolerance_but_spectral_derivs():
+    # every sampled check decides its rows by their derived rounding bounds
+    # (cone.verdict); spectral-derivs' tol bounds a finite-difference
+    # truncation error, not rounding
+    path = os.path.join(PACKAGE, "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    fixed = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_subcommand"):
+            fixed[node.args[0].value] = {k.arg for k in node.keywords}
+    assert {"identities", "cone", "key-lemma", "spectral-derivs"} <= set(fixed)
+    assert [name for name, keys in fixed.items() if "tol" in keys] == ["spectral-derivs"]

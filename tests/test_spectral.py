@@ -408,14 +408,6 @@ class TestSpectralDerivs(unittest.TestCase):
             spectral_derivs(2, np.array([1.0, 1.0 + 1e-9, 3.0]))
         self.assertEqual(cm.exception.pair, (1, 2))
 
-    def test_degenerate_skip_fills_nan(self):
-        d = spectral_derivs(2, np.array([1.0, 1.0, 3.0]), skip_degenerate=True)
-        self.assertTrue(np.all(np.isnan(d.hess_lambda[0])))
-        self.assertTrue(np.all(np.isnan(d.hess_lambda[1])))
-        self.assertFalse(np.any(np.isnan(d.hess_lambda[2])))
-        # sigma blocks stay finite at ties
-        self.assertTrue(np.all(np.isfinite(d.hess_sigma)))
-
     def test_finite_difference_agreement(self):
         rng = np.random.default_rng(8)
         h = 1e-4

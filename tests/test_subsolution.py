@@ -673,7 +673,7 @@ def test_key_lemma_hand_case():
         n=3, p=1, delta=0.5, R=5.0, a=2.0,
         mu=np.array([2.0, 2.0, 2.0]), nu=np.array([1.0, 1.0, 1.0]),
     )
-    lhs, rhs, ok, _ = key_lemma_check(cfg, directions=2000)
+    lhs, rhs, ok, _, _ = key_lemma_check(cfg, directions=2000)
     assert lhs == pytest.approx(3.0, abs=1e-12)
     shift = np.linalg.norm(np.array([1.5, 1.5, 1.5]))
     assert rhs == pytest.approx(0.5 * 3 - (5.0 + shift) + 2.0 - 3.0, abs=1e-12)
@@ -700,13 +700,13 @@ def test_key_lemma_names_first_escaping_crossing():
     first = int(np.argmax(norms >= R))
     assert first > 0
     cfg = KeyLemmaConfig(n=n, p=1, delta=cfg.delta, R=R, a=cfg.a, mu=cfg.mu, nu=cfg.nu)
-    _, _, ok, escape = key_lemma_check(cfg, directions=directions, seed=seed)
+    _, _, ok, escape, _ = key_lemma_check(cfg, directions=directions, seed=seed)
     assert not ok
     assert escape[0] == first
     assert escape[1] == pytest.approx(norms[first], rel=1e-12)
     big = KeyLemmaConfig(n=n, p=1, delta=cfg.delta, R=2.0 * norms.max(),
                          a=cfg.a, mu=cfg.mu, nu=cfg.nu)
-    assert key_lemma_check(big, directions=directions, seed=seed)[2:] == (True, None)
+    assert key_lemma_check(big, directions=directions, seed=seed)[2:4] == (True, None)
 
 
 def test_key_lemma_trivial_shift_case():
@@ -716,7 +716,7 @@ def test_key_lemma_trivial_shift_case():
         n=3, p=2, delta=delta, R=30.0, a=float(sigma(2, nu) ** 0.5),
         mu=nu + delta, nu=nu,
     )
-    lhs, rhs, ok, _ = key_lemma_check(cfg, directions=2000)
+    lhs, rhs, ok, _, _ = key_lemma_check(cfg, directions=2000)
     # lhs = delta * sum(grad); rhs subtracts a nonnegative R-term from it
     assert lhs >= rhs
 
@@ -735,7 +735,7 @@ def test_key_lemma_random_configs():
             n=n, p=p, delta=rng.uniform(0.1, 1.0), R=60.0, a=a,
             mu=mu, nu=nu,
         )
-        lhs, rhs, ok, _ = key_lemma_check(cfg, directions=500, seed=done)
+        lhs, rhs, ok, _, _ = key_lemma_check(cfg, directions=500, seed=done)
         if not ok:
             continue
         done += 1
@@ -789,7 +789,7 @@ def test_key_lemma_exit_certificate_matches_every_ray_newton(newton_rays):
         )
         got = key_lemma_check(cfg, directions=directions, seed=i)
         want = every_ray_verdict(cfg, directions, i)
-        assert repr(got[2:]) == repr(want), (i, cfg)
+        assert repr(got[2:4]) == repr(want), (i, cfg)
         outcomes.add(want[0])
         rays += sum(map(len, newton_rays))
         newton_rays.clear()
@@ -806,7 +806,7 @@ def test_key_lemma_base_outside_ball_sends_every_ray_to_newton(newton_rays):
     cfg = KeyLemmaConfig(n=3, p=1, delta=0.5, R=2.0, a=1.0,
                          mu=np.array([-2.5, 0.8, 0.6]), nu=np.ones(3))
     got = key_lemma_check(cfg, directions=300, seed=0)
-    assert repr(got[2:]) == repr(every_ray_verdict(cfg, 300, 0))
+    assert repr(got[2:4]) == repr(every_ray_verdict(cfg, 300, 0))
     assert list(map(len, newton_rays)) == [300]
     assert got[2] is False and got[3][0] > 0
 
@@ -818,7 +818,7 @@ def test_key_lemma_exit_points_at_the_largest_radius(newton_rays):
         cfg = KeyLemmaConfig(n=3, p=p, delta=0.5, R=np.finfo(float).max, a=1.0,
                              mu=np.array([1.0, 1.5, 2.0]), nu=np.ones(3))
         got = key_lemma_check(cfg, directions=100, seed=p)
-        assert repr(got[2:]) == repr(every_ray_verdict(cfg, 100, p)) == "(True, None)"
+        assert repr(got[2:4]) == repr(every_ray_verdict(cfg, 100, p)) == "(True, None)"
         assert list(map(len, newton_rays)) == ([] if p == 1 else [100])
         newton_rays.clear()
 
@@ -840,7 +840,7 @@ def test_key_lemma_exit_inside_margin_goes_to_newton(newton_rays):
         cfg = KeyLemmaConfig(n=n, p=p, delta=delta, R=R, a=(level + shift) ** (1 / p),
                              mu=mu, nu=np.ones(n))
         got = key_lemma_check(cfg, directions=1, seed=seed)
-        assert repr(got[2:]) == repr(every_ray_verdict(cfg, 1, seed))
+        assert repr(got[2:4]) == repr(every_ray_verdict(cfg, 1, seed))
         assert list(map(len, newton_rays)) == newton
         newton_rays.clear()
     # past the exit the crossing lies outside the ball
@@ -964,7 +964,7 @@ def test_matrix_form_matches_vector_on_diagonals():
         delta, R, a = 0.4, 40.0, 1.0
         mlhs, mrhs = matrix_form_sides(p, delta, R, a, np.diag(mu), np.diag(nu))
         cfg = KeyLemmaConfig(n=n, p=p, delta=delta, R=R, a=a, mu=mu, nu=nu)
-        vlhs, vrhs, _, _ = key_lemma_check(cfg, directions=1)
+        vlhs, vrhs, _, _, _ = key_lemma_check(cfg, directions=1)
         assert mlhs == pytest.approx(vlhs, abs=1e-9)
         assert mrhs == pytest.approx(vrhs, abs=1e-9)
 

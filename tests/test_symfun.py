@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phessian import symfun
 from phessian.symfun import (
     _prefix_slope,
     identity_residuals,
@@ -162,32 +163,41 @@ def test_trunc_equals_complement():
 
 
 def test_identity_residuals_hand_case():
-    res = identity_residuals(2, [1.0, 2.0, 3.0])
-    assert all(v <= 1e-12 for v in res.values())
+    res, bound = identity_residuals(2, [1.0, 2.0, 3.0])
+    assert all(v <= 1e-12 and v < bound[k] for k, v in res.items())
     # identity (a) with j=1 by hand: 1*sigma_1(0,2,3) + sigma_2(0,2,3) = 11
     assert 1.0 * 5.0 + 6.0 == sigma(2, [1.0, 2.0, 3.0])
 
 
 def test_identity_residuals_zero_vector():
-    res = identity_residuals(1, [0.0, 0.0, 0.0])
+    res, bound = identity_residuals(1, [0.0, 0.0, 0.0])
     assert all(v == 0.0 for v in res.values())
+    # the minor differences compare sigma_0 = 1 on both sides; every other
+    # side vanishes, and so does its bound
+    assert {k for k, v in bound.items() if v > 0} == {
+        "minor_difference_1_2", "minor_difference_1_3", "minor_difference_2_3"}
 
 
 def test_identity_residuals_random_sweep():
+    # each residual stays below its bound, and within 1e-10 relative to
+    # its larger side once that exceeds 1
     rng = np.random.default_rng(7)
     for n in range(2, 9):
         mu = rng.uniform(-10, 10, (200, n))
         for p in range(n + 1):
-            res = identity_residuals(p, mu)
-            worst = max(float(np.max(v)) for v in res.values())
-            assert worst <= 1e-10, (n, p, worst)
+            res, bound = identity_residuals(p, mu)
+            sides = symfun._identity_sides(p, mu, list(range(1, n + 1)))
+            for k, v in res.items():
+                assert np.all(v < bound[k]), (n, p, k)
+                scale = np.maximum(1.0, np.maximum(*map(np.abs, sides[k])))
+                assert np.max(v / scale) <= 1e-10, (n, p, k)
 
 
 def test_expansion_with_partial_index_list():
     rng = np.random.default_rng(11)
     mu = rng.uniform(-5, 5, 6)
-    res = identity_residuals(3, mu, expansion_indices=[2, 5, 1])
-    assert res["expansion"] <= 1e-12
+    res, bound = identity_residuals(3, mu, expansion_indices=[2, 5, 1])
+    assert res["expansion"] <= 1e-12 and res["expansion"] < bound["expansion"]
 
 
 def test_expansion_rejects_repeats():
