@@ -206,7 +206,9 @@ def cmd_cone(args):
     slack.update(tech[0])
     bound.update(tech[1])
     keys = list(bound)
-    # (samples, keys), no key at n = 1
+    if not keys:
+        raise InputError(f"cone at n = {args.n}, p = {args.p} has no inequality whose "
+                         f"sides differ: no row could be checked")
     counts, _, first = verdict(*(np.transpose([d[k] for k in keys]) for d in (slack, bound)))
     violation = None
     if first is not None:

@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import (
-    ConeSpec, _rounding, classify_batch, cone_distance, require_cone, verdict,
-)
+from .cone import ConeSpec, classify_batch, cone_distance, require_cone, verdict
 from .errors import InputError, SearchFailureError
 from .spectral import EIGH_ROUNDING, jacobi_eigh
-from .symfun import _as_values, newton_descent, sigma, sigma_minors, sigma_pair_minors
+from .symfun import (
+    _as_values, _Rounded, _rounded, newton_descent, sigma, sigma_minors, sigma_pair_minors,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,8 @@ def validate_mode(n, mode, tau, eps, a=None, p=None):
     """(order r, leading constant c, per-j weight factor) of the mode's
     inequality at dimension n, after checking every parameter (n, tau, a
     and p against the mode's ranges; eps positive and finite); InputError
-    names the first bad one."""
+    names the first bad one.  c is an int: _form's rounding model takes it
+    as exact, where a float would count as a constant rounded once."""
     if mode == "large_mu1":
         if n < 3:
             raise InputError("large_mu1 mode needs n >= 3")
@@ -66,19 +67,19 @@ def validate_mode(n, mode, tau, eps, a=None, p=None):
         beta = (1.0 - tau) / (1.0 + tau)
         if a is None or not beta < a <= n - 1:
             raise InputError(f"large_mu1 mode needs a in ({beta}, {n - 1}]")
-        params = n - 1, 1.0, 2.0 * a / (n - 1)
+        params = n - 1, 1, 2.0 * a / (n - 1)
     elif mode == "small_mu1":
         if p is None or not 1 <= p <= n:
             raise InputError("small_mu1 mode needs p in {1,...,n}")
         if not 0.0 < tau <= 0.5:
             raise InputError("small_mu1 mode needs tau in (0, 1/2]")
-        params = p, float((p + 1) ** 2), 1.0 - tau
+        params = p, (p + 1) ** 2, 1.0 - tau
     elif mode == "theorem":
         if n < 2:
             raise InputError("theorem mode needs n >= 2")
         if not 0.0 < tau <= 0.5:
             raise InputError("theorem mode needs tau in (0, 1/2]")
-        params = n - 1, float(n**2), 1.0 - tau
+        params = n - 1, n**2, 1.0 - tau
     else:
         raise InputError(f"unknown mode {mode!r}")
     if not 0.0 < eps < np.inf:
@@ -87,41 +88,26 @@ def validate_mode(n, mode, tau, eps, a=None, p=None):
 
 
 def _form(mu, r, c, weight, tau, eps):
-    """Q(mu), with lhs - rhs = w* Q w, and a majorant Qa of its rounding,
-    per row of sorted mu (B, n) in the open cone of order r:
+    """Q(mu), with lhs - rhs = w* Q w, as _Rounded per row of sorted mu
+    (B, n) in the open cone of order r:
 
-        Q  = (c/s) m m^T - S + diag_{j<n}(weight m_j / d_j) - ((1-tau)/mu_n) m_n e_n e_n^T,
-        Qa = (c/s)(rho |m||m|^T + 2 ma ma^T) + Sa + diag_{j<n}(weight ma_j k_j / d_j)
-             + ((1-tau)/mu_n) ma_n e_n e_n^T,
+        Q = (c/s) m m^T - T,
+        T = S - diag_{j<n}(weight m_j / d_j) + ((1-tau)/mu_n) m_n e_n e_n^T,
 
-    m = sigma_{r-1}(mu|.), S = sigma_{r-2}(mu|jk), s = sigma_r(mu); ma and
-    sa are m and s at |mu|, and Sa_jk = min(sigma_{r-2}(|mu| | j),
-    sigma_{r-2}(|mu| | k)) >= sigma_{r-2}(|mu| | jk) off the diagonal, where
-    S is exactly 0; rho = sa/s, d_j = mu_n
-    + eps - mu_j, k_j = (mu_n + eps + |mu_j|)/d_j.  The computed Q is within
-    2g Qa of Q, g = _rounding(n, r), u = eps/2: the prefix recurrence puts
-    m, S, s within g/4 of their values at |mu| (cone._rounding), so 1/s
-    errs by g rho/3 (as require_cone keeps g rho < 1) and (c/s) m m^T by
-    g/4 (c/s)(ma|m|^T + |m|ma^T + 4/3 rho |m||m|^T), second-order terms
-    within g/4 (c/s) ma ma^T; d_j errs by 2u(mu_n + eps + |mu_j|); the
-    parameters and the products, quotients and sums forming an entry add
-    8u <= 2g/3 relative to Qa.  So each term errs by less than g times its
-    part of Qa, and 2g leaves room for the rounding of Qa itself."""
-    top, absmu = mu[..., -1:], np.abs(mu)
-    m, ma = sigma_minors(r - 1, mu), sigma_minors(r - 1, absmu)
-    sa2 = sigma_minors(r - 2, absmu)
-    s, sa = sigma(r, mu)[..., None, None], sigma(r, absmu)[..., None, None]
-    mm = m[..., :, None] * m[..., None, :]
-    Q = c / s * mm - sigma_pair_minors(r - 2, mu)
-    Qa = (c / s * (sa / s * np.abs(mm) + 2 * ma[..., :, None] * ma[..., None, :])
-          + np.minimum(sa2[..., :, None], sa2[..., None, :]) * (1.0 - np.eye(mu.shape[-1])))
-    d = top + eps - mu[..., :-1]
+    m = sigma_{r-1}(mu|.), S = sigma_{r-2}(mu|jk), s = sigma_r(mu), each
+    within its _rounding of the exact value (symfun._rounded), and d_j =
+    mu_n + eps - mu_j.  S's diagonal is exactly 0, so T's diagonal is its
+    one term, exactly, and each entry of Q is rounded once past (c/s) m m^T:
+    err bounds each entry's distance to the exact Q of the float inputs."""
+    x = _Rounded(mu, np.zeros(mu.shape))
+    top = x[..., -1:]
+    m = _rounded(sigma_minors, r - 1, mu)
+    T = _rounded(sigma_pair_minors, r - 2, mu)
     idx = np.arange(mu.shape[-1] - 1)
-    Q[..., idx, idx] += weight * m[..., :-1] / d
-    Qa[..., idx, idx] += weight * ma[..., :-1] / d * ((top + eps + absmu[..., :-1]) / d)
-    Q[..., -1, -1] -= (1.0 - tau) / top[..., 0] * m[..., -1]
-    Qa[..., -1, -1] += (1.0 - tau) / top[..., 0] * ma[..., -1]
-    return Q, Qa
+    T[..., idx, idx] -= weight * m[..., :-1] / (top + eps - x[..., :-1])
+    T[..., -1, -1] += (1.0 - tau) / top[..., 0] * m[..., -1]
+    s = _rounded(sigma, r, mu)[..., None, None]
+    return c / s * (m[..., :, None] * m[..., None, :]) - T
 
 
 def residual_batch(mu, mode, tau, eps, a=None, p=None):
@@ -133,8 +119,8 @@ def residual_batch(mu, mode, tau, eps, a=None, p=None):
     lam = lambda_min(D Q D), D = diag(|Q_jj|^{-1/2}) (1 where Q_jj = 0): by
     Sylvester's law of inertia it has the sign of lambda_min(Q), which the
     raw eigenvalue of a Q spread over many orders cannot resolve.  By Weyl's
-    inequality it is within bound = EIGH_ROUNDING |DQD|_F + 2g |D Qa D|_F of
-    its exact value (_form; EIGH_ROUNDING's room covers forming D Q D).  A
+    inequality it is within bound = EIGH_ROUNDING |DQD|_F + 2 |D Q.err D|_F
+    of its exact value (_form; EIGH_ROUNDING's room covers forming D Q D).  A
     row holds where lam > bound, is violated where lam < -bound, and is
     undetermined otherwise."""
     mu = _as_values(mu)
@@ -145,14 +131,14 @@ def residual_batch(mu, mode, tau, eps, a=None, p=None):
         row = mu[np.unravel_index(np.argmax(unsorted), unsorted.shape)]
         raise ValueError(f"mu = {row} must be sorted ascending")
     require_cone(mu, ConeSpec(n, r))
-    Q, Qa = _form(mu, r, c, weight, tau, eps)
-    diag = np.abs(np.diagonal(Q, axis1=-2, axis2=-1))
+    Q = _form(mu, r, c, weight, tau, eps)
+    diag = np.abs(np.diagonal(Q.value, axis1=-2, axis2=-1))
     D = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
     DD = D[..., :, None] * D[..., None, :]
-    A, Aa = DD * Q, DD * Qa
+    A, Ae = DD * Q.value, DD * Q.err
     lam = jacobi_eigh(A)[..., 0]
     bound = (EIGH_ROUNDING * np.sqrt(np.einsum("...jk,...jk->...", A, A))
-             + 2 * _rounding(n, r) * np.sqrt(np.einsum("...jk,...jk->...", Aa, Aa)))
+             + 2 * np.sqrt(np.einsum("...jk,...jk->...", Ae, Ae)))
     return lam, bound
 
 

@@ -220,7 +220,8 @@ def tech_ineq_report(mu, spec):
     _rounding); the two inequalities whose constants are only known to
     exist are reported as realized ratios so callers can track empirical
     suprema.  They are checks of nothing, so bound has no key for them.
-    Batched like maclaurin_report.
+    top_minor, mu_n sigma_{p-1}(mu|n) >= (p/n) sigma_p, has no key at p =
+    n, where both sides are sigma_n.  Batched like maclaurin_report.
     Precondition: every row sorted ascending, p >= 2, every row in the open
     cone.
     """
@@ -244,7 +245,8 @@ def tech_ineq_report(mu, spec):
     out["sigma_pm1_lower"] = spm1 - x[..., n - p + 1 :].prod()
     out["minor_chain_min_gap"] = (minors[..., :-1] - minors[..., 1:]).min()
     out["minor_positive"] = minors[..., -1]
-    out["top_minor"] = x[..., -1] * minors[..., -1] - p / n * sp
+    if p < n:
+        out["top_minor"] = x[..., -1] * minors[..., -1] - p / n * sp
 
     pref = sp ** (1.0 / p - 1.0)
     terms = pref[..., None] * minors / p

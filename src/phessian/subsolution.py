@@ -37,7 +37,7 @@ from .cone import ConeSpec, _regions, _rounding, require_cone
 from .errors import ConstructionError, InputError
 from .solver import box_grad_hess
 from .spectral import EIGH_ROUNDING, classify_matrices, jacobi_eigh, spread, top_range
-from .symfun import _as_values, _level_crossing, _root_grad, sigma
+from .symfun import _as_values, _level_crossing, _Rounded, _root_grad, sigma
 
 
 @dataclass(frozen=True)
@@ -634,47 +634,29 @@ def key_lemma_sweep(cfgs, directions, seeds):
     config so large that sigma_p could overflow along its rays
     (_fits_the_rays).
 
-    bound bounds the rounding of lhs - rhs = g.(mu - nu) - (delta sum g -
-    (R + |b|) min g + a - f), b = mu - delta 1, g = grad f(nu) and f =
-    f(nu) within eg and ef of their exact values (_root_grad).  With w =
-    (n + 6) eps, u = eps/2, it is twice
+    bound is 2 err of lhs - rhs = g.(mu - nu) - (sum g delta - (|b| + R)
+    min g + a - f), b = mu - delta 1, g = grad f(nu) and f = f(nu), all
+    carried as _Rounded from _root_grad's.
 
-        sum (eg + w|g|)|mu - nu| + delta (sum eg + w sum|g|)
-            + (R + |b|)(max eg + w min|g|) + ef + w (a + f + |lhs| + |rhs|):
-
-    mu - nu rounds by u, the dot product by gamma_n (Higham 2002, ch. 3),
-    sum g by gamma_{n-1}, |b| (b rounded, then a dot product and a root) by
-    (n + 2) eps and R + |b| by u; min g is within max eg of its exact
-    value; each product and each of the four sums and differences forming
-    rhs and lhs - rhs adds u, and doubling covers the second-order terms.
-
-    The configs' scalars are computed one config at a time, their cone
-    checks and gradients in one batch, and their rays whole configs at a
-    time, up to KEY_LEMMA_RAYS rays (at least one config) per pass: each
-    result equals the config's alone, bit for bit.
+    The configs' sides, cone checks and gradients are computed in one
+    batch, each side by a reduction over its config's row, and their rays
+    whole configs at a time, up to KEY_LEMMA_RAYS rays (at least one
+    config) per pass: each result equals the config's alone, bit for bit.
     """
     if len(seeds) != len(cfgs):
         raise InputError(f"need one seed per config, got {len(seeds)} for {len(cfgs)}")
     if not cfgs:
         return []
     mu, nu = _key_lemma_inputs(cfgs, directions)
-    n, p = mu.shape[-1], cfgs[0].p
+    p = cfgs[0].p
     f, g = _root_grad(p, nu)
     delta, R, a = (np.array([getattr(cfg, k) for cfg in cfgs]) for k in ("delta", "R", "a"))
-    base = mu - delta[:, None]
-    base_norm, sides = [], []
-    for cfg, b, gc, m, v, fc in zip(cfgs, base, g.value, mu, nu, f.value):
-        base_norm.append(float(np.linalg.norm(b)))
-        sides.append((
-            float(np.dot(gc, m - v)),
-            float(cfg.delta * np.sum(gc) - (cfg.R + base_norm[-1]) * np.min(gc) + cfg.a - fc),
-        ))
-    w = (n + 6) * np.finfo(float).eps
-    grad, eg = np.abs(g.value), g.err
-    bound = 2 * (np.sum((eg + w * grad) * np.abs(mu - nu), axis=-1)
-                 + delta * (np.sum(eg, axis=-1) + w * np.sum(grad, axis=-1))
-                 + (R + base_norm) * (np.max(eg, axis=-1) + w * np.min(grad, axis=-1))
-                 + f.err + w * (a + np.abs(f.value) + np.abs(np.array(sides)).sum(axis=-1)))
+    x = _Rounded(mu, np.zeros(mu.shape))
+    b = x - delta[:, None]
+    norm = (b * b).sum() ** 0.5
+    lhs = (g * (x - nu)).sum()
+    rhs = g.sum() * delta - (norm + R) * g.min() + a - f
+    base, base_norm = b.value, norm.value
     step = max(1, KEY_LEMMA_RAYS // directions)
     verdicts = []
     for lo in range(0, len(cfgs), step):
@@ -682,7 +664,8 @@ def key_lemma_sweep(cfgs, directions, seeds):
         verdicts += _ray_verdicts(
             cfgs[chunk], seeds[chunk], base[chunk], base_norm[chunk], directions, p
         )
-    return [side + verdict + (float(b),) for side, verdict, b in zip(sides, verdicts, bound)]
+    return [(float(l), float(r)) + verdict + (float(2 * e),)
+            for l, r, verdict, e in zip(lhs.value, rhs.value, verdicts, (lhs - rhs).err)]
 
 
 def key_lemma_check(cfg, directions=10**4, seed=0):

@@ -21,6 +21,8 @@ share the one recurrence.
 
 import numpy as np
 
+EPS = np.finfo(float).eps
+
 
 def _as_values(mu):
     mu = np.asarray(mu, dtype=float)
@@ -74,7 +76,7 @@ def _rounding(n, q):
     of n entries at most n + q - 1 times, so it and its sigma_q(|mu|) err
     by at most gamma_{n+q-1} sigma_q(|mu|), gamma_k = k u / (1 - k u),
     u = eps / 2 (Higham 2002, ch. 3): this covers both four times over."""
-    return 2 * (n + q) * np.finfo(float).eps
+    return 2 * (n + q) * EPS
 
 
 class _Rounded:
@@ -88,11 +90,13 @@ class _Rounded:
 
         x +- y      ex + ey
         x y         |x| ey + |y| ex + ex ey
-        x / y       (|z| ey + ex) / (|y| - ey), infinite unless |y| > ey
+        x / y       (|z| ey + ex) / (|y| - ey), infinite unless |y| > ey;
+                    a constant c / y is x / y with x = c
         x ** e      |z| (eps + expm1(|e| (eps |log x| - log1p(-ex/x))))
         sum(x)      sum ex + (m - 1) eps sum |x|, m terms in any order
         prod(x)     prod(|x| + ex) sum(ex / (|x| + ex)) + (m - 1) eps |z|
         min(x)      max ex
+        x[i] = y    value[i] and err[i] become y's value and err
 
     The power's eps is a second ulp for pow itself, and its expm1 bounds
     expm1(a) + expm1(b) (expm1 is superadditive on a, b >= 0): a = eps |e
@@ -111,10 +115,13 @@ class _Rounded:
         self.value, self.err = value, err
 
     def _result(self, z, err):
-        return _Rounded(z, err + np.finfo(float).eps * np.abs(z))
+        return _Rounded(z, err + EPS * np.abs(z))
 
     def __getitem__(self, i):
         return _Rounded(self.value[i], self.err[i])
+
+    def __setitem__(self, i, y):
+        self.value[i], self.err[i] = y.value, y.err
 
     def __add__(self, y):
         v, e = _parts(y)
@@ -138,22 +145,25 @@ class _Rounded:
         return self._result(z, np.divide(num, den, out=np.full(num.shape, np.inf),
                                          where=den > 0))
 
+    def __rtruediv__(self, c):
+        return _Rounded(*_parts(c)) / self
+
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def __pow__(self, e):
-        x, z, eps = self.value, self.value**e, np.finfo(float).eps
-        rel = eps + np.expm1(abs(e) * (eps * np.abs(np.log(x)) - np.log1p(-self.err / x)))
+        x, z = self.value, self.value**e
+        rel = EPS + np.expm1(abs(e) * (EPS * np.abs(np.log(x)) - np.log1p(-self.err / x)))
         return self._result(z, np.abs(z) * rel)
 
     def sum(self):
-        x, eps = self.value, np.finfo(float).eps
+        x = self.value
         return _Rounded(np.sum(x, axis=-1),
-                        np.sum(self.err + (x.shape[-1] - 1) * eps * np.abs(x), axis=-1))
+                        np.sum(self.err + (x.shape[-1] - 1) * EPS * np.abs(x), axis=-1))
 
     def prod(self):
         a, z = np.abs(self.value) + self.err, np.prod(self.value, axis=-1)
         share = np.divide(self.err, a, out=np.zeros(a.shape), where=a > 0)
         return _Rounded(z, np.prod(a, axis=-1) * np.sum(share, axis=-1)
-                        + (a.shape[-1] - 1) * np.finfo(float).eps * np.abs(z))
+                        + (a.shape[-1] - 1) * EPS * np.abs(z))
 
     def min(self):
         return _Rounded(np.min(self.value, axis=-1), np.max(self.err, axis=-1))
@@ -169,7 +179,7 @@ def _parts(y):
     """(value, err) of an operand of _Rounded arithmetic."""
     if isinstance(y, _Rounded):
         return y.value, y.err
-    return y, np.finfo(float).eps * abs(y) if isinstance(y, float) else 0.0
+    return y, EPS * abs(y) if isinstance(y, float) else 0.0
 
 
 def newton_descent(x, step):

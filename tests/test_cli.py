@@ -132,28 +132,28 @@ def test_cone_violation_is_first_event_in_sample_order(
 
 def test_cone_without_a_check_key_is_clean(tmp_path):
     # at n = 1 the one Maclaurin key has coinciding sides and p < 2 leaves
-    # no technical key: no row is checked, and none is reported violated
-    status, rep = run(
-        tmp_path, "c1.json", "cone", "--n", "1", "--p", "1", "--trials", "5",
-    )
-    assert status == 0
-    assert rep["results"] == {
-        "maclaurin_min_slack": None, "technical_min_slacks": {},
-        "empirical_constants": {}, "held": 0, "violated": 0, "undetermined": 0,
-    }
+    # no technical key: no row could be checked, so the sweep is refused as
+    # a usage error and writes no report that could read as a pass
+    proc, out = run_subprocess(tmp_path, "cone", "--n", "1", "--p", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("cone: ")
+    assert "no row could be checked" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("n, p, seed", [(2, 2, 9), (7, 7, 5)])
 def test_cone_at_p_equal_n_is_clean(tmp_path, n, p, seed):
     # top_minor = mu_n sigma_{n-1}(mu|n) - sigma_n is 0 for every vector at
-    # p = n: its rows are undetermined, never violated
+    # p = n: it has no key, and every other row is decided
     status, rep = run(
         tmp_path, "cpn.json", "cone", "--n", str(n), "--p", str(p),
         "--trials", "300", "--seed", str(seed),
     )
     assert status == 0
     assert rep["violation"] is None
-    assert rep["results"]["technical_min_slacks"]["top_minor"] >= -1e-10
+    assert "top_minor" not in rep["results"]["technical_min_slacks"]
+    assert rep["results"]["undetermined"] == 0
 
 
 @pytest.mark.parametrize("argv", [

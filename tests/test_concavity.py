@@ -14,7 +14,7 @@ from phessian.concavity import (
 )
 from phessian.cone import ConeSpec, _rounding, classify, sample_admissible
 from phessian.errors import AdmissibilityError, SearchFailureError
-from phessian.symfun import sigma, sigma_trunc
+from phessian.symfun import _Rounded, sigma, sigma_trunc
 
 from oracles import concavity_sides, sigma_brute
 
@@ -39,7 +39,7 @@ def mode_rows(rng, n, mode, tau, kw, count):
 def diagonal(mu, mode, tau, kw):
     """|Q_jj| of the mode's form at the rows mu (eps = 1)."""
     r, c, weight = concavity.validate_mode(mu.shape[-1], mode, tau, 1.0, **kw)
-    Q, _ = concavity._form(mu, r, c, weight, tau, 1.0)
+    Q = concavity._form(mu, r, c, weight, tau, 1.0).value
     return np.abs(np.diagonal(Q, axis1=-2, axis2=-1))
 
 
@@ -87,7 +87,7 @@ def test_matches_brute_loop():
             ("large_mu1", n - 1, 1.0, 2 * 1.5 / (n - 1), {"a": 1.5}),
         ]:
             tau = 0.0 if mode == "large_mu1" else 0.25
-            Q, _ = concavity._form(mu[None], r, c, weight, tau, 1.0)
+            Q = concavity._form(mu[None], r, c, weight, tau, 1.0).value
             blhs, brhs = brute_sides(mu, w, r, c, weight, tau, 1.0)
             lhs, rhs = concavity_sides(mu[None], w[None], r, c, weight, tau, 1.0)
             size = max(1, abs(blhs), abs(brhs))
@@ -379,13 +379,13 @@ def test_find_threshold_history_without_bisection():
     assert [M for M, _, _, _ in out.history] == [1e6, 1.0]
 
 
-def fake_form(coupling, majorant):
+def fake_form(coupling, err):
     """A _form replacement: Q = I + coupling(mu) (e_1 e_2^T + e_2 e_1^T),
-    so lam = 1 - |coupling|, and Qa = majorant in every entry."""
+    so lam = 1 - |coupling|, with the given err in every entry."""
     def form(mu, r, c, weight, tau, eps):
         Q = np.broadcast_to(np.eye(mu.shape[-1]), mu.shape + mu.shape[-1:]).copy()
         Q[:, 0, 1] = Q[:, 1, 0] = coupling(mu)
-        return Q, np.full(Q.shape, majorant)
+        return _Rounded(Q, np.full(Q.shape, err))
     return form
 
 
@@ -404,7 +404,7 @@ def test_find_threshold_history_records_every_bisection_step(monkeypatch):
 
 
 def test_find_threshold_with_every_trial_undetermined_fails(monkeypatch):
-    # a rounding majorant that swamps every eigenvalue decides nothing, so
+    # a rounding err that swamps every eigenvalue decides nothing, so
     # the upper bracket checks nothing and the search fails there by name
     monkeypatch.setattr(concavity, "_form", fake_form(lambda mu: 0.5, 1e20))
     message = r"every admissible trial at M = 1\.000e\+06 is undetermined"

@@ -338,7 +338,8 @@ def _maclaurin_oracle(mu, p):
 
 def _tech_oracle(mu, p):
     """key -> (value, scale) of the technical inequalities at one sorted row,
-    every sigma by subset enumeration."""
+    every sigma by subset enumeration; top_minor only below p = n, where
+    its sides differ."""
     n = len(mu)
     sp, spm1, spp1 = (sigma_brute(q, mu) for q in (p, p - 1, p + 1))
     minors = [sigma_brute(p - 1, np.delete(mu, j)) for j in range(n)]
@@ -352,7 +353,7 @@ def _tech_oracle(mu, p):
         mu1_const = 0.0
     else:
         mu1_const = -mu[0] / max(sp ** (1.0 / p), max(-spp1, 0.0) ** (1.0 / (p + 1)))
-    return {
+    out = {
         "partial_sum": (float(np.sum(mu[: n - p + 1])), size),
         "top_spread": ((n - p) * mu[n - p] + mu[0], (n - p + 1) * size),
         "min_entry": (mu[0] + (n - p) / (p * (n - 1)) * float(np.sum(mu[1:])), size),
@@ -371,6 +372,9 @@ def _tech_oracle(mu, p):
         "ratio_minor_constant": (minor_const, max(1.0, minor_const)),
         "ratio_mu1_constant": (mu1_const, max(1.0, mu1_const)),
     }
+    if p == n:
+        del out["top_minor"]
+    return out
 
 
 def test_batched_reports_match_brute_force_oracle():

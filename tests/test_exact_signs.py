@@ -185,36 +185,39 @@ def test_concavity_verdicts_never_contradict_exact_signs(batch):
 
 
 def test_concavity_bound_covers_the_forming_error():
-    # By Weyl, lam = lambda_min(A), A the computed D Q D, is within
-    # EIGH_ROUNDING |A|_F + |A - D Q D|_F of lambda_min(D Q D), Q the exact
-    # form of the float row and D the computed scaling: the bound must
-    # cover both, the second taken in rationals.  On these rows the
-    # forming error is far above the eigensolver's allowance, so only the
-    # bound's 2 g |D Qa D|_F term covers it
-    from fractions import Fraction
-
+    # Each entry of the computed Q lies within Q.err of the exact form of
+    # the float row.  By Weyl, lam = lambda_min(A), A the computed D Q D, is
+    # within EIGH_ROUNDING |A|_F + |A - D Q D|_F of lambda_min(D Q D), Q
+    # exact and D the computed scaling: the bound must cover both, the
+    # second taken in rationals.  On the near-boundary rows the forming
+    # error is far above the eigensolver's allowance, so only the bound's
+    # 2 |D Q.err D|_F term covers it
     from phessian.spectral import EIGH_ROUNDING
 
-    mu, mode, tau, eps, kw = CONCAVITY_BATCHES["near_boundary"]()
-    n = mu.shape[-1]
-    lam, bound = concavity.residual_batch(mu, mode, tau, eps, **kw)
-    r, c, weight = concavity.validate_mode(n, mode, tau, eps, **kw)
-    Q, _ = concavity._form(mu, r, c, weight, tau, eps)
-    # residual_batch's own scaling and product, bit for bit
-    diag = np.abs(np.diagonal(Q, axis1=-2, axis2=-1))
-    D = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
-    A = D[..., :, None] * D[..., None, :] * Q
-    eigh = EIGH_ROUNDING * np.sqrt(np.einsum("...jk,...jk->...", A, A))
-    beyond = 0
-    for row, Ai, Di, e, b in zip(mu, A, D, eigh, bound):
-        Qx = concavity_form_exact(row, r, c, weight, tau, eps)
-        Dx = [Fraction(float(x)) for x in Di]
-        err2 = sum((Fraction(float(Ai[j, k])) - Dx[j] * Dx[k] * Qx[j][k]) ** 2
-                   for j in range(n) for k in range(n))
-        slack = Fraction(float(b)) - Fraction(float(e))
-        assert slack > 0 and slack * slack >= err2
-        beyond += err2 > Fraction(float(e)) ** 2
-    assert beyond > len(mu) // 2
+    for batch, make in CONCAVITY_BATCHES.items():
+        mu, mode, tau, eps, kw = make()
+        n = mu.shape[-1]
+        lam, bound = concavity.residual_batch(mu, mode, tau, eps, **kw)
+        r, c, weight = concavity.validate_mode(n, mode, tau, eps, **kw)
+        Q = concavity._form(mu, r, c, weight, tau, eps)
+        # residual_batch's own scaling and product, bit for bit
+        diag = np.abs(np.diagonal(Q.value, axis1=-2, axis2=-1))
+        D = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+        A = D[..., :, None] * D[..., None, :] * Q.value
+        eigh = EIGH_ROUNDING * np.sqrt(np.einsum("...jk,...jk->...", A, A))
+        beyond = 0
+        for row, Qi, Ei, Ai, Di, e, b in zip(mu, Q.value, Q.err, A, D, eigh, bound):
+            Qx = concavity_form_exact(row, r, c, weight, tau, eps)
+            assert all(abs(Fraction(float(Qi[j, k])) - Qx[j][k]) <= Fraction(float(Ei[j, k]))
+                       for j in range(n) for k in range(n)), (batch, row)
+            Dx = [Fraction(float(x)) for x in Di]
+            err2 = sum((Fraction(float(Ai[j, k])) - Dx[j] * Dx[k] * Qx[j][k]) ** 2
+                       for j in range(n) for k in range(n))
+            slack = Fraction(float(b)) - Fraction(float(e))
+            assert slack > 0 and slack * slack >= err2, (batch, row)
+            beyond += err2 > Fraction(float(e)) ** 2
+        if batch == "near_boundary":
+            assert beyond > len(mu) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +353,8 @@ def test_cone_report_bounds_never_contradict_exact_signs(n, p):
                              else tech_exact(row, p, key) for row in mu]
                     held = check_rows(slack[key], b, exact)
                     # the sampled rows are far from equality: all decided
-                    # (top_minor at p = n is 0 for every vector); at the
-                    # rounding level Maclaurin's are not
+                    # (top_minor, 0 for every vector at p = n, has no key
+                    # there); at the rounding level Maclaurin's are not
                     if decided:
                         assert held == sum(sign > 0 for sign, _ in exact), (key, held)
                     elif report is maclaurin_report:
@@ -405,3 +408,71 @@ def test_key_lemma_bound_never_contradicts_exact_signs(n, p):
             exact = [key_lemma_exact(cfg) for cfg in batch]
             held = check_rows(slack, bound, [((x > 0) - (x < 0), x) for x in exact])
             assert held == len(batch) if decided else held < len(batch)
+
+
+# ---------------------------------------------------------------------------
+# _Rounded rule by rule: each value lies within its err of the exact value
+# of the same expression at exact operands its inputs stand for
+
+def rounded_operand(rng, shape, signed=True):
+    """A _Rounded of seeded floats and errs, and an object array of the
+    exact Fractions it stands for, each within err of its value; a quarter
+    of the entries are exact, so each result's own rounding shows."""
+    value = rng.uniform(0.5, 4.0, shape) * (rng.choice([-1.0, 1.0], shape) if signed else 1.0)
+    err = np.abs(value) * 10.0 ** rng.uniform(-17.0, -9.0, shape)
+    err[rng.random(shape) < 0.25] = 0.0
+    share = rng.uniform(-1.0, 1.0, shape)
+    exact = [Fraction(v) + Fraction(s) * Fraction(e)
+             for v, s, e in zip(value.flat, share.flat, err.flat)]
+    return symfun._Rounded(value, err), np.array(exact, dtype=object).reshape(shape)
+
+
+def exact_power(X, e):
+    """X ** e entrywise in Decimal at the context's precision."""
+    return np.array([to_decimal(x) ** e for x in X.flat], dtype=object).reshape(X.shape)
+
+
+def assign(x, y, b, c):
+    x[..., 1] = y[..., 0]
+    return x
+
+
+# name -> (rounded, exact), each of (x, y, positive x, float constant c);
+# the exact c is within eps |c| of the float, as _Rounded takes a float
+ROUNDED_RULES = {
+    "add": (lambda x, y, b, c: x + y,) * 2,
+    "sub": (lambda x, y, b, c: x - y,) * 2,
+    "mul": (lambda x, y, b, c: x * y,) * 2,
+    "constant_mul": (lambda x, y, b, c: c * y,) * 2,
+    "div": (lambda x, y, b, c: x / y,) * 2,
+    "constant_div": (lambda x, y, b, c: c / y,) * 2,
+    "int_div": (lambda x, y, b, c: 3 / y,) * 2,
+    "cube_root": (lambda x, y, b, c: b ** (1.0 / 3),
+                  lambda x, y, b, c: exact_power(b, Decimal(1) / 3)),
+    "root_power": (lambda x, y, b, c: b ** (1.0 / 3 - 1.0),
+                   lambda x, y, b, c: exact_power(b, Decimal(1) / 3 - 1)),
+    "sum": (lambda x, y, b, c: x.sum(), lambda x, y, b, c: x.sum(axis=-1)),
+    "prod": (lambda x, y, b, c: x.prod(), lambda x, y, b, c: np.prod(x, axis=-1)),
+    "min": (lambda x, y, b, c: x.min(), lambda x, y, b, c: np.min(x, axis=-1)),
+    "setitem": (assign,) * 2,
+}
+
+
+@pytest.mark.parametrize("rule", ROUNDED_RULES)
+def test_rounded_rules_bound_the_exact_value(rule):
+    rng = np.random.default_rng(340 + list(ROUNDED_RULES).index(rule))
+    (x, X), (y, Y) = (rounded_operand(rng, (50, 4)) for _ in range(2))
+    b, B = rounded_operand(rng, (50, 4), signed=False)
+    c = rng.uniform(-4.0, 4.0)
+    C = Fraction(c) * (1 + Fraction(rng.uniform(-1.0, 1.0)) * Fraction(symfun.EPS))
+    rounded, exact = ROUNDED_RULES[rule]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z, Z = rounded(x, y, b, c), exact(X, Y, B, C)
+        for v, e, w in zip(np.ravel(z.value), np.ravel(z.err), np.ravel(Z)):
+            assert abs(Decimal(float(v)) - to_decimal(w)) <= Decimal(float(e)), (rule, v, e)
+    # a divisor within its err may be 0, and a base at its err may be 0:
+    # neither quotient nor power has a finite err
+    small = symfun._Rounded(np.array([1e-3, -2.0]), np.array([1e-3, 3.0]))
+    assert np.all(np.isinf((x[:2, 0] / small).err)) and np.all(np.isinf((c / small).err))
+    assert not np.any(np.isfinite((small ** 0.5).err))

@@ -138,3 +138,36 @@ def test_no_subcommand_fixes_a_tolerance_but_spectral_derivs():
             fixed[node.args[0].value] = {k.arg for k in node.keywords}
     assert {"identities", "cone", "key-lemma", "spectral-derivs"} <= set(fixed)
     assert [name for name, keys in fixed.items() if "tol" in keys] == ["spectral-derivs"]
+
+
+def _uses(name):
+    """(module, top-level definition) of every node naming name, as a
+    call's function or an attribute, across the package."""
+    found = []
+    for module in MODULES:
+        path = os.path.join(PACKAGE, module)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == name) or (
+                        isinstance(node, ast.Attribute) and node.attr == name):
+                    found.append((module, getattr(top, "name", None)))
+    return found
+
+
+def test_one_rounding_model():
+    # every sampled verdict's bound is _Rounded's running error analysis,
+    # whose sigma_q enter through _rounded; _rounding's coefficient is used
+    # bare only where a bound is taken at |mu| in one sum (the identities,
+    # the cone regions) or as the escape test's margin
+    assert sorted(set(_uses("_rounding"))) == [
+        ("cone.py", "_regions"), ("subsolution.py", "_rays_that_may_escape"),
+        ("symfun.py", "_rounded"), ("symfun.py", "identity_residuals"),
+    ]
+    # eps is read once in symfun; spectral's eigenvalue bounds and the
+    # solver's Arnoldi breakdown test read their own
+    finfo = _uses("finfo")
+    assert sorted(set(m for m, _ in finfo)) == ["solver.py", "spectral.py", "symfun.py"]
+    assert [f for m, f in finfo if m == "symfun.py"] == [None]
