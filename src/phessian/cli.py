@@ -2,7 +2,8 @@
 seeds and machine-readable JSON reports.
 
 Exit status: 0 clean, 1 invariant violation (counterexample serialized in
-the report), 2 usage error (argparse's, or an InputError: see _subcommand).
+the report; a typed failure in VIOLATIONS is one), 2 usage error
+(argparse's, or an InputError: see _subcommand).
 Identical config + seed gives byte-identical reports except for the
 wall_time_s field.
 """
@@ -52,20 +53,6 @@ from .subsolution import BallProblem, KeyLemmaConfig, construct, key_lemma_sweep
 from .symfun import identity_residuals, sigma
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
-
-
 def _parse_range(text):
     """'3..8' -> [3..8], '4' -> [4]; usage error unless the range is
     non-empty and starts at 1 or above."""
@@ -109,10 +96,11 @@ def _parse_band(text):
 
 
 def _emit(report, output):
-    """Write the report as strict JSON: a non-finite number raises
-    ValueError instead of printing as NaN or Infinity."""
-    text = json.dumps(_jsonable(report), indent=1, sort_keys=True,
-                      allow_nan=False) + "\n"
+    """Write the report as strict JSON: numpy arrays and scalars go through
+    .tolist(), and a non-finite number raises ValueError instead of
+    printing as NaN or Infinity."""
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False,
+                      default=lambda x: x.tolist()) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -120,14 +108,29 @@ def _emit(report, output):
         sys.stdout.write(text)
 
 
+# the typed failures a subcommand reports as violations, with the kind each
+# reports as; the violation also holds the error's message as detail and
+# every value the error carries (node, lam, trace, counterexample, lhs, rhs)
+VIOLATIONS = {
+    SearchFailureError: "search_failure",
+    ConstructionError: "construction_failure",
+    NonconvergenceError: "NonconvergenceError",
+    AdmissibilityError: "AdmissibilityError",
+    VerificationError: "measure_bound",
+}
+
+
 def _subcommand(name, **fixed):
     """Turn a body into a subcommand that writes the report and returns
     the exit status.
 
-    The report's config is every parsed option plus the fixed constants;
-    the body reads all of them from one namespace and returns (results,
-    violation).  An InputError from the body is the one usage error: it
-    prints as `name: message` and the subcommand exits 2 without a report.
+    The body reads every parsed option and the fixed constants from one
+    namespace and returns (results, violation); it may record there what it
+    resolved, and the report's config is that namespace after the body has
+    run.  An InputError from the body is the one usage error: it prints as
+    `name: message` and the subcommand exits 2 without a report.  An error
+    of a type in VIOLATIONS becomes the violation of a report with empty
+    results, and the subcommand exits 1.
     """
 
     def wrap(body):
@@ -136,19 +139,21 @@ def _subcommand(name, **fixed):
             t0 = time.perf_counter()
             config = {k: v for k, v in vars(args).items()
                       if k not in ("func", "subcommand", "output")}
-            config.setdefault("seed", None)
-            config.update(fixed)
+            ns = argparse.Namespace(**{"seed": None, **config, **fixed})
             try:
-                results, violation = body(argparse.Namespace(**config))
+                results, violation = body(ns)
             except InputError as exc:
                 print(f"{name}: {exc}", file=sys.stderr)
                 return 2
+            except tuple(VIOLATIONS) as exc:
+                results = {}
+                violation = {"kind": VIOLATIONS[type(exc)], "detail": str(exc), **vars(exc)}
             report = {
                 "subcommand": name,
-                "config": _jsonable(config),
-                "seed": config.get("seed"),
-                "results": _jsonable(results),
-                "violation": _jsonable(violation),
+                "config": vars(ns),
+                "seed": ns.seed,
+                "results": results,
+                "violation": violation,
                 "wall_time_s": time.perf_counter() - t0,
             }
             _emit(report, args.output)
@@ -233,30 +238,29 @@ def cmd_spectral_derivs(args):
     ConeSpec(args.n, args.p)
     _require_trials(args)
     rng = np.random.default_rng([args.seed, args.n, args.p])
-    worst = 0.0
-    worst_mu = None
-    eps = args.fd_step
-    for _ in range(args.trials):
-        gaps = 0.5 + rng.uniform(0.0, 1.0, args.n)
-        mu = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
-        D = np.diag(mu)
-        der = spectral_derivs(args.p, mu)
-        # independent check: FD of sigma_p(eigs(diag(mu) + E)) entrywise
-        fd = np.zeros((args.n, args.n))
-        for j in range(args.n):
-            for k in range(j, args.n):
-                E = np.zeros((args.n, args.n))
-                E[j, k] = E[k, j] = eps
-                sp = sigma(args.p, jacobi_eigh(D + E))
-                sm = sigma(args.p, jacobi_eigh(D - E))
-                fd[j, k] = fd[k, j] = (sp - sm) / (2 * eps)
-        err = float(np.max(np.abs(der.grad_sigma - fd)))
-        if err > worst:
-            worst, worst_mu = err, mu
+    n, eps = args.n, args.fd_step
+    # each trial's n gaps in (0.5, 1.5), then its shift in (-1, 1), drawn as
+    # rng.uniform(lo, hi) draws them: lo + (hi - lo) times one rng.random()
+    draws = rng.random((args.trials, n + 1))
+    mus = (-1.0 + 2.0 * draws[:, n:]) + np.cumsum(0.5 + draws[:, :n], axis=1)
+    # independent check: FD of sigma_p(eigs(diag(mu) +- E)) for every trial
+    # and entry j <= k at once, E symmetric with eps at (j, k)
+    j, k = np.triu_indices(n)
+    pair = np.arange(len(j))
+    E = np.zeros((len(j), n, n))
+    E[pair, j, k] = E[pair, k, j] = eps
+    D = np.zeros((args.trials, 1, n, n))
+    D[..., range(n), range(n)] = mus[:, None]
+    sp, sm = sigma(args.p, jacobi_eigh(np.stack([D + E, D - E])))
+    fd = np.zeros((args.trials, n, n))
+    fd[:, j, k] = fd[:, k, j] = (sp - sm) / (2 * eps)
+    der = np.stack([spectral_derivs(args.p, mu).grad_sigma for mu in mus])
+    err = np.max(np.abs(der - fd), axis=(1, 2))
+    worst = int(np.argmax(err))
     violation = None
-    if worst > args.tol:
-        violation = {"mu": worst_mu, "max_error": worst}
-    results = {"max_gradient_error": worst}
+    if err[worst] > args.tol:
+        violation = {"mu": mus[worst], "max_error": err[worst]}
+    results = {"max_gradient_error": err[worst]}
     return results, violation
 
 
@@ -300,14 +304,7 @@ def cmd_concavity_fuzz(args):
 @_subcommand("find-m")
 def cmd_find_m(args):
     band = _parse_band(args.sigma)
-    try:
-        out = find_threshold(
-            args.n, args.p, args.tau, args.eps, band, args.trials, args.seed
-        )
-    except SearchFailureError as exc:
-        violation = {"kind": "search_failure", "detail": str(exc),
-                     "counterexample": getattr(exc, "counterexample", None)}
-        return {}, violation
+    out = find_threshold(args.n, args.p, args.tau, args.eps, band, args.trials, args.seed)
     results = {
         "M_hat": out.M_hat,
         "trials": out.trials,
@@ -334,12 +331,7 @@ def cmd_subsolution(args):
         p=args.p, alpha=args.alpha, psi=psi,
         phi_tilde=lambda pts, t: np.full(len(pts), args.phi), u=u,
     )
-    try:
-        out = construct(prob)
-    except ConstructionError as exc:
-        violation = {"kind": "construction_failure", "detail": str(exc),
-                     "node": getattr(exc, "node", None)}
-        return {}, violation
+    out = construct(prob)
     results = {
         "A": out.A, "B": out.B, "eps1": out.eps1, "eps2": out.eps2,
         "worst_slack": out.worst_slack,
@@ -393,6 +385,11 @@ def cmd_solve(args):
     if args.manufactured and args.problem:
         raise InputError("--manufactured and --problem are mutually exclusive")
     if args.manufactured:
+        if args.initial:
+            raise InputError("--initial applies to --problem only")
+        # the built-in problem's defaults, resolved here so the config records them
+        args.p = 2 if args.p is None else args.p
+        args.perturb = 0.05 if args.perturb is None else args.perturb
         if not np.isfinite(args.perturb):
             raise InputError(f"--perturb must be finite, got {args.perturb}")
         spec, grid, ustar = manufactured_problem((args.manufactured,) * 2, p=args.p)
@@ -402,20 +399,18 @@ def cmd_solve(args):
         )
         u0 = GridFn(grid, ustar.values + bump)
     elif args.problem:
+        if args.p is not None or args.perturb is not None:
+            raise InputError("--p and --perturb apply to --manufactured only")
         if not args.initial:
             raise InputError("--initial grid CSV required with --problem")
         spec = load_problem_json(args.problem)
         u0 = load_grid_csv(args.initial)
+        # the problem JSON sets p, and nothing is drawn
+        args.p, args.seed = spec.p, None
     else:
         raise InputError("either --manufactured or --problem is required")
 
-    try:
-        sol, trace = newton_solve(spec, u0, tol=args.tol)
-    except (NonconvergenceError, AdmissibilityError) as exc:
-        violation = {"kind": type(exc).__name__, "detail": str(exc),
-                     "trace": getattr(exc, "trace", None)}
-        return {}, violation
-
+    sol, trace = newton_solve(spec, u0, tol=args.tol)
     if trace:
         # the last accepted linearization was taken at sol
         final, raw = trace[-1]["residual"], trace[-1]["raw_residual"]
@@ -446,11 +441,7 @@ def cmd_alexandrov(args):
         center=(0.0, 0.0), d=args.d, resolution=args.resolution,
         w=w, eps=args.eps,
     )
-    try:
-        lhs, rhs, contact = alexandrov_check(prob)
-    except VerificationError as exc:
-        violation = {"kind": "measure_bound", "detail": str((exc.lhs, exc.rhs))}
-        return {}, violation
+    lhs, rhs, contact = alexandrov_check(prob)
     results = {
         "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
         "contact_nodes": int(contact.sum()),
@@ -529,12 +520,15 @@ SUBCOMMANDS = {
     ]),
     "solve": ("damped Newton on the periodic problem", cmd_solve, True, [
         ("--problem", {"default": None, "help": "equation JSON path"}),
-        ("--initial", {"default": None, "help": "initial grid CSV path"}),
+        ("--initial", {"default": None, "help": "initial grid CSV path (--problem only)"}),
         ("--manufactured", {"type": int, "default": None,
                             "help": "grid size for the built-in test problem"}),
-        ("--p", {"type": int, "default": 2}),
+        ("--p", {"type": int, "default": None,
+                 "help": "order of the built-in problem (--manufactured only; default 2)"}),
         ("--tol", {"type": float, "default": 1e-9}),
-        ("--perturb", {"type": float, "default": 0.05}),
+        ("--perturb", {"type": float, "default": None,
+                       "help": "relative size of the start's perturbation "
+                               "(--manufactured only; default 0.05)"}),
         ("--solution", {"default": None, "help": "write solution CSV here"}),
     ]),
     "alexandrov": ("contact-set measure estimate", cmd_alexandrov, False, [

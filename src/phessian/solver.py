@@ -384,10 +384,12 @@ def _add_coefficient_A(spec, u_vals, du, hess):
 
 def _hessian_argument(u_vals, grid, spec):
     """(du, B, A_t, A_alpha): B = A(du, u) + D^2 u as component-major planes
-    (d, d)+shape, formed in periodic_hess's own memory."""
+    (d, d)+shape, formed in periodic_hess's own memory.  Where B overflows,
+    nothing warns: require_matrix_cone finds its matrices outside."""
     du = periodic_grad(u_vals, grid.h)
-    B = periodic_hess(u_vals, grid.h)
-    return (du, B) + _add_coefficient_A(spec, u_vals, du, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = periodic_hess(u_vals, grid.h)
+        return (du, B) + _add_coefficient_A(spec, u_vals, du, B)
 
 
 def _lambda_field(u_vals, grid, spec):

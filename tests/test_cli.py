@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phessian import cli, solver
+from phessian import cli, errors, solver
 from phessian.cli import main
 from phessian.solver import (
     EquationSpec,
@@ -20,6 +20,8 @@ from phessian.solver import (
     save_grid_csv,
     save_problem_json,
 )
+from phessian.spectral import jacobi_eigh, spectral_derivs
+from phessian.symfun import sigma
 
 
 def run(tmp_path, name, *argv):
@@ -50,6 +52,14 @@ def run_subprocess(tmp_path, *argv):
          "sys.exit(main(sys.argv[1:]))", *argv, "--output", out],
         env=src_env(), capture_output=True, text=True, timeout=60,
     ), out
+
+
+def strict_json(path):
+    """The report at path, parsed with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"{path}: non-finite number {name}")
+    with open(path) as fh:
+        return json.loads(fh.read(), parse_constant=refuse)
 
 
 def strip_walltime(report):
@@ -272,6 +282,8 @@ def test_sweep_bad_input_is_usage_error(tmp_path, argv):
                "rhs": {"kind": "paper_example", "param": "0.3"}}),
     ("solve", {"p": 2, "A": {"kind": "paper_example", "param": True},
                "rhs": {"kind": "constant", "value": 1.0}}),
+    # the built-in problem draws its start: an initial grid would be ignored
+    ("solve", "--manufactured", "32", "--initial", "u0.csv"),
 ])
 def test_bad_grid_input_is_usage_error(tmp_path, argv):
     # a dict is a problem JSON and None a problem path that does not exist,
@@ -321,6 +333,28 @@ def test_spectral_derivs_clean(tmp_path):
     )
     assert status == 0
     assert rep["results"]["max_gradient_error"] <= 1e-6
+
+
+def test_spectral_derivs_batch_matches_one_eigensolve_per_matrix(tmp_path):
+    # the batched differences equal those of one eigensolve and one sigma
+    # per matrix, bit for bit, and so does the worst error
+    status, rep = run(tmp_path, "sd.json", "spectral-derivs", "--n", "4", "--p", "3",
+                      "--trials", "6", "--seed", "5")
+    assert status == 0
+    rng = np.random.default_rng([5, 4, 3])
+    worst = 0.0
+    for _ in range(6):
+        gaps = 0.5 + rng.uniform(0.0, 1.0, 4)
+        mu = rng.uniform(-1.0, 1.0) + np.cumsum(gaps)
+        fd = np.zeros((4, 4))
+        for j in range(4):
+            for k in range(j, 4):
+                E = np.zeros((4, 4))
+                E[j, k] = E[k, j] = 1e-5
+                diff = [sigma(3, jacobi_eigh(np.diag(mu) + s * E)) for s in (1, -1)]
+                fd[j, k] = fd[k, j] = (diff[0] - diff[1]) / 2e-5
+        worst = max(worst, float(np.max(np.abs(spectral_derivs(3, mu).grad_sigma - fd))))
+    assert 0.0 < rep["results"]["max_gradient_error"] == worst
 
 
 def test_spectral_derivs_checks_a_trial_outside_the_cone(tmp_path):
@@ -538,6 +572,74 @@ def test_solve_overflowing_start_is_admissibility_failure(tmp_path):
     assert "at node" in violation["detail"]
 
 
+def test_solve_overflowing_stencils_are_admissibility_failure(tmp_path):
+    # +-1e307 in a checkerboard: the second differences overflow to inf, so
+    # the start is outside the cone without an eigensolve, nothing warns,
+    # and the report carries no non-finite value
+    spec, grid, _ = manufactured_problem((32, 32))
+    problem, initial = tmp_path / "problem.json", tmp_path / "u0.csv"
+    save_problem_json(problem, spec)
+    checkerboard = (-1.0) ** np.add.outer(np.arange(32), np.arange(32))
+    save_grid_csv(initial, GridFn(grid, 1e307 * checkerboard))
+    proc, out = run_subprocess(
+        tmp_path, "solve", "--problem", str(problem), "--initial", str(initial)
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    rep = strict_json(out)
+    assert rep["results"] == {}
+    assert rep["violation"] == {
+        "kind": "AdmissibilityError",
+        "detail": "matrix with a non-finite entry at node (0, 0)",
+        "node": [0, 0], "lam": None,
+    }
+
+
+def _problem_files(tmp_path, p):
+    """(problem JSON path, initial CSV path) of the manufactured problem of
+    order p on 16^2, started from its exact solution."""
+    spec, grid, ustar = manufactured_problem((16, 16), p=p)
+    problem, initial = tmp_path / "problem.json", tmp_path / "u0.csv"
+    save_problem_json(problem, spec)
+    save_grid_csv(initial, ustar)
+    return str(problem), str(initial)
+
+
+@pytest.mark.parametrize("extra", [
+    ("--p", "2"), ("--p", "1"), ("--perturb", "0.05"), ("--p", "2", "--perturb", "7"),
+])
+def test_solve_problem_rejects_manufactured_options(tmp_path, extra):
+    # the problem JSON sets p and the start is read, not drawn: --p and
+    # --perturb would be recorded in the config without having run
+    problem, initial = _problem_files(tmp_path, p=1)
+    proc, out = run_subprocess(
+        tmp_path, "solve", "--problem", problem, "--initial", initial, *extra
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "solve: --p and --perturb apply to --manufactured only\n"
+    assert not os.path.exists(out)
+
+
+def test_solve_config_records_what_ran(tmp_path):
+    problem, initial = _problem_files(tmp_path, p=1)
+    status, rep = run(tmp_path, "from_problem.json", "solve", "--problem", problem,
+                      "--initial", initial, "--seed", "4")
+    assert status == 0
+    assert rep["config"] == {
+        "problem": problem, "initial": initial, "manufactured": None, "p": 1,
+        "perturb": None, "seed": None, "tol": 1e-9, "solution": None,
+    }
+    assert rep["seed"] is None
+    # the built-in problem records the defaults it resolved
+    status, rep = run(tmp_path, "manufactured.json", "solve", "--manufactured", "16")
+    assert status == 0
+    assert rep["config"] == {
+        "problem": None, "initial": None, "manufactured": 16, "p": 2,
+        "perturb": 0.05, "seed": 0, "tol": 1e-9, "solution": None,
+    }
+    assert rep["seed"] == 0
+
+
 def test_solve_krylov_failure_exits_1(tmp_path, monkeypatch):
     real = solver.lgmres
     monkeypatch.setattr(
@@ -641,6 +743,42 @@ def test_pseudo_check_violation_exits_1(tmp_path):
     assert status == 1
     assert rep["violation"] is not None
     assert rep["results"]["super_violations"] > 0
+
+
+@pytest.mark.parametrize("error, violation", [
+    (errors.AdmissibilityError("outside at node (3, 4)", node=(3, 4), lam=np.array([-1.0, 2.0])),
+     {"kind": "AdmissibilityError", "detail": "outside at node (3, 4)",
+      "node": [3, 4], "lam": [-1.0, 2.0]}),
+    (errors.NonconvergenceError("stalled"),
+     {"kind": "NonconvergenceError", "detail": "stalled", "trace": []}),
+    (errors.ConstructionError("overflows", node=np.int64(7)),
+     {"kind": "construction_failure", "detail": "overflows", "node": 7}),
+    (errors.SearchFailureError("no bracket", counterexample=[1.0, 2.0]),
+     {"kind": "search_failure", "detail": "no bracket", "counterexample": [1.0, 2.0]}),
+    (errors.VerificationError("bound fails", lhs=np.float64(2.0), rhs=1.0),
+     {"kind": "measure_bound", "detail": "bound fails", "lhs": 2.0, "rhs": 1.0}),
+])
+def test_typed_failure_of_any_subcommand_is_a_violation(tmp_path, monkeypatch, error, violation):
+    # pseudo-check has no handler of its own: _subcommand reports a typed
+    # failure as its kind, its message and the values it carries
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "pseudo_check", fail)
+    status, rep = run(tmp_path, "pc.json", "pseudo-check", "--size", "16")
+    assert status == 1
+    assert rep["results"] == {}
+    assert rep["violation"] == violation
+
+
+def test_alexandrov_violation_carries_both_sides(tmp_path):
+    # at its defaults the nodal contact-set sum undercounts the disc
+    status, rep = run(tmp_path, "alex.json", "alexandrov")
+    assert status == 1
+    violation = rep["violation"]
+    assert violation["kind"] == "measure_bound"
+    assert violation["detail"].startswith("contact-set bound fails")
+    assert violation["lhs"] > violation["rhs"] > 0
 
 
 def test_pseudo_check_clean(tmp_path):

@@ -124,6 +124,25 @@ def test_cli_turns_input_errors_into_exit_2_in_one_place():
     assert [f for f, t in handlers if t in ("", "Exception", "BaseException")] == []
 
 
+def test_cli_turns_library_errors_into_reports_in_one_place():
+    # a type from errors.py is caught by _subcommand alone: InputError as
+    # exit 2, and each typed failure, through one table, as a violation
+    cli = importlib.import_module("phessian.cli")
+    errors = importlib.import_module("phessian.errors")
+    library = {t for t in vars(errors).values()
+               if isinstance(t, type) and t.__module__ == errors.__name__}
+    catchers = []
+    for f, t in cli_handlers():
+        caught = eval(t, vars(cli)) if t else ()
+        if library & set(caught if isinstance(caught, tuple) else (caught,)):
+            catchers.append(f)
+    assert set(catchers) == {"_subcommand"}
+    assert set(cli.VIOLATIONS) == {
+        errors.SearchFailureError, errors.ConstructionError, errors.NonconvergenceError,
+        errors.AdmissibilityError, errors.VerificationError,
+    }
+
+
 def test_no_subcommand_fixes_a_tolerance_but_spectral_derivs():
     # every sampled check decides its rows by their derived rounding bounds
     # (cone.verdict); spectral-derivs' tol bounds a finite-difference

@@ -304,6 +304,28 @@ class TestMinorPath(unittest.TestCase):
         np.testing.assert_array_equal(ctx.exception.lam, [1e200, 2e200])
         np.testing.assert_array_equal(sigmas[:, 1], [2.0, 3e200, 2.0])
 
+    def test_nonfinite_matrix_is_outside_without_eigensolve(self):
+        # a matrix with an inf or nan entry has no spectrum to widen: it is
+        # outside without an eigensolve, and require_matrix_cone names it
+        # with no eigenvalues, finite rows around it notwithstanding
+        for d in range(1, 5):
+            for p in range(1, d + 1):
+                M = np.stack([np.eye(d)] * 4)
+                M[1, 0, 0] = np.inf
+                M[2, -1, 0] = M[2, 0, -1] = -np.inf
+                M[3, d // 2, d // 2] = np.nan
+                with np.errstate(over="ignore", invalid="ignore"):
+                    codes, seen = self.fallback_rows(M, ConeSpec(d, p))
+                np.testing.assert_array_equal(codes, [2, 0, 0, 0], err_msg=f"d={d} p={p}")
+                self.assertEqual(len(seen), 0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with self.assertRaises(AdmissibilityError) as ctx:
+                        require_matrix_cone(M.reshape(2, 2, d, d), p)
+                self.assertEqual(ctx.exception.node, (0, 1))
+                self.assertIsNone(ctx.exception.lam)
+                self.assertIn("non-finite entry at node (0, 1)", str(ctx.exception))
+
     def test_newton_tensor_matches_eigh_assembly(self):
         # F = (1/p) sigma_p^{1/p-1} T_{p-1}(M) against Q diag(df/dlam) Q^T
         rng = np.random.default_rng(43)
